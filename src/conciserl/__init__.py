@@ -7,7 +7,7 @@ for a tabular softmax policy, a synthetic verifiable environment with an
 analytic minimal-length oracle, and the evaluation-metric suite.
 """
 
-from .advantage import AdvantageVector, advantage_gap, broadcast, count_advantage, std_advantage
+from .advantage import AdvantageVector, advantage_gap, count_advantage, std_advantage
 from .buffer import ExperienceBuffer
 from .core import (
     ConfigError,
@@ -17,7 +17,6 @@ from .core import (
     RunConfig,
     load_config,
     save_config,
-    validate_config,
 )
 from .env import (
     Action,
@@ -31,9 +30,9 @@ from .env import (
     save_bank,
     verify,
 )
-from .objective import TokenBatch, clipped_term, gradient, surrogate, token_batch, token_ratio
+from .objective import TokenBatch, clipped_term, flatten, gradient, surrogate, token_ratio
 from .rewards import RewardTier, ShapedReward, shape, shape_group
-from .trainer import RunResult, StepLog, checkpoint, resume, run, train_step
+from .trainer import RunResult, StepLog, checkpoint, resume, run, sample_batch, train_step
 
 __all__ = [
     "Action",
@@ -51,10 +50,10 @@ __all__ = [
     "TabularPolicy",
     "TokenBatch",
     "advantage_gap",
-    "broadcast",
     "checkpoint",
     "clipped_term",
     "count_advantage",
+    "flatten",
     "gradient",
     "initial_policy",
     "load_bank",
@@ -64,6 +63,7 @@ __all__ = [
     "min_correct_length",
     "resume",
     "run",
+    "sample_batch",
     "sample_rollout",
     "save_bank",
     "save_config",
@@ -71,10 +71,8 @@ __all__ = [
     "shape_group",
     "std_advantage",
     "surrogate",
-    "token_batch",
     "token_ratio",
     "train_step",
-    "validate_config",
     "verify",
 ]
 

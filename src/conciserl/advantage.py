@@ -21,13 +21,9 @@ EPS_STD = 1e-8  # guards zero-variance groups in the std baseline
 class AdvantageVector:
     values: tuple[float, ...]
     mode: str
-    group_mean: float
-    denominator: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.denominator <= 0:
-            raise ValueError("denominator must be > 0")
 
 
 def count_advantage(
@@ -45,7 +41,7 @@ def count_advantage(
         raise ValueError("epsilon_adv must be > 0")
     mu = float(r.mean())
     denom = max(correct_count, 1) + epsilon_adv
-    return AdvantageVector(tuple((r - mu) / denom), "count", mu, denom)
+    return AdvantageVector(tuple((r - mu) / denom), "count")
 
 
 def std_advantage(rewards: Sequence[float], eps_std: float = EPS_STD) -> AdvantageVector:
@@ -55,7 +51,7 @@ def std_advantage(rewards: Sequence[float], eps_std: float = EPS_STD) -> Advanta
         raise ValueError("need a group of at least 2 rewards")
     mu = float(r.mean())
     denom = float(r.std()) + eps_std
-    return AdvantageVector(tuple((r - mu) / denom), "std", mu, denom)
+    return AdvantageVector(tuple((r - mu) / denom), "std")
 
 
 def advantage_gap(r_pen: float, correct_count: int, epsilon_adv: float) -> float:
@@ -71,9 +67,3 @@ def advantage_gap(r_pen: float, correct_count: int, epsilon_adv: float) -> float
         raise ValueError("epsilon_adv must be > 0")
     return (1.0 - r_pen) / (correct_count + epsilon_adv)
 
-
-def broadcast(adv: float, length: int) -> np.ndarray:
-    """Constant per-token advantage: one copy of the scalar per token."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return np.full(length, float(adv))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .core import ConfigError, RunConfig, load_config, save_config, validate_config
-from .env import answer_letter, is_answer, load_bank, sample_rollout
-from .trainer import resume, run
+from .core import ConfigError, RunConfig, load_config, save_config
+from .env import answer_letter, load_bank
+from .trainer import resume, run, sample_batch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,9 +69,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             for k in ("seed", "steps", "alpha", "r_pen", "advantage_mode", "group_size")
             if getattr(args, k) is not None
         }
-        if overrides:
-            config = RunConfig(**{**config.to_dict(), **overrides})
-        config = validate_config(config)
+        config = dataclasses.replace(config, **overrides)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_IO
@@ -112,29 +111,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print("error: every k must satisfy 1 <= k <= n_samples", file=sys.stderr)
         return EXIT_CONFIG
 
-    samples: dict[str, list[tuple[str, int]]] = {}
-    truth: dict[str, str] = {}
-    outcomes: list[bool] = []
-    lengths: dict[str, list[int]] = {}
-    l_max = buffer.l_max
-    for p_idx, problem in enumerate(bank):
-        truth[problem.id] = problem.correct_answer
-        pool = []
-        per_lengths = []
-        for s_idx in range(args.n_samples):
-            rng = np.random.default_rng((args.seed, p_idx, s_idx))
-            rollout = sample_rollout(policy, problem, rng, l_max)
-            # The vote of a sample is its answer letter when it produced a
-            # valid solution, otherwise a non-matching sentinel; sample-level
-            # correctness then coincides with the verifier.
-            answer = answer_letter(rollout.actions[-1]) if rollout.correct else "invalid"
-            if rollout.correct:
-                assert is_answer(rollout.actions[-1])
-            pool.append((answer, rollout.length))
-            per_lengths.append(rollout.length)
-            outcomes.append(rollout.correct)
-        samples[problem.id] = pool
-        lengths[problem.id] = per_lengths
+    groups = sample_batch(policy, bank, args.n_samples, buffer.l_max, (args.seed,))
+    # The vote of a sample is its answer letter when it produced a valid
+    # solution, otherwise a non-matching sentinel; sample-level correctness
+    # then coincides with the verifier.
+    samples = {
+        g.problem_id: [
+            (answer_letter(r.actions[-1]) if r.correct else "invalid", r.length) for r in g.rollouts
+        ]
+        for g in groups
+    }
+    truth = {p.id: p.correct_answer for p in bank}
+    outcomes = [r.correct for g in groups for r in g.rollouts]
+    lengths = {g.problem_id: [r.length for r in g.rollouts] for g in groups}
 
     pass1 = metrics_mod.accuracy(outcomes)
     mean_tokens = float(np.mean([t for pool in samples.values() for _, t in pool]))

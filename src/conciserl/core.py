@@ -88,27 +88,6 @@ class Rollout:
             if not math.isfinite(lp) or lp > _LOGP_TOL:
                 raise ValueError(f"behavior log-probabilities must be finite and <= 0, got {lp}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "problem_id": self.problem_id,
-            "actions": list(self.actions),
-            "behavior_logps": list(self.behavior_logps),
-            "length": self.length,
-            "correct": self.correct,
-            "truncated": self.truncated,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Rollout":
-        return cls(
-            problem_id=d["problem_id"],
-            actions=tuple(d["actions"]),
-            behavior_logps=tuple(d["behavior_logps"]),
-            length=int(d["length"]),
-            correct=bool(d["correct"]),
-            truncated=bool(d["truncated"]),
-        )
-
 
 @dataclass(frozen=True)
 class RolloutGroup:
@@ -116,7 +95,6 @@ class RolloutGroup:
 
     problem_id: str
     rollouts: tuple[Rollout, ...]
-    correct_count: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rollouts", tuple(self.rollouts))
@@ -127,33 +105,18 @@ class RolloutGroup:
                 raise ValueError(
                     f"rollout problem_id {r.problem_id!r} does not match group {self.problem_id!r}"
                 )
-        n_correct = sum(1 for r in self.rollouts if r.correct)
-        if self.correct_count != n_correct:
-            raise ValueError(f"correct_count {self.correct_count} != actual {n_correct}")
 
     @classmethod
     def from_rollouts(cls, problem_id: str, rollouts: Iterable[Rollout]) -> "RolloutGroup":
-        rollouts = tuple(rollouts)
-        return cls(problem_id, rollouts, sum(1 for r in rollouts if r.correct))
+        return cls(problem_id, tuple(rollouts))
 
     @property
     def size(self) -> int:
         return len(self.rollouts)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "problem_id": self.problem_id,
-            "rollouts": [r.to_dict() for r in self.rollouts],
-            "correct_count": self.correct_count,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RolloutGroup":
-        return cls(
-            problem_id=d["problem_id"],
-            rollouts=tuple(Rollout.from_dict(r) for r in d["rollouts"]),
-            correct_count=int(d["correct_count"]),
-        )
+    @property
+    def correct_count(self) -> int:
+        return sum(1 for r in self.rollouts if r.correct)
 
 
 @dataclass(frozen=True)
@@ -186,66 +149,58 @@ class RunConfig:
     init_answer_logit: float = -3.0
     checkpoint_every: int = 10
 
+    def __post_init__(self) -> None:
+        """Reject the config unless every field constraint holds.
+
+        Collects every violation (by field name) into a single ConfigError,
+        so no invalid config can exist.
+        """
+        errors = [
+            f"{f.name} must be finite"
+            for f in dataclasses.fields(self)
+            if f.type == "float" and not math.isfinite(getattr(self, f.name))
+        ]
+        if self.alpha < 0:
+            errors.append("alpha must be >= 0")
+        if not 0 <= self.r_pen:
+            errors.append("r_pen must be >= 0")
+        if self.r_pen >= 1:
+            errors.append("r_pen must be < 1")
+        if self.epsilon_adv <= 0:
+            errors.append("epsilon_adv must be > 0")
+        if self.group_size < 2:
+            errors.append("group_size must be >= 2")
+        if self.eps_low <= 0:
+            errors.append("eps_low must be > 0")
+        if self.eps_high <= 0:
+            errors.append("eps_high must be > 0")
+        if not self.eps_low < self.eps_high:
+            errors.append("eps_low < eps_high required")
+        if self.l_max < 1:
+            errors.append("l_max must be >= 1")
+        if self.w_cap < 1:
+            errors.append("w_cap must be >= 1")
+        if self.learning_rate <= 0:
+            errors.append("learning_rate must be > 0")
+        if self.steps < 0:
+            errors.append("steps must be >= 0")
+        if self.seed < 0:
+            errors.append("seed must be >= 0")
+        if self.advantage_mode not in ADVANTAGE_MODES:
+            errors.append(f"advantage_mode must be one of {ADVANTAGE_MODES}")
+        if self.n_problems < 1:
+            errors.append("n_problems must be >= 1")
+        if not 1 <= self.d_min <= self.d_max:
+            errors.append("1 <= d_min <= d_max required")
+        if self.d_max > self.w_cap:
+            errors.append("d_max must be <= w_cap")
+        if self.checkpoint_every < 1:
+            errors.append("checkpoint_every must be >= 1")
+        if errors:
+            raise ConfigError(errors)
+
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError([f"unknown config key: {k}" for k in unknown])
-        return cls(**{k: v for k, v in d.items()})
-
-
-def validate_config(config: RunConfig) -> RunConfig:
-    """Return ``config`` unchanged iff every field constraint holds.
-
-    Collects every violation (by field name) into a single ConfigError.
-    Idempotent: validating a validated config is a no-op.
-    """
-    errors: list[str] = []
-    if config.alpha < 0:
-        errors.append("alpha must be >= 0")
-    if not 0 <= config.r_pen:
-        errors.append("r_pen must be >= 0")
-    if config.r_pen >= 1:
-        errors.append("r_pen must be < 1")
-    if config.epsilon_adv <= 0:
-        errors.append("epsilon_adv must be > 0")
-    if config.group_size < 2:
-        errors.append("group_size must be >= 2")
-    if config.eps_low <= 0:
-        errors.append("eps_low must be > 0")
-    if config.eps_high <= 0:
-        errors.append("eps_high must be > 0")
-    if not config.eps_low < config.eps_high:
-        errors.append("eps_low < eps_high required")
-    if config.l_max < 1:
-        errors.append("l_max must be >= 1")
-    if config.w_cap < 1:
-        errors.append("w_cap must be >= 1")
-    if config.learning_rate <= 0:
-        errors.append("learning_rate must be > 0")
-    if config.steps < 0:
-        errors.append("steps must be >= 0")
-    if config.seed < 0:
-        errors.append("seed must be >= 0")
-    if config.advantage_mode not in ADVANTAGE_MODES:
-        errors.append(f"advantage_mode must be one of {ADVANTAGE_MODES}")
-    if config.n_problems < 1:
-        errors.append("n_problems must be >= 1")
-    if not 1 <= config.d_min <= config.d_max:
-        errors.append("1 <= d_min <= d_max required")
-    if config.d_max > config.w_cap:
-        errors.append("d_max must be <= w_cap")
-    if not math.isfinite(config.init_answer_logit):
-        errors.append("init_answer_logit must be finite")
-    if config.checkpoint_every < 1:
-        errors.append("checkpoint_every must be >= 1")
-    if errors:
-        raise ConfigError(errors)
-    return config
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -264,7 +219,6 @@ def load_config(path: str | Path) -> RunConfig:
     """Load a RunConfig from a flat ``key = value`` text file.
 
     Blank lines and ``#`` comments are ignored; unknown keys are an error.
-    The result is validated before being returned.
     """
     overrides: dict[str, Any] = {}
     errors: list[str] = []
@@ -287,7 +241,7 @@ def load_config(path: str | Path) -> RunConfig:
             errors.append(f"bad value for {key}: {raw!r}")
     if errors:
         raise ConfigError(errors)
-    return validate_config(RunConfig(**overrides))
+    return RunConfig(**overrides)
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:

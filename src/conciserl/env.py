@@ -139,7 +139,8 @@ def verify(problem: ProblemSpec, rollout: Rollout) -> bool:
 def replay_states(actions: Sequence[int], w_cap: int) -> np.ndarray:
     """Work-counter state before each token, replayed through the trace.
 
-    Raises on infeasible traces (tokens after an answer).
+    The one-trace reference for the states ``objective.flatten`` derives for
+    a whole batch. Raises on infeasible traces (tokens after an answer).
     """
     states = np.empty(len(actions), dtype=np.intp)
     w = 0

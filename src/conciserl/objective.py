@@ -12,13 +12,14 @@ softmax score function at its state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .advantage import AdvantageVector, broadcast
+from .advantage import AdvantageVector
 from .core import RolloutGroup
-from .env import TabularPolicy, replay_states
+from .env import Action, TabularPolicy
 
 
 def token_ratio(new_logp: float, old_logp: float) -> float:
@@ -37,69 +38,77 @@ def clipped_term(ratio: float, advantage: float, eps_low: float, eps_high: float
 
 
 @dataclass(frozen=True)
-class GroupTokens:
-    """All tokens of one rollout group, flattened.
+class TokenBatch:
+    """Every token of one training step, flattened over groups and rollouts.
 
-    ``old_logps`` are behavior-snapshot constants; new-policy log-probs are
-    recomputed from the current parameters via (problem_index, states,
-    actions) lookups.
+    Group g owns tokens ``offsets[g]:offsets[g + 1]`` and belongs to policy
+    row ``problem_index[g]``. ``old_logps`` are behavior-snapshot constants;
+    new-policy log-probs are recomputed from the current parameters via
+    (problem_index, states, actions) lookups.
     """
 
-    problem_id: str
-    problem_index: int
-    states: np.ndarray      # (T,) work-counter state per token
-    actions: np.ndarray     # (T,)
-    old_logps: np.ndarray   # (T,)
-    advantages: np.ndarray  # (T,) broadcast per-rollout advantages
+    problem_index: np.ndarray  # (G,) policy row of each group
+    offsets: np.ndarray        # (G + 1,) first token of each group, then T
+    states: np.ndarray         # (T,) work-counter state per token
+    actions: np.ndarray        # (T,)
+    old_logps: np.ndarray      # (T,)
+    advantages: np.ndarray     # (T,) each rollout's advantage on its tokens
 
     def __post_init__(self) -> None:
         n = len(self.actions)
-        if n < 1:
-            raise ValueError("empty group")
+        if len(self.problem_index) < 1:
+            raise ValueError("empty batch")
         if not (len(self.states) == len(self.old_logps) == len(self.advantages) == n):
             raise ValueError("per-token arrays must have equal length")
+        bounds = self.offsets
+        if len(bounds) != len(self.problem_index) + 1 or bounds[0] != 0 or bounds[-1] != n:
+            raise ValueError("offsets must run from 0 to the token count, one per group plus one")
+        if np.any(np.diff(bounds) < 1):
+            raise ValueError("every group needs at least one token")
+
+    def groups(self) -> list[tuple[int, slice]]:
+        """(problem index, token slice) of every group, in batch order."""
+        bounds = self.offsets.tolist()
+        return [(p, slice(a, b)) for p, a, b in zip(self.problem_index.tolist(), bounds, bounds[1:])]
 
 
-@dataclass(frozen=True)
-class TokenBatch:
-    groups: tuple[GroupTokens, ...]
-
-    def __post_init__(self) -> None:
-        if not self.groups:
-            raise ValueError("empty batch")
-
-
-def token_batch(
+def flatten(
     groups: Sequence[RolloutGroup],
     advantages: Sequence[AdvantageVector],
     policy: TabularPolicy,
 ) -> TokenBatch:
-    """Broadcast per-rollout advantages to tokens and flatten per group."""
+    """One TokenBatch from a step's rollout groups and their advantages.
+
+    A token's state is the number of WORK tokens before it in its rollout,
+    capped at ``w_cap``; each rollout's advantage is repeated over its tokens.
+    """
     if len(groups) != len(advantages):
         raise ValueError("one AdvantageVector per group required")
-    out = []
     for group, adv in zip(groups, advantages):
         if len(adv.values) != group.size:
             raise ValueError(f"advantage vector size mismatch for {group.problem_id!r}")
-        pi = policy.problem_index(group.problem_id)
-        states = [replay_states(r.actions, policy.w_cap) for r in group.rollouts]
-        out.append(
-            GroupTokens(
-                problem_id=group.problem_id,
-                problem_index=pi,
-                states=np.concatenate(states),
-                actions=np.concatenate(
-                    [np.array(r.actions, dtype=np.intp) for r in group.rollouts]
-                ),
-                old_logps=np.concatenate(
-                    [np.array(r.behavior_logps) for r in group.rollouts]
-                ),
-                advantages=np.concatenate(
-                    [broadcast(a, r.length) for a, r in zip(adv.values, group.rollouts)]
-                ),
-            )
-        )
-    return TokenBatch(tuple(out))
+    rollouts = [r for g in groups for r in g.rollouts]
+    lengths = np.array([r.length for r in rollouts], dtype=np.intp)
+    n = int(lengths.sum())
+    actions = np.fromiter(chain.from_iterable(r.actions for r in rollouts), np.intp, n)
+    old_logps = np.fromiter(chain.from_iterable(r.behavior_logps for r in rollouts), float, n)
+
+    # Running WORK count before each token, then rebased to its rollout.
+    is_work = actions == Action.WORK
+    states = np.cumsum(is_work, dtype=np.intp)
+    states -= is_work
+    states -= np.repeat(states[np.cumsum(lengths) - lengths], lengths)
+    np.minimum(states, policy.w_cap, out=states)
+
+    group_tokens = [sum(r.length for r in g.rollouts) for g in groups]
+    return TokenBatch(
+        problem_index=np.array([policy.problem_index(g.problem_id) for g in groups], dtype=np.intp),
+        offsets=np.cumsum([0] + group_tokens, dtype=np.intp),
+        states=states,
+        actions=actions,
+        old_logps=old_logps,
+        advantages=np.repeat([v for adv in advantages for v in adv.values], lengths),
+    )
 
 
 def surrogate(
@@ -109,14 +118,16 @@ def surrogate(
     if not (0 < eps_low < eps_high):
         raise ValueError("need 0 < eps_low < eps_high")
     logp = policy.log_probs()
+    groups = batch.groups()
     total = 0.0
-    for g in batch.groups:
-        new_logps = logp[g.problem_index, g.states, g.actions]
-        ratio = np.exp(new_logps - g.old_logps)
+    for p, span in groups:
+        new_logps = logp[p, batch.states[span], batch.actions[span]]
+        ratio = np.exp(new_logps - batch.old_logps[span])
         clipped = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high)
-        terms = np.minimum(ratio * g.advantages, clipped * g.advantages)
+        adv = batch.advantages[span]
+        terms = np.minimum(ratio * adv, clipped * adv)
         total += terms.sum() / len(terms)
-    return total / len(batch.groups)
+    return total / len(groups)
 
 
 def gradient(
@@ -132,20 +143,16 @@ def gradient(
     logp = policy.log_probs()
     probs = np.exp(logp)
     grad = np.zeros_like(policy.logits)
-    n_groups = len(batch.groups)
-    for g in batch.groups:
-        new_logps = logp[g.problem_index, g.states, g.actions]
-        ratio = np.exp(new_logps - g.old_logps)
+    groups = batch.groups()
+    for p, span in groups:
+        states, actions, adv = batch.states[span], batch.actions[span], batch.advantages[span]
+        ratio = np.exp(logp[p, states, actions] - batch.old_logps[span])
         clipped = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high)
-        unclipped_val = ratio * g.advantages
-        clipped_val = clipped * g.advantages
+        unclipped_val = ratio * adv
+        clipped_val = clipped * adv
         active = unclipped_val <= clipped_val  # ties -> unclipped branch
         # d(ratio * A)/d logits = ratio * A * (onehot(action) - probs(state))
-        weight = np.where(active, unclipped_val, 0.0) / (len(ratio) * n_groups)
-        np.add.at(grad, (g.problem_index, g.states, g.actions), weight)
-        np.add.at(
-            grad,
-            (g.problem_index, g.states),
-            -weight[:, None] * probs[g.problem_index, g.states],
-        )
+        weight = np.where(active, unclipped_val, 0.0) / (len(ratio) * len(groups))
+        np.add.at(grad, (p, states, actions), weight)
+        np.add.at(grad, (p, states), -weight[:, None] * probs[p, states])
     return grad

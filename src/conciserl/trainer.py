@@ -4,7 +4,7 @@ Rewards are shaped against the buffer state from before the current batch's
 update, then the buffer folds in the batch, and a single gradient-ascent step
 is taken on the clipped surrogate. Rollout rng streams are derived from
 (seed, step, problem, rollout), so results are reproducible regardless of
-worker scheduling.
+worker scheduling; ``sample_batch`` is also the sampler of ``eval``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .advantage import count_advantage, std_advantage
 from .buffer import ExperienceBuffer
-from .core import ProblemSpec, RolloutGroup, RunConfig, validate_config
+from .core import ProblemSpec, RolloutGroup, RunConfig
 from .env import (
     TabularPolicy,
     initial_policy,
@@ -28,7 +28,7 @@ from .env import (
     sample_rollout,
     save_bank,
 )
-from .objective import gradient, surrogate, token_batch
+from .objective import flatten, gradient, surrogate
 from .rewards import shape_group
 
 CHECKPOINT_VERSION = 1
@@ -62,27 +62,28 @@ class RunResult:
     bank: tuple[ProblemSpec, ...]
 
 
-def _rollout_rng(seed: int, step: int, p_idx: int, r_idx: int) -> np.random.Generator:
-    return np.random.default_rng((seed, step, p_idx, r_idx))
-
-
 def sample_batch(
     policy: TabularPolicy,
     bank: Sequence[ProblemSpec],
-    config: RunConfig,
-    step: int,
+    group_size: int,
+    l_max: int,
+    key: tuple[int, ...],
 ) -> list[RolloutGroup]:
-    """Sample G rollouts per problem from the (frozen) policy."""
-    groups = []
-    for p_idx, problem in enumerate(bank):
-        rollouts = [
-            sample_rollout(
-                policy, problem, _rollout_rng(config.seed, step, p_idx, r_idx), config.l_max
-            )
-            for r_idx in range(config.group_size)
-        ]
-        groups.append(RolloutGroup.from_rollouts(problem.id, rollouts))
-    return groups
+    """Sample ``group_size`` rollouts per problem from the (frozen) policy.
+
+    Rollout r of problem p draws from ``default_rng((*key, p, r))``;
+    training keys by (seed, step), ``eval`` by (seed,).
+    """
+    return [
+        RolloutGroup(
+            problem.id,
+            tuple(
+                sample_rollout(policy, problem, np.random.default_rng((*key, p, r)), l_max)
+                for r in range(group_size)
+            ),
+        )
+        for p, problem in enumerate(bank)
+    ]
 
 
 def train_step(
@@ -98,7 +99,7 @@ def train_step(
     """
     t0 = time.perf_counter()
     behavior = policy.copy()
-    groups = sample_batch(behavior, bank, config, step)
+    groups = sample_batch(behavior, bank, config.group_size, config.l_max, (config.seed, step))
 
     # Shape against the pre-update buffer, then fold the batch in.
     shaped = [shape_group(g, buffer, config.alpha, config.r_pen) for g in groups]
@@ -113,7 +114,7 @@ def train_step(
         else:
             advs.append(std_advantage(values))
 
-    batch = token_batch(groups, advs, policy)
+    batch = flatten(groups, advs, policy)
     objective_value = surrogate(batch, policy, config.eps_low, config.eps_high)
     grad = gradient(batch, policy, config.eps_low, config.eps_high)
     policy.ascend(grad, config.learning_rate)
@@ -121,7 +122,7 @@ def train_step(
     n_rollouts = sum(g.size for g in groups)
     log = StepLog(
         step=step,
-        batch_mean_length=sum(r.length for g in groups for r in g.rollouts) / n_rollouts,
+        batch_mean_length=len(batch.actions) / n_rollouts,
         mean_shortest_correct=buffer.stats(),
         batch_accuracy=sum(g.correct_count for g in groups) / n_rollouts,
         mean_reward=sum(s.value for rs in shaped for s in rs) / n_rollouts,
@@ -143,7 +144,6 @@ def run(
     When ``out_dir`` is given, writes ``steps.jsonl`` (one StepLog per line)
     and periodic checkpoints under ``checkpoints/step_<n>/``.
     """
-    validate_config(config)
     if bank is None:
         bank = make_problem_bank(config.n_problems, (config.d_min, config.d_max), config.seed)
     else:
@@ -206,7 +206,11 @@ def checkpoint(
 
 
 def resume(path: str | Path) -> tuple[TabularPolicy, ExperienceBuffer, int]:
-    """Load a checkpoint written by ``checkpoint``; bit-exact round trip."""
+    """Load a checkpoint written by ``checkpoint``; bit-exact round trip.
+
+    A missing or unreadable ``meta.json`` raises ValueError; a missing or
+    unparseable policy or buffer file raises OSError.
+    """
     path = Path(path)
     try:
         meta = json.loads((path / "meta.json").read_text())
@@ -214,7 +218,12 @@ def resume(path: str | Path) -> tuple[TabularPolicy, ExperienceBuffer, int]:
         raise ValueError(f"corrupt checkpoint at {path}: {e}") from None
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version mismatch: {meta.get('version')}")
-    logits = np.load(path / "policy_logits.npy")
+    try:
+        logits = np.load(path / "policy_logits.npy")
+        buffer = ExperienceBuffer.load(path / "buffer.expbuf")
+    except (ValueError, EOFError) as e:
+        # A data file that exists but cannot be parsed is an I/O fault, as
+        # a missing one is.
+        raise OSError(f"unreadable checkpoint file in {path}: {e}") from None
     policy = TabularPolicy(meta["problem_ids"], meta["w_cap"], logits)
-    buffer = ExperienceBuffer.load(path / "buffer.expbuf")
     return policy, buffer, int(meta["step"])

@@ -148,14 +148,11 @@ def test_06_gradient_vs_finite_differences():
         # resample batches with any token within O(h) of a clip kink,
         # where the objective is not differentiable
         logp = policy.log_probs()
-        near_kink = False
-        for g in batch.groups:
-            ratio = np.exp(logp[g.problem_index, g.states, g.actions] - g.old_logps)
-            if np.any(
-                (np.abs(ratio - (1 - eps_low)) < 50 * h)
-                | (np.abs(ratio - (1 + eps_high)) < 50 * h)
-            ):
-                near_kink = True
+        rows = np.repeat(batch.problem_index, np.diff(batch.offsets))
+        ratio = np.exp(logp[rows, batch.states, batch.actions] - batch.old_logps)
+        near_kink = np.any(
+            (np.abs(ratio - (1 - eps_low)) < 50 * h) | (np.abs(ratio - (1 + eps_high)) < 50 * h)
+        )
         if near_kink:
             continue
         checked += 1
@@ -178,7 +175,10 @@ def test_06_gradient_vs_finite_differences():
 
 def _final_accuracy_per_problem(result, config):
     """Fresh-batch accuracy per problem under the final (frozen) policy."""
-    groups = sample_batch(result.policy.copy(), result.bank, config, step=config.steps + 1)
+    groups = sample_batch(
+        result.policy.copy(), result.bank, config.group_size, config.l_max,
+        (config.seed, config.steps + 1),
+    )
     return {g.problem_id: g.correct_count / g.size for g in groups}
 
 

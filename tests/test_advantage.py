@@ -1,25 +1,32 @@
 import numpy as np
 import pytest
 
-from conciserl.advantage import (
-    advantage_gap,
-    broadcast,
-    count_advantage,
-    std_advantage,
-)
+from conciserl.advantage import AdvantageVector, advantage_gap, count_advantage, std_advantage
+from conciserl.core import Rollout, RolloutGroup
+from conciserl.env import TabularPolicy
+from conciserl.objective import TokenBatch, flatten
+
+
+def token_advantages(values, lengths):
+    """Per-token advantages that ``flatten`` spreads from one group."""
+    rollouts = [Rollout("p", (1,) * (n - 1) + (2,), (-1.0,) * n, n, False, False) for n in lengths]
+    group = RolloutGroup.from_rollouts("p", rollouts)
+    batch = flatten([group], [AdvantageVector(values, "count")], TabularPolicy(("p",), 4))
+    return list(batch.advantages)
 
 
 class TestCountAdvantage:
     def test_hand_example(self):
         adv = count_advantage([1, 1, 0.5, 0], correct_count=3, epsilon_adv=1e-6)
-        assert adv.group_mean == pytest.approx(0.625)
         assert list(adv.values) == pytest.approx([0.125, 0.125, -0.0416667, -0.2083333], abs=1e-6)
         assert adv.mode == "count"
 
     def test_zero_group(self):
         adv = count_advantage([0.0] * 4, correct_count=0, epsilon_adv=1e-6)
         assert all(v == 0 for v in adv.values)
-        assert adv.denominator == pytest.approx(1 + 1e-6)
+        # a zero count is clamped to 1 in the denominator
+        clamped = count_advantage([1.0, 0.0], correct_count=0, epsilon_adv=1e-6)
+        assert clamped.values[0] == pytest.approx(0.5 / (1 + 1e-6))
 
     def test_all_correct_identical(self):
         adv = count_advantage([1.0] * 8, correct_count=8, epsilon_adv=1e-6)
@@ -40,7 +47,7 @@ class TestCountAdvantage:
             rewards = rng.choice([0.0, 0.5, 1.0], size=g)
             cc = int((rewards > 0).sum())
             adv = count_advantage(rewards, cc, 1e-6)
-            assert abs(sum(adv.values) * adv.denominator) < 1e-9
+            assert abs(sum(adv.values) * (max(cc, 1) + 1e-6)) < 1e-9
 
     def test_magnitude_strictly_decreasing_in_count(self):
         rewards = [1, 1, 0.5, 0]
@@ -114,15 +121,21 @@ class TestAdvantageGap:
 
 
 class TestBroadcast:
+    """Each rollout's advantage is repeated over its tokens."""
+
     def test_constant(self):
-        assert list(broadcast(0.125, 3)) == [0.125, 0.125, 0.125]
+        assert token_advantages([0.125, -0.125], [3, 2]) == [0.125] * 3 + [-0.125] * 2
 
     def test_zeros(self):
-        assert list(broadcast(0.0, 5)) == [0.0] * 5
+        assert token_advantages([0.0, 0.0], [5, 1]) == [0.0] * 6
 
     def test_single(self):
-        assert list(broadcast(-0.7, 1)) == [-0.7]
+        assert token_advantages([-0.7, 0.7], [1, 1]) == [-0.7, 0.7]
 
     def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
-            broadcast(1.0, 0)
+        # A group's token span must be non-empty.
+        with pytest.raises(ValueError, match="at least one token"):
+            TokenBatch(
+                np.array([0, 0]), np.array([0, 1, 1]), np.zeros(1, dtype=np.intp),
+                np.zeros(1, dtype=np.intp), np.zeros(1), np.zeros(1),
+            )

@@ -103,6 +103,19 @@ class TestEval:
     def test_missing_checkpoint(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("name", ["policy_logits.npy", "buffer.expbuf"])
+    def test_corrupt_checkpoint_file(self, tmp_path, capsys, name):
+        ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
+        (ck / name).write_bytes(b"\x93NUMPY garbage")
+        assert main(["eval", "--checkpoint", str(ck)]) == EXIT_IO
+        assert "unreadable checkpoint file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["policy_logits.npy", "buffer.expbuf"])
+    def test_missing_checkpoint_file(self, tmp_path, name):
+        ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
+        (ck / name).unlink()
+        assert main(["eval", "--checkpoint", str(ck)]) == EXIT_IO
+
     def test_bad_k(self, tmp_path):
         out = quick_train(tmp_path)
         ck = out / "checkpoints" / "step_00004"

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import pytest
 
+from conciserl.cli import EXIT_CONFIG, main
 from conciserl.core import (
     ConfigError,
     ProblemSpec,
@@ -10,8 +12,9 @@ from conciserl.core import (
     RunConfig,
     load_config,
     save_config,
-    validate_config,
 )
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
 
 
 def make_rollout(length=3, correct=True, truncated=False, problem_id="p1"):
@@ -57,16 +60,8 @@ class TestRollout:
         with pytest.raises(ValueError):
             Rollout("p", (0,), (0.5,), 1, False, False)
 
-    def test_round_trip(self):
-        r = make_rollout()
-        assert Rollout.from_dict(r.to_dict()) == r
-
 
 class TestRolloutGroup:
-    def test_correct_count_checked(self):
-        with pytest.raises(ValueError):
-            RolloutGroup("p1", (make_rollout(correct=True),), 0)
-
     def test_from_rollouts(self):
         g = RolloutGroup.from_rollouts(
             "p1", [make_rollout(correct=True), make_rollout(correct=False)]
@@ -77,15 +72,10 @@ class TestRolloutGroup:
         with pytest.raises(ValueError):
             RolloutGroup.from_rollouts("p2", [make_rollout(problem_id="p1")])
 
-    def test_round_trip(self):
-        g = RolloutGroup.from_rollouts("p1", [make_rollout(), make_rollout(correct=False)])
-        assert RolloutGroup.from_dict(g.to_dict()) == g
-
 
 class TestValidateConfig:
     def test_defaults_accepted(self):
         cfg = RunConfig()
-        assert validate_config(cfg) is cfg
         assert cfg.alpha == 0.1
         assert cfg.r_pen == 0.5
         assert cfg.eps_low == 0.2
@@ -94,25 +84,56 @@ class TestValidateConfig:
         assert cfg.l_max == 16384
 
     def test_idempotent(self):
-        cfg = RunConfig()
-        assert validate_config(validate_config(cfg)) == cfg
+        cfg = RunConfig(seed=4)
+        assert dataclasses.replace(cfg) == cfg
 
     def test_r_pen_boundary(self):
         with pytest.raises(ConfigError, match="r_pen must be < 1"):
-            validate_config(RunConfig(r_pen=1.0))
+            RunConfig(r_pen=1.0)
 
     def test_eps_ordering(self):
         with pytest.raises(ConfigError, match="eps_low < eps_high required"):
-            validate_config(RunConfig(eps_low=0.3, eps_high=0.28))
+            RunConfig(eps_low=0.3, eps_high=0.28)
 
     def test_all_violations_reported(self):
         try:
-            validate_config(RunConfig(r_pen=1.0, group_size=1, learning_rate=0.0))
+            RunConfig(r_pen=1.0, group_size=1, learning_rate=0.0)
         except ConfigError as e:
             text = str(e)
             assert "r_pen" in text and "group_size" in text and "learning_rate" in text
         else:
             pytest.fail("expected ConfigError")
+
+    def test_replace_is_validated(self):
+        with pytest.raises(ConfigError, match="group_size"):
+            dataclasses.replace(RunConfig(), group_size=1)
+
+    def test_float_fields(self):
+        assert FLOAT_FIELDS == [
+            "alpha", "r_pen", "epsilon_adv", "eps_low", "eps_high", "learning_rate",
+            "init_answer_logit",
+        ]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_rejected(name, value, tmp_path):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        RunConfig(**{name: value})
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{name} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        load_config(path)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--r-pen"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_cli_override_rejected(flag, value, tmp_path):
+    out = tmp_path / "out"
+    assert main(["train", "--out", str(out), "--steps", "1", f"{flag}={value}"]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 class TestConfigFile:
@@ -133,13 +154,9 @@ class TestConfigFile:
         path.write_text("# comment\n\nseed = 5\n")
         assert load_config(path).seed == 5
 
-    def test_from_dict_rejects_unknown(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"nope": 1})
-
     def test_dict_round_trip(self):
         cfg = RunConfig(seed=3)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert RunConfig(**cfg.to_dict()) == cfg
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from conciserl.advantage import count_advantage, std_advantage
+from conciserl.advantage import AdvantageVector, count_advantage, std_advantage
 from conciserl.core import ProblemSpec, Rollout, RolloutGroup
-from conciserl.env import TabularPolicy, logprob, sample_rollout
+from conciserl.env import Action, TabularPolicy, logprob, replay_states, sample_rollout
 from conciserl.objective import (
-    GroupTokens,
     TokenBatch,
     clipped_term,
+    flatten,
     gradient,
     surrogate,
-    token_batch,
     token_ratio,
 )
 
@@ -22,10 +21,10 @@ def random_policy(rng, ids, w_cap=4, scale=1.0):
     return TabularPolicy(ids, w_cap, rng.normal(0, scale, size=shape))
 
 
-def random_batch(rng, n_problems=2, group_size=4, w_cap=4, mode="count"):
-    """Sample groups from a behavior policy, score a perturbed policy."""
+def random_groups(rng, n_problems=2, group_size=4, w_cap=4, mode="count", policy=None):
+    """Groups sampled from a behavior policy, with their advantages."""
     ids = tuple(f"p{i}" for i in range(n_problems))
-    behavior = random_policy(rng, ids, w_cap)
+    behavior = random_policy(rng, ids, w_cap) if policy is None else policy
     problems = [
         ProblemSpec(pid, int(rng.integers(1, w_cap + 1)), "A" if rng.random() < 0.5 else "B")
         for pid in ids
@@ -40,10 +39,82 @@ def random_batch(rng, n_problems=2, group_size=4, w_cap=4, mode="count"):
         else:
             advs.append(std_advantage(rewards))
         groups.append(group)
+    return groups, advs, behavior
+
+
+def random_batch(rng, n_problems=2, group_size=4, w_cap=4, mode="count"):
+    """Sample groups from a behavior policy, score a perturbed policy."""
+    groups, advs, behavior = random_groups(rng, n_problems, group_size, w_cap, mode)
     # perturb away from the behavior snapshot so ratios leave 1.0
     new = behavior.copy()
     new.logits = new.logits + rng.normal(0, 0.3, size=new.logits.shape)
-    return token_batch(groups, advs, new), new
+    return flatten(groups, advs, new), new
+
+
+def tokens(*groups):
+    """A TokenBatch from per-group (problem_index, states, actions,
+    old_logps, advantages) tuples."""
+    index, states, actions, old_logps, advantages = zip(*groups)
+    return TokenBatch(
+        problem_index=np.array(index, dtype=np.intp),
+        offsets=np.cumsum([0] + [len(a) for a in actions]),
+        states=np.concatenate(states).astype(np.intp),
+        actions=np.concatenate(actions).astype(np.intp),
+        old_logps=np.concatenate(old_logps).astype(float),
+        advantages=np.concatenate(advantages).astype(float),
+    )
+
+
+def token_rows(batch):
+    """The policy row of every token."""
+    return np.repeat(batch.problem_index, np.diff(batch.offsets))
+
+
+# Reference: the per-group path the flat batch replaced. Each group's token
+# arrays are built rollout by rollout, states replayed through every trace,
+# and the objective and gradient are taken one group at a time.
+
+
+def reference_groups(groups, advantages, policy):
+    return [
+        (
+            policy.problem_index(group.problem_id),
+            np.concatenate([replay_states(r.actions, policy.w_cap) for r in group.rollouts]),
+            np.concatenate([np.array(r.actions, dtype=np.intp) for r in group.rollouts]),
+            np.concatenate([np.array(r.behavior_logps) for r in group.rollouts]),
+            np.concatenate(
+                [np.full(r.length, float(a)) for a, r in zip(adv.values, group.rollouts)]
+            ),
+        )
+        for group, adv in zip(groups, advantages)
+    ]
+
+
+def reference_surrogate(groups, policy, eps_low, eps_high):
+    logp = policy.log_probs()
+    total = 0.0
+    for index, states, actions, old_logps, advantages in groups:
+        ratio = np.exp(logp[index, states, actions] - old_logps)
+        clipped = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high)
+        terms = np.minimum(ratio * advantages, clipped * advantages)
+        total += terms.sum() / len(terms)
+    return total / len(groups)
+
+
+def reference_gradient(groups, policy, eps_low, eps_high):
+    logp = policy.log_probs()
+    probs = np.exp(logp)
+    grad = np.zeros_like(policy.logits)
+    for index, states, actions, old_logps, advantages in groups:
+        ratio = np.exp(logp[index, states, actions] - old_logps)
+        clipped = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high)
+        unclipped_val = ratio * advantages
+        clipped_val = clipped * advantages
+        active = unclipped_val <= clipped_val
+        weight = np.where(active, unclipped_val, 0.0) / (len(ratio) * len(groups))
+        np.add.at(grad, (index, states, actions), weight)
+        np.add.at(grad, (index, states), -weight[:, None] * probs[index, states])
+    return grad
 
 
 class TestTokenRatio:
@@ -95,13 +166,23 @@ class TestClippedTerm:
 
 class TestTokenBatch:
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            TokenBatch(())
+        with pytest.raises(ValueError, match="empty batch"):
+            TokenBatch(
+                np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp),
+                *(np.zeros(0, dtype=np.intp),) * 2, np.zeros(0), np.zeros(0),
+            )
 
     def test_group_token_length_mismatch(self):
-        with pytest.raises(ValueError):
-            GroupTokens(
-                "p", 0, np.zeros(2, dtype=np.intp), np.zeros(3, dtype=np.intp),
+        with pytest.raises(ValueError, match="equal length"):
+            TokenBatch(
+                np.array([0]), np.array([0, 3]), np.zeros(2, dtype=np.intp),
+                np.zeros(3, dtype=np.intp), np.zeros(3), np.zeros(3),
+            )
+
+    def test_offsets_must_cover_tokens(self):
+        with pytest.raises(ValueError, match="offsets"):
+            TokenBatch(
+                np.array([0]), np.array([0, 2]), *(np.zeros(3, dtype=np.intp),) * 2,
                 np.zeros(3), np.zeros(3),
             )
 
@@ -111,12 +192,11 @@ class TestTokenBatch:
         r2 = Rollout("p", (1, 3), (-1.4,) * 2, 2, False, False)
         group = RolloutGroup.from_rollouts("p", [r1, r2])
         adv = count_advantage([1.0, 0.0], 1, 1e-6)
-        batch = token_batch([group], [adv], policy)
-        g = batch.groups[0]
-        assert list(g.advantages) == pytest.approx(
-            [adv.values[0]] * 3 + [adv.values[1]] * 2
-        )
-        assert list(g.states) == [0, 1, 2, 0, 0]
+        batch = flatten([group], [adv], policy)
+        assert list(batch.advantages) == [adv.values[0]] * 3 + [adv.values[1]] * 2
+        assert list(batch.states) == [0, 1, 2, 0, 0]
+        assert list(batch.offsets) == [0, 5]
+        assert batch.groups() == [(0, slice(0, 5))]
 
     def test_size_mismatch_rejected(self):
         policy = TabularPolicy(("p",), 4)
@@ -124,7 +204,70 @@ class TestTokenBatch:
         group = RolloutGroup.from_rollouts("p", [r, r])
         adv = count_advantage([1.0, 0.5, 0.0], 2, 1e-6)
         with pytest.raises(ValueError):
-            token_batch([group], [adv], policy)
+            flatten([group], [adv], policy)
+
+
+class TestFlatten:
+    def test_matches_per_group_arrays(self):
+        # the flat arrays are the per-group reference arrays, concatenated;
+        # small w_cap and WORK-heavy policies make states saturate
+        saturated = 0
+        for seed in range(30):
+            rng = np.random.default_rng(400 + seed)
+            w_cap = int(rng.integers(1, 4))
+            ids = tuple(f"p{i}" for i in range(3))
+            policy = random_policy(rng, ids, w_cap)
+            policy.logits[..., Action.WORK] += 2.0
+            groups, advs, _ = random_groups(rng, 3, 5, w_cap, policy=policy)
+            batch = flatten(groups, advs, policy)
+            ref = reference_groups(groups, advs, policy)
+            for (p, span), (index, states, actions, old_logps, advantages) in zip(batch.groups(), ref):
+                assert p == index
+                assert np.array_equal(batch.states[span], states)
+                assert np.array_equal(batch.actions[span], actions)
+                assert np.array_equal(batch.old_logps[span], old_logps)
+                assert np.array_equal(batch.advantages[span], advantages)
+            assert batch.states.dtype == batch.actions.dtype == np.intp
+            saturated += int(np.sum((batch.states == w_cap) & (batch.actions == Action.WORK)))
+        assert saturated > 0
+
+    def test_states_replay_each_trace(self):
+        policy = TabularPolicy(("p",), 2)
+        traces = [(0, 0, 0, 1, 0, 2), (1, 1, 3), (0, 0, 0, 0, 0)]
+        group = RolloutGroup.from_rollouts(
+            "p", [Rollout("p", t, (-1.0,) * len(t), len(t), False, t[-1] < 2) for t in traces]
+        )
+        batch = flatten([group], [AdvantageVector((0.0,) * 3, "count")], policy)
+        assert np.array_equal(
+            batch.states, np.concatenate([replay_states(t, 2) for t in traces])
+        )
+        assert list(batch.states) == [0, 1, 2, 2, 2, 2, 0, 0, 0, 0, 1, 2, 2, 2]
+
+    def test_objective_and_gradient_equal_per_group_reference(self):
+        # exact equality, not approximate: the flat path keeps the per-group
+        # float operations and the np.add.at order
+        clip_active = 0
+        for seed in range(30):
+            rng = np.random.default_rng(500 + seed)
+            groups, advs, behavior = random_groups(
+                rng, n_problems=3, group_size=6, mode="count" if seed % 2 else "std"
+            )
+            policy = behavior.copy()
+            policy.logits = policy.logits + rng.normal(0, 0.5, size=policy.logits.shape)
+            batch = flatten(groups, advs, policy)
+            ref = reference_groups(groups, advs, policy)
+            assert surrogate(batch, policy, EPS_LOW, EPS_HIGH) == reference_surrogate(
+                ref, policy, EPS_LOW, EPS_HIGH
+            )
+            assert np.array_equal(
+                gradient(batch, policy, EPS_LOW, EPS_HIGH),
+                reference_gradient(ref, policy, EPS_LOW, EPS_HIGH),
+            )
+            ratio = np.exp(
+                policy.log_probs()[token_rows(batch), batch.states, batch.actions] - batch.old_logps
+            )
+            clip_active += int(np.sum((ratio < 1 - EPS_LOW) | (ratio > 1 + EPS_HIGH)))
+        assert clip_active > 0
 
 
 class TestSurrogate:
@@ -132,29 +275,17 @@ class TestSurrogate:
         # ratio 1 at the behavior snapshot: the term is just the advantage
         policy = TabularPolicy(("p",), 2)
         old = logprob(policy, Rollout("p", (2,), (-1.0,), 1, True, False))
-        gt = GroupTokens("p", 0, np.array([0]), np.array([2]), np.array(old), np.array([0.5]))
-        assert surrogate(TokenBatch((gt,)), policy, EPS_LOW, EPS_HIGH) == pytest.approx(0.5)
+        batch = tokens((0, [0], [2], old, [0.5]))
+        assert surrogate(batch, policy, EPS_LOW, EPS_HIGH) == pytest.approx(0.5)
 
     def test_at_snapshot_equals_mean_group_advantage(self):
         # ratios all equal 1 when scoring the sampling policy itself, so the
         # batch objective collapses to the mean over groups of the mean
         # per-token advantage
         rng = np.random.default_rng(12)
-        ids = ("a", "b")
-        behavior = random_policy(rng, ids)
-        problems = [ProblemSpec("a", 1, "A"), ProblemSpec("b", 2, "B")]
-        groups, advs = [], []
-        for prob in problems:
-            rollouts = [sample_rollout(behavior, prob, rng, l_max=64) for _ in range(4)]
-            group = RolloutGroup.from_rollouts(prob.id, rollouts)
-            advs.append(
-                count_advantage(
-                    [1.0 if r.correct else 0.0 for r in rollouts], group.correct_count, 1e-6
-                )
-            )
-            groups.append(group)
-        batch = token_batch(groups, advs, behavior)
-        expected = np.mean([g.advantages.mean() for g in batch.groups])
+        groups, advs, behavior = random_groups(rng)
+        batch = flatten(groups, advs, behavior)
+        expected = np.mean([batch.advantages[span].mean() for _, span in batch.groups()])
         got = surrogate(batch, behavior, EPS_LOW, EPS_HIGH)
         assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
@@ -165,10 +296,13 @@ class TestSurrogate:
             batch, policy = random_batch(rng)
             logp = policy.log_probs()
             per_group = []
-            for g in batch.groups:
+            for p, span in batch.groups():
                 terms = []
-                for s, a, old, adv in zip(g.states, g.actions, g.old_logps, g.advantages):
-                    ratio = token_ratio(logp[g.problem_index, s, a], old)
+                for s, a, old, adv in zip(
+                    batch.states[span], batch.actions[span], batch.old_logps[span],
+                    batch.advantages[span],
+                ):
+                    ratio = token_ratio(logp[p, s, a], old)
                     terms.append(clipped_term(ratio, adv, EPS_LOW, EPS_HIGH))
                 per_group.append(sum(terms) / len(terms))
             expected = sum(per_group) / len(per_group)
@@ -179,15 +313,9 @@ class TestSurrogate:
         # a long group and a short group contribute equally to the batch mean
         policy = TabularPolicy(("a", "b"), 2)
         old = float(policy.log_probs()[0, 0, 2])
-        long_g = GroupTokens(
-            "a", 0, np.zeros(10, dtype=np.intp), np.full(10, 2, dtype=np.intp),
-            np.full(10, old), np.full(10, 1.0),
-        )
-        short_g = GroupTokens(
-            "b", 1, np.zeros(1, dtype=np.intp), np.array([2]), np.array([old]),
-            np.array([-1.0]),
-        )
-        val = surrogate(TokenBatch((long_g, short_g)), policy, EPS_LOW, EPS_HIGH)
+        long_g = (0, np.zeros(10), np.full(10, 2), np.full(10, old), np.full(10, 1.0))
+        short_g = (1, [0], [2], [old], [-1.0])
+        val = surrogate(tokens(long_g, short_g), policy, EPS_LOW, EPS_HIGH)
         assert val == pytest.approx((1.0 + -1.0) / 2)
 
 
@@ -213,14 +341,10 @@ class TestGradient:
             # skip batches where some token sits within O(h) of a clip
             # boundary: the objective is not differentiable there
             logp = policy.log_probs()
-            near_kink = False
-            for g in batch.groups:
-                ratio = np.exp(logp[g.problem_index, g.states, g.actions] - g.old_logps)
-                if np.any(
-                    (np.abs(ratio - (1 - EPS_LOW)) < 50 * h)
-                    | (np.abs(ratio - (1 + EPS_HIGH)) < 50 * h)
-                ):
-                    near_kink = True
+            ratio = np.exp(logp[token_rows(batch), batch.states, batch.actions] - batch.old_logps)
+            near_kink = np.any(
+                (np.abs(ratio - (1 - EPS_LOW)) < 50 * h) | (np.abs(ratio - (1 + EPS_HIGH)) < 50 * h)
+            )
             if near_kink:
                 continue
             checked += 1
@@ -232,15 +356,13 @@ class TestGradient:
         # one token, positive advantage, ratio far above 1 + eps_high
         policy = TabularPolicy(("p",), 2)
         old_lp = float(policy.log_probs()[0, 0, 2]) - 2.0  # ratio = e^2 >> 1.28
-        gt = GroupTokens("p", 0, np.array([0]), np.array([2]), np.array([old_lp]), np.array([1.0]))
-        grad = gradient(TokenBatch((gt,)), policy, EPS_LOW, EPS_HIGH)
+        grad = gradient(tokens((0, [0], [2], [old_lp], [1.0])), policy, EPS_LOW, EPS_HIGH)
         assert np.all(grad == 0)
 
     def test_negative_advantage_never_clips_to_zero(self):
         policy = TabularPolicy(("p",), 2)
         old_lp = float(policy.log_probs()[0, 0, 2]) - 2.0
-        gt = GroupTokens("p", 0, np.array([0]), np.array([2]), np.array([old_lp]), np.array([-1.0]))
-        grad = gradient(TokenBatch((gt,)), policy, EPS_LOW, EPS_HIGH)
+        grad = gradient(tokens((0, [0], [2], [old_lp], [-1.0])), policy, EPS_LOW, EPS_HIGH)
         assert np.abs(grad).max() > 0
 
     def test_gradient_rows_sum_to_zero(self):

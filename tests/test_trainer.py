@@ -5,7 +5,7 @@ import pytest
 
 from conciserl.buffer import ExperienceBuffer
 from conciserl.core import ProblemSpec, RunConfig
-from conciserl.env import initial_policy, make_problem_bank
+from conciserl.env import initial_policy, make_problem_bank, sample_rollout
 from conciserl.trainer import (
     StepLog,
     checkpoint,
@@ -27,7 +27,7 @@ class TestSampleBatch:
         cfg = small_config()
         bank = make_problem_bank(cfg.n_problems, (cfg.d_min, cfg.d_max), cfg.seed)
         policy = initial_policy([p.id for p in bank], cfg.w_cap)
-        groups = sample_batch(policy, bank, cfg, step=1)
+        groups = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 1))
         assert len(groups) == cfg.n_problems
         assert all(g.size == cfg.group_size for g in groups)
         assert [g.problem_id for g in groups] == [p.id for p in bank]
@@ -36,11 +36,25 @@ class TestSampleBatch:
         cfg = small_config(seed=9)
         bank = make_problem_bank(cfg.n_problems, (cfg.d_min, cfg.d_max), cfg.seed)
         policy = initial_policy([p.id for p in bank], cfg.w_cap)
-        a = sample_batch(policy, bank, cfg, step=3)
-        b = sample_batch(policy, bank, cfg, step=3)
-        c = sample_batch(policy, bank, cfg, step=4)
+        a = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 3))
+        b = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 3))
+        c = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 4))
         assert a == b
         assert a != c
+
+    def test_rollout_streams_keyed_by_problem_and_rollout(self):
+        # rollout r of problem p draws from default_rng((*key, p, r)), so a
+        # training key (seed, step) and an eval key (seed,) are both plain
+        # prefixes of the stream key
+        cfg = small_config(seed=9)
+        bank = make_problem_bank(cfg.n_problems, (cfg.d_min, cfg.d_max), cfg.seed)
+        policy = initial_policy([p.id for p in bank], cfg.w_cap)
+        for key in ((cfg.seed, 3), (cfg.seed,)):
+            groups = sample_batch(policy, bank, cfg.group_size, cfg.l_max, key)
+            for p, (problem, group) in enumerate(zip(bank, groups)):
+                for r, rollout in enumerate(group.rollouts):
+                    rng = np.random.default_rng((*key, p, r))
+                    assert rollout == sample_rollout(policy, problem, rng, cfg.l_max)
 
 
 class TestTrainStep:
@@ -62,7 +76,7 @@ class TestTrainStep:
         bank = (ProblemSpec("p000", 1, "A"),)
         policy = initial_policy(("p000",), cfg.w_cap)
         buffer = ExperienceBuffer.init(("p000",), cfg.l_max)
-        groups = sample_batch(policy.copy(), bank, cfg, step=1)
+        groups = sample_batch(policy.copy(), bank, cfg.group_size, cfg.l_max, (cfg.seed, 1))
         shortest = min(
             (r.length for g in groups for r in g.rollouts if r.correct), default=cfg.l_max
         )
@@ -182,6 +196,14 @@ class TestCheckpointResume:
     def test_missing_checkpoint(self, tmp_path):
         with pytest.raises(ValueError, match="corrupt checkpoint"):
             resume(tmp_path / "nope")
+
+    @pytest.mark.parametrize("name", ["policy_logits.npy", "buffer.expbuf"])
+    def test_unparseable_file_is_an_io_error(self, tmp_path, name):
+        result = run(small_config(steps=1))
+        checkpoint(result.policy, result.buffer, 1, tmp_path / "ck")
+        (tmp_path / "ck" / name).write_bytes(b"\x00not a checkpoint file\n")
+        with pytest.raises(OSError, match="unreadable checkpoint file"):
+            resume(tmp_path / "ck")
 
 
 class TestLearningDynamics:
