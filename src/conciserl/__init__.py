@@ -23,14 +23,12 @@ from .env import (
     TabularPolicy,
     initial_policy,
     load_bank,
-    logprob,
     make_problem_bank,
     min_correct_length,
     sample_rollout,
     save_bank,
-    verify,
 )
-from .objective import TokenBatch, clipped_term, flatten, gradient, surrogate, token_ratio
+from .objective import TokenBatch, flatten, surrogate
 from .rewards import RewardTier, ShapedReward, shape, shape_group
 from .trainer import RunResult, StepLog, checkpoint, resume, run, sample_batch, train_step
 
@@ -51,14 +49,11 @@ __all__ = [
     "TokenBatch",
     "advantage_gap",
     "checkpoint",
-    "clipped_term",
     "count_advantage",
     "flatten",
-    "gradient",
     "initial_policy",
     "load_bank",
     "load_config",
-    "logprob",
     "make_problem_bank",
     "min_correct_length",
     "resume",
@@ -71,9 +66,7 @@ __all__ = [
     "shape_group",
     "std_advantage",
     "surrogate",
-    "token_ratio",
     "train_step",
-    "verify",
 ]
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -99,14 +100,40 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _id_mismatch(name: str, ids: Iterable[str], policy_ids: Iterable[str]) -> str:
+    """How the problem ids of a checkpoint file differ from the policy's."""
+    missing = sorted(set(policy_ids) - set(ids))
+    unknown = sorted(set(ids) - set(policy_ids))
+    diff = "; ".join(
+        f"{label} {', '.join(found)}" for label, found in (("missing", missing), ("unknown", unknown)) if found
+    )
+    return f"{name} does not match the policy's problem ids: {diff or 'order or count differs'}"
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
         policy, buffer, _ = resume(args.checkpoint)
-        bank = load_bank(args.checkpoint / "bank.tsv")
         k_list = [int(k) for k in str(args.k).split(",") if k.strip()]
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO if isinstance(e, OSError) else EXIT_CONFIG
+    bank_path = args.checkpoint / "bank.tsv"
+    try:
+        bank = load_bank(bank_path)
+    except (OSError, ValueError) as e:
+        # resume() found the checkpoint directory, so a bank file that is
+        # missing or cannot be parsed is an I/O fault.
+        print(f"error: unreadable checkpoint file {bank_path}: {e}", file=sys.stderr)
+        return EXIT_IO
+    bank_ids = tuple(p.id for p in bank)
+    mismatch = None
+    if bank_ids != policy.problem_ids:
+        mismatch = _id_mismatch("bank.tsv", bank_ids, policy.problem_ids)
+    elif set(buffer.entries()) != set(policy.problem_ids):
+        mismatch = _id_mismatch("buffer.expbuf", buffer.entries(), policy.problem_ids)
+    if mismatch:
+        print(f"invariant violation: {mismatch}", file=sys.stderr)
+        return EXIT_INVARIANT
     if not k_list or min(k_list) < 1 or max(k_list) > args.n_samples:
         print("error: every k must satisfy 1 <= k <= n_samples", file=sys.stderr)
         return EXIT_CONFIG

@@ -73,8 +73,10 @@ class Rollout:
     truncated: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "actions", tuple(int(a) for a in self.actions))
-        object.__setattr__(self, "behavior_logps", tuple(float(x) for x in self.behavior_logps))
+        # tuple() of a tuple is the tuple itself: the sampler's output is
+        # kept as it is, other sequences are frozen.
+        object.__setattr__(self, "actions", tuple(self.actions))
+        object.__setattr__(self, "behavior_logps", tuple(self.behavior_logps))
         if self.length < 1:
             raise ValueError("rollout length must be >= 1")
         if self.length != len(self.actions) or self.length != len(self.behavior_logps):
@@ -84,9 +86,14 @@ class Rollout:
             )
         if self.truncated and self.correct:
             raise ValueError("a truncated rollout cannot be correct")
-        for lp in self.behavior_logps:
-            if not math.isfinite(lp) or lp > _LOGP_TOL:
-                raise ValueError(f"behavior log-probabilities must be finite and <= 0, got {lp}")
+        # sum() and max() run in C: the sum is non-finite when an entry is,
+        # the max exceeds the slack when an entry does. The loop only names
+        # the bad entry (and clears a sum that merely overflowed).
+        logps = self.behavior_logps
+        if not (math.isfinite(sum(logps)) and max(logps) <= _LOGP_TOL):
+            for lp in logps:
+                if not math.isfinite(lp) or lp > _LOGP_TOL:
+                    raise ValueError(f"behavior log-probabilities must be finite and <= 0, got {lp}")
 
 
 @dataclass(frozen=True)

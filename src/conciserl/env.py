@@ -31,10 +31,6 @@ _ANSWER_FOR_LETTER = {"A": Action.ANSWER_A, "B": Action.ANSWER_B}
 _LETTER_FOR_ANSWER = {v: k for k, v in _ANSWER_FOR_LETTER.items()}
 
 
-def is_answer(action: int) -> bool:
-    return action in (Action.ANSWER_A, Action.ANSWER_B)
-
-
 def answer_letter(action: int) -> str:
     """The answer letter emitted by an ANSWER_* action."""
     return _LETTER_FOR_ANSWER[Action(action)]
@@ -116,72 +112,26 @@ def min_correct_length(problem: ProblemSpec) -> int:
     return problem.difficulty + 1
 
 
-def verify_trace(problem: ProblemSpec, actions: Sequence[int], truncated: bool) -> bool:
-    """Correctness indicator for a terminated trace."""
-    if truncated:
-        return False
-    if not actions or not is_answer(actions[-1]):
-        raise ValueError("trace is not terminated")
-    work = sum(1 for a in actions if a == Action.WORK)
-    return (
-        answer_letter(actions[-1]) == problem.correct_answer
-        and work >= problem.difficulty
-    )
-
-
-def verify(problem: ProblemSpec, rollout: Rollout) -> bool:
-    """Re-check a rollout's correctness flag from its trace."""
-    if not rollout.truncated and not is_answer(rollout.actions[-1]):
-        raise ValueError("rollout is not terminated")
-    return verify_trace(problem, rollout.actions, rollout.truncated)
-
-
-def replay_states(actions: Sequence[int], w_cap: int) -> np.ndarray:
-    """Work-counter state before each token, replayed through the trace.
-
-    The one-trace reference for the states ``objective.flatten`` derives for
-    a whole batch. Raises on infeasible traces (tokens after an answer).
-    """
-    states = np.empty(len(actions), dtype=np.intp)
-    w = 0
-    last = len(actions) - 1
-    for i, a in enumerate(actions):
-        states[i] = w
-        if a == Action.WORK:
-            w = min(w + 1, w_cap)
-        elif is_answer(a) and i != last:
-            raise ValueError(f"token after answer at position {i}")
-    return states
-
-
-def logprob(policy: TabularPolicy, rollout: Rollout) -> np.ndarray:
-    """Per-token log-probabilities of the recorded actions under the
-    policy's current parameters."""
-    pi = policy.problem_index(rollout.problem_id)
-    states = replay_states(rollout.actions, policy.w_cap)
-    return policy.log_probs()[pi, states, np.array(rollout.actions, dtype=np.intp)]
-
-
 def sample_rollout(
-    policy: TabularPolicy,
+    logp: np.ndarray,
     problem: ProblemSpec,
     rng: np.random.Generator,
     l_max: int,
 ) -> Rollout:
-    """Autoregressively sample one episode from the policy.
+    """Autoregressively sample one episode from one problem's log-prob rows.
 
-    The episode ends at the first ANSWER_* token or is truncated at ``l_max``
-    tokens; truncated episodes are incorrect by convention.
+    ``logp`` is the problem's ``(w_cap + 1, N_ACTIONS)`` slice of
+    ``TabularPolicy.log_probs()``, row w being the state with w WORK tokens
+    so far. The episode ends at the first ANSWER_* token or is truncated at
+    ``l_max`` tokens; truncated episodes are incorrect by convention.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    pi = policy.problem_index(problem.id)
-    logp = policy.log_probs()[pi]
     cum = np.exp(logp).cumsum(axis=1)
     # Plain-python rows: the per-token loop below is the hot path.
     c = cum.tolist()
     lp = logp.tolist()
-    w_cap = policy.w_cap
+    w_cap = len(lp) - 1
     d = problem.difficulty
     want = int(_ANSWER_FOR_LETTER[problem.correct_answer])
 

@@ -28,7 +28,7 @@ from .env import (
     sample_rollout,
     save_bank,
 )
-from .objective import flatten, gradient, surrogate
+from .objective import flatten, surrogate
 from .rewards import shape_group
 
 CHECKPOINT_VERSION = 1
@@ -72,18 +72,19 @@ def sample_batch(
     """Sample ``group_size`` rollouts per problem from the (frozen) policy.
 
     Rollout r of problem p draws from ``default_rng((*key, p, r))``;
-    training keys by (seed, step), ``eval`` by (seed,).
+    training keys by (seed, step), ``eval`` by (seed,). The policy's
+    log-probs are computed once for the whole batch.
     """
-    return [
-        RolloutGroup(
-            problem.id,
-            tuple(
-                sample_rollout(policy, problem, np.random.default_rng((*key, p, r)), l_max)
-                for r in range(group_size)
-            ),
+    logp = policy.log_probs()
+    groups = []
+    for p, problem in enumerate(bank):
+        rows = logp[policy.problem_index(problem.id)]
+        rollouts = tuple(
+            sample_rollout(rows, problem, np.random.default_rng((*key, p, r)), l_max)
+            for r in range(group_size)
         )
-        for p, problem in enumerate(bank)
-    ]
+        groups.append(RolloutGroup(problem.id, rollouts))
+    return groups
 
 
 def train_step(
@@ -115,8 +116,7 @@ def train_step(
             advs.append(std_advantage(values))
 
     batch = flatten(groups, advs, policy)
-    objective_value = surrogate(batch, policy, config.eps_low, config.eps_high)
-    grad = gradient(batch, policy, config.eps_low, config.eps_high)
+    objective_value, grad = surrogate(batch, policy, config.eps_low, config.eps_high)
     policy.ascend(grad, config.learning_rate)
 
     n_rollouts = sum(g.size for g in groups)
@@ -208,16 +208,21 @@ def checkpoint(
 def resume(path: str | Path) -> tuple[TabularPolicy, ExperienceBuffer, int]:
     """Load a checkpoint written by ``checkpoint``; bit-exact round trip.
 
-    A missing or unreadable ``meta.json`` raises ValueError; a missing or
-    unparseable policy or buffer file raises OSError.
+    A checkpoint directory that does not exist, or one of another version,
+    raises ValueError; a missing or unparseable file inside an existing
+    directory raises OSError.
     """
     path = Path(path)
+    if not path.is_dir():
+        raise ValueError(f"corrupt checkpoint at {path}: no such directory")
     try:
         meta = json.loads((path / "meta.json").read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ValueError(f"corrupt checkpoint at {path}: {e}") from None
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version mismatch: {meta.get('version')}")
+        version, step = meta["version"], int(meta["step"])
+        ids, w_cap = meta["problem_ids"], meta["w_cap"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise OSError(f"unreadable checkpoint file {path / 'meta.json'}: {e!r}") from None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint version mismatch: {version}")
     try:
         logits = np.load(path / "policy_logits.npy")
         buffer = ExperienceBuffer.load(path / "buffer.expbuf")
@@ -225,5 +230,4 @@ def resume(path: str | Path) -> tuple[TabularPolicy, ExperienceBuffer, int]:
         # A data file that exists but cannot be parsed is an I/O fault, as
         # a missing one is.
         raise OSError(f"unreadable checkpoint file in {path}: {e}") from None
-    policy = TabularPolicy(meta["problem_ids"], meta["w_cap"], logits)
-    return policy, buffer, int(meta["step"])
+    return TabularPolicy(ids, w_cap, logits), buffer, step

@@ -22,7 +22,7 @@ from conciserl.metrics import (
     quintile_sizes,
     TraceRecord,
 )
-from conciserl.objective import gradient, surrogate
+from conciserl.objective import surrogate
 from conciserl.rewards import shape
 from conciserl.trainer import run, sample_batch
 from tests.test_metrics import MATH_COMPRESSED, MATH_VANILLA, OOD_TRAINED, OOD_VANILLA
@@ -156,16 +156,16 @@ def test_06_gradient_vs_finite_differences():
         if near_kink:
             continue
         checked += 1
-        grad = gradient(batch, policy, eps_low, eps_high)
+        _, grad = surrogate(batch, policy, eps_low, eps_high)
         num = np.zeros_like(grad)
         it = np.nditer(policy.logits, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             bumped = policy.copy()
             bumped.logits[idx] += h
-            up = surrogate(batch, bumped, eps_low, eps_high)
+            up, _ = surrogate(batch, bumped, eps_low, eps_high)
             bumped.logits[idx] -= 2 * h
-            down = surrogate(batch, bumped, eps_low, eps_high)
+            down, _ = surrogate(batch, bumped, eps_low, eps_high)
             num[idx] = (up - down) / (2 * h)
         scale = max(np.abs(num).max(), 1e-8)
         ok &= np.abs(grad - num).max() / scale < 1e-5
@@ -249,7 +249,7 @@ def test_10_evaluation_protocol_properties():
     policy = initial_policy([p.id for p in bank], 4)
     samples, truth, outcomes = {}, {}, []
     for p in bank:
-        r = sample_rollout(policy, p, rng, l_max=32)
+        r = sample_rollout(policy.log_probs()[policy.problem_index(p.id)], p, rng, l_max=32)
         vote = answer_letter(r.actions[-1]) if r.correct else "invalid"
         samples[p.id] = [(vote, r.length)]
         truth[p.id] = p.correct_answer

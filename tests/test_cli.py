@@ -1,9 +1,13 @@
 import json
+import re
 
 import pytest
 
+from conciserl.buffer import ExperienceBuffer
 from conciserl.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
+from conciserl.env import TabularPolicy
 
+CHECKPOINT_FILES = ["policy_logits.npy", "buffer.expbuf", "meta.json", "bank.tsv"]
 TRAIN_ARGS = ["train", "--steps", "3", "--group-size", "4", "--seed", "1"]
 
 
@@ -103,18 +107,53 @@ class TestEval:
     def test_missing_checkpoint(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("name", ["policy_logits.npy", "buffer.expbuf"])
+    @pytest.mark.parametrize("name", CHECKPOINT_FILES)
     def test_corrupt_checkpoint_file(self, tmp_path, capsys, name):
         ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
-        (ck / name).write_bytes(b"\x93NUMPY garbage")
+        garbage = {"meta.json": b"{bad", "bank.tsv": b"garbage\n"}.get(name, b"\x93NUMPY garbage")
+        (ck / name).write_bytes(garbage)
         assert main(["eval", "--checkpoint", str(ck)]) == EXIT_IO
         assert "unreadable checkpoint file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["policy_logits.npy", "buffer.expbuf"])
+    @pytest.mark.parametrize("name", CHECKPOINT_FILES)
     def test_missing_checkpoint_file(self, tmp_path, name):
         ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
         (ck / name).unlink()
         assert main(["eval", "--checkpoint", str(ck)]) == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.replace("p000", "zzz"), "bank.tsv .*missing p000; unknown zzz"),
+            (lambda t: "\n".join(t.splitlines()[::-1]) + "\n", "bank.tsv .*order or count differs"),
+            (lambda t: "".join(t.splitlines(keepends=True)[:-1]), "bank.tsv .*missing p003"),
+        ],
+        ids=["renamed", "reordered", "dropped"],
+    )
+    def test_bank_not_matching_policy(self, tmp_path, capsys, edit, message):
+        ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
+        bank = ck / "bank.tsv"
+        bank.write_text(edit(bank.read_text()))
+        assert main(["eval", "--checkpoint", str(ck)]) == EXIT_INVARIANT
+        assert re.search(message, capsys.readouterr().err)
+        assert not (ck / "eval.json").exists()
+
+    def test_buffer_not_matching_policy(self, tmp_path, capsys):
+        ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
+        buffer = ExperienceBuffer.load(ck / "buffer.expbuf")
+        entries = buffer.entries()
+        entries["zzz"] = entries.pop("p001")
+        ExperienceBuffer(entries, buffer.l_max).save(ck / "buffer.expbuf")
+        assert main(["eval", "--checkpoint", str(ck)]) == EXIT_INVARIANT
+        assert re.search("buffer.expbuf .*missing p001; unknown zzz", capsys.readouterr().err)
+
+    def test_one_log_probs_table_per_eval(self, tmp_path, monkeypatch):
+        ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
+        calls = []
+        original = TabularPolicy.log_probs
+        monkeypatch.setattr(TabularPolicy, "log_probs", lambda self: calls.append(self) or original(self))
+        assert main(["eval", "--checkpoint", str(ck), "--n-samples", "16", "--k", "1,4"]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_bad_k(self, tmp_path):
         out = quick_train(tmp_path)

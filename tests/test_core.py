@@ -56,9 +56,20 @@ class TestRollout:
         with pytest.raises(ValueError):
             Rollout("p", (0,), (-1.0,), 1, True, True)
 
-    def test_positive_logp_rejected(self):
-        with pytest.raises(ValueError):
-            Rollout("p", (0,), (0.5,), 1, False, False)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5], ids=["nan", "inf", "-inf", "0.5"])
+    def test_positive_logp_rejected(self, bad):
+        # a bad entry past the first token is found and reported
+        with pytest.raises(ValueError, match=f"finite and <= 0, got {bad}"):
+            Rollout("p", (0, 1, 2), (-1.0, bad, -0.5), 3, False, False)
+
+    def test_slack_above_zero_accepted(self):
+        # log-softmax may land a hair above 0 in floating point
+        assert Rollout("p", (1, 2), (-0.5, 1e-12), 2, False, False).behavior_logps == (-0.5, 1e-12)
+
+    def test_sequences_frozen_to_tuples(self):
+        r = Rollout("p1", [0, 2], [-1.0, -1.0], 2, True, False)
+        assert r.actions == (0, 2) and r.behavior_logps == (-1.0, -1.0)
+        assert r == make_rollout(length=2) and hash(r) == hash(make_rollout(length=2))
 
 
 class TestRolloutGroup:

@@ -9,17 +9,13 @@ from conciserl.env import (
     TabularPolicy,
     answer_letter,
     initial_policy,
-    is_answer,
     load_bank,
-    logprob,
     make_problem_bank,
     min_correct_length,
-    replay_states,
     sample_rollout,
     save_bank,
-    verify,
-    verify_trace,
 )
+from tests.reference import is_answer, logprob, replay_states, verify, verify_trace
 
 
 def brute_force_correct(problem, actions):
@@ -91,10 +87,10 @@ class TestVerify:
 
     def test_verify_rechecks_rollout_flag(self):
         prob = ProblemSpec("q", 1, "A")
-        policy = initial_policy(("q",), 3)
+        logp = initial_policy(("q",), 3).log_probs()[0]
         rng = np.random.default_rng(0)
         for _ in range(200):
-            r = sample_rollout(policy, prob, rng, l_max=32)
+            r = sample_rollout(logp, prob, rng, l_max=32)
             assert verify(prob, r) == r.correct
 
 
@@ -156,23 +152,23 @@ class TestTabularPolicy:
 class TestSampleRollout:
     def test_action_frequencies_match_probs(self):
         # uniform policy: first-token action frequencies within 3 sigma
-        policy = initial_policy(("q",), 3)  # uniform over 4 actions
+        logp = initial_policy(("q",), 3).log_probs()[0]  # uniform over 4 actions
         prob = ProblemSpec("q", 1, "A")
         rng = np.random.default_rng(2)
         n = 4000
         counts = [0, 0, 0, 0]
         for _ in range(n):
-            counts[sample_rollout(policy, prob, rng, l_max=8).actions[0]] += 1
+            counts[sample_rollout(logp, prob, rng, l_max=8).actions[0]] += 1
         sigma = (n * 0.25 * 0.75) ** 0.5
         for c in counts:
             assert abs(c - n * 0.25) < 3 * sigma
 
     def test_terminates_at_first_answer(self):
-        policy = initial_policy(("q",), 3)
+        logp = initial_policy(("q",), 3).log_probs()[0]
         rng = np.random.default_rng(3)
         prob = ProblemSpec("q", 1, "A")
         for _ in range(200):
-            r = sample_rollout(policy, prob, rng, l_max=16)
+            r = sample_rollout(logp, prob, rng, l_max=16)
             if not r.truncated:
                 assert is_answer(r.actions[-1])
                 assert not any(is_answer(a) for a in r.actions[:-1])
@@ -183,7 +179,7 @@ class TestSampleRollout:
         logits[:, :, 2:] = -1e9
         policy = TabularPolicy(("q",), 3, logits)
         rng = np.random.default_rng(4)
-        r = sample_rollout(policy, ProblemSpec("q", 1, "A"), rng, l_max=12)
+        r = sample_rollout(policy.log_probs()[0], ProblemSpec("q", 1, "A"), rng, l_max=12)
         assert r.truncated and not r.correct and r.length == 12
 
     def test_behavior_logps_replay_bit_exact(self):
@@ -192,16 +188,16 @@ class TestSampleRollout:
         policy = TabularPolicy(("q",), 4, rng.normal(0, 1, size=(1, 5, 4)))
         prob = ProblemSpec("q", 2, "B")
         for _ in range(100):
-            r = sample_rollout(policy, prob, rng, l_max=32)
+            r = sample_rollout(policy.log_probs()[0], prob, rng, l_max=32)
             replayed = logprob(policy, r)
             assert list(r.behavior_logps) == list(replayed)
 
     def test_correct_flag_consistent(self):
         rng = np.random.default_rng(6)
-        policy = initial_policy(("q",), 4)
+        logp = initial_policy(("q",), 4).log_probs()[0]
         prob = ProblemSpec("q", 3, "B")
         for _ in range(300):
-            r = sample_rollout(policy, prob, rng, l_max=16)
+            r = sample_rollout(logp, prob, rng, l_max=16)
             assert r.correct == (
                 not r.truncated
                 and answer_letter(r.actions[-1]) == "B"
@@ -209,10 +205,10 @@ class TestSampleRollout:
             )
 
     def test_deterministic_given_rng_state(self):
-        policy = initial_policy(("q",), 4)
+        logp = initial_policy(("q",), 4).log_probs()[0]
         prob = ProblemSpec("q", 2, "A")
-        a = sample_rollout(policy, prob, np.random.default_rng(7), l_max=32)
-        b = sample_rollout(policy, prob, np.random.default_rng(7), l_max=32)
+        a = sample_rollout(logp, prob, np.random.default_rng(7), l_max=32)
+        b = sample_rollout(logp, prob, np.random.default_rng(7), l_max=32)
         assert a == b
 
 

@@ -3,15 +3,9 @@ import pytest
 
 from conciserl.advantage import AdvantageVector, count_advantage, std_advantage
 from conciserl.core import ProblemSpec, Rollout, RolloutGroup
-from conciserl.env import Action, TabularPolicy, logprob, replay_states, sample_rollout
-from conciserl.objective import (
-    TokenBatch,
-    clipped_term,
-    flatten,
-    gradient,
-    surrogate,
-    token_ratio,
-)
+from conciserl.env import Action, TabularPolicy, sample_rollout
+from conciserl.objective import TokenBatch, flatten, surrogate
+from tests.reference import clipped_term, logprob, replay_states, token_ratio
 
 EPS_LOW, EPS_HIGH = 0.2, 0.28
 
@@ -30,8 +24,9 @@ def random_groups(rng, n_problems=2, group_size=4, w_cap=4, mode="count", policy
         for pid in ids
     ]
     groups, advs = [], []
-    for prob in problems:
-        rollouts = [sample_rollout(behavior, prob, rng, l_max=64) for _ in range(group_size)]
+    logp = behavior.log_probs()
+    for i, prob in enumerate(problems):
+        rollouts = [sample_rollout(logp[i], prob, rng, l_max=64) for _ in range(group_size)]
         group = RolloutGroup.from_rollouts(prob.id, rollouts)
         rewards = [1.0 if r.correct else 0.0 for r in rollouts]
         if mode == "count":
@@ -256,13 +251,9 @@ class TestFlatten:
             policy.logits = policy.logits + rng.normal(0, 0.5, size=policy.logits.shape)
             batch = flatten(groups, advs, policy)
             ref = reference_groups(groups, advs, policy)
-            assert surrogate(batch, policy, EPS_LOW, EPS_HIGH) == reference_surrogate(
-                ref, policy, EPS_LOW, EPS_HIGH
-            )
-            assert np.array_equal(
-                gradient(batch, policy, EPS_LOW, EPS_HIGH),
-                reference_gradient(ref, policy, EPS_LOW, EPS_HIGH),
-            )
+            value, grad = surrogate(batch, policy, EPS_LOW, EPS_HIGH)
+            assert value == reference_surrogate(ref, policy, EPS_LOW, EPS_HIGH)
+            assert np.array_equal(grad, reference_gradient(ref, policy, EPS_LOW, EPS_HIGH))
             ratio = np.exp(
                 policy.log_probs()[token_rows(batch), batch.states, batch.actions] - batch.old_logps
             )
@@ -276,7 +267,7 @@ class TestSurrogate:
         policy = TabularPolicy(("p",), 2)
         old = logprob(policy, Rollout("p", (2,), (-1.0,), 1, True, False))
         batch = tokens((0, [0], [2], old, [0.5]))
-        assert surrogate(batch, policy, EPS_LOW, EPS_HIGH) == pytest.approx(0.5)
+        assert surrogate(batch, policy, EPS_LOW, EPS_HIGH)[0] == pytest.approx(0.5)
 
     def test_at_snapshot_equals_mean_group_advantage(self):
         # ratios all equal 1 when scoring the sampling policy itself, so the
@@ -286,7 +277,7 @@ class TestSurrogate:
         groups, advs, behavior = random_groups(rng)
         batch = flatten(groups, advs, behavior)
         expected = np.mean([batch.advantages[span].mean() for _, span in batch.groups()])
-        got = surrogate(batch, behavior, EPS_LOW, EPS_HIGH)
+        got = surrogate(batch, behavior, EPS_LOW, EPS_HIGH)[0]
         assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_matches_bruteforce(self):
@@ -306,7 +297,7 @@ class TestSurrogate:
                     terms.append(clipped_term(ratio, adv, EPS_LOW, EPS_HIGH))
                 per_group.append(sum(terms) / len(terms))
             expected = sum(per_group) / len(per_group)
-            got = surrogate(batch, policy, EPS_LOW, EPS_HIGH)
+            got = surrogate(batch, policy, EPS_LOW, EPS_HIGH)[0]
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_group_normalization_balances_lengths(self):
@@ -315,7 +306,7 @@ class TestSurrogate:
         old = float(policy.log_probs()[0, 0, 2])
         long_g = (0, np.zeros(10), np.full(10, 2), np.full(10, old), np.full(10, 1.0))
         short_g = (1, [0], [2], [old], [-1.0])
-        val = surrogate(tokens(long_g, short_g), policy, EPS_LOW, EPS_HIGH)
+        val = surrogate(tokens(long_g, short_g), policy, EPS_LOW, EPS_HIGH)[0]
         assert val == pytest.approx((1.0 + -1.0) / 2)
 
 
@@ -327,16 +318,16 @@ class TestGradient:
         for seed in range(40):
             rng = np.random.default_rng(100 + seed)
             batch, policy = random_batch(rng, mode="count" if seed % 2 == 0 else "std")
-            grad = gradient(batch, policy, EPS_LOW, EPS_HIGH)
+            grad = surrogate(batch, policy, EPS_LOW, EPS_HIGH)[1]
             num = np.zeros_like(grad)
             it = np.nditer(policy.logits, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
                 bumped = policy.copy()
                 bumped.logits[idx] += h
-                up = surrogate(batch, bumped, EPS_LOW, EPS_HIGH)
+                up = surrogate(batch, bumped, EPS_LOW, EPS_HIGH)[0]
                 bumped.logits[idx] -= 2 * h
-                down = surrogate(batch, bumped, EPS_LOW, EPS_HIGH)
+                down = surrogate(batch, bumped, EPS_LOW, EPS_HIGH)[0]
                 num[idx] = (up - down) / (2 * h)
             # skip batches where some token sits within O(h) of a clip
             # boundary: the objective is not differentiable there
@@ -356,13 +347,13 @@ class TestGradient:
         # one token, positive advantage, ratio far above 1 + eps_high
         policy = TabularPolicy(("p",), 2)
         old_lp = float(policy.log_probs()[0, 0, 2]) - 2.0  # ratio = e^2 >> 1.28
-        grad = gradient(tokens((0, [0], [2], [old_lp], [1.0])), policy, EPS_LOW, EPS_HIGH)
+        grad = surrogate(tokens((0, [0], [2], [old_lp], [1.0])), policy, EPS_LOW, EPS_HIGH)[1]
         assert np.all(grad == 0)
 
     def test_negative_advantage_never_clips_to_zero(self):
         policy = TabularPolicy(("p",), 2)
         old_lp = float(policy.log_probs()[0, 0, 2]) - 2.0
-        grad = gradient(tokens((0, [0], [2], [old_lp], [-1.0])), policy, EPS_LOW, EPS_HIGH)
+        grad = surrogate(tokens((0, [0], [2], [old_lp], [-1.0])), policy, EPS_LOW, EPS_HIGH)[1]
         assert np.abs(grad).max() > 0
 
     def test_gradient_rows_sum_to_zero(self):
@@ -370,18 +361,18 @@ class TestGradient:
         for seed in range(10):
             rng = np.random.default_rng(200 + seed)
             batch, policy = random_batch(rng)
-            grad = gradient(batch, policy, EPS_LOW, EPS_HIGH)
+            grad = surrogate(batch, policy, EPS_LOW, EPS_HIGH)[1]
             assert np.abs(grad.sum(axis=-1)).max() < 1e-12
 
     def test_ascent_improves_objective(self):
         for seed in range(10):
             rng = np.random.default_rng(300 + seed)
             batch, policy = random_batch(rng)
-            grad = gradient(batch, policy, EPS_LOW, EPS_HIGH)
+            grad = surrogate(batch, policy, EPS_LOW, EPS_HIGH)[1]
             if np.abs(grad).max() == 0:
                 continue
-            before = surrogate(batch, policy, EPS_LOW, EPS_HIGH)
+            before = surrogate(batch, policy, EPS_LOW, EPS_HIGH)[0]
             stepped = policy.copy()
             stepped.ascend(grad, 1e-3 / np.abs(grad).max())
-            after = surrogate(batch, stepped, EPS_LOW, EPS_HIGH)
+            after = surrogate(batch, stepped, EPS_LOW, EPS_HIGH)[0]
             assert after >= before - 1e-12

@@ -5,7 +5,7 @@ import pytest
 
 from conciserl.buffer import ExperienceBuffer
 from conciserl.core import ProblemSpec, RunConfig
-from conciserl.env import initial_policy, make_problem_bank, sample_rollout
+from conciserl.env import TabularPolicy, initial_policy, make_problem_bank, sample_rollout
 from conciserl.trainer import (
     StepLog,
     checkpoint,
@@ -14,6 +14,20 @@ from conciserl.trainer import (
     sample_batch,
     train_step,
 )
+
+
+def count_log_probs(monkeypatch):
+    """Record every TabularPolicy.log_probs call from now on."""
+    calls = []
+    original = TabularPolicy.log_probs
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TabularPolicy, "log_probs", counted)
+    return calls
+
 
 SMALL = dict(group_size=4, steps=5, l_max=64, w_cap=5, n_problems=4, d_min=1, d_max=4)
 
@@ -45,16 +59,29 @@ class TestSampleBatch:
     def test_rollout_streams_keyed_by_problem_and_rollout(self):
         # rollout r of problem p draws from default_rng((*key, p, r)), so a
         # training key (seed, step) and an eval key (seed,) are both plain
-        # prefixes of the stream key
+        # prefixes of the stream key; each problem samples from its own
+        # policy rows, which differ here
         cfg = small_config(seed=9)
         bank = make_problem_bank(cfg.n_problems, (cfg.d_min, cfg.d_max), cfg.seed)
-        policy = initial_policy([p.id for p in bank], cfg.w_cap)
+        ids = [p.id for p in bank]
+        logits = np.random.default_rng(1).normal(0, 1, size=(len(ids), cfg.w_cap + 1, 4))
+        policy = TabularPolicy(ids[::-1], cfg.w_cap, logits)
+        logp = policy.log_probs()
         for key in ((cfg.seed, 3), (cfg.seed,)):
             groups = sample_batch(policy, bank, cfg.group_size, cfg.l_max, key)
             for p, (problem, group) in enumerate(zip(bank, groups)):
+                rows = logp[policy.problem_index(problem.id)]
                 for r, rollout in enumerate(group.rollouts):
                     rng = np.random.default_rng((*key, p, r))
-                    assert rollout == sample_rollout(policy, problem, rng, cfg.l_max)
+                    assert rollout == sample_rollout(rows, problem, rng, cfg.l_max)
+
+    def test_log_probs_once_per_batch(self, monkeypatch):
+        cfg = small_config()
+        bank = make_problem_bank(cfg.n_problems, (cfg.d_min, cfg.d_max), cfg.seed)
+        policy = initial_policy([p.id for p in bank], cfg.w_cap)
+        calls = count_log_probs(monkeypatch)
+        sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 1))
+        assert len(calls) == 1
 
 
 class TestTrainStep:
@@ -83,6 +110,14 @@ class TestTrainStep:
         train_step(policy, buffer, bank, cfg, step=1)
         assert buffer.entry("p000") == shortest
         assert shortest >= 2  # analytic floor: difficulty + 1
+
+    def test_two_log_probs_per_step(self, monkeypatch):
+        # one table for the sampled batch and one for the objective, however
+        # many rollouts the step samples
+        cfg = small_config(steps=3, group_size=8)
+        calls = count_log_probs(monkeypatch)
+        run(cfg)
+        assert len(calls) == 2 * cfg.steps
 
     def test_log_fields_consistent(self):
         cfg = small_config()
@@ -197,11 +232,19 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="corrupt checkpoint"):
             resume(tmp_path / "nope")
 
-    @pytest.mark.parametrize("name", ["policy_logits.npy", "buffer.expbuf"])
+    @pytest.mark.parametrize("name", ["policy_logits.npy", "buffer.expbuf", "meta.json"])
     def test_unparseable_file_is_an_io_error(self, tmp_path, name):
         result = run(small_config(steps=1))
         checkpoint(result.policy, result.buffer, 1, tmp_path / "ck")
         (tmp_path / "ck" / name).write_bytes(b"\x00not a checkpoint file\n")
+        with pytest.raises(OSError, match="unreadable checkpoint file"):
+            resume(tmp_path / "ck")
+
+    @pytest.mark.parametrize("text", ["[]", "{}", '{"version": 1}', "null"])
+    def test_meta_without_its_fields_is_an_io_error(self, tmp_path, text):
+        result = run(small_config(steps=1))
+        checkpoint(result.policy, result.buffer, 1, tmp_path / "ck")
+        (tmp_path / "ck" / "meta.json").write_text(text)
         with pytest.raises(OSError, match="unreadable checkpoint file"):
             resume(tmp_path / "ck")
 
