@@ -11,6 +11,7 @@ from .advantage import AdvantageVector, advantage_gap, count_advantage, std_adva
 from .buffer import ExperienceBuffer
 from .core import (
     ConfigError,
+    InvariantViolation,
     ProblemSpec,
     Rollout,
     RolloutGroup,
@@ -37,6 +38,7 @@ __all__ = [
     "AdvantageVector",
     "ConfigError",
     "ExperienceBuffer",
+    "InvariantViolation",
     "ProblemSpec",
     "RewardTier",
     "Rollout",

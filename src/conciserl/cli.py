@@ -1,8 +1,9 @@
 """Command-line entry point: train, eval, metrics, replay.
 
-Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 invariant
-violation detected in input data. All outputs are plain JSON/JSONL/CSV so any
-plotting stack can consume them.
+Exit codes, set by ``main`` alone: 0 success; 2 usage or config error
+(ValueError); 3 a file that is missing or cannot be parsed (OSError); 4 input
+data that contradicts itself or an invariant (InvariantViolation). All outputs
+are plain JSON/JSONL/CSV so any plotting stack can consume them.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .core import ConfigError, RunConfig, load_config, save_config
-from .env import answer_letter, load_bank
-from .trainer import resume, run, sample_batch
+from .core import InvariantViolation, RunConfig, load_config, save_config
+from .env import answer_letter
+from .trainer import read_step_log, resume, run, sample_batch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,80 +63,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config) if args.config else RunConfig()
-        overrides = {
-            k: getattr(args, k)
-            for k in ("seed", "steps", "alpha", "r_pen", "advantage_mode", "group_size")
-            if getattr(args, k) is not None
-        }
-        config = dataclasses.replace(config, **overrides)
-    except (ConfigError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_IO
-
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-        save_config(config, args.out / "config.txt")
-        result = run(config, out_dir=args.out)
-        logs = result.logs
-        summary = {
-            "steps": config.steps,
-            "initial_accuracy": logs[0].batch_accuracy if logs else None,
-            "final_accuracy": logs[-1].batch_accuracy if logs else None,
-            "initial_mean_length": logs[0].batch_mean_length if logs else None,
-            "final_mean_length": logs[-1].batch_mean_length if logs else None,
-            "compression_ratio": (
-                1.0 - logs[-1].batch_mean_length / logs[0].batch_mean_length if logs else None
-            ),
-            "final_buffer_mean": result.buffer.stats(),
-            "solved_count": result.buffer.solved_count(),
-            "n_problems": len(result.bank),
-        }
-        (args.out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    config = load_config(args.config) if args.config else RunConfig()
+    overrides = {
+        k: getattr(args, k)
+        for k in ("seed", "steps", "alpha", "r_pen", "advantage_mode", "group_size")
+        if getattr(args, k) is not None
+    }
+    config = dataclasses.replace(config, **overrides)
+    args.out.mkdir(parents=True, exist_ok=True)
+    save_config(config, args.out / "config.txt")
+    result = run(config, out_dir=args.out)
+    logs = result.logs
+    summary = {
+        "steps": config.steps,
+        "initial_accuracy": logs[0].batch_accuracy if logs else None,
+        "final_accuracy": logs[-1].batch_accuracy if logs else None,
+        "initial_mean_length": logs[0].batch_mean_length if logs else None,
+        "final_mean_length": logs[-1].batch_mean_length if logs else None,
+        "compression_ratio": (
+            1.0 - logs[-1].batch_mean_length / logs[0].batch_mean_length if logs else None
+        ),
+        "final_buffer_mean": result.buffer.stats(),
+        "solved_count": result.buffer.solved_count(),
+        "n_problems": len(result.bank),
+    }
+    (args.out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
-def _id_mismatch(name: str, ids: Iterable[str], policy_ids: Iterable[str]) -> str:
-    """How the problem ids of a checkpoint file differ from the policy's."""
-    missing = sorted(set(policy_ids) - set(ids))
-    unknown = sorted(set(ids) - set(policy_ids))
-    diff = "; ".join(
-        f"{label} {', '.join(found)}" for label, found in (("missing", missing), ("unknown", unknown)) if found
-    )
-    return f"{name} does not match the policy's problem ids: {diff or 'order or count differs'}"
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        policy, buffer, _ = resume(args.checkpoint)
-        k_list = [int(k) for k in str(args.k).split(",") if k.strip()]
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO if isinstance(e, OSError) else EXIT_CONFIG
-    bank_path = args.checkpoint / "bank.tsv"
-    try:
-        bank = load_bank(bank_path)
-    except (OSError, ValueError) as e:
-        # resume() found the checkpoint directory, so a bank file that is
-        # missing or cannot be parsed is an I/O fault.
-        print(f"error: unreadable checkpoint file {bank_path}: {e}", file=sys.stderr)
-        return EXIT_IO
-    bank_ids = tuple(p.id for p in bank)
-    mismatch = None
-    if bank_ids != policy.problem_ids:
-        mismatch = _id_mismatch("bank.tsv", bank_ids, policy.problem_ids)
-    elif set(buffer.entries()) != set(policy.problem_ids):
-        mismatch = _id_mismatch("buffer.expbuf", buffer.entries(), policy.problem_ids)
-    if mismatch:
-        print(f"invariant violation: {mismatch}", file=sys.stderr)
-        return EXIT_INVARIANT
+    policy, buffer, bank, _ = resume(args.checkpoint)
+    k_list = [int(k) for k in str(args.k).split(",") if k.strip()]
     if not k_list or min(k_list) < 1 or max(k_list) > args.n_samples:
-        print("error: every k must satisfy 1 <= k <= n_samples", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("every k must satisfy 1 <= k <= n_samples")
 
     groups = sample_batch(policy, bank, args.n_samples, buffer.l_max, (args.seed,))
     # The vote of a sample is its answer letter when it produced a valid
@@ -169,24 +128,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "majority_at_k": majority,
     }
     out = args.out or (args.checkpoint / "eval.json")
-    try:
-        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    try:
-        results = metrics_mod.load_results_csv(args.results)
-        summary = metrics_mod.summarize_results(results, args.vanilla)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    results = metrics_mod.load_results_csv(args.results)
+    summary = metrics_mod.summarize_results(results, args.vanilla)
     for method, info in summary.items():
         for bench, row in info["benchmarks"].items():
             label = f"{method}/{bench}" if bench else method
@@ -205,49 +153,27 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        lines = args.steps_jsonl.read_text().splitlines()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    steps = []
-    try:
-        for line in lines:
-            if line.strip():
-                steps.append(json.loads(line))
-    except json.JSONDecodeError as e:
-        print(f"error: malformed steps.jsonl: {e}", file=sys.stderr)
-        return EXIT_IO
-
+    steps = read_step_log(args.steps_jsonl)
     out_dir = args.out_dir or args.steps_jsonl.parent
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for field in ("batch_mean_length", "mean_shortest_correct"):
-            with (out_dir / f"{field}.csv").open("w", newline="") as f:
-                writer = csv.writer(f)
-                writer.writerow(["step", field])
-                for s in steps:
-                    writer.writerow([s["step"], s[field]])
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for field in ("batch_mean_length", "mean_shortest_correct"):
+        with (out_dir / f"{field}.csv").open("w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["step", field])
+            writer.writerows([s["step"], s[field]] for s in steps)
 
     violations = [
-        (prev["step"], cur["step"])
+        f"mean_shortest_correct increased between steps {prev['step']} and {cur['step']}"
         for prev, cur in zip(steps, steps[1:])
         if cur["mean_shortest_correct"] > prev["mean_shortest_correct"]
     ]
     if violations:
-        for a, b in violations:
-            print(
-                f"invariant violation: mean_shortest_correct increased between steps {a} and {b}",
-                file=sys.stderr,
-            )
-        return EXIT_INVARIANT
+        raise InvariantViolation("; ".join(violations))
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the only place a failure becomes an exit code."""
     args = _build_parser().parse_args(argv)
     handler = {
         "train": cmd_train,
@@ -255,7 +181,17 @@ def main(argv: list[str] | None = None) -> int:
         "metrics": cmd_metrics,
         "replay": cmd_replay,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except InvariantViolation as e:
+        print(f"invariant violation: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

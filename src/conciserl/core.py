@@ -28,6 +28,10 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+class InvariantViolation(ValueError):
+    """Input data contradicts itself or an invariant of the method."""
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A synthetic verifiable task.

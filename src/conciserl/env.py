@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ANSWERS, ProblemSpec, Rollout
+from .core import ANSWERS, InvariantViolation, ProblemSpec, Rollout
 
 
 class Action(IntEnum):
@@ -66,7 +66,7 @@ class TabularPolicy:
             if logits.shape != shape:
                 raise ValueError(f"logits shape {logits.shape} != {shape}")
             if not np.all(np.isfinite(logits)):
-                raise ValueError("logits must be finite")
+                raise InvariantViolation("logits are not finite")
         self.problem_ids = ids
         self.w_cap = int(w_cap)
         self.logits = logits

@@ -213,10 +213,15 @@ def load_results_csv(path: str | Path) -> list[BenchResult]:
             raise ValueError(
                 f"expected header name,accuracy,mean_tokens, got {reader.fieldnames}"
             )
-        return [
-            BenchResult(row["name"], float(row["accuracy"]), float(row["mean_tokens"]))
-            for row in reader
-        ]
+        results = []
+        for row in reader:
+            try:
+                if None in row or None in row.values():
+                    raise ValueError("expected 3 cells")
+                results.append(BenchResult(row["name"], float(row["accuracy"]), float(row["mean_tokens"])))
+            except ValueError as e:
+                raise ValueError(f"line {reader.line_num}: {e}") from None
+        return results
 
 
 def load_traces_jsonl(path: str | Path) -> list[TraceRecord]:

@@ -14,16 +14,18 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .advantage import count_advantage, std_advantage
 from .buffer import ExperienceBuffer
-from .core import ProblemSpec, RolloutGroup, RunConfig
+from .core import InvariantViolation, ProblemSpec, RolloutGroup, RunConfig
 from .env import (
+    N_ACTIONS,
     TabularPolicy,
     initial_policy,
+    load_bank,
     make_problem_bank,
     sample_rollout,
     save_bank,
@@ -52,6 +54,24 @@ class StepLog:
     @classmethod
     def from_dict(cls, d: dict) -> "StepLog":
         return cls(**d)
+
+
+def read_step_log(path: str | Path) -> list[dict]:
+    """The ``step``, ``batch_mean_length`` and ``mean_shortest_correct`` of
+    each record of a ``steps.jsonl``.
+
+    A file that is not UTF-8 lines of JSON objects holding these fields as
+    numbers raises OSError, as a missing one does.
+    """
+    data = Path(path).read_bytes()
+    try:
+        records = [json.loads(line) for line in data.decode("utf-8").splitlines() if line.strip()]
+        steps = [{k: r[k] for k in ("step", "batch_mean_length", "mean_shortest_correct")} for r in records]
+        if not all(isinstance(v, (int, float)) for s in steps for v in s.values()):
+            raise TypeError("non-numeric field")
+    except (ValueError, KeyError, TypeError) as e:
+        raise OSError(f"malformed steps.jsonl: {e!r}") from None
+    return steps
 
 
 @dataclass
@@ -169,9 +189,7 @@ def run(
             if log_file is not None:
                 log_file.write(json.dumps(log.to_dict()) + "\n")
             if out_path is not None and step % config.checkpoint_every == 0:
-                checkpoint(
-                    policy, buffer, step, out_path / "checkpoints" / f"step_{step:05d}", bank=bank
-                )
+                checkpoint(policy, buffer, step, out_path / "checkpoints" / f"step_{step:05d}", bank)
     finally:
         if log_file is not None:
             log_file.close()
@@ -183,17 +201,12 @@ def checkpoint(
     buffer: ExperienceBuffer,
     step: int,
     path: str | Path,
-    bank: Sequence[ProblemSpec] | None = None,
+    bank: Sequence[ProblemSpec],
 ) -> None:
-    """Write a resumable training state to a directory.
-
-    ``bank``, when given, is stored alongside so the checkpoint is
-    self-contained for evaluation.
-    """
+    """Write a resumable training state, bank included, to a directory."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    if bank is not None:
-        save_bank(bank, path / "bank.tsv")
+    save_bank(bank, path / "bank.tsv")
     meta = {
         "version": CHECKPOINT_VERSION,
         "step": step,
@@ -205,29 +218,58 @@ def checkpoint(
     buffer.save(path / "buffer.expbuf")
 
 
-def resume(path: str | Path) -> tuple[TabularPolicy, ExperienceBuffer, int]:
+def _read_meta(path: Path) -> tuple[object, int, list[str], int]:
+    meta = json.loads(path.read_text())
+    version, step, ids, w_cap = meta["version"], int(meta["step"]), meta["problem_ids"], meta["w_cap"]
+    if type(w_cap) is not int or not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise TypeError("w_cap must be an int and problem_ids a list of strings")
+    return version, step, ids, w_cap
+
+
+def _id_mismatch(name: str, ids: Iterable[str], policy_ids: Iterable[str]) -> str:
+    """How the problem ids of a checkpoint file differ from the policy's."""
+    missing = sorted(set(policy_ids) - set(ids))
+    unknown = sorted(set(ids) - set(policy_ids))
+    diff = "; ".join(
+        f"{label} {', '.join(found)}" for label, found in (("missing", missing), ("unknown", unknown)) if found
+    )
+    return f"{name} does not match the policy's problem ids: {diff or 'order or count differs'}"
+
+
+def resume(
+    path: str | Path,
+) -> tuple[TabularPolicy, ExperienceBuffer, tuple[ProblemSpec, ...], int]:
     """Load a checkpoint written by ``checkpoint``; bit-exact round trip.
 
     A checkpoint directory that does not exist, or one of another version,
     raises ValueError; a missing or unparseable file inside an existing
-    directory raises OSError.
+    directory raises OSError; files that contradict each other, or
+    non-finite logits, raise InvariantViolation.
     """
     path = Path(path)
     if not path.is_dir():
         raise ValueError(f"corrupt checkpoint at {path}: no such directory")
-    try:
-        meta = json.loads((path / "meta.json").read_text())
-        version, step = meta["version"], int(meta["step"])
-        ids, w_cap = meta["problem_ids"], meta["w_cap"]
-    except (ValueError, KeyError, TypeError) as e:
-        raise OSError(f"unreadable checkpoint file {path / 'meta.json'}: {e!r}") from None
+
+    def read(name: str, load: Callable):
+        try:
+            return load(path / name)
+        except (ValueError, KeyError, TypeError, EOFError) as e:
+            # A file that exists but cannot be parsed is an I/O fault, as a
+            # missing one is.
+            raise OSError(f"unreadable checkpoint file {path / name}: {e!r}") from None
+
+    version, step, ids, w_cap = read("meta.json", _read_meta)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version mismatch: {version}")
-    try:
-        logits = np.load(path / "policy_logits.npy")
-        buffer = ExperienceBuffer.load(path / "buffer.expbuf")
-    except (ValueError, EOFError) as e:
-        # A data file that exists but cannot be parsed is an I/O fault, as
-        # a missing one is.
-        raise OSError(f"unreadable checkpoint file in {path}: {e}") from None
-    return TabularPolicy(ids, w_cap, logits), buffer, step
+    logits = read("policy_logits.npy", lambda p: np.load(p).astype(float))
+    buffer = read("buffer.expbuf", ExperienceBuffer.load)
+    bank = read("bank.tsv", load_bank)
+    shape = (len(ids), w_cap + 1, N_ACTIONS)
+    if logits.shape != shape:
+        raise InvariantViolation(f"policy_logits.npy has shape {logits.shape}; meta.json implies {shape}")
+    bank_ids = [p.id for p in bank]
+    if bank_ids != ids:
+        raise InvariantViolation(_id_mismatch("bank.tsv", bank_ids, ids))
+    if set(buffer.entries()) != set(ids):
+        raise InvariantViolation(_id_mismatch("buffer.expbuf", buffer.entries(), ids))
+    return TabularPolicy(ids, w_cap, logits), buffer, bank, step

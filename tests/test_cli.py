@@ -1,8 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import conciserl
 from conciserl.buffer import ExperienceBuffer
 from conciserl.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
 from conciserl.env import TabularPolicy
@@ -11,10 +17,56 @@ CHECKPOINT_FILES = ["policy_logits.npy", "buffer.expbuf", "meta.json", "bank.tsv
 TRAIN_ARGS = ["train", "--steps", "3", "--group-size", "4", "--seed", "1"]
 
 
+def nan_logits(ck):
+    logits = np.load(ck / "policy_logits.npy")
+    logits[0, 0, 0] = np.nan
+    np.save(ck / "policy_logits.npy", logits)
+
+
+def edit_meta(ck, **fields):
+    path = ck / "meta.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+
+
+# Checkpoint edits that `conciserl eval` must refuse: (edit, exit code, stderr pattern).
+BAD_CHECKPOINTS = {
+    "logits-nan": (nan_logits, EXIT_INVARIANT, "invariant violation: logits are not finite"),
+    "logits-shape": (
+        lambda ck: np.save(ck / "policy_logits.npy", np.zeros((3, 2, 4))),
+        EXIT_INVARIANT,
+        r"invariant violation: policy_logits.npy has shape \(3, 2, 4\)",
+    ),
+    "logits-text": (
+        lambda ck: np.save(ck / "policy_logits.npy", np.full((4, 11, 4), "x")),
+        EXIT_IO,
+        "unreadable checkpoint file .*policy_logits.npy",
+    ),
+    "meta-w_cap": (lambda ck: edit_meta(ck, w_cap="x"), EXIT_IO, "unreadable checkpoint file .*meta.json"),
+    "meta-problem_ids": (
+        lambda ck: edit_meta(ck, problem_ids=5), EXIT_IO, "unreadable checkpoint file .*meta.json"
+    ),
+}
+# steps.jsonl contents that `conciserl replay` must refuse with exit 3.
+BAD_STEPS_JSONL = [
+    b"{not json\n",
+    b"[1, 2]\n",
+    b'{"step": 1}\n',
+    b'{"step": 1, "batch_mean_length": 5.0, "mean_shortest_correct": "x"}\n',
+    b'{"step": 1\xff}\n',
+]
+SHORT_ROW_CSV = b"name,accuracy,mean_tokens\nV,50\n"
+NOT_UTF8_CONFIG = b"steps = 2\n# \xff\n"
+
+
 def write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return path
+
+
+def write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
 
 
 def quick_train(tmp_path, extra=()):  # small, fast run used by several tests
@@ -59,6 +111,24 @@ class TestTrain:
         cfg = write_config(tmp_path, "steps = 2\n")
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--r-pen", "1.5"])
         assert code == EXIT_CONFIG
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = write_bytes(tmp_path / "run.cfg", NOT_UTF8_CONFIG)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "utf-8" in capsys.readouterr().err
+
+    def test_blow_up_is_an_invariant_violation(self, tmp_path, capsys, monkeypatch):
+        # the step that blows up returns; the next step's policy.copy() refuses
+        # the non-finite logits
+        def blow_up(self, grad, learning_rate):
+            self.logits = self.logits + np.inf
+
+        monkeypatch.setattr(TabularPolicy, "ascend", blow_up)
+        out = tmp_path / "o"
+        assert main([*TRAIN_ARGS, "--out", str(out)]) == EXIT_INVARIANT
+        assert "invariant violation: logits are not finite" in capsys.readouterr().err
+        assert len((out / "steps.jsonl").read_text().splitlines()) == 1
+        assert not (out / "summary.json").exists()
 
     def test_deterministic(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -138,6 +208,15 @@ class TestEval:
         assert re.search(message, capsys.readouterr().err)
         assert not (ck / "eval.json").exists()
 
+    @pytest.mark.parametrize("name", BAD_CHECKPOINTS)
+    def test_bad_checkpoint(self, tmp_path, capsys, name):
+        edit, code, message = BAD_CHECKPOINTS[name]
+        ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
+        edit(ck)
+        assert main(["eval", "--checkpoint", str(ck)]) == code
+        assert re.search(message, capsys.readouterr().err)
+        assert not (ck / "eval.json").exists()
+
     def test_buffer_not_matching_policy(self, tmp_path, capsys):
         ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
         buffer = ExperienceBuffer.load(ck / "buffer.expbuf")
@@ -185,6 +264,12 @@ class TestMetrics:
         path.write_text("name,accuracy,mean_tokens\nours/a,50.0,100.0\n")
         assert main(["metrics", "--results", str(path), "--vanilla", "v"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("row", [b"V,50", b"V,abc,1", b"V,50,1,9"], ids=["short", "non-numeric", "long"])
+    def test_malformed_row_names_the_line(self, tmp_path, capsys, row):
+        path = write_bytes(tmp_path / "results.csv", b"name,accuracy,mean_tokens\nV,60,90\n" + row + b"\n")
+        assert main(["metrics", "--results", path, "--vanilla", "V"]) == EXIT_CONFIG
+        assert "error: line 3: " in capsys.readouterr().err
+
 
 class TestReplay:
     def write_steps(self, tmp_path, values):
@@ -212,10 +297,12 @@ class TestReplay:
     def test_missing_file(self, tmp_path):
         assert main(["replay", "--steps-jsonl", str(tmp_path / "nope.jsonl")]) == EXIT_IO
 
-    def test_malformed_json(self, tmp_path):
-        path = tmp_path / "steps.jsonl"
-        path.write_text("{not json\n")
-        assert main(["replay", "--steps-jsonl", str(path)]) == EXIT_IO
+    def test_malformed_json(self, tmp_path, capsys):
+        for data in BAD_STEPS_JSONL:
+            path = write_bytes(tmp_path / "steps.jsonl", data)
+            assert main(["replay", "--steps-jsonl", path]) == EXIT_IO, data
+            assert "error: malformed steps.jsonl" in capsys.readouterr().err
+            assert not list(tmp_path.glob("*.csv"))
 
     def test_real_run_log_passes(self, tmp_path):
         out = quick_train(tmp_path)
@@ -230,3 +317,39 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
+
+
+def eval_argv(tmp_path, edit):
+    ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
+    edit(ck)
+    return ["eval", "--checkpoint", str(ck)]
+
+
+# Every malformed input above, as the argv that feeds it to the CLI.
+MALFORMED_INPUTS = {
+    **{f"eval-{name}": (lambda t, e=edit: eval_argv(t, e)) for name, (edit, _, _) in BAD_CHECKPOINTS.items()},
+    **{
+        f"replay-{i}": (lambda t, d=data: ["replay", "--steps-jsonl", write_bytes(t / "steps.jsonl", d)])
+        for i, data in enumerate(BAD_STEPS_JSONL)
+    },
+    "metrics-short-row": lambda t: [
+        "metrics", "--results", write_bytes(t / "results.csv", SHORT_ROW_CSV), "--vanilla", "V"
+    ],
+    "train-config-not-utf8": lambda t: [
+        "train", "--config", write_bytes(t / "run.cfg", NOT_UTF8_CONFIG), "--out", str(t / "o")
+    ],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_entry_point_exits_cleanly(tmp_path, case):
+    # the real entry point, sys.exit(main()), in a fresh interpreter
+    argv = MALFORMED_INPUTS[case](tmp_path)
+    src = str(Path(conciserl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "conciserl.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode in (EXIT_CONFIG, EXIT_IO, EXIT_INVARIANT), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conciserl.buffer import ExperienceBuffer
-from conciserl.core import ProblemSpec, RunConfig
+from conciserl.core import InvariantViolation, ProblemSpec, RunConfig
 from conciserl.env import TabularPolicy, initial_policy, make_problem_bank, sample_rollout
 from conciserl.trainer import (
     StepLog,
@@ -27,6 +27,13 @@ def count_log_probs(monkeypatch):
 
     monkeypatch.setattr(TabularPolicy, "log_probs", counted)
     return calls
+
+
+def nan_logits(path):
+    """Put a NaN into a saved policy_logits.npy."""
+    logits = np.load(path)
+    logits[0, 0, 0] = np.nan
+    np.save(path, logits)
 
 
 SMALL = dict(group_size=4, steps=5, l_max=64, w_cap=5, n_problems=4, d_min=1, d_max=4)
@@ -195,9 +202,10 @@ class TestCheckpointResume:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = small_config(seed=3)
         result = run(cfg)
-        checkpoint(result.policy, result.buffer, cfg.steps, tmp_path / "ck")
-        policy, buffer, step = resume(tmp_path / "ck")
+        checkpoint(result.policy, result.buffer, cfg.steps, tmp_path / "ck", result.bank)
+        policy, buffer, bank, step = resume(tmp_path / "ck")
         assert step == cfg.steps
+        assert bank == result.bank
         assert np.array_equal(policy.logits, result.policy.logits)
         assert policy.logits.dtype == result.policy.logits.dtype
         assert buffer == result.buffer
@@ -210,17 +218,17 @@ class TestCheckpointResume:
 
         cfg2 = small_config(steps=2, seed=6)
         half = run(cfg2)
-        checkpoint(half.policy, half.buffer, 2, tmp_path / "ck", bank=half.bank)
-        policy, buffer, step = resume(tmp_path / "ck")
+        checkpoint(half.policy, half.buffer, 2, tmp_path / "ck", half.bank)
+        policy, buffer, bank, step = resume(tmp_path / "ck")
         for s in range(step + 1, 5):
-            train_step(policy, buffer, half.bank, cfg, s)
+            train_step(policy, buffer, bank, cfg, s)
         assert np.array_equal(policy.logits, continuous.policy.logits)
         assert buffer == continuous.buffer
 
     def test_version_mismatch(self, tmp_path):
         cfg = small_config(steps=1)
         result = run(cfg)
-        checkpoint(result.policy, result.buffer, 1, tmp_path / "ck")
+        checkpoint(result.policy, result.buffer, 1, tmp_path / "ck", result.bank)
         meta_path = tmp_path / "ck" / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta["version"] = 99
@@ -232,20 +240,49 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="corrupt checkpoint"):
             resume(tmp_path / "nope")
 
-    @pytest.mark.parametrize("name", ["policy_logits.npy", "buffer.expbuf", "meta.json"])
+    @pytest.mark.parametrize("name", ["policy_logits.npy", "buffer.expbuf", "meta.json", "bank.tsv"])
     def test_unparseable_file_is_an_io_error(self, tmp_path, name):
         result = run(small_config(steps=1))
-        checkpoint(result.policy, result.buffer, 1, tmp_path / "ck")
+        checkpoint(result.policy, result.buffer, 1, tmp_path / "ck", result.bank)
         (tmp_path / "ck" / name).write_bytes(b"\x00not a checkpoint file\n")
         with pytest.raises(OSError, match="unreadable checkpoint file"):
             resume(tmp_path / "ck")
 
-    @pytest.mark.parametrize("text", ["[]", "{}", '{"version": 1}', "null"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "{}",
+            '{"version": 1}',
+            "null",
+            '{"version": 1, "step": 1, "w_cap": "x", "problem_ids": ["p000"]}',
+            '{"version": 1, "step": 1, "w_cap": 2.0, "problem_ids": ["p000"]}',
+            '{"version": 1, "step": 1, "w_cap": 5, "problem_ids": 5}',
+            '{"version": 1, "step": 1, "w_cap": 5, "problem_ids": ["p000", 1]}',
+        ],
+    )
     def test_meta_without_its_fields_is_an_io_error(self, tmp_path, text):
         result = run(small_config(steps=1))
-        checkpoint(result.policy, result.buffer, 1, tmp_path / "ck")
+        checkpoint(result.policy, result.buffer, 1, tmp_path / "ck", result.bank)
         (tmp_path / "ck" / "meta.json").write_text(text)
         with pytest.raises(OSError, match="unreadable checkpoint file"):
+            resume(tmp_path / "ck")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ck: np.save(ck / "policy_logits.npy", np.zeros((3, 2, 4))), "shape .*meta.json implies"),
+            (lambda ck: nan_logits(ck / "policy_logits.npy"), "logits are not finite"),
+            (lambda ck: (ck / "bank.tsv").write_text("x\t1\tA\n"), "bank.tsv does not match"),
+            (lambda ck: ExperienceBuffer({"x": 3}, 64).save(ck / "buffer.expbuf"), "buffer.expbuf does not match"),
+        ],
+        ids=["logits-shape", "logits-nan", "bank", "buffer"],
+    )
+    def test_files_that_disagree_are_an_invariant_violation(self, tmp_path, edit, message):
+        result = run(small_config(steps=1))
+        checkpoint(result.policy, result.buffer, 1, tmp_path / "ck", result.bank)
+        edit(tmp_path / "ck")
+        with pytest.raises(InvariantViolation, match=message):
             resume(tmp_path / "ck")
 
 
