@@ -26,10 +26,10 @@ from .env import (
     load_bank,
     make_problem_bank,
     min_correct_length,
-    sample_rollout,
+    sample_group,
     save_bank,
 )
-from .objective import TokenBatch, flatten, surrogate
+from .objective import surrogate
 from .rewards import RewardTier, ShapedReward, shape, shape_group
 from .trainer import RunResult, StepLog, checkpoint, resume, run, sample_batch, train_step
 
@@ -48,11 +48,9 @@ __all__ = [
     "ShapedReward",
     "StepLog",
     "TabularPolicy",
-    "TokenBatch",
     "advantage_gap",
     "checkpoint",
     "count_advantage",
-    "flatten",
     "initial_policy",
     "load_bank",
     "load_config",
@@ -61,7 +59,7 @@ __all__ = [
     "resume",
     "run",
     "sample_batch",
-    "sample_rollout",
+    "sample_group",
     "save_bank",
     "save_config",
     "shape",

@@ -81,11 +81,11 @@ class ExperienceBuffer:
         """
         if group.problem_id not in self._entries:
             raise KeyError(f"unknown problem id {group.problem_id!r}")
-        correct_lengths = [r.length for r in group.rollouts if r.correct]
-        if not correct_lengths:
+        correct_lengths = group.lengths[group.correct]
+        if not len(correct_lengths):
             return
         old = self._entries[group.problem_id]
-        self._entries[group.problem_id] = min(old, min(correct_lengths))
+        self._entries[group.problem_id] = min(old, int(correct_lengths.min()))
 
     def threshold(self, problem_id: str, alpha: float) -> float:
         """Compression threshold: shortest-correct-so-far times (1 + alpha)."""

@@ -98,18 +98,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError("every k must satisfy 1 <= k <= n_samples")
 
     groups = sample_batch(policy, bank, args.n_samples, buffer.l_max, (args.seed,))
-    # The vote of a sample is its answer letter when it produced a valid
-    # solution, otherwise a non-matching sentinel; sample-level correctness
-    # then coincides with the verifier.
-    samples = {
-        g.problem_id: [
-            (answer_letter(r.actions[-1]) if r.correct else "invalid", r.length) for r in g.rollouts
-        ]
-        for g in groups
-    }
+    # The vote of a sample is the answer letter of its last action when it
+    # produced a valid solution, otherwise a non-matching sentinel;
+    # sample-level correctness then coincides with the verifier.
+    samples = {}
+    for g in groups:
+        last = g.actions[np.cumsum(g.lengths) - 1].tolist()
+        votes = [answer_letter(a) if c else "invalid" for a, c in zip(last, g.correct.tolist())]
+        samples[g.problem_id] = list(zip(votes, g.lengths.tolist()))
     truth = {p.id: p.correct_answer for p in bank}
-    outcomes = [r.correct for g in groups for r in g.rollouts]
-    lengths = {g.problem_id: [r.length for r in g.rollouts] for g in groups}
+    outcomes = [c for g in groups for c in g.correct.tolist()]
+    lengths = {g.problem_id: g.lengths.tolist() for g in groups}
 
     pass1 = metrics_mod.accuracy(outcomes)
     mean_tokens = float(np.mean([t for pool in samples.values() for _, t in pool]))

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+import numpy as np
+
 ANSWERS = ("A", "B")
 ADVANTAGE_MODES = ("count", "std")
 
@@ -55,18 +57,17 @@ class ProblemSpec:
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ProblemSpec":
-        return cls(id=d["id"], difficulty=int(d["difficulty"]), correct_answer=d["correct_answer"])
-
 
 @dataclass(frozen=True)
 class Rollout:
-    """One sampled trajectory under a behavior-policy snapshot.
+    """One sampled trajectory under a behavior-policy snapshot, as a scalar
+    record.
 
+    The library samples, shapes and trains on columnar ``RolloutGroup``s
+    and builds no ``Rollout``; the record is the unit of the scalar reference
+    sampler the tests check ``env.sample_group`` against.
     ``behavior_logps`` are the log-probabilities (nats) of each emitted token
-    under the policy that sampled it; they are constants, not functions of
-    the current parameters.
+    under the policy that sampled it.
     """
 
     problem_id: str
@@ -100,34 +101,69 @@ class Rollout:
                     raise ValueError(f"behavior log-probabilities must be finite and <= 0, got {lp}")
 
 
-@dataclass(frozen=True)
+# RolloutGroup's columns and their dtypes.
+_GROUP_COLUMNS = (
+    ("lengths", np.intp),
+    ("correct", bool),
+    ("truncated", bool),
+    ("actions", np.intp),
+    ("states", np.intp),
+    ("behavior_logps", float),
+)
+
+
+@dataclass(frozen=True, eq=False)
 class RolloutGroup:
-    """The G rollouts sampled for one problem from one policy snapshot."""
+    """The G rollouts sampled for one problem from one policy snapshot, as
+    columns.
+
+    Rollout i owns the ``lengths[i]`` tokens that follow those of rollouts
+    ``0..i-1`` in the per-token columns. A token's state is the number of
+    WORK tokens before it in its rollout, capped at the policy's ``w_cap``;
+    ``behavior_logps`` are the log-probabilities (nats) of each token under
+    the policy that sampled it, constants rather than functions of the
+    current parameters. The columns are frozen on construction, and a group
+    compares equal only to itself.
+    """
 
     problem_id: str
-    rollouts: tuple[Rollout, ...]
+    lengths: np.ndarray         # (G,) tokens per rollout
+    correct: np.ndarray         # (G,) bool
+    truncated: np.ndarray       # (G,) bool
+    actions: np.ndarray         # (T,)
+    states: np.ndarray          # (T,) WORK count before each token, capped
+    behavior_logps: np.ndarray  # (T,)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rollouts", tuple(self.rollouts))
-        if not self.rollouts:
+        for name, dtype in _GROUP_COLUMNS:
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        g, n = len(self.lengths), len(self.actions)
+        if g < 1:
             raise ValueError("a rollout group must contain at least one rollout")
-        for r in self.rollouts:
-            if r.problem_id != self.problem_id:
-                raise ValueError(
-                    f"rollout problem_id {r.problem_id!r} does not match group {self.problem_id!r}"
-                )
-
-    @classmethod
-    def from_rollouts(cls, problem_id: str, rollouts: Iterable[Rollout]) -> "RolloutGroup":
-        return cls(problem_id, tuple(rollouts))
+        if not len(self.correct) == len(self.truncated) == g:
+            raise ValueError("lengths, correct and truncated must have one entry per rollout")
+        if not len(self.states) == len(self.behavior_logps) == n:
+            raise ValueError("actions, states and behavior_logps must have one entry per token")
+        if self.lengths.min() < 1:
+            raise ValueError("rollout length must be >= 1")
+        if self.lengths.sum() != n:
+            raise ValueError(f"rollout lengths sum to {self.lengths.sum()}, not the token count {n}")
+        if np.any(self.truncated & self.correct):
+            raise ValueError("a truncated rollout cannot be correct")
+        logps = self.behavior_logps
+        if not (np.isfinite(logps).all() and logps.max() <= _LOGP_TOL):
+            lp = logps[~(np.isfinite(logps) & (logps <= _LOGP_TOL))][0]
+            raise ValueError(f"behavior log-probabilities must be finite and <= 0, got {lp}")
 
     @property
     def size(self) -> int:
-        return len(self.rollouts)
+        return len(self.lengths)
 
     @property
     def correct_count(self) -> int:
-        return sum(1 for r in self.rollouts if r.correct)
+        return int(np.count_nonzero(self.correct))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ANSWERS, InvariantViolation, ProblemSpec, Rollout
+from .core import ANSWERS, InvariantViolation, ProblemSpec, RolloutGroup
 
 
 class Action(IntEnum):
@@ -80,9 +80,6 @@ class TabularPolicy:
         z = self.logits - self.logits.max(axis=-1, keepdims=True)
         return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs())
-
     def copy(self) -> "TabularPolicy":
         return TabularPolicy(self.problem_ids, self.w_cap, self.logits.copy())
 
@@ -112,68 +109,81 @@ def min_correct_length(problem: ProblemSpec) -> int:
     return problem.difficulty + 1
 
 
-def sample_rollout(
+def sample_group(
     logp: np.ndarray,
     problem: ProblemSpec,
-    rng: np.random.Generator,
+    key: tuple[int, ...],
+    group_size: int,
     l_max: int,
-) -> Rollout:
-    """Autoregressively sample one episode from one problem's log-prob rows.
+) -> RolloutGroup:
+    """Autoregressively sample ``group_size`` episodes of one problem.
 
     ``logp`` is the problem's ``(w_cap + 1, N_ACTIONS)`` slice of
     ``TabularPolicy.log_probs()``, row w being the state with w WORK tokens
-    so far. The episode ends at the first ANSWER_* token or is truncated at
-    ``l_max`` tokens; truncated episodes are incorrect by convention.
+    so far; rollout r draws from ``default_rng((*key, r))``. An episode ends
+    at the first ANSWER_* token or is truncated at ``l_max`` tokens;
+    truncated episodes are incorrect by convention. Each token's state is
+    recorded as it is sampled.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    cum = np.exp(logp).cumsum(axis=1)
     # Plain-python rows: the per-token loop below is the hot path.
-    c = cum.tolist()
+    c = np.exp(logp).cumsum(axis=1).tolist()
     lp = logp.tolist()
     w_cap = len(lp) - 1
     d = problem.difficulty
     want = int(_ANSWER_FOR_LETTER[problem.correct_answer])
 
     actions: list[int] = []
+    states: list[int] = []
     logps: list[float] = []
-    w = 0
-    work = 0
-    truncated = True
-    chunk: list[float] = []
-    ci = 0
-    for _ in range(l_max):
-        if ci == len(chunk):
-            chunk = rng.random(64).tolist()
-            ci = 0
-        u = chunk[ci]
-        ci += 1
-        row = c[w]
-        if u < row[0]:
-            a = 0
-        elif u < row[1]:
-            a = 1
-        elif u < row[2]:
-            a = 2
-        else:
-            a = 3
-        actions.append(a)
-        logps.append(lp[w][a])
-        if a == 0:
-            work += 1
-            if w < w_cap:
-                w += 1
-        elif a >= 2:
-            truncated = False
-            break
-    correct = (not truncated) and actions[-1] == want and work >= d
-    return Rollout(
+    lengths: list[int] = []
+    correct: list[bool] = []
+    truncated: list[bool] = []
+    for r in range(group_size):
+        rng = np.random.default_rng((*key, r))
+        start = len(actions)
+        w = 0
+        work = 0
+        answered = False
+        chunk: list[float] = []
+        ci = 0
+        for _ in range(l_max):
+            if ci == len(chunk):
+                chunk = rng.random(64).tolist()
+                ci = 0
+            u = chunk[ci]
+            ci += 1
+            row = c[w]
+            if u < row[0]:
+                a = 0
+            elif u < row[1]:
+                a = 1
+            elif u < row[2]:
+                a = 2
+            else:
+                a = 3
+            actions.append(a)
+            states.append(w)
+            logps.append(lp[w][a])
+            if a == 0:
+                work += 1
+                if w < w_cap:
+                    w += 1
+            elif a >= 2:
+                answered = True
+                break
+        lengths.append(len(actions) - start)
+        truncated.append(not answered)
+        correct.append(answered and a == want and work >= d)
+    return RolloutGroup(
         problem_id=problem.id,
-        actions=tuple(actions),
-        behavior_logps=tuple(logps),
-        length=len(actions),
-        correct=correct,
-        truncated=truncated,
+        lengths=np.array(lengths, dtype=np.intp),
+        correct=np.array(correct, dtype=bool),
+        truncated=np.array(truncated, dtype=bool),
+        actions=np.array(actions, dtype=np.intp),
+        states=np.array(states, dtype=np.intp),
+        behavior_logps=np.array(logps, dtype=float),
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .buffer import ExperienceBuffer
-from .core import Rollout, RolloutGroup
+from .core import RolloutGroup
 
 
 class RewardTier(Enum):
@@ -27,8 +27,8 @@ class ShapedReward:
     tier: RewardTier
 
 
-def shape(rollout: Rollout, threshold: float, r_pen: float) -> ShapedReward:
-    """Map one rollout to its three-tier reward.
+def shape(length: int, correct: bool, threshold: float, r_pen: float) -> ShapedReward:
+    """Map one rollout's length and correctness to its three-tier reward.
 
     The length comparison is inclusive: length == threshold is concise.
     """
@@ -36,9 +36,9 @@ def shape(rollout: Rollout, threshold: float, r_pen: float) -> ShapedReward:
         raise ValueError("threshold must be > 0")
     if not 0 <= r_pen < 1:
         raise ValueError("r_pen must be in [0, 1)")
-    if not rollout.correct:
+    if not correct:
         return ShapedReward(0.0, RewardTier.INCORRECT)
-    if rollout.length <= threshold:
+    if length <= threshold:
         return ShapedReward(1.0, RewardTier.CONCISE_CORRECT)
     return ShapedReward(float(r_pen), RewardTier.VERBOSE_CORRECT)
 
@@ -53,4 +53,7 @@ def shape_group(
     against must not be tightened by that same rollout).
     """
     thr = buffer.threshold(group.problem_id, alpha)
-    return [shape(r, thr, r_pen) for r in group.rollouts]
+    return [
+        shape(length, correct, thr, r_pen)
+        for length, correct in zip(group.lengths.tolist(), group.correct.tolist())
+    ]

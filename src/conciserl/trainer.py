@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,10 +28,10 @@ from .env import (
     initial_policy,
     load_bank,
     make_problem_bank,
-    sample_rollout,
+    sample_group,
     save_bank,
 )
-from .objective import flatten, surrogate
+from .objective import surrogate
 from .rewards import shape_group
 
 CHECKPOINT_VERSION = 1
@@ -51,24 +52,23 @@ class StepLog:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StepLog":
-        return cls(**d)
-
 
 def read_step_log(path: str | Path) -> list[dict]:
     """The ``step``, ``batch_mean_length`` and ``mean_shortest_correct`` of
     each record of a ``steps.jsonl``.
 
     A file that is not UTF-8 lines of JSON objects holding these fields as
-    numbers raises OSError, as a missing one does.
+    finite numbers raises OSError, as a missing one does: a NaN would pass
+    every comparison ``replay`` makes, and a boolean is not a number.
     """
     data = Path(path).read_bytes()
     try:
         records = [json.loads(line) for line in data.decode("utf-8").splitlines() if line.strip()]
         steps = [{k: r[k] for k in ("step", "batch_mean_length", "mean_shortest_correct")} for r in records]
-        if not all(isinstance(v, (int, float)) for s in steps for v in s.values()):
-            raise TypeError("non-numeric field")
+        for s in steps:
+            for k, v in s.items():
+                if type(v) not in (int, float) or not math.isfinite(v):
+                    raise ValueError(f"{k} is not a finite number: {v!r}")
     except (ValueError, KeyError, TypeError) as e:
         raise OSError(f"malformed steps.jsonl: {e!r}") from None
     return steps
@@ -96,15 +96,10 @@ def sample_batch(
     log-probs are computed once for the whole batch.
     """
     logp = policy.log_probs()
-    groups = []
-    for p, problem in enumerate(bank):
-        rows = logp[policy.problem_index(problem.id)]
-        rollouts = tuple(
-            sample_rollout(rows, problem, np.random.default_rng((*key, p, r)), l_max)
-            for r in range(group_size)
-        )
-        groups.append(RolloutGroup(problem.id, rollouts))
-    return groups
+    return [
+        sample_group(logp[policy.problem_index(problem.id)], problem, (*key, p), group_size, l_max)
+        for p, problem in enumerate(bank)
+    ]
 
 
 def train_step(
@@ -135,14 +130,13 @@ def train_step(
         else:
             advs.append(std_advantage(values))
 
-    batch = flatten(groups, advs, policy)
-    objective_value, grad = surrogate(batch, policy, config.eps_low, config.eps_high)
+    objective_value, grad = surrogate(groups, advs, policy, config.eps_low, config.eps_high)
     policy.ascend(grad, config.learning_rate)
 
     n_rollouts = sum(g.size for g in groups)
     log = StepLog(
         step=step,
-        batch_mean_length=len(batch.actions) / n_rollouts,
+        batch_mean_length=sum(len(g.actions) for g in groups) / n_rollouts,
         mean_shortest_correct=buffer.stats(),
         batch_accuracy=sum(g.correct_count for g in groups) / n_rollouts,
         mean_reward=sum(s.value for rs in shaped for s in rs) / n_rollouts,
@@ -162,7 +156,9 @@ def run(
     """Execute ``config.steps`` training steps from a fresh policy.
 
     When ``out_dir`` is given, writes ``steps.jsonl`` (one StepLog per line)
-    and periodic checkpoints under ``checkpoints/step_<n>/``.
+    and periodic checkpoints under ``checkpoints/step_<n>/``. A step that
+    leaves the logits non-finite stops the run with InvariantViolation after
+    its log line and before any checkpoint of it.
     """
     if bank is None:
         bank = make_problem_bank(config.n_problems, (config.d_min, config.d_max), config.seed)
@@ -188,6 +184,8 @@ def run(
             logs.append(log)
             if log_file is not None:
                 log_file.write(json.dumps(log.to_dict()) + "\n")
+            if not np.isfinite(policy.logits).all():
+                raise InvariantViolation(f"logits are not finite after step {step}")
             if out_path is not None and step % config.checkpoint_every == 0:
                 checkpoint(policy, buffer, step, out_path / "checkpoints" / f"step_{step:05d}", bank)
     finally:

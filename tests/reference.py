@@ -2,16 +2,18 @@
 
 Nothing in ``conciserl`` calls these: the sampler records what they would
 recompute, and the objective works on whole token arrays. They restate the
-task rules and the clipped term one token or one trace at a time.
+sampler, the task rules and the clipped term one token or one trace at a
+time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Sequence
 
 import numpy as np
 
-from conciserl.core import ProblemSpec, Rollout
+from conciserl.core import ProblemSpec, Rollout, RolloutGroup
 from conciserl.env import Action, TabularPolicy, answer_letter
 
 
@@ -42,8 +44,8 @@ def verify(problem: ProblemSpec, rollout: Rollout) -> bool:
 def replay_states(actions: Sequence[int], w_cap: int) -> np.ndarray:
     """Work-counter state before each token, replayed through the trace.
 
-    The one-trace reference for the states ``objective.flatten`` derives for
-    a whole batch. Raises on infeasible traces (tokens after an answer).
+    The one-trace reference for the states ``env.sample_group`` records
+    while sampling. Raises on infeasible traces (tokens after an answer).
     """
     states = np.empty(len(actions), dtype=np.intp)
     w = 0
@@ -78,3 +80,61 @@ def clipped_term(ratio: float, advantage: float, eps_low: float, eps_high: float
         raise ValueError("need 0 < eps_low < eps_high")
     clipped = min(max(ratio, 1.0 - eps_low), 1.0 + eps_high)
     return min(ratio * advantage, clipped * advantage)
+
+
+def sample_rollout(
+    logp: np.ndarray,
+    problem: ProblemSpec,
+    rng: np.random.Generator,
+    l_max: int,
+) -> Rollout:
+    """One episode from one problem's ``(w_cap + 1, N_ACTIONS)`` log-prob
+    rows, drawing from ``rng`` token by token: the one-rollout reference for
+    ``env.sample_group``, which draws rollout r of a group from
+    ``default_rng((*key, r))``."""
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
+    cum = np.exp(logp).cumsum(axis=1).tolist()
+    w_cap = len(logp) - 1
+    actions: list[int] = []
+    logps: list[float] = []
+    w = 0
+    truncated = True
+    chunk: list[float] = []
+    for _ in range(l_max):
+        if not chunk:
+            chunk = rng.random(64).tolist()[::-1]
+        u = chunk.pop()
+        a = next((i for i, edge in enumerate(cum[w][:-1]) if u < edge), len(cum[w]) - 1)
+        actions.append(a)
+        logps.append(float(logp[w, a]))
+        if a == Action.WORK:
+            w = min(w + 1, w_cap)
+        elif is_answer(a):
+            truncated = False
+            break
+    correct = not truncated and verify_trace(problem, actions, truncated)
+    return Rollout(problem.id, tuple(actions), tuple(logps), len(actions), correct, truncated)
+
+
+def group_of(rollouts: Sequence[Rollout], w_cap: int) -> RolloutGroup:
+    """The columnar group of some rollouts of one problem, states replayed
+    through each trace."""
+    return RolloutGroup(
+        problem_id=rollouts[0].problem_id,
+        lengths=[r.length for r in rollouts],
+        correct=[r.correct for r in rollouts],
+        truncated=[r.truncated for r in rollouts],
+        actions=np.concatenate([np.array(r.actions, dtype=np.intp) for r in rollouts]),
+        states=np.concatenate([replay_states(r.actions, w_cap) for r in rollouts]),
+        behavior_logps=np.concatenate([np.array(r.behavior_logps, dtype=float) for r in rollouts]),
+    )
+
+
+def columns(group: RolloutGroup) -> tuple:
+    """A group's problem id and every column as a plain list, for comparing
+    groups (a group compares equal only to itself)."""
+    return tuple(
+        getattr(group, f.name) if f.name == "problem_id" else getattr(group, f.name).tolist()
+        for f in dataclasses.fields(group)
+    )

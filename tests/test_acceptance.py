@@ -11,8 +11,8 @@ import pytest
 
 from conciserl.advantage import advantage_gap, count_advantage
 from conciserl.buffer import ExperienceBuffer
-from conciserl.core import ProblemSpec, Rollout, RolloutGroup, RunConfig
-from conciserl.env import min_correct_length, sample_rollout
+from conciserl.core import ProblemSpec, RunConfig
+from conciserl.env import min_correct_length
 from conciserl.metrics import (
     ipt,
     avg_delta,
@@ -25,8 +25,10 @@ from conciserl.metrics import (
 from conciserl.objective import surrogate
 from conciserl.rewards import shape
 from conciserl.trainer import run, sample_batch
+from tests.reference import sample_rollout
+from tests.test_buffer import group
 from tests.test_metrics import MATH_COMPRESSED, MATH_VANILLA, OOD_TRAINED, OOD_VANILLA
-from tests.test_objective import random_batch
+from tests.test_objective import random_batch, token_ratios
 
 N_SEEDS = 10
 
@@ -65,11 +67,6 @@ def test_02_metric_oracle_ood_tables():
     report("2 (out-of-domain metric oracle)", ok)
 
 
-def _len_rollout(pid, length, correct):
-    actions = [0] * (length - 1) + [2]
-    return Rollout(pid, tuple(actions), tuple([-1.0] * length), length, correct, False)
-
-
 def test_03_buffer_properties():
     rng = np.random.default_rng(0)
     ok = True
@@ -79,13 +76,13 @@ def test_03_buffer_properties():
         pid = ("a", "b", "c")[int(rng.integers(3))]
         before = buf.entries()
         specs = [
-            _len_rollout(pid, int(rng.integers(1, 1001)), bool(rng.random() < 0.4))
+            (int(rng.integers(1, 1001)), bool(rng.random() < 0.4))
             for _ in range(3)
         ]
-        buf.update(RolloutGroup.from_rollouts(pid, specs))
+        buf.update(group(pid, specs))
         after = buf.entries()
         ok &= all(after[k] <= before[k] for k in after)
-        if not any(r.correct for r in specs):
+        if not any(correct for _, correct in specs):
             ok &= after == before
     # merge algebra on random triples
     for _ in range(300):
@@ -112,7 +109,7 @@ def test_04_reward_tier_exactness():
             if length < 1:
                 continue
             for correct in (True, False):
-                got = shape(_len_rollout("q", length, correct), thr, r_pen).value
+                got = shape(length, correct, thr, r_pen).value
                 want = 0.0 if not correct else (1.0 if length <= thr else r_pen)
                 ok &= got == want and got in (0.0, r_pen, 1.0)
     report("4 (reward tier exactness)", ok)
@@ -147,25 +144,23 @@ def test_06_gradient_vs_finite_differences():
         batch, policy = random_batch(rng, mode="count" if attempt % 2 else "std")
         # resample batches with any token within O(h) of a clip kink,
         # where the objective is not differentiable
-        logp = policy.log_probs()
-        rows = np.repeat(batch.problem_index, np.diff(batch.offsets))
-        ratio = np.exp(logp[rows, batch.states, batch.actions] - batch.old_logps)
+        ratio = token_ratios(batch[0], policy)
         near_kink = np.any(
             (np.abs(ratio - (1 - eps_low)) < 50 * h) | (np.abs(ratio - (1 + eps_high)) < 50 * h)
         )
         if near_kink:
             continue
         checked += 1
-        _, grad = surrogate(batch, policy, eps_low, eps_high)
+        _, grad = surrogate(*batch, policy, eps_low, eps_high)
         num = np.zeros_like(grad)
         it = np.nditer(policy.logits, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             bumped = policy.copy()
             bumped.logits[idx] += h
-            up, _ = surrogate(batch, bumped, eps_low, eps_high)
+            up, _ = surrogate(*batch, bumped, eps_low, eps_high)
             bumped.logits[idx] -= 2 * h
-            down, _ = surrogate(batch, bumped, eps_low, eps_high)
+            down, _ = surrogate(*batch, bumped, eps_low, eps_high)
             num[idx] = (up - down) / (2 * h)
         scale = max(np.abs(num).max(), 1e-8)
         ok &= np.abs(grad - num).max() / scale < 1e-5

@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 
 from conciserl.advantage import AdvantageVector, advantage_gap, count_advantage, std_advantage
-from conciserl.core import Rollout, RolloutGroup
-from conciserl.env import TabularPolicy
-from conciserl.objective import TokenBatch, flatten
+from conciserl.core import RolloutGroup
+from conciserl.env import Action, TabularPolicy
+from conciserl.objective import surrogate
 
 
 def token_advantages(values, lengths):
-    """Per-token advantages that ``flatten`` spreads from one group."""
-    rollouts = [Rollout("p", (1,) * (n - 1) + (2,), (-1.0,) * n, n, False, False) for n in lengths]
-    group = RolloutGroup.from_rollouts("p", rollouts)
-    batch = flatten([group], [AdvantageVector(values, "count")], TabularPolicy(("p",), 4))
-    return list(batch.advantages)
+    """Per-token advantages that ``surrogate`` spreads over one group.
+
+    Every token is a FILLER in a state of its own, sampled by the policy
+    being scored (ratio 1) under a uniform policy, so its gradient entry is
+    its advantage times (1 - 1/4) over the group's token count.
+    """
+    n = sum(lengths)
+    policy = TabularPolicy(("p",), n)
+    old = policy.log_probs()[0, np.arange(n), Action.FILLER]
+    no = [False] * len(lengths)
+    group = RolloutGroup("p", lengths, no, no, [Action.FILLER] * n, range(n), old)
+    grad = surrogate([group], [AdvantageVector(values, "count")], policy, 0.2, 0.28)[1]
+    return list(grad[0, :n, Action.FILLER] * n / 0.75)
 
 
 class TestCountAdvantage:
@@ -124,18 +132,15 @@ class TestBroadcast:
     """Each rollout's advantage is repeated over its tokens."""
 
     def test_constant(self):
-        assert token_advantages([0.125, -0.125], [3, 2]) == [0.125] * 3 + [-0.125] * 2
+        assert token_advantages([0.125, -0.125], [3, 2]) == pytest.approx([0.125] * 3 + [-0.125] * 2, rel=1e-12)
 
     def test_zeros(self):
         assert token_advantages([0.0, 0.0], [5, 1]) == [0.0] * 6
 
     def test_single(self):
-        assert token_advantages([-0.7, 0.7], [1, 1]) == [-0.7, 0.7]
+        assert token_advantages([-0.7, 0.7], [1, 1]) == pytest.approx([-0.7, 0.7], rel=1e-12)
 
     def test_zero_length_rejected(self):
-        # A group's token span must be non-empty.
-        with pytest.raises(ValueError, match="at least one token"):
-            TokenBatch(
-                np.array([0, 0]), np.array([0, 1, 1]), np.zeros(1, dtype=np.intp),
-                np.zeros(1, dtype=np.intp), np.zeros(1), np.zeros(1),
-            )
+        # Every rollout owns at least one token.
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            RolloutGroup("p", [1, 0], [False, False], [False, False], [2], [0], [-1.0])

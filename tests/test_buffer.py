@@ -2,17 +2,26 @@ import numpy as np
 import pytest
 
 from conciserl.buffer import BufferFormatError, ExperienceBuffer
-from conciserl.core import Rollout, RolloutGroup
-
-
-def rollout(problem_id, length, correct):
-    actions = [0] * (length - 1) + [2]
-    return Rollout(problem_id, tuple(actions), tuple([-1.0] * length), length, correct, False)
+from conciserl.core import RolloutGroup
+from conciserl.env import Action
 
 
 def group(problem_id, specs):
-    """specs: list of (length, correct)."""
-    return RolloutGroup.from_rollouts(problem_id, [rollout(problem_id, n, c) for n, c in specs])
+    """A group of rollouts of WORK tokens ending in ANSWER_A, one per
+    (length, correct) spec; states are left uncapped."""
+    lengths = np.array([n for n, _ in specs], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    actions = np.full(lengths.sum(), Action.WORK, dtype=np.intp)
+    actions[starts + lengths - 1] = Action.ANSWER_A
+    return RolloutGroup(
+        problem_id,
+        lengths=lengths,
+        correct=[c for _, c in specs],
+        truncated=[False] * len(specs),
+        actions=actions,
+        states=np.arange(len(actions)) - np.repeat(starts, lengths),
+        behavior_logps=np.full(len(actions), -1.0),
+    )
 
 
 def random_buffer(rng, ids=("a", "b", "c"), l_max=100):

@@ -11,7 +11,9 @@ import pytest
 import conciserl
 from conciserl.buffer import ExperienceBuffer
 from conciserl.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
+from conciserl.core import Rollout, load_config
 from conciserl.env import TabularPolicy
+from conciserl.trainer import resume, train_step
 
 CHECKPOINT_FILES = ["policy_logits.npy", "buffer.expbuf", "meta.json", "bank.tsv"]
 TRAIN_ARGS = ["train", "--steps", "3", "--group-size", "4", "--seed", "1"]
@@ -53,6 +55,12 @@ BAD_STEPS_JSONL = [
     b'{"step": 1}\n',
     b'{"step": 1, "batch_mean_length": 5.0, "mean_shortest_correct": "x"}\n',
     b'{"step": 1\xff}\n',
+    # NaN passes every comparison replay makes; booleans are not numbers
+    b'{"step": 1, "batch_mean_length": 5.0, "mean_shortest_correct": 3}\n'
+    b'{"step": 2, "batch_mean_length": 5.0, "mean_shortest_correct": NaN}\n'
+    b'{"step": 3, "batch_mean_length": 5.0, "mean_shortest_correct": 9}\n',
+    b'{"step": 1, "batch_mean_length": Infinity, "mean_shortest_correct": 3}\n',
+    b'{"step": true, "batch_mean_length": 5.0, "mean_shortest_correct": 3}\n',
 ]
 SHORT_ROW_CSV = b"name,accuracy,mean_tokens\nV,50\n"
 NOT_UTF8_CONFIG = b"steps = 2\n# \xff\n"
@@ -154,12 +162,15 @@ class TestEval:
     def test_majority_at_1_equals_pass_at_1(self, tmp_path):
         out = quick_train(tmp_path)
         ck = out / "checkpoints" / "step_00004"
-        assert main(["eval", "--checkpoint", str(ck), "--n-samples", "8", "--k", "1"]) == EXIT_OK
-        report = json.loads((ck / "eval.json").read_text())
-        # per-sample voting with k=1 must agree with the verifier exactly
-        # up to the percent-vs-fraction convention, averaged over problems
-        m1 = report["majority_at_k"]["1"]["accuracy"]
-        assert 0 <= m1 <= 1
+        for seed in range(5):
+            argv = ["eval", "--checkpoint", str(ck), "--n-samples", "1", "--k", "1", "--seed", str(seed)]
+            assert main(argv) == EXIT_OK
+            report = json.loads((ck / "eval.json").read_text())
+            # with one sample per problem, its vote (the answer of its last
+            # action when correct) must agree with the verifier exactly, up
+            # to the percent-vs-fraction convention
+            m1 = report["majority_at_k"]["1"]["accuracy"]
+            assert m1 == pytest.approx(report["pass_at_1"] / 100, abs=1e-12)
 
     def test_deterministic(self, tmp_path):
         out = quick_train(tmp_path)
@@ -307,6 +318,26 @@ class TestReplay:
     def test_real_run_log_passes(self, tmp_path):
         out = quick_train(tmp_path)
         assert main(["replay", "--steps-jsonl", str(out / "steps.jsonl")]) == EXIT_OK
+
+
+def test_no_rollout_records_on_the_train_or_eval_path(tmp_path, monkeypatch):
+    # a training step and an eval sample, shape and score columnar groups
+    out = quick_train(tmp_path)
+    ck = out / "checkpoints" / "step_00004"
+    built = []
+    original = Rollout.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Rollout, "__post_init__", counted)
+    policy, buffer, bank, step = resume(ck)
+    train_step(policy, buffer, bank, load_config(out / "config.txt"), step + 1)
+    assert main(["eval", "--checkpoint", str(ck), "--n-samples", "8", "--k", "1,4"]) == EXIT_OK
+    assert built == []
+    Rollout("p", (2,), (-1.0,), 1, False, False)
+    assert len(built) == 1  # the counter does see a record when one is built
 
 
 class TestParser:

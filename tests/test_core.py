@@ -1,7 +1,10 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conciserl.cli import EXIT_CONFIG, main
 from conciserl.core import (
@@ -44,7 +47,7 @@ class TestProblemSpec:
 
     def test_round_trip(self):
         p = ProblemSpec("q1", 3, "B")
-        assert ProblemSpec.from_dict(p.to_dict()) == p
+        assert ProblemSpec(**p.to_dict()) == p
 
 
 class TestRollout:
@@ -72,16 +75,69 @@ class TestRollout:
         assert r == make_rollout(length=2) and hash(r) == hash(make_rollout(length=2))
 
 
-class TestRolloutGroup:
-    def test_from_rollouts(self):
-        g = RolloutGroup.from_rollouts(
-            "p1", [make_rollout(correct=True), make_rollout(correct=False)]
-        )
-        assert g.correct_count == 1
+@st.composite
+def group_columns(draw):
+    """The columns of a valid RolloutGroup, as mutable lists."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    g, n = len(lengths), sum(lengths)
+    truncated = draw(st.lists(st.booleans(), min_size=g, max_size=g))
+    correct = [draw(st.booleans()) and not t for t in truncated]
+    return dict(
+        lengths=lengths,
+        correct=correct,
+        truncated=truncated,
+        actions=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        states=draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+        behavior_logps=draw(st.lists(st.floats(-30.0, 0.0), min_size=n, max_size=n)),
+    )
 
-    def test_mismatched_problem_id(self):
+
+BAD_LOGPS = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(1e-6, 1e300)
+
+
+class TestRolloutGroup:
+    def test_columns_frozen_to_arrays(self):
+        g = RolloutGroup("p1", [3, 1], [True, False], [False, False], [0, 0, 2, 3], [0, 1, 2, 0], [-1.0] * 4)
+        assert g.size == 2 and g.correct_count == 1
+        assert g.lengths.dtype == g.actions.dtype == g.states.dtype == np.intp
+        assert g.correct.dtype == g.truncated.dtype == bool and g.behavior_logps.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            g.lengths[0] = 2
+
+    @settings(deadline=None)
+    @given(group_columns())
+    def test_valid_columns_accepted(self, cols):
+        g = RolloutGroup("p", **cols)
+        assert g.size == len(cols["lengths"]) and g.correct_count == sum(cols["correct"])
+
+    @settings(deadline=None)
+    @given(
+        group_columns(),
+        st.sampled_from(["token count", "correct and truncated", "logp", "no rollouts"]),
+        st.data(),
+    )
+    def test_malformed_columns_rejected(self, cols, fault, data):
+        rollout = data.draw(st.integers(0, len(cols["lengths"]) - 1))
+        if fault == "token count":
+            cols["lengths"][rollout] += data.draw(st.sampled_from([-1, 1]))
+        elif fault == "correct and truncated":
+            cols["correct"][rollout] = cols["truncated"][rollout] = True
+        elif fault == "logp":
+            token = data.draw(st.integers(0, len(cols["actions"]) - 1))
+            cols["behavior_logps"][token] = data.draw(BAD_LOGPS)
+        else:
+            cols = {name: [] for name in cols}
         with pytest.raises(ValueError):
-            RolloutGroup.from_rollouts("p2", [make_rollout(problem_id="p1")])
+            RolloutGroup("p", **cols)
+
+    def test_slack_above_zero_accepted(self):
+        g = RolloutGroup("p", [2], [False], [False], [1, 2], [0, 0], [-0.5, 1e-12])
+        assert g.behavior_logps.tolist() == [-0.5, 1e-12]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5], ids=["nan", "inf", "-inf", "0.5"])
+    def test_bad_logp_named(self, bad):
+        with pytest.raises(ValueError, match=f"finite and <= 0, got {bad}"):
+            RolloutGroup("p", [3], [False], [False], [0, 1, 2], [0, 1, 1], [-1.0, bad, -0.5])
 
 
 class TestValidateConfig:

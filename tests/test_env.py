@@ -12,10 +12,19 @@ from conciserl.env import (
     load_bank,
     make_problem_bank,
     min_correct_length,
-    sample_rollout,
+    sample_group,
     save_bank,
 )
-from tests.reference import is_answer, logprob, replay_states, verify, verify_trace
+from tests.reference import (
+    columns,
+    group_of,
+    is_answer,
+    logprob,
+    replay_states,
+    sample_rollout,
+    verify,
+    verify_trace,
+)
 
 
 def brute_force_correct(problem, actions):
@@ -113,7 +122,7 @@ class TestTabularPolicy:
     def test_log_probs_normalized(self):
         rng = np.random.default_rng(1)
         policy = TabularPolicy(("a", "b"), 3, rng.normal(0, 2, size=(2, 4, 4)))
-        p = policy.probs()
+        p = np.exp(policy.log_probs())
         assert np.allclose(p.sum(axis=-1), 1.0)
         assert np.all(policy.log_probs() <= 0)
 
@@ -210,6 +219,52 @@ class TestSampleRollout:
         a = sample_rollout(logp, prob, np.random.default_rng(7), l_max=32)
         b = sample_rollout(logp, prob, np.random.default_rng(7), l_max=32)
         assert a == b
+
+
+class TestSampleGroup:
+    def test_equals_scalar_reference(self):
+        # rollout r of a group is the reference sampler on default_rng((*key, r)),
+        # its states replayed through the trace; WORK-heavy policies saturate
+        # the state at w_cap, and answer-averse ones truncate at l_max
+        saturated = truncated = 0
+        for seed in range(60):
+            rng = np.random.default_rng(700 + seed)
+            w_cap = int(rng.integers(1, 5))
+            logits = rng.normal(0, 1, size=(1, w_cap + 1, 4))
+            logits[..., Action.WORK] += rng.uniform(0, 3)
+            logits[..., 2:] -= rng.uniform(0, 4)
+            logp = TabularPolicy(("q",), w_cap, logits).log_probs()[0]
+            prob = ProblemSpec("q", int(rng.integers(1, w_cap + 1)), "AB"[seed % 2])
+            key = tuple(int(k) for k in rng.integers(0, 1000, size=int(rng.integers(1, 4))))
+            group_size, l_max = int(rng.integers(1, 7)), int(rng.integers(1, 24))
+            got = sample_group(logp, prob, key, group_size, l_max)
+            want = group_of(
+                [sample_rollout(logp, prob, np.random.default_rng((*key, r)), l_max) for r in range(group_size)],
+                w_cap,
+            )
+            assert columns(got) == columns(want)
+            saturated += int(np.sum((got.states == w_cap) & (got.actions == Action.WORK)))
+            truncated += int(got.truncated.sum())
+        assert saturated > 0 and truncated > 0
+
+    def test_truncation_at_l_max(self):
+        logits = np.zeros((1, 3, 4))
+        logits[:, :, 2:] = -1e9
+        logp = TabularPolicy(("q",), 2, logits).log_probs()[0]
+        g = sample_group(logp, ProblemSpec("q", 1, "A"), (4,), 3, l_max=12)
+        assert g.truncated.all() and not g.correct.any() and g.lengths.tolist() == [12] * 3
+        assert g.states.max() == 2
+
+    def test_deterministic_in_key(self):
+        logp = initial_policy(("q",), 4).log_probs()[0]
+        prob = ProblemSpec("q", 2, "A")
+        a, b, c = (sample_group(logp, prob, key, 8, 32) for key in ((7, 1), (7, 1), (7, 2)))
+        assert columns(a) == columns(b)
+        assert not np.array_equal(a.actions, c.actions)
+
+    def test_bad_l_max(self):
+        with pytest.raises(ValueError, match="l_max"):
+            sample_group(initial_policy(("q",), 2).log_probs()[0], ProblemSpec("q", 1, "A"), (0,), 2, 0)
 
 
 class TestProblemBank:

@@ -3,9 +3,10 @@ import pytest
 
 from conciserl.advantage import AdvantageVector, count_advantage, std_advantage
 from conciserl.core import ProblemSpec, Rollout, RolloutGroup
-from conciserl.env import Action, TabularPolicy, sample_rollout
-from conciserl.objective import TokenBatch, flatten, surrogate
-from tests.reference import clipped_term, logprob, replay_states, token_ratio
+from conciserl.env import Action, TabularPolicy
+from conciserl.objective import surrogate
+from conciserl.trainer import sample_batch
+from tests.reference import clipped_term, group_of, logprob, replay_states, sample_rollout, token_ratio
 
 EPS_LOW, EPS_HIGH = 0.2, 0.28
 
@@ -15,20 +16,30 @@ def random_policy(rng, ids, w_cap=4, scale=1.0):
     return TabularPolicy(ids, w_cap, rng.normal(0, scale, size=shape))
 
 
-def random_groups(rng, n_problems=2, group_size=4, w_cap=4, mode="count", policy=None):
-    """Groups sampled from a behavior policy, with their advantages."""
+def random_rollouts(rng, n_problems=2, group_size=4, w_cap=4, policy=None):
+    """Per-problem rollouts sampled from a behavior policy by the scalar
+    reference sampler, drawing from one shared rng."""
     ids = tuple(f"p{i}" for i in range(n_problems))
     behavior = random_policy(rng, ids, w_cap) if policy is None else policy
     problems = [
         ProblemSpec(pid, int(rng.integers(1, w_cap + 1)), "A" if rng.random() < 0.5 else "B")
         for pid in ids
     ]
-    groups, advs = [], []
     logp = behavior.log_probs()
-    for i, prob in enumerate(problems):
-        rollouts = [sample_rollout(logp[i], prob, rng, l_max=64) for _ in range(group_size)]
-        group = RolloutGroup.from_rollouts(prob.id, rollouts)
-        rewards = [1.0 if r.correct else 0.0 for r in rollouts]
+    rollouts = [
+        [sample_rollout(logp[i], prob, rng, l_max=64) for _ in range(group_size)]
+        for i, prob in enumerate(problems)
+    ]
+    return rollouts, behavior
+
+
+def random_groups(rng, n_problems=2, group_size=4, w_cap=4, mode="count", policy=None):
+    """Groups sampled from a behavior policy, with their advantages."""
+    rollouts, behavior = random_rollouts(rng, n_problems, group_size, w_cap, policy)
+    groups, advs = [], []
+    for group_rollouts in rollouts:
+        group = group_of(group_rollouts, behavior.w_cap)
+        rewards = [1.0 if r.correct else 0.0 for r in group_rollouts]
         if mode == "count":
             advs.append(count_advantage(rewards, group.correct_count, 1e-6))
         else:
@@ -43,45 +54,45 @@ def random_batch(rng, n_problems=2, group_size=4, w_cap=4, mode="count"):
     # perturb away from the behavior snapshot so ratios leave 1.0
     new = behavior.copy()
     new.logits = new.logits + rng.normal(0, 0.3, size=new.logits.shape)
-    return flatten(groups, advs, new), new
+    return (groups, advs), new
 
 
-def tokens(*groups):
-    """A TokenBatch from per-group (problem_index, states, actions,
-    old_logps, advantages) tuples."""
-    index, states, actions, old_logps, advantages = zip(*groups)
-    return TokenBatch(
-        problem_index=np.array(index, dtype=np.intp),
-        offsets=np.cumsum([0] + [len(a) for a in actions]),
-        states=np.concatenate(states).astype(np.intp),
-        actions=np.concatenate(actions).astype(np.intp),
-        old_logps=np.concatenate(old_logps).astype(float),
-        advantages=np.concatenate(advantages).astype(float),
-    )
+def token_ratios(groups, policy):
+    """Every token's importance ratio under the policy, in batch order."""
+    logp = policy.log_probs()
+    return np.concatenate([
+        np.exp(logp[policy.problem_index(g.problem_id), g.states, g.actions] - g.behavior_logps)
+        for g in groups
+    ])
 
 
-def token_rows(batch):
-    """The policy row of every token."""
-    return np.repeat(batch.problem_index, np.diff(batch.offsets))
+def tokens(policy, *groups):
+    """Groups of one-token rollouts and their advantages, from per-group
+    (problem index, states, actions, old_logps, advantages) tuples."""
+    built, advs = [], []
+    for index, states, actions, old_logps, advantages in groups:
+        n = len(actions)
+        no = np.zeros(n, dtype=bool)
+        built.append(RolloutGroup(policy.problem_ids[index], np.ones(n), no, no, actions, states, old_logps))
+        advs.append(AdvantageVector(advantages, "count"))
+    return built, advs
 
 
-# Reference: the per-group path the flat batch replaced. Each group's token
-# arrays are built rollout by rollout, states replayed through every trace,
-# and the objective and gradient are taken one group at a time.
+# Reference: each group's token arrays built rollout by rollout from the
+# sampled traces, states replayed through every trace, and the objective and
+# gradient taken one group at a time.
 
 
-def reference_groups(groups, advantages, policy):
+def reference_groups(rollouts, advantages, policy):
     return [
         (
-            policy.problem_index(group.problem_id),
-            np.concatenate([replay_states(r.actions, policy.w_cap) for r in group.rollouts]),
-            np.concatenate([np.array(r.actions, dtype=np.intp) for r in group.rollouts]),
-            np.concatenate([np.array(r.behavior_logps) for r in group.rollouts]),
-            np.concatenate(
-                [np.full(r.length, float(a)) for a, r in zip(adv.values, group.rollouts)]
-            ),
+            policy.problem_index(group[0].problem_id),
+            np.concatenate([replay_states(r.actions, policy.w_cap) for r in group]),
+            np.concatenate([np.array(r.actions, dtype=np.intp) for r in group]),
+            np.concatenate([np.array(r.behavior_logps) for r in group]),
+            np.concatenate([np.full(r.length, float(a)) for a, r in zip(adv.values, group)]),
         )
-        for group, adv in zip(groups, advantages)
+        for group, adv in zip(rollouts, advantages)
     ]
 
 
@@ -160,52 +171,52 @@ class TestClippedTerm:
 
 
 class TestTokenBatch:
+    """A step's tokens are the per-token columns of its groups; each
+    rollout's advantage covers its own tokens."""
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty batch"):
-            TokenBatch(
-                np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp),
-                *(np.zeros(0, dtype=np.intp),) * 2, np.zeros(0), np.zeros(0),
-            )
+            surrogate([], [], TabularPolicy(("p",), 2), EPS_LOW, EPS_HIGH)
 
     def test_group_token_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
-            TokenBatch(
-                np.array([0]), np.array([0, 3]), np.zeros(2, dtype=np.intp),
-                np.zeros(3, dtype=np.intp), np.zeros(3), np.zeros(3),
-            )
+        with pytest.raises(ValueError, match="one entry per token"):
+            RolloutGroup("p", [3], [False], [False], [0, 0, 2], [0, 1], [-1.0] * 3)
 
     def test_offsets_must_cover_tokens(self):
-        with pytest.raises(ValueError, match="offsets"):
-            TokenBatch(
-                np.array([0]), np.array([0, 2]), *(np.zeros(3, dtype=np.intp),) * 2,
-                np.zeros(3), np.zeros(3),
-            )
+        with pytest.raises(ValueError, match="token count"):
+            RolloutGroup("p", [2], [False], [False], [0, 0, 2], [0, 1, 2], [-1.0] * 3)
 
     def test_advantages_broadcast_per_rollout(self):
-        policy = TabularPolicy(("p",), 4)
-        r1 = Rollout("p", (0, 0, 2), (-1.4,) * 3, 3, True, False)
-        r2 = Rollout("p", (1, 3), (-1.4,) * 2, 2, False, False)
-        group = RolloutGroup.from_rollouts("p", [r1, r2])
+        # two rollouts of 3 and 2 tokens score exactly as five one-token
+        # rollouts carrying their rollout's advantage
+        rng = np.random.default_rng(9)
+        policy = random_policy(rng, ("p",), w_cap=4)
+        old = np.log(rng.uniform(0.05, 1.0, size=5))
+        states, actions = [0, 1, 2, 0, 0], [0, 0, 2, 1, 3]
+        group = RolloutGroup("p", [3, 2], [True, False], [False, False], actions, states, old)
         adv = count_advantage([1.0, 0.0], 1, 1e-6)
-        batch = flatten([group], [adv], policy)
-        assert list(batch.advantages) == [adv.values[0]] * 3 + [adv.values[1]] * 2
-        assert list(batch.states) == [0, 1, 2, 0, 0]
-        assert list(batch.offsets) == [0, 5]
-        assert batch.groups() == [(0, slice(0, 5))]
+        per_token = tokens(policy, (0, states, actions, old, [adv.values[0]] * 3 + [adv.values[1]] * 2))
+        value, grad = surrogate([group], [adv], policy, EPS_LOW, EPS_HIGH)
+        ref_value, ref_grad = surrogate(*per_token, policy, EPS_LOW, EPS_HIGH)
+        assert value == ref_value and np.array_equal(grad, ref_grad)
 
     def test_size_mismatch_rejected(self):
         policy = TabularPolicy(("p",), 4)
-        r = Rollout("p", (2,), (-1.4,), 1, False, False)
-        group = RolloutGroup.from_rollouts("p", [r, r])
+        group = RolloutGroup("p", [1, 1], [False, False], [False, False], [2, 2], [0, 0], [-1.4, -1.4])
         adv = count_advantage([1.0, 0.5, 0.0], 2, 1e-6)
-        with pytest.raises(ValueError):
-            flatten([group], [adv], policy)
+        with pytest.raises(ValueError, match="size mismatch"):
+            surrogate([group], [adv], policy, EPS_LOW, EPS_HIGH)
+        with pytest.raises(ValueError, match="one AdvantageVector per group"):
+            surrogate([group, group], [adv], policy, EPS_LOW, EPS_HIGH)
 
 
 class TestFlatten:
+    """The flat per-token columns the sampler records for a step."""
+
     def test_matches_per_group_arrays(self):
-        # the flat arrays are the per-group reference arrays, concatenated;
-        # small w_cap and WORK-heavy policies make states saturate
+        # sample_batch's columns are the per-rollout reference arrays on the
+        # same (*key, problem, rollout) streams, concatenated; small w_cap
+        # and WORK-heavy policies make states saturate
         saturated = 0
         for seed in range(30):
             rng = np.random.default_rng(400 + seed)
@@ -213,50 +224,60 @@ class TestFlatten:
             ids = tuple(f"p{i}" for i in range(3))
             policy = random_policy(rng, ids, w_cap)
             policy.logits[..., Action.WORK] += 2.0
-            groups, advs, _ = random_groups(rng, 3, 5, w_cap, policy=policy)
-            batch = flatten(groups, advs, policy)
-            ref = reference_groups(groups, advs, policy)
-            for (p, span), (index, states, actions, old_logps, advantages) in zip(batch.groups(), ref):
-                assert p == index
-                assert np.array_equal(batch.states[span], states)
-                assert np.array_equal(batch.actions[span], actions)
-                assert np.array_equal(batch.old_logps[span], old_logps)
-                assert np.array_equal(batch.advantages[span], advantages)
-            assert batch.states.dtype == batch.actions.dtype == np.intp
-            saturated += int(np.sum((batch.states == w_cap) & (batch.actions == Action.WORK)))
+            bank = [ProblemSpec(pid, int(rng.integers(1, w_cap + 1)), "AB"[i % 2]) for i, pid in enumerate(ids)]
+            key = (seed, 3)
+            groups = sample_batch(policy, bank, 5, 64, key)
+            logp = policy.log_probs()
+            for p, (group, problem) in enumerate(zip(groups, bank)):
+                rollouts = [
+                    sample_rollout(logp[p], problem, np.random.default_rng((*key, p, r)), 64) for r in range(5)
+                ]
+                adv = AdvantageVector((0.0,) * 5, "count")
+                (index, states, actions, old_logps, _), = reference_groups([rollouts], [adv], policy)
+                assert group.problem_id == problem.id and index == p
+                assert np.array_equal(group.states, states)
+                assert np.array_equal(group.actions, actions)
+                assert np.array_equal(group.behavior_logps, old_logps)
+                assert group.lengths.tolist() == [r.length for r in rollouts]
+                assert group.correct.tolist() == [r.correct for r in rollouts]
+                saturated += int(np.sum((group.states == w_cap) & (group.actions == Action.WORK)))
         assert saturated > 0
 
     def test_states_replay_each_trace(self):
-        policy = TabularPolicy(("p",), 2)
-        traces = [(0, 0, 0, 1, 0, 2), (1, 1, 3), (0, 0, 0, 0, 0)]
-        group = RolloutGroup.from_rollouts(
-            "p", [Rollout("p", t, (-1.0,) * len(t), len(t), False, t[-1] < 2) for t in traces]
-        )
-        batch = flatten([group], [AdvantageVector((0.0,) * 3, "count")], policy)
-        assert np.array_equal(
-            batch.states, np.concatenate([replay_states(t, 2) for t in traces])
-        )
-        assert list(batch.states) == [0, 1, 2, 2, 2, 2, 0, 0, 0, 0, 1, 2, 2, 2]
+        # a policy that only works: every trace is WORK to l_max, its states
+        # count up and saturate at w_cap
+        logits = np.zeros((1, 3, 4))
+        logits[..., 1:] = -1e9
+        policy = TabularPolicy(("p",), 2, logits)
+        (group,) = sample_batch(policy, [ProblemSpec("p", 1, "A")], 3, 5, (0,))
+        assert group.states.tolist() == [0, 1, 2, 2, 2] * 3
+        for seed in range(10):
+            rng = np.random.default_rng(450 + seed)
+            policy = random_policy(rng, ("p",), w_cap=2)
+            (group,) = sample_batch(policy, [ProblemSpec("p", 1, "B")], 6, 16, (seed,))
+            traces = np.split(group.actions, np.cumsum(group.lengths)[:-1])
+            assert np.array_equal(group.states, np.concatenate([replay_states(t, 2) for t in traces]))
 
     def test_objective_and_gradient_equal_per_group_reference(self):
-        # exact equality, not approximate: the flat path keeps the per-group
-        # float operations and the np.add.at order
+        # exact equality, not approximate: the per-group pass over the
+        # columns keeps the reference float operations and np.add.at order
         clip_active = 0
         for seed in range(30):
             rng = np.random.default_rng(500 + seed)
-            groups, advs, behavior = random_groups(
-                rng, n_problems=3, group_size=6, mode="count" if seed % 2 else "std"
-            )
+            rollouts, behavior = random_rollouts(rng, n_problems=3, group_size=6)
+            groups = [group_of(rs, behavior.w_cap) for rs in rollouts]
+            rewards = [[1.0 if r.correct else 0.0 for r in rs] for rs in rollouts]
+            if seed % 2:
+                advs = [count_advantage(rw, g.correct_count, 1e-6) for rw, g in zip(rewards, groups)]
+            else:
+                advs = [std_advantage(rw) for rw in rewards]
             policy = behavior.copy()
             policy.logits = policy.logits + rng.normal(0, 0.5, size=policy.logits.shape)
-            batch = flatten(groups, advs, policy)
-            ref = reference_groups(groups, advs, policy)
-            value, grad = surrogate(batch, policy, EPS_LOW, EPS_HIGH)
+            ref = reference_groups(rollouts, advs, policy)
+            value, grad = surrogate(groups, advs, policy, EPS_LOW, EPS_HIGH)
             assert value == reference_surrogate(ref, policy, EPS_LOW, EPS_HIGH)
             assert np.array_equal(grad, reference_gradient(ref, policy, EPS_LOW, EPS_HIGH))
-            ratio = np.exp(
-                policy.log_probs()[token_rows(batch), batch.states, batch.actions] - batch.old_logps
-            )
+            ratio = token_ratios(groups, policy)
             clip_active += int(np.sum((ratio < 1 - EPS_LOW) | (ratio > 1 + EPS_HIGH)))
         assert clip_active > 0
 
@@ -266,8 +287,8 @@ class TestSurrogate:
         # ratio 1 at the behavior snapshot: the term is just the advantage
         policy = TabularPolicy(("p",), 2)
         old = logprob(policy, Rollout("p", (2,), (-1.0,), 1, True, False))
-        batch = tokens((0, [0], [2], old, [0.5]))
-        assert surrogate(batch, policy, EPS_LOW, EPS_HIGH)[0] == pytest.approx(0.5)
+        batch = tokens(policy, (0, [0], [2], old, [0.5]))
+        assert surrogate(*batch, policy, EPS_LOW, EPS_HIGH)[0] == pytest.approx(0.5)
 
     def test_at_snapshot_equals_mean_group_advantage(self):
         # ratios all equal 1 when scoring the sampling policy itself, so the
@@ -275,9 +296,8 @@ class TestSurrogate:
         # per-token advantage
         rng = np.random.default_rng(12)
         groups, advs, behavior = random_groups(rng)
-        batch = flatten(groups, advs, behavior)
-        expected = np.mean([batch.advantages[span].mean() for _, span in batch.groups()])
-        got = surrogate(batch, behavior, EPS_LOW, EPS_HIGH)[0]
+        expected = np.mean([np.repeat(a.values, g.lengths).mean() for g, a in zip(groups, advs)])
+        got = surrogate(groups, advs, behavior, EPS_LOW, EPS_HIGH)[0]
         assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_matches_bruteforce(self):
@@ -287,17 +307,16 @@ class TestSurrogate:
             batch, policy = random_batch(rng)
             logp = policy.log_probs()
             per_group = []
-            for p, span in batch.groups():
+            for group, adv in zip(*batch):
+                p = policy.problem_index(group.problem_id)
+                token_advs = [v for v, n in zip(adv.values, group.lengths) for _ in range(n)]
                 terms = []
-                for s, a, old, adv in zip(
-                    batch.states[span], batch.actions[span], batch.old_logps[span],
-                    batch.advantages[span],
-                ):
+                for s, a, old, token_adv in zip(group.states, group.actions, group.behavior_logps, token_advs):
                     ratio = token_ratio(logp[p, s, a], old)
-                    terms.append(clipped_term(ratio, adv, EPS_LOW, EPS_HIGH))
+                    terms.append(clipped_term(ratio, token_adv, EPS_LOW, EPS_HIGH))
                 per_group.append(sum(terms) / len(terms))
             expected = sum(per_group) / len(per_group)
-            got = surrogate(batch, policy, EPS_LOW, EPS_HIGH)[0]
+            got = surrogate(*batch, policy, EPS_LOW, EPS_HIGH)[0]
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_group_normalization_balances_lengths(self):
@@ -306,7 +325,7 @@ class TestSurrogate:
         old = float(policy.log_probs()[0, 0, 2])
         long_g = (0, np.zeros(10), np.full(10, 2), np.full(10, old), np.full(10, 1.0))
         short_g = (1, [0], [2], [old], [-1.0])
-        val = surrogate(tokens(long_g, short_g), policy, EPS_LOW, EPS_HIGH)[0]
+        val = surrogate(*tokens(policy, long_g, short_g), policy, EPS_LOW, EPS_HIGH)[0]
         assert val == pytest.approx((1.0 + -1.0) / 2)
 
 
@@ -318,21 +337,20 @@ class TestGradient:
         for seed in range(40):
             rng = np.random.default_rng(100 + seed)
             batch, policy = random_batch(rng, mode="count" if seed % 2 == 0 else "std")
-            grad = surrogate(batch, policy, EPS_LOW, EPS_HIGH)[1]
+            grad = surrogate(*batch, policy, EPS_LOW, EPS_HIGH)[1]
             num = np.zeros_like(grad)
             it = np.nditer(policy.logits, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
                 bumped = policy.copy()
                 bumped.logits[idx] += h
-                up = surrogate(batch, bumped, EPS_LOW, EPS_HIGH)[0]
+                up = surrogate(*batch, bumped, EPS_LOW, EPS_HIGH)[0]
                 bumped.logits[idx] -= 2 * h
-                down = surrogate(batch, bumped, EPS_LOW, EPS_HIGH)[0]
+                down = surrogate(*batch, bumped, EPS_LOW, EPS_HIGH)[0]
                 num[idx] = (up - down) / (2 * h)
             # skip batches where some token sits within O(h) of a clip
             # boundary: the objective is not differentiable there
-            logp = policy.log_probs()
-            ratio = np.exp(logp[token_rows(batch), batch.states, batch.actions] - batch.old_logps)
+            ratio = token_ratios(batch[0], policy)
             near_kink = np.any(
                 (np.abs(ratio - (1 - EPS_LOW)) < 50 * h) | (np.abs(ratio - (1 + EPS_HIGH)) < 50 * h)
             )
@@ -347,13 +365,13 @@ class TestGradient:
         # one token, positive advantage, ratio far above 1 + eps_high
         policy = TabularPolicy(("p",), 2)
         old_lp = float(policy.log_probs()[0, 0, 2]) - 2.0  # ratio = e^2 >> 1.28
-        grad = surrogate(tokens((0, [0], [2], [old_lp], [1.0])), policy, EPS_LOW, EPS_HIGH)[1]
+        grad = surrogate(*tokens(policy, (0, [0], [2], [old_lp], [1.0])), policy, EPS_LOW, EPS_HIGH)[1]
         assert np.all(grad == 0)
 
     def test_negative_advantage_never_clips_to_zero(self):
         policy = TabularPolicy(("p",), 2)
         old_lp = float(policy.log_probs()[0, 0, 2]) - 2.0
-        grad = surrogate(tokens((0, [0], [2], [old_lp], [-1.0])), policy, EPS_LOW, EPS_HIGH)[1]
+        grad = surrogate(*tokens(policy, (0, [0], [2], [old_lp], [-1.0])), policy, EPS_LOW, EPS_HIGH)[1]
         assert np.abs(grad).max() > 0
 
     def test_gradient_rows_sum_to_zero(self):
@@ -361,18 +379,18 @@ class TestGradient:
         for seed in range(10):
             rng = np.random.default_rng(200 + seed)
             batch, policy = random_batch(rng)
-            grad = surrogate(batch, policy, EPS_LOW, EPS_HIGH)[1]
+            grad = surrogate(*batch, policy, EPS_LOW, EPS_HIGH)[1]
             assert np.abs(grad.sum(axis=-1)).max() < 1e-12
 
     def test_ascent_improves_objective(self):
         for seed in range(10):
             rng = np.random.default_rng(300 + seed)
             batch, policy = random_batch(rng)
-            grad = surrogate(batch, policy, EPS_LOW, EPS_HIGH)[1]
+            grad = surrogate(*batch, policy, EPS_LOW, EPS_HIGH)[1]
             if np.abs(grad).max() == 0:
                 continue
-            before = surrogate(batch, policy, EPS_LOW, EPS_HIGH)[0]
+            before = surrogate(*batch, policy, EPS_LOW, EPS_HIGH)[0]
             stepped = policy.copy()
             stepped.ascend(grad, 1e-3 / np.abs(grad).max())
-            after = surrogate(batch, stepped, EPS_LOW, EPS_HIGH)[0]
+            after = surrogate(*batch, stepped, EPS_LOW, EPS_HIGH)[0]
             assert after >= before - 1e-12

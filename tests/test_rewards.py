@@ -4,36 +4,31 @@ import numpy as np
 import pytest
 
 from conciserl.buffer import ExperienceBuffer
-from conciserl.core import Rollout, RolloutGroup
 from conciserl.rewards import RewardTier, ShapedReward, shape, shape_group
-
-
-def rollout(length, correct, problem_id="q"):
-    actions = [0] * (length - 1) + [2]
-    return Rollout(problem_id, tuple(actions), tuple([-1.0] * length), length, correct, False)
+from tests.test_buffer import group
 
 
 class TestShape:
     def test_concise_correct(self):
-        r = shape(rollout(105, True), threshold=110.0, r_pen=0.5)
+        r = shape(105, True, threshold=110.0, r_pen=0.5)
         assert r == ShapedReward(1.0, RewardTier.CONCISE_CORRECT)
 
     def test_verbose_correct(self):
-        r = shape(rollout(120, True), threshold=110.0, r_pen=0.5)
+        r = shape(120, True, threshold=110.0, r_pen=0.5)
         assert r == ShapedReward(0.5, RewardTier.VERBOSE_CORRECT)
 
     def test_incorrect(self):
         for length in (1, 50, 5000):
-            assert shape(rollout(length, False), 110.0, 0.5) == ShapedReward(
+            assert shape(length, False, 110.0, 0.5) == ShapedReward(
                 0.0, RewardTier.INCORRECT
             )
 
     def test_boundary_is_inclusive(self):
-        assert shape(rollout(110, True), 110.0, 0.5).value == 1.0
+        assert shape(110, True, 110.0, 0.5).value == 1.0
 
     def test_r_pen_out_of_range(self):
         with pytest.raises(ValueError):
-            shape(rollout(3, True), 10.0, 1.0)
+            shape(3, True, 10.0, 1.0)
 
     def test_tier_exhaustive_random(self):
         # All four boundary lengths for random (l_star, alpha, r_pen) triples.
@@ -48,7 +43,7 @@ class TestShape:
                 for length in lengths:
                     if length < 1:
                         continue
-                    got = shape(rollout(length, correct), thr, r_pen)
+                    got = shape(length, correct, thr, r_pen)
                     if not correct:
                         expected = 0.0
                     elif length <= thr:
@@ -65,9 +60,7 @@ class TestShape:
             thr = float(rng.uniform(1, 100))
             r_pen = float(rng.uniform(0, 0.999))
             l1, l2 = sorted(int(rng.integers(1, 200)) for _ in range(2))
-            assert shape(rollout(l1, True), thr, r_pen).value >= shape(
-                rollout(l2, True), thr, r_pen
-            ).value
+            assert shape(l1, True, thr, r_pen).value >= shape(l2, True, thr, r_pen).value
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(7)
@@ -75,38 +68,34 @@ class TestShape:
             length = int(rng.integers(1, 200))
             r_pen = float(rng.uniform(0, 0.999))
             t1, t2 = sorted(float(rng.uniform(0.5, 250)) for _ in range(2))
-            r = rollout(length, True)
-            assert shape(r, t1, r_pen).value <= shape(r, t2, r_pen).value
+            assert shape(length, True, t1, r_pen).value <= shape(length, True, t2, r_pen).value
 
     def test_r_pen_zero_degenerates_to_binary(self):
-        assert shape(rollout(5, True), 10.0, 0.0).value == 1.0
-        assert shape(rollout(50, True), 10.0, 0.0).value == 0.0
-        assert shape(rollout(5, False), 10.0, 0.0).value == 0.0
+        assert shape(5, True, 10.0, 0.0).value == 1.0
+        assert shape(50, True, 10.0, 0.0).value == 0.0
+        assert shape(5, False, 10.0, 0.0).value == 0.0
 
 
 class TestShapeGroup:
     def test_hand_example(self):
         buf = ExperienceBuffer({"q": 100}, 16384)
-        g = RolloutGroup.from_rollouts(
-            "q",
-            [rollout(100, True), rollout(200, True), rollout(50, False), rollout(110, True)],
-        )
+        g = group("q", [(100, True), (200, True), (50, False), (110, True)])
         values = [s.value for s in shape_group(g, buf, alpha=0.1, r_pen=0.5)]
         assert values == [1.0, 0.5, 0.0, 1.0]
 
     def test_all_incorrect(self):
         buf = ExperienceBuffer({"q": 100}, 16384)
-        g = RolloutGroup.from_rollouts("q", [rollout(n, False) for n in (10, 20, 30)])
+        g = group("q", [(n, False) for n in (10, 20, 30)])
         assert [s.value for s in shape_group(g, buf, 0.1, 0.5)] == [0.0, 0.0, 0.0]
 
     def test_unsolved_problem_has_generous_threshold(self):
         l_max = 16384
         buf = ExperienceBuffer.init({"q"}, l_max)
-        g = RolloutGroup.from_rollouts("q", [rollout(l_max, True)])
+        g = group("q", [(l_max, True)])
         assert shape_group(g, buf, 0.1, 0.5)[0].value == 1.0
 
     def test_unknown_problem(self):
         buf = ExperienceBuffer.init({"q"}, 100)
-        g = RolloutGroup.from_rollouts("zz", [rollout(10, True, problem_id="zz")])
+        g = group("zz", [(10, True)])
         with pytest.raises(KeyError):
             shape_group(g, buf, 0.1, 0.5)

@@ -5,7 +5,7 @@ import pytest
 
 from conciserl.buffer import ExperienceBuffer
 from conciserl.core import InvariantViolation, ProblemSpec, RunConfig
-from conciserl.env import TabularPolicy, initial_policy, make_problem_bank, sample_rollout
+from conciserl.env import TabularPolicy, initial_policy, make_problem_bank
 from conciserl.trainer import (
     StepLog,
     checkpoint,
@@ -14,6 +14,7 @@ from conciserl.trainer import (
     sample_batch,
     train_step,
 )
+from tests.reference import columns, group_of, sample_rollout
 
 
 def count_log_probs(monkeypatch):
@@ -34,6 +35,20 @@ def nan_logits(path):
     logits = np.load(path)
     logits[0, 0, 0] = np.nan
     np.save(path, logits)
+
+
+def blow_up_at(monkeypatch, step):
+    """Make the ``step``-th ascend of the run leave the logits infinite."""
+    original = TabularPolicy.ascend
+    done = []
+
+    def ascend(self, grad, learning_rate):
+        original(self, grad, learning_rate)
+        done.append(self)
+        if len(done) == step:
+            self.logits = self.logits + np.inf
+
+    monkeypatch.setattr(TabularPolicy, "ascend", ascend)
 
 
 SMALL = dict(group_size=4, steps=5, l_max=64, w_cap=5, n_problems=4, d_min=1, d_max=4)
@@ -60,8 +75,8 @@ class TestSampleBatch:
         a = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 3))
         b = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 3))
         c = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 4))
-        assert a == b
-        assert a != c
+        assert list(map(columns, a)) == list(map(columns, b))
+        assert list(map(columns, a)) != list(map(columns, c))
 
     def test_rollout_streams_keyed_by_problem_and_rollout(self):
         # rollout r of problem p draws from default_rng((*key, p, r)), so a
@@ -78,9 +93,11 @@ class TestSampleBatch:
             groups = sample_batch(policy, bank, cfg.group_size, cfg.l_max, key)
             for p, (problem, group) in enumerate(zip(bank, groups)):
                 rows = logp[policy.problem_index(problem.id)]
-                for r, rollout in enumerate(group.rollouts):
-                    rng = np.random.default_rng((*key, p, r))
-                    assert rollout == sample_rollout(rows, problem, rng, cfg.l_max)
+                rollouts = [
+                    sample_rollout(rows, problem, np.random.default_rng((*key, p, r)), cfg.l_max)
+                    for r in range(cfg.group_size)
+                ]
+                assert columns(group) == columns(group_of(rollouts, cfg.w_cap))
 
     def test_log_probs_once_per_batch(self, monkeypatch):
         cfg = small_config()
@@ -112,7 +129,7 @@ class TestTrainStep:
         buffer = ExperienceBuffer.init(("p000",), cfg.l_max)
         groups = sample_batch(policy.copy(), bank, cfg.group_size, cfg.l_max, (cfg.seed, 1))
         shortest = min(
-            (r.length for g in groups for r in g.rollouts if r.correct), default=cfg.l_max
+            (n for g in groups for n in g.lengths[g.correct].tolist()), default=cfg.l_max
         )
         train_step(policy, buffer, bank, cfg, step=1)
         assert buffer.entry("p000") == shortest
@@ -140,7 +157,7 @@ class TestTrainStep:
         assert log.mean_shortest_correct == buffer.stats()
         assert 0 <= log.solved_count <= cfg.n_problems
         assert log.wall_ms > 0
-        assert StepLog.from_dict(log.to_dict()) == log
+        assert StepLog(**log.to_dict()) == log
 
 
 class TestRun:
@@ -182,7 +199,7 @@ class TestRun:
         run(cfg, out_dir=tmp_path)
         lines = (tmp_path / "steps.jsonl").read_text().splitlines()
         assert len(lines) == 4
-        logs = [StepLog.from_dict(json.loads(x)) for x in lines]
+        logs = [StepLog(**json.loads(x)) for x in lines]
         assert [l.step for l in logs] == [1, 2, 3, 4]
         for step in (2, 4):
             d = tmp_path / "checkpoints" / f"step_{step:05d}"
@@ -190,6 +207,25 @@ class TestRun:
             assert (d / "policy_logits.npy").exists()
             assert (d / "buffer.expbuf").exists()
             assert (d / "bank.tsv").exists()
+
+    def test_blow_up_stops_before_its_checkpoint(self, tmp_path, monkeypatch):
+        # step 2 makes the logits infinite: its log line is written, its
+        # checkpoint is not, and the error names it
+        blow_up_at(monkeypatch, 2)
+        with pytest.raises(InvariantViolation, match="logits are not finite after step 2$"):
+            run(small_config(steps=4, checkpoint_every=1), out_dir=tmp_path)
+        lines = (tmp_path / "steps.jsonl").read_text().splitlines()
+        assert [json.loads(x)["step"] for x in lines] == [1, 2]
+        assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == ["step_00001"]
+
+    def test_blown_up_step_returns(self, monkeypatch):
+        # the step itself returns its non-finite policy; the run stops after it
+        cfg = small_config()
+        bank = make_problem_bank(cfg.n_problems, (cfg.d_min, cfg.d_max), cfg.seed)
+        policy = initial_policy([p.id for p in bank], cfg.w_cap)
+        blow_up_at(monkeypatch, 1)
+        policy, _, log = train_step(policy, ExperienceBuffer.init([p.id for p in bank], cfg.l_max), bank, cfg, 1)
+        assert log.step == 1 and not np.isfinite(policy.logits).any()
 
     def test_buffer_monotone_over_run(self):
         cfg = small_config(steps=10)
