@@ -26,7 +26,6 @@ from .env import (
     load_bank,
     make_problem_bank,
     min_correct_length,
-    sample_group,
     save_bank,
 )
 from .objective import surrogate
@@ -59,7 +58,6 @@ __all__ = [
     "resume",
     "run",
     "sample_batch",
-    "sample_group",
     "save_bank",
     "save_config",
     "shape",

@@ -65,7 +65,7 @@ class Rollout:
 
     The library samples, shapes and trains on columnar ``RolloutGroup``s
     and builds no ``Rollout``; the record is the unit of the scalar reference
-    sampler the tests check ``env.sample_group`` against.
+    sampler the tests check ``trainer.sample_batch`` against.
     ``behavior_logps`` are the log-probabilities (nats) of each emitted token
     under the policy that sampled it.
     """

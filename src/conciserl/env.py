@@ -109,82 +109,176 @@ def min_correct_length(problem: ProblemSpec) -> int:
     return problem.difficulty + 1
 
 
-def sample_group(
+# Width of each rollout's first chunk of uniforms; every later chunk doubles
+# (capped at the tokens left before l_max).
+_FIRST_CHUNK = 16
+# Rollouts are walked together in blocks of at most this many rollouts and
+# this many tokens at l_max: a block's generators, uniforms and token columns
+# are all that the sampler keeps live besides the finished groups. A block
+# holds whole groups, or part of one group when a group is larger.
+_BLOCK_ROLLOUTS = 256
+_BLOCK_TOKENS = 1 << 19
+
+
+def sample_groups(
     logp: np.ndarray,
-    problem: ProblemSpec,
+    bank: Sequence[ProblemSpec],
     key: tuple[int, ...],
     group_size: int,
     l_max: int,
-) -> RolloutGroup:
-    """Autoregressively sample ``group_size`` episodes of one problem.
+) -> list[RolloutGroup]:
+    """Sample ``group_size`` episodes of every problem of ``bank``.
 
-    ``logp`` is the problem's ``(w_cap + 1, N_ACTIONS)`` slice of
+    ``logp[i]`` holds ``bank[i]``'s ``(w_cap + 1, N_ACTIONS)`` rows of
     ``TabularPolicy.log_probs()``, row w being the state with w WORK tokens
-    so far; rollout r draws from ``default_rng((*key, r))``. An episode ends
-    at the first ANSWER_* token or is truncated at ``l_max`` tokens;
-    truncated episodes are incorrect by convention. Each token's state is
-    recorded as it is sampled.
+    so far; rollout r of ``bank[i]`` draws one uniform per token from
+    ``default_rng((*key, i, r))`` and takes the first action whose
+    cumulative probability exceeds it. An episode ends at the first ANSWER_*
+    token or is truncated at ``l_max`` tokens; truncated episodes are
+    incorrect by convention.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    # Plain-python rows: the per-token loop below is the hot path.
-    c = np.exp(logp).cumsum(axis=1).tolist()
-    lp = logp.tolist()
-    w_cap = len(lp) - 1
-    d = problem.difficulty
-    want = int(_ANSWER_FOR_LETTER[problem.correct_answer])
+    if group_size < 1:
+        raise ValueError("group_size must be >= 1")
+    cum = np.exp(logp).cumsum(axis=-1)
+    block = max(1, min(_BLOCK_ROLLOUTS, _BLOCK_TOKENS // l_max))
+    groups: list[RolloutGroup] = []
+    if group_size <= block:
+        per_block = block // group_size
+        for first in range(0, len(bank), per_block):
+            problems = range(first, min(first + per_block, len(bank)))
+            groups += _sample_block(logp, cum, bank, problems, range(group_size), key, l_max)
+        return groups
+    for p in range(len(bank)):
+        parts = [
+            _sample_block(logp, cum, bank, range(p, p + 1), range(r, min(r + block, group_size)), key, l_max)[0]
+            for r in range(0, group_size, block)
+        ]
+        columns = ("lengths", "correct", "truncated", "actions", "states", "behavior_logps")
+        groups.append(RolloutGroup(bank[p].id, **{c: np.concatenate([getattr(g, c) for g in parts]) for c in columns}))
+    return groups
 
-    actions: list[int] = []
-    states: list[int] = []
-    logps: list[float] = []
-    lengths: list[int] = []
-    correct: list[bool] = []
-    truncated: list[bool] = []
-    for r in range(group_size):
-        rng = np.random.default_rng((*key, r))
-        start = len(actions)
-        w = 0
-        work = 0
-        answered = False
-        chunk: list[float] = []
-        ci = 0
-        for _ in range(l_max):
-            if ci == len(chunk):
-                chunk = rng.random(64).tolist()
-                ci = 0
-            u = chunk[ci]
-            ci += 1
-            row = c[w]
-            if u < row[0]:
-                a = 0
-            elif u < row[1]:
-                a = 1
-            elif u < row[2]:
-                a = 2
-            else:
-                a = 3
-            actions.append(a)
-            states.append(w)
-            logps.append(lp[w][a])
-            if a == 0:
-                work += 1
-                if w < w_cap:
-                    w += 1
-            elif a >= 2:
-                answered = True
-                break
-        lengths.append(len(actions) - start)
-        truncated.append(not answered)
-        correct.append(answered and a == want and work >= d)
-    return RolloutGroup(
-        problem_id=problem.id,
-        lengths=np.array(lengths, dtype=np.intp),
-        correct=np.array(correct, dtype=bool),
-        truncated=np.array(truncated, dtype=bool),
-        actions=np.array(actions, dtype=np.intp),
-        states=np.array(states, dtype=np.intp),
-        behavior_logps=np.array(logps, dtype=float),
-    )
+
+def _sample_block(
+    logp: np.ndarray,
+    cum: np.ndarray,
+    bank: Sequence[ProblemSpec],
+    problems: range,
+    rollouts: range,
+    key: tuple[int, ...],
+    l_max: int,
+) -> list[RolloutGroup]:
+    """The ``rollouts`` of each problem of ``bank[problems]``, as one group
+    per problem, walked one state exit at a time.
+
+    In state w a FILLER token keeps the state, and so does a WORK token at
+    ``w_cap``; any other token exits it. A run of state-keeping tokens
+    therefore ends at the first uniform outside ``[cum[w, 0], cum[w, 1])``
+    (``[0, cum[w, 1])`` at ``w_cap``), which one numpy pass finds for every
+    live rollout at once. Rollouts draw their uniforms in doubling chunks;
+    PCG64 yields the same doubles whatever the chunk sizes, so a rollout
+    consumes exactly the uniforms a token-by-token loop would. Every token's
+    action is then the same comparison against its state's ``cum`` row.
+    """
+    n_states = logp.shape[1]
+    group_size = len(rollouts)
+    n = len(problems) * group_size
+    rngs = [np.random.default_rng((*key, p, r)) for p in problems for r in rollouts]
+    # Per flat (problem, state) index: a uniform below ``lo`` is a WORK exit
+    # (never at w_cap), one at or above ``hi`` an answer.
+    lo = cum[:, :, 0].copy()
+    lo[:, -1] = -1.0
+    lo, hi = lo.reshape(-1), cum[:, :, 1].reshape(-1)
+    first_state = np.repeat(np.arange(problems.start, problems.stop) * n_states, group_size)
+    state = first_state.copy()
+    length = np.full(n, l_max, dtype=np.intp)  # until the rollout answers
+    exit_rows, exit_tokens = [], []  # where each WORK exit happened
+    chunks = []  # (rows, offset, uniforms) of every chunk drawn
+    rows = np.arange(n)
+    offset, width = 0, min(_FIRST_CHUNK, l_max)
+    while rows.size:
+        chunk = np.empty((rows.size, width + 1))
+        chunk[:, width] = 2.0  # a sentinel that exits every state
+        for out, row in zip(chunk[:, :width], rows.tolist()):
+            rngs[row].random(out=out)
+        chunks.append((rows, offset, chunk))
+        columns = np.arange(width + 1)
+        # The rollouts still in this chunk: their states, their uniforms and
+        # the column of their last exit.
+        r, s, ur, cursor = rows, state[rows], chunk, None
+        spilled = []  # rollouts that go on into the next chunk
+        while r.size:
+            lo_r = lo[s]
+            exits = (ur < lo_r[:, None]) | (ur >= hi[s][:, None])
+            if cursor is not None:
+                exits &= columns > cursor[:, None]
+            j = exits.argmax(axis=1)
+            work = ur[np.arange(r.size), j] < lo_r
+            s += work
+            state[r] = s
+            token = offset + j  # the exit's place in its rollout
+            exit_rows.append(r[work])
+            exit_tokens.append(token[work])
+            answer = (j < width) & ~work
+            length[r[answer]] = token[answer] + 1
+            more = work & (j < width - 1)
+            spilled.append(r[~(answer | more)])
+            r, s, ur, cursor = r[more], s[more], ur[more], j[more]
+        offset += width
+        width = min(2 * width, l_max - offset)
+        rows = np.concatenate(spilled) if width else rows[:0]
+
+    # Token columns, rollout after rollout.
+    start = np.cumsum(length) - length
+    total = int(length.sum())
+    u = np.empty(total)
+    while chunks:
+        rows, offset, chunk = chunks.pop()
+        used = np.minimum(length[rows] - offset, chunk.shape[1] - 1)
+        first = np.cumsum(used) - used
+        dest = np.repeat(start[rows] + offset - first, used)
+        dest += np.arange(len(dest))
+        u[dest] = chunk[np.arange(chunk.shape[1]) < used[:, None]]
+        del chunk, dest
+    # A rollout's state goes up by one right after each of its WORK exits: a
+    # token's flat (problem, state) index is the running sum of these steps.
+    exit_rows = np.concatenate(exit_rows)
+    after = start[exit_rows] + np.concatenate(exit_tokens) + 1
+    inside = after < start[exit_rows] + length[exit_rows]
+    steps = np.zeros(total, dtype=np.intp)
+    steps[after[inside]] = 1
+    last_state = first_state + np.bincount(exit_rows[inside], minlength=n)
+    steps[start] = first_state - np.concatenate(([0], last_state[:-1]))
+    flat = np.cumsum(steps)
+    del steps
+    edges = cum.reshape(-1, N_ACTIONS)
+    actions = (u >= edges[:, 0][flat]).astype(np.intp)
+    actions += u >= edges[:, 1][flat]
+    actions += u >= edges[:, 2][flat]
+    del u
+    logps = logp.reshape(-1)[flat * N_ACTIONS + actions]
+    states = np.subtract(flat, np.repeat(first_state, length), out=flat)
+    work = np.add.reduceat(actions == Action.WORK, start, dtype=np.intp)
+    last = actions[start + length - 1]
+
+    groups = []
+    for k, p in enumerate(problems):
+        problem = bank[p]
+        g = slice(k * group_size, (k + 1) * group_size)
+        t = slice(start[g.start], start[g.start] + int(length[g].sum()))
+        groups.append(
+            RolloutGroup(
+                problem_id=problem.id,
+                lengths=length[g],
+                correct=(last[g] == _ANSWER_FOR_LETTER[problem.correct_answer]) & (work[g] >= problem.difficulty),
+                truncated=last[g] < Action.ANSWER_A,
+                actions=actions[t],
+                states=states[t],
+                behavior_logps=logps[t],
+            )
+        )
+    return groups
 
 
 def make_problem_bank(

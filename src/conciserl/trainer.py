@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +30,7 @@ from .env import (
     initial_policy,
     load_bank,
     make_problem_bank,
-    sample_group,
+    sample_groups,
     save_bank,
 )
 from .objective import surrogate
@@ -95,11 +97,8 @@ def sample_batch(
     training keys by (seed, step), ``eval`` by (seed,). The policy's
     log-probs are computed once for the whole batch.
     """
-    logp = policy.log_probs()
-    return [
-        sample_group(logp[policy.problem_index(problem.id)], problem, (*key, p), group_size, l_max)
-        for p, problem in enumerate(bank)
-    ]
+    logp = policy.log_probs()[[policy.problem_index(problem.id) for problem in bank]]
+    return sample_groups(logp, bank, key, group_size, l_max)
 
 
 def train_step(
@@ -201,19 +200,33 @@ def checkpoint(
     path: str | Path,
     bank: Sequence[ProblemSpec],
 ) -> None:
-    """Write a resumable training state, bank included, to a directory."""
+    """Write a resumable training state, bank included, to a directory.
+
+    The files are written to ``<path>.tmp`` and the directory is then
+    renamed into place, so a writer that dies mid-way leaves no directory
+    at ``path`` that ``resume`` would read; a checkpoint already at
+    ``path`` is replaced.
+    """
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    save_bank(bank, path / "bank.tsv")
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "step": step,
-        "w_cap": policy.w_cap,
-        "problem_ids": list(policy.problem_ids),
-    }
-    (path / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    np.save(path / "policy_logits.npy", policy.logits)
-    buffer.save(path / "buffer.expbuf")
+    tmp = path.with_name(path.name + ".tmp")
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    try:
+        save_bank(bank, tmp / "bank.tsv")
+        meta = {
+            "version": CHECKPOINT_VERSION,
+            "step": step,
+            "w_cap": policy.w_cap,
+            "problem_ids": list(policy.problem_ids),
+        }
+        (tmp / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+        np.save(tmp / "policy_logits.npy", policy.logits)
+        buffer.save(tmp / "buffer.expbuf")
+        if path.exists():
+            shutil.rmtree(path)
+        os.replace(tmp, path)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)  # left only by a write that raised
 
 
 def _read_meta(path: Path) -> tuple[object, int, list[str], int]:

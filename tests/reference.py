@@ -3,7 +3,7 @@
 Nothing in ``conciserl`` calls these: the sampler records what they would
 recompute, and the objective works on whole token arrays. They restate the
 sampler, the task rules and the clipped term one token or one trace at a
-time.
+time, and the objective and its gradient one group at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from conciserl.advantage import AdvantageVector
 from conciserl.core import ProblemSpec, Rollout, RolloutGroup
 from conciserl.env import Action, TabularPolicy, answer_letter
 
@@ -44,7 +45,7 @@ def verify(problem: ProblemSpec, rollout: Rollout) -> bool:
 def replay_states(actions: Sequence[int], w_cap: int) -> np.ndarray:
     """Work-counter state before each token, replayed through the trace.
 
-    The one-trace reference for the states ``env.sample_group`` records
+    The one-trace reference for the states ``trainer.sample_batch`` records
     while sampling. Raises on infeasible traces (tokens after an answer).
     """
     states = np.empty(len(actions), dtype=np.intp)
@@ -90,7 +91,7 @@ def sample_rollout(
 ) -> Rollout:
     """One episode from one problem's ``(w_cap + 1, N_ACTIONS)`` log-prob
     rows, drawing from ``rng`` token by token: the one-rollout reference for
-    ``env.sample_group``, which draws rollout r of a group from
+    ``sample_group``, which draws rollout r of a group from
     ``default_rng((*key, r))``."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -137,4 +138,150 @@ def columns(group: RolloutGroup) -> tuple:
     return tuple(
         getattr(group, f.name) if f.name == "problem_id" else getattr(group, f.name).tolist()
         for f in dataclasses.fields(group)
+    )
+
+
+def sample_group(
+    logp: np.ndarray,
+    problem: ProblemSpec,
+    key: tuple[int, ...],
+    group_size: int,
+    l_max: int,
+) -> RolloutGroup:
+    """``group_size`` episodes of one problem, sampled token by token.
+
+    ``logp`` is the problem's ``(w_cap + 1, N_ACTIONS)`` slice of
+    ``TabularPolicy.log_probs()``; rollout r draws from
+    ``default_rng((*key, r))`` in chunks of 64 uniforms, each token taking
+    the first action whose cumulative probability exceeds its uniform, and
+    records its state as it is sampled. The per-token reference for
+    ``trainer.sample_batch``'s whole-batch walk.
+    """
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
+    c = np.exp(logp).cumsum(axis=1).tolist()
+    lp = logp.tolist()
+    w_cap = len(lp) - 1
+    d = problem.difficulty
+    want = Action.ANSWER_A if problem.correct_answer == "A" else Action.ANSWER_B
+
+    actions: list[int] = []
+    states: list[int] = []
+    logps: list[float] = []
+    lengths: list[int] = []
+    correct: list[bool] = []
+    truncated: list[bool] = []
+    for r in range(group_size):
+        rng = np.random.default_rng((*key, r))
+        start = len(actions)
+        w = 0
+        work = 0
+        answered = False
+        chunk: list[float] = []
+        ci = 0
+        for _ in range(l_max):
+            if ci == len(chunk):
+                chunk = rng.random(64).tolist()
+                ci = 0
+            u = chunk[ci]
+            ci += 1
+            row = c[w]
+            if u < row[0]:
+                a = 0
+            elif u < row[1]:
+                a = 1
+            elif u < row[2]:
+                a = 2
+            else:
+                a = 3
+            actions.append(a)
+            states.append(w)
+            logps.append(lp[w][a])
+            if a == 0:
+                work += 1
+                if w < w_cap:
+                    w += 1
+            elif a >= 2:
+                answered = True
+                break
+        lengths.append(len(actions) - start)
+        truncated.append(not answered)
+        correct.append(answered and a == want and work >= d)
+    return RolloutGroup(
+        problem_id=problem.id,
+        lengths=np.array(lengths, dtype=np.intp),
+        correct=np.array(correct, dtype=bool),
+        truncated=np.array(truncated, dtype=bool),
+        actions=np.array(actions, dtype=np.intp),
+        states=np.array(states, dtype=np.intp),
+        behavior_logps=np.array(logps, dtype=float),
+    )
+
+
+def sample_batch(
+    policy: TabularPolicy,
+    bank: Sequence[ProblemSpec],
+    group_size: int,
+    l_max: int,
+    key: tuple[int, ...],
+) -> list[RolloutGroup]:
+    """``trainer.sample_batch`` one group at a time: problem p's group is
+    ``sample_group`` on its policy rows with key ``(*key, p)``."""
+    logp = policy.log_probs()
+    return [
+        sample_group(logp[policy.problem_index(problem.id)], problem, (*key, p), group_size, l_max)
+        for p, problem in enumerate(bank)
+    ]
+
+
+# The objective and its gradient one group at a time, each group given as a
+# (problem index, states, actions, behavior log-probs, per-token advantages)
+# tuple.
+
+
+def token_terms(
+    groups: Sequence[RolloutGroup], advantages: Sequence[AdvantageVector], policy: TabularPolicy
+) -> list[tuple]:
+    """The per-group tuples of some groups and their advantages, each
+    rollout's advantage spread over its tokens."""
+    return [
+        (policy.problem_index(g.problem_id), g.states, g.actions, g.behavior_logps, np.repeat(a.values, g.lengths))
+        for g, a in zip(groups, advantages)
+    ]
+
+
+def reference_surrogate(groups, policy, eps_low, eps_high):
+    logp = policy.log_probs()
+    total = 0.0
+    for index, states, actions, old_logps, advantages in groups:
+        ratio = np.exp(logp[index, states, actions] - old_logps)
+        clipped = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high)
+        terms = np.minimum(ratio * advantages, clipped * advantages)
+        total += terms.sum() / len(terms)
+    return total / len(groups)
+
+
+def reference_gradient(groups, policy, eps_low, eps_high):
+    logp = policy.log_probs()
+    probs = np.exp(logp)
+    grad = np.zeros_like(policy.logits)
+    for index, states, actions, old_logps, advantages in groups:
+        ratio = np.exp(logp[index, states, actions] - old_logps)
+        clipped = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high)
+        unclipped_val = ratio * advantages
+        clipped_val = clipped * advantages
+        active = unclipped_val <= clipped_val
+        weight = np.where(active, unclipped_val, 0.0) / (len(ratio) * len(groups))
+        np.add.at(grad, (index, states, actions), weight)
+        np.add.at(grad, (index, states), -weight[:, None] * probs[index, states])
+    return grad
+
+
+def surrogate(groups, advantages, policy, eps_low, eps_high):
+    """``objective.surrogate`` one group at a time, accumulating the
+    gradient with ``np.add.at``."""
+    terms = token_terms(groups, advantages, policy)
+    return (
+        reference_surrogate(terms, policy, eps_low, eps_high),
+        reference_gradient(terms, policy, eps_low, eps_high),
     )

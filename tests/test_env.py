@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conciserl import env
 from conciserl.core import ProblemSpec
 from conciserl.env import (
     Action,
@@ -12,15 +15,18 @@ from conciserl.env import (
     load_bank,
     make_problem_bank,
     min_correct_length,
-    sample_group,
+    sample_groups,
     save_bank,
 )
+from conciserl.trainer import sample_batch
+from tests import reference
 from tests.reference import (
     columns,
     group_of,
     is_answer,
     logprob,
     replay_states,
+    sample_group,
     sample_rollout,
     verify,
     verify_trace,
@@ -221,7 +227,105 @@ class TestSampleRollout:
         assert a == b
 
 
+# l_max on both sides of every edge between the walk's chunks of uniforms
+# (16, then doubling: edges at 16, 48, 112, 240, 496 and 1008 tokens) and of
+# the reference's chunks of 64.
+CHUNK_EDGE_L_MAX = [
+    1, 2, 15, 16, 17, 47, 48, 49, 63, 64, 65, 111, 112, 113, 127, 128, 129,
+    239, 240, 241, 495, 496, 497, 1007, 1008, 1009, 2000,
+]
+
+
+def random_batch_case(rng, l_max):
+    """A random multi-problem bank and a policy over its ids in reverse
+    order: WORK-heavy rows saturate the state at w_cap, answer-averse ones
+    truncate at l_max."""
+    w_cap = int(rng.integers(1, 7))
+    n_problems = int(rng.integers(1, 5))
+    bank = [
+        ProblemSpec(f"q{i}", int(rng.integers(1, w_cap + 2)), "AB"[int(rng.integers(2))]) for i in range(n_problems)
+    ]
+    logits = rng.normal(0, 1, size=(n_problems, w_cap + 1, 4))
+    logits[..., Action.WORK] += rng.uniform(0, 3)
+    logits[..., 2:] -= rng.uniform(0, 12, size=(n_problems, 1, 1))
+    policy = TabularPolicy([p.id for p in bank][::-1], w_cap, logits)
+    key = tuple(int(k) for k in rng.integers(0, 1000, size=int(rng.integers(1, 3))))
+    return policy, bank, int(rng.integers(1, 17)), key
+
+
+def assert_walk_equals_reference(policy, bank, group_size, l_max, key):
+    got = sample_batch(policy, bank, group_size, l_max, key)
+    want = reference.sample_batch(policy, bank, group_size, l_max, key)
+    assert list(map(columns, got)) == list(map(columns, want))
+    return got
+
+
 class TestSampleGroup:
+    """Sampling groups: the whole-batch walk behind ``trainer.sample_batch``
+    draws the same uniforms and takes the same actions as the token-by-token
+    reference ``tests.reference.sample_group``, which restates the scalar
+    sampler."""
+
+    @pytest.mark.parametrize("block_tokens", [env._BLOCK_TOKENS, 40])
+    def test_equals_token_reference_at_chunk_edges(self, monkeypatch, block_tokens):
+        # the default budget walks each batch as one block; a 40-token one
+        # walks 40 // l_max rollouts per block (at least one), splitting groups
+        monkeypatch.setattr(env, "_BLOCK_TOKENS", block_tokens)
+        saturated = truncated = 0
+        for i, l_max in enumerate(CHUNK_EDGE_L_MAX):
+            for seed in range(3):
+                rng = np.random.default_rng(9000 + 10 * i + seed)
+                policy, bank, group_size, key = random_batch_case(rng, l_max)
+                groups = assert_walk_equals_reference(policy, bank, group_size, l_max, key)
+                for g in groups:
+                    saturated += int(np.sum((g.states == policy.w_cap) & (g.actions == Action.WORK)))
+                    truncated += int(g.truncated.sum())
+        assert saturated > 0 and truncated > 0
+
+    def test_every_group_size(self):
+        for group_size in range(1, 17):
+            rng = np.random.default_rng(9500 + group_size)
+            policy, bank, _, key = random_batch_case(rng, 130)
+            assert_walk_equals_reference(policy, bank, group_size, 130, key)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        l_max=st.one_of(st.sampled_from(CHUNK_EDGE_L_MAX[:-1]), st.integers(1, 300)),
+        block_tokens=st.sampled_from([1, 500, 1 << 20]),
+    )
+    def test_equals_token_reference_property(self, seed, l_max, block_tokens):
+        policy, bank, group_size, key = random_batch_case(np.random.default_rng(seed), l_max)
+        original = env._BLOCK_TOKENS
+        env._BLOCK_TOKENS = block_tokens
+        try:
+            assert_walk_equals_reference(policy, bank, group_size, l_max, key)
+        finally:
+            env._BLOCK_TOKENS = original
+
+    def test_truncation_at_l_max(self):
+        logits = np.zeros((1, 3, 4))
+        logits[:, :, 2:] = -1e9
+        logp = TabularPolicy(("q",), 2, logits).log_probs()
+        (g,) = sample_groups(logp, [ProblemSpec("q", 1, "A")], (4,), 3, l_max=12)
+        assert g.truncated.all() and not g.correct.any() and g.lengths.tolist() == [12] * 3
+        assert g.states.max() == 2
+
+    def test_deterministic_in_key(self):
+        logp = initial_policy(("q",), 4).log_probs()
+        prob = ProblemSpec("q", 2, "A")
+        (a,), (b,), (c,) = (sample_groups(logp, [prob], key, 8, 32) for key in ((7, 1), (7, 1), (7, 2)))
+        assert columns(a) == columns(b)
+        assert not np.array_equal(a.actions, c.actions)
+
+    def test_bad_l_max(self):
+        with pytest.raises(ValueError, match="l_max"):
+            sample_groups(initial_policy(("q",), 2).log_probs(), [ProblemSpec("q", 1, "A")], (0,), 2, 0)
+
+    def test_bad_group_size(self):
+        with pytest.raises(ValueError, match="group_size"):
+            sample_groups(initial_policy(("q",), 2).log_probs(), [ProblemSpec("q", 1, "A")], (0,), 0, 8)
+
     def test_equals_scalar_reference(self):
         # rollout r of a group is the reference sampler on default_rng((*key, r)),
         # its states replayed through the trace; WORK-heavy policies saturate
@@ -246,25 +350,6 @@ class TestSampleGroup:
             saturated += int(np.sum((got.states == w_cap) & (got.actions == Action.WORK)))
             truncated += int(got.truncated.sum())
         assert saturated > 0 and truncated > 0
-
-    def test_truncation_at_l_max(self):
-        logits = np.zeros((1, 3, 4))
-        logits[:, :, 2:] = -1e9
-        logp = TabularPolicy(("q",), 2, logits).log_probs()[0]
-        g = sample_group(logp, ProblemSpec("q", 1, "A"), (4,), 3, l_max=12)
-        assert g.truncated.all() and not g.correct.any() and g.lengths.tolist() == [12] * 3
-        assert g.states.max() == 2
-
-    def test_deterministic_in_key(self):
-        logp = initial_policy(("q",), 4).log_probs()[0]
-        prob = ProblemSpec("q", 2, "A")
-        a, b, c = (sample_group(logp, prob, key, 8, 32) for key in ((7, 1), (7, 1), (7, 2)))
-        assert columns(a) == columns(b)
-        assert not np.array_equal(a.actions, c.actions)
-
-    def test_bad_l_max(self):
-        with pytest.raises(ValueError, match="l_max"):
-            sample_group(initial_policy(("q",), 2).log_probs()[0], ProblemSpec("q", 1, "A"), (0,), 2, 0)
 
 
 class TestProblemBank:

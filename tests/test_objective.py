@@ -6,7 +6,17 @@ from conciserl.core import ProblemSpec, Rollout, RolloutGroup
 from conciserl.env import Action, TabularPolicy
 from conciserl.objective import surrogate
 from conciserl.trainer import sample_batch
-from tests.reference import clipped_term, group_of, logprob, replay_states, sample_rollout, token_ratio
+from tests.reference import (
+    clipped_term,
+    group_of,
+    logprob,
+    reference_gradient,
+    reference_surrogate,
+    replay_states,
+    sample_rollout,
+    token_ratio,
+    token_terms,
+)
 
 EPS_LOW, EPS_HIGH = 0.2, 0.28
 
@@ -79,8 +89,7 @@ def tokens(policy, *groups):
 
 
 # Reference: each group's token arrays built rollout by rollout from the
-# sampled traces, states replayed through every trace, and the objective and
-# gradient taken one group at a time.
+# sampled traces, states replayed through every trace.
 
 
 def reference_groups(rollouts, advantages, policy):
@@ -94,33 +103,6 @@ def reference_groups(rollouts, advantages, policy):
         )
         for group, adv in zip(rollouts, advantages)
     ]
-
-
-def reference_surrogate(groups, policy, eps_low, eps_high):
-    logp = policy.log_probs()
-    total = 0.0
-    for index, states, actions, old_logps, advantages in groups:
-        ratio = np.exp(logp[index, states, actions] - old_logps)
-        clipped = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high)
-        terms = np.minimum(ratio * advantages, clipped * advantages)
-        total += terms.sum() / len(terms)
-    return total / len(groups)
-
-
-def reference_gradient(groups, policy, eps_low, eps_high):
-    logp = policy.log_probs()
-    probs = np.exp(logp)
-    grad = np.zeros_like(policy.logits)
-    for index, states, actions, old_logps, advantages in groups:
-        ratio = np.exp(logp[index, states, actions] - old_logps)
-        clipped = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high)
-        unclipped_val = ratio * advantages
-        clipped_val = clipped * advantages
-        active = unclipped_val <= clipped_val
-        weight = np.where(active, unclipped_val, 0.0) / (len(ratio) * len(groups))
-        np.add.at(grad, (index, states, actions), weight)
-        np.add.at(grad, (index, states), -weight[:, None] * probs[index, states])
-    return grad
 
 
 class TestTokenRatio:
@@ -277,6 +259,30 @@ class TestFlatten:
             value, grad = surrogate(groups, advs, policy, EPS_LOW, EPS_HIGH)
             assert value == reference_surrogate(ref, policy, EPS_LOW, EPS_HIGH)
             assert np.array_equal(grad, reference_gradient(ref, policy, EPS_LOW, EPS_HIGH))
+            ratio = token_ratios(groups, policy)
+            clip_active += int(np.sum((ratio < 1 - EPS_LOW) | (ratio > 1 + EPS_HIGH)))
+        assert clip_active > 0
+
+    def test_repeated_problems_and_active_clip_equal_reference(self):
+        # stale-behavior batches in which some problems appear twice: each
+        # gradient cell gets the reference's additions in the same order
+        clip_active = 0
+        for seed in range(30):
+            rng = np.random.default_rng(600 + seed)
+            ids = tuple(f"p{i}" for i in range(3))
+            behavior = random_policy(rng, ids, w_cap=3)
+            unique = [ProblemSpec(pid, int(rng.integers(1, 4)), "AB"[i % 2]) for i, pid in enumerate(ids)]
+            bank = [unique[int(i)] for i in rng.integers(0, 3, size=5)]
+            assert len({p.id for p in bank}) < len(bank)
+            groups = sample_batch(behavior, bank, int(rng.integers(2, 9)), 48, (seed,))
+            mode = count_advantage if seed % 2 else (lambda r, c, e: std_advantage(r))
+            advs = [mode(rng.random(g.size), g.correct_count, 1e-6) for g in groups]
+            policy = behavior.copy()
+            policy.logits = policy.logits + rng.normal(0, 0.5, size=policy.logits.shape)
+            value, grad = surrogate(groups, advs, policy, EPS_LOW, EPS_HIGH)
+            terms = token_terms(groups, advs, policy)
+            assert value == reference_surrogate(terms, policy, EPS_LOW, EPS_HIGH)
+            assert np.array_equal(grad, reference_gradient(terms, policy, EPS_LOW, EPS_HIGH))
             ratio = token_ratios(groups, policy)
             clip_active += int(np.sum((ratio < 1 - EPS_LOW) | (ratio > 1 + EPS_HIGH)))
         assert clip_active > 0

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conciserl import cli, trainer
 from conciserl.buffer import ExperienceBuffer
 from conciserl.core import InvariantViolation, ProblemSpec, RunConfig
 from conciserl.env import TabularPolicy, initial_policy, make_problem_bank
@@ -14,6 +16,7 @@ from conciserl.trainer import (
     sample_batch,
     train_step,
 )
+from tests import reference
 from tests.reference import columns, group_of, sample_rollout
 
 
@@ -261,6 +264,31 @@ class TestCheckpointResume:
         assert np.array_equal(policy.logits, continuous.policy.logits)
         assert buffer == continuous.buffer
 
+    def test_checkpoint_same_path_again(self, tmp_path):
+        result = run(small_config(steps=2))
+        checkpoint(result.policy, result.buffer, 1, tmp_path / "ck", result.bank)
+        checkpoint(result.policy, result.buffer, 2, tmp_path / "ck", result.bank)
+        assert resume(tmp_path / "ck")[3] == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
+    def test_failed_write_leaves_nothing_resume_accepts(self, tmp_path, monkeypatch):
+        # np.save writes part of the logits, then fails: the half-written
+        # directory is removed, and a checkpoint already at the path is kept
+        result = run(small_config(steps=1))
+
+        def broken_save(file, arr):
+            Path(file).write_bytes(b"\x93NUMPY partial")
+            raise OSError("disk full")
+
+        checkpoint(result.policy, result.buffer, 1, tmp_path / "old", result.bank)
+        monkeypatch.setattr(trainer.np, "save", broken_save)
+        for name in ("new", "old"):
+            with pytest.raises(OSError, match="disk full"):
+                checkpoint(result.policy, result.buffer, 2, tmp_path / name, result.bank)
+        assert [p.name for p in tmp_path.iterdir()] == ["old"]
+        monkeypatch.undo()
+        assert resume(tmp_path / "old")[3] == 1
+
     def test_version_mismatch(self, tmp_path):
         cfg = small_config(steps=1)
         result = run(cfg)
@@ -333,3 +361,52 @@ class TestLearningDynamics:
         first, last = result.logs[0], result.logs[-1]
         assert last.batch_mean_length < first.batch_mean_length
         assert last.batch_accuracy >= first.batch_accuracy
+
+
+def run_record(out):
+    """What a run directory says about its trajectory: every steps.jsonl
+    field but wall_ms, and the last checkpoint's buffer entries and logits
+    bytes."""
+    steps = [json.loads(line) for line in (out / "steps.jsonl").read_text().splitlines()]
+    for record in steps:
+        del record["wall_ms"]
+    ckpt = sorted((out / "checkpoints").iterdir())[-1]
+    _, buffer, _, _ = resume(ckpt)
+    return steps, buffer.entries(), np.load(ckpt / "policy_logits.npy").tobytes()
+
+
+class TestSameNumbersAsReferences:
+    """The whole-batch sampler and the bincount gradient change no number:
+    with the token-by-token sampler and the per-group ``np.add.at``
+    gradient of ``tests/reference.py`` in their place, runs and evals give
+    identical logs, buffers, logits and reports."""
+
+    @staticmethod
+    def use_references(monkeypatch):
+        monkeypatch.setattr(trainer, "sample_batch", reference.sample_batch)
+        monkeypatch.setattr(cli, "sample_batch", reference.sample_batch)
+        monkeypatch.setattr(trainer, "surrogate", reference.surrogate)
+
+    def test_desk_run_and_eval(self, tmp_path, monkeypatch):
+        config = RunConfig(group_size=8, l_max=1024, steps=20, seed=0)
+        eval_args = ["eval", "--n-samples", "64", "--k", "1,4,16", "--seed", "3"]
+        for side in ("real", "reference"):
+            if side == "reference":
+                self.use_references(monkeypatch)
+            run(config, out_dir=tmp_path / side)
+            ckpt = tmp_path / side / "checkpoints" / "step_00020"
+            assert cli.main([*eval_args, "--checkpoint", str(ckpt), "--out", str(tmp_path / f"{side}.json")]) == 0
+        assert run_record(tmp_path / "real") == run_record(tmp_path / "reference")
+        assert (tmp_path / "real.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+    def test_cli_defaults_run(self, tmp_path, monkeypatch):
+        # G=16, l_max=16384 and a verbose start: rollouts of hundreds of tokens
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("init_answer_logit = -6\nsteps = 3\ncheckpoint_every = 3\n")
+        for side in ("real", "reference"):
+            if side == "reference":
+                self.use_references(monkeypatch)
+            assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / side)]) == 0
+        real = run_record(tmp_path / "real")
+        assert real == run_record(tmp_path / "reference")
+        assert real[0][0]["batch_mean_length"] > 100
