@@ -20,7 +20,6 @@ EPS_STD = 1e-8  # guards zero-variance groups in the std baseline
 @dataclass(frozen=True)
 class AdvantageVector:
     values: tuple[float, ...]
-    mode: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
@@ -41,7 +40,7 @@ def count_advantage(
         raise ValueError("epsilon_adv must be > 0")
     mu = float(r.mean())
     denom = max(correct_count, 1) + epsilon_adv
-    return AdvantageVector(tuple((r - mu) / denom), "count")
+    return AdvantageVector(tuple((r - mu) / denom))
 
 
 def std_advantage(rewards: Sequence[float], eps_std: float = EPS_STD) -> AdvantageVector:
@@ -51,7 +50,7 @@ def std_advantage(rewards: Sequence[float], eps_std: float = EPS_STD) -> Advanta
         raise ValueError("need a group of at least 2 rewards")
     mu = float(r.mean())
     denom = float(r.std()) + eps_std
-    return AdvantageVector(tuple((r - mu) / denom), "std")
+    return AdvantageVector(tuple((r - mu) / denom))
 
 
 def advantage_gap(r_pen: float, correct_count: int, epsilon_adv: float) -> float:

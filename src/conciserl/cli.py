@@ -19,7 +19,6 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .core import InvariantViolation, RunConfig, load_config, save_config
-from .env import answer_letter
 from .trainer import read_step_log, resume, run, sample_batch
 
 EXIT_OK = 0
@@ -98,15 +97,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError("every k must satisfy 1 <= k <= n_samples")
 
     groups = sample_batch(policy, bank, args.n_samples, buffer.l_max, (args.seed,))
-    # The vote of a sample is the answer letter of its last action when it
-    # produced a valid solution, otherwise a non-matching sentinel;
-    # sample-level correctness then coincides with the verifier.
-    samples = {}
-    for g in groups:
-        last = g.actions[np.cumsum(g.lengths) - 1].tolist()
-        votes = [answer_letter(a) if c else "invalid" for a, c in zip(last, g.correct.tolist())]
-        samples[g.problem_id] = list(zip(votes, g.lengths.tolist()))
+    # The vote of a sample is the answer it gave when it produced a valid
+    # solution (a correct rollout's last action is the correct answer),
+    # otherwise a non-matching sentinel; sample-level correctness then
+    # coincides with the verifier.
     truth = {p.id: p.correct_answer for p in bank}
+    samples = {
+        g.problem_id: [
+            (truth[g.problem_id] if c else "invalid", n) for c, n in zip(g.correct.tolist(), g.lengths.tolist())
+        ]
+        for g in groups
+    }
     outcomes = [c for g in groups for c in g.correct.tolist()]
     lengths = {g.problem_id: g.lengths.tolist() for g in groups}
 

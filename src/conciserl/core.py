@@ -63,7 +63,7 @@ class Rollout:
     """One sampled trajectory under a behavior-policy snapshot, as a scalar
     record.
 
-    The library samples, shapes and trains on columnar ``RolloutGroup``s
+    The library samples, shapes and trains on ``RolloutGroup`` count tables
     and builds no ``Rollout``; the record is the unit of the scalar reference
     sampler the tests check ``trainer.sample_batch`` against.
     ``behavior_logps`` are the log-probabilities (nats) of each emitted token
@@ -101,65 +101,63 @@ class Rollout:
                     raise ValueError(f"behavior log-probabilities must be finite and <= 0, got {lp}")
 
 
-# RolloutGroup's columns and their dtypes.
-_GROUP_COLUMNS = (
-    ("lengths", np.intp),
-    ("correct", bool),
-    ("truncated", bool),
-    ("actions", np.intp),
-    ("states", np.intp),
-    ("behavior_logps", float),
-)
-
-
 @dataclass(frozen=True, eq=False)
 class RolloutGroup:
     """The G rollouts sampled for one problem from one policy snapshot, as
-    columns.
+    one (state, action) count table per rollout.
 
-    Rollout i owns the ``lengths[i]`` tokens that follow those of rollouts
-    ``0..i-1`` in the per-token columns. A token's state is the number of
-    WORK tokens before it in its rollout, capped at the policy's ``w_cap``;
-    ``behavior_logps`` are the log-probabilities (nats) of each token under
-    the policy that sampled it, constants rather than functions of the
-    current parameters. The columns are frozen on construction, and a group
-    compares equal only to itself.
+    ``counts[i, w, a]`` is how many tokens of rollout i took action a in
+    state w, the number of WORK tokens before them capped at the policy's
+    ``w_cap``. A token's importance ratio depends only on its cell, so the
+    table is all the objective needs of a rollout's tokens.
+    ``behavior_logp`` is the problem's ``(w_cap + 1, N_ACTIONS)`` table of
+    log-probabilities (nats) under the policy that sampled the group,
+    constants rather than functions of the current parameters. ``lengths``
+    is derived from the table. The arrays are frozen on construction, and a
+    group compares equal only to itself.
     """
 
     problem_id: str
-    lengths: np.ndarray         # (G,) tokens per rollout
+    counts: np.ndarray          # (G, w_cap + 1, N_ACTIONS) int32
+    behavior_logp: np.ndarray   # (w_cap + 1, N_ACTIONS)
     correct: np.ndarray         # (G,) bool
     truncated: np.ndarray       # (G,) bool
-    actions: np.ndarray         # (T,)
-    states: np.ndarray          # (T,) WORK count before each token, capped
-    behavior_logps: np.ndarray  # (T,)
+    lengths: np.ndarray = dataclasses.field(init=False)  # (G,) tokens per rollout
 
     def __post_init__(self) -> None:
-        for name, dtype in _GROUP_COLUMNS:
-            column = np.asarray(getattr(self, name), dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        g, n = len(self.lengths), len(self.actions)
+        given = self.counts
+        for name, dtype in (("counts", np.int32), ("behavior_logp", float), ("correct", bool), ("truncated", bool)):
+            array = np.asarray(getattr(self, name)).astype(dtype, copy=False)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        counts, logps = self.counts, self.behavior_logp
+        if counts.ndim != 3:
+            raise ValueError(f"counts must be a (rollouts, states, actions) table, got shape {counts.shape}")
+        if not np.array_equal(counts, given):
+            raise ValueError("counts must be whole numbers that fit in int32")
+        if counts.shape[1:] != logps.shape:
+            raise ValueError(f"counts cells {counts.shape[1:]} do not match behavior_logp {logps.shape}")
+        g = len(counts)
         if g < 1:
             raise ValueError("a rollout group must contain at least one rollout")
         if not len(self.correct) == len(self.truncated) == g:
-            raise ValueError("lengths, correct and truncated must have one entry per rollout")
-        if not len(self.states) == len(self.behavior_logps) == n:
-            raise ValueError("actions, states and behavior_logps must have one entry per token")
-        if self.lengths.min() < 1:
+            raise ValueError("counts, correct and truncated must have one entry per rollout")
+        if np.any(counts < 0):
+            raise ValueError("counts must be >= 0")
+        lengths = counts.sum(axis=(1, 2), dtype=np.intp)
+        lengths.flags.writeable = False
+        object.__setattr__(self, "lengths", lengths)
+        if lengths.min() < 1:
             raise ValueError("rollout length must be >= 1")
-        if self.lengths.sum() != n:
-            raise ValueError(f"rollout lengths sum to {self.lengths.sum()}, not the token count {n}")
         if np.any(self.truncated & self.correct):
             raise ValueError("a truncated rollout cannot be correct")
-        logps = self.behavior_logps
         if not (np.isfinite(logps).all() and logps.max() <= _LOGP_TOL):
             lp = logps[~(np.isfinite(logps) & (logps <= _LOGP_TOL))][0]
             raise ValueError(f"behavior log-probabilities must be finite and <= 0, got {lp}")
 
     @property
     def size(self) -> int:
-        return len(self.lengths)
+        return len(self.counts)
 
     @property
     def correct_count(self) -> int:

@@ -28,12 +28,6 @@ class Action(IntEnum):
 
 N_ACTIONS = 4
 _ANSWER_FOR_LETTER = {"A": Action.ANSWER_A, "B": Action.ANSWER_B}
-_LETTER_FOR_ANSWER = {v: k for k, v in _ANSWER_FOR_LETTER.items()}
-
-
-def answer_letter(action: int) -> str:
-    """The answer letter emitted by an ANSWER_* action."""
-    return _LETTER_FOR_ANSWER[Action(action)]
 
 
 class TabularPolicy:
@@ -113,9 +107,9 @@ def min_correct_length(problem: ProblemSpec) -> int:
 # (capped at the tokens left before l_max).
 _FIRST_CHUNK = 16
 # Rollouts are walked together in blocks of at most this many rollouts and
-# this many tokens at l_max: a block's generators, uniforms and token columns
-# are all that the sampler keeps live besides the finished groups. A block
-# holds whole groups, or part of one group when a group is larger.
+# this many tokens at l_max: a block's generators and its current chunk of
+# uniforms are all that the sampler keeps live besides the finished groups.
+# A block holds whole groups, or part of one group when a group is larger.
 _BLOCK_ROLLOUTS = 256
 _BLOCK_TOKENS = 1 << 19
 
@@ -155,8 +149,10 @@ def sample_groups(
             _sample_block(logp, cum, bank, range(p, p + 1), range(r, min(r + block, group_size)), key, l_max)[0]
             for r in range(0, group_size, block)
         ]
-        columns = ("lengths", "correct", "truncated", "actions", "states", "behavior_logps")
-        groups.append(RolloutGroup(bank[p].id, **{c: np.concatenate([getattr(g, c) for g in parts]) for c in columns}))
+        counts, correct, truncated = (
+            np.concatenate([getattr(g, c) for g in parts]) for c in ("counts", "correct", "truncated")
+        )
+        groups.append(RolloutGroup(bank[p].id, counts, logp[p], correct, truncated))
     return groups
 
 
@@ -178,23 +174,30 @@ def _sample_block(
     (``[0, cum[w, 1])`` at ``w_cap``), which one numpy pass finds for every
     live rollout at once. Rollouts draw their uniforms in doubling chunks;
     PCG64 yields the same doubles whatever the chunk sizes, so a rollout
-    consumes exactly the uniforms a token-by-token loop would. Every token's
-    action is then the same comparison against its state's ``cum`` row.
+    consumes exactly the uniforms a token-by-token loop would.
+
+    The exits are all the count table needs: the tokens of state w before
+    ``w_cap`` are the FILLERs between the WORK exit into w and the one out
+    of it, then that exit; the last state holds the rest of the rollout,
+    its answer and, at ``w_cap``, the WORK tokens the walk counts there.
     """
     n_states = logp.shape[1]
     group_size = len(rollouts)
     n = len(problems) * group_size
     rngs = [np.random.default_rng((*key, p, r)) for p in problems for r in rollouts]
     # Per flat (problem, state) index: a uniform below ``lo`` is a WORK exit
-    # (never at w_cap), one at or above ``hi`` an answer.
-    lo = cum[:, :, 0].copy()
-    lo[:, -1] = -1.0
-    lo, hi = lo.reshape(-1), cum[:, :, 1].reshape(-1)
+    # (never at w_cap), one at or above ``hi`` an answer, ANSWER_B from
+    # ``b`` on; below ``work_edge`` it is a WORK token, which keeps w_cap.
+    work_edge = cum[:, :, 0].reshape(-1)
+    lo = work_edge.copy()
+    lo[n_states - 1 :: n_states] = -1.0
+    hi, b = cum[:, :, 1].reshape(-1), cum[:, :, 2].reshape(-1)
     first_state = np.repeat(np.arange(problems.start, problems.stop) * n_states, group_size)
     state = first_state.copy()
-    length = np.full(n, l_max, dtype=np.intp)  # until the rollout answers
-    exit_rows, exit_tokens = [], []  # where each WORK exit happened
-    chunks = []  # (rows, offset, uniforms) of every chunk drawn
+    length = np.full(n, l_max + 1, dtype=np.intp)  # until the rollout answers
+    exit_u = np.empty(n)  # the uniform of its latest exit, its answer's once it has one
+    cap_work = np.zeros(n, dtype=np.intp)  # WORK tokens at w_cap
+    exit_rows, exit_tokens, exit_states = [], [], []  # every WORK exit
     rows = np.arange(n)
     offset, width = 0, min(_FIRST_CHUNK, l_max)
     while rows.size:
@@ -202,7 +205,6 @@ def _sample_block(
         chunk[:, width] = 2.0  # a sentinel that exits every state
         for out, row in zip(chunk[:, :width], rows.tolist()):
             rngs[row].random(out=out)
-        chunks.append((rows, offset, chunk))
         columns = np.arange(width + 1)
         # The rollouts still in this chunk: their states, their uniforms and
         # the column of their last exit.
@@ -214,12 +216,20 @@ def _sample_block(
             if cursor is not None:
                 exits &= columns > cursor[:, None]
             j = exits.argmax(axis=1)
-            work = ur[np.arange(r.size), j] < lo_r
-            s += work
-            state[r] = s
+            cap = lo_r < 0
+            if cap.any():
+                kept = (ur[cap] < work_edge[s[cap]][:, None]) & (columns < j[cap][:, None])
+                if cursor is not None:
+                    kept &= columns > cursor[cap][:, None]
+                cap_work[r[cap]] += kept.sum(axis=1)
+            u = exit_u[r] = ur[np.arange(r.size), j]
+            work = u < lo_r
             token = offset + j  # the exit's place in its rollout
             exit_rows.append(r[work])
             exit_tokens.append(token[work])
+            exit_states.append(s[work])
+            s += work
+            state[r] = s
             answer = (j < width) & ~work
             length[r[answer]] = token[answer] + 1
             more = work & (j < width - 1)
@@ -229,53 +239,45 @@ def _sample_block(
         width = min(2 * width, l_max - offset)
         rows = np.concatenate(spilled) if width else rows[:0]
 
-    # Token columns, rollout after rollout.
-    start = np.cumsum(length) - length
-    total = int(length.sum())
-    u = np.empty(total)
-    while chunks:
-        rows, offset, chunk = chunks.pop()
-        used = np.minimum(length[rows] - offset, chunk.shape[1] - 1)
-        first = np.cumsum(used) - used
-        dest = np.repeat(start[rows] + offset - first, used)
-        dest += np.arange(len(dest))
-        u[dest] = chunk[np.arange(chunk.shape[1]) < used[:, None]]
-        del chunk, dest
-    # A rollout's state goes up by one right after each of its WORK exits: a
-    # token's flat (problem, state) index is the running sum of these steps.
+    # The count table in one bincount, each term at its flat (rollout,
+    # state, action) cell: an exit adds one WORK and its place t as FILLERs
+    # to the state it leaves, and -(t + 1) FILLERs to the one it enters;
+    # the last state gets every token left that is not its answer or a
+    # WORK at w_cap.
+    answered = length <= l_max
+    length = np.minimum(length, l_max)
+    last = Action.ANSWER_A + (exit_u >= b[state])  # the answer, if answered
     exit_rows = np.concatenate(exit_rows)
-    after = start[exit_rows] + np.concatenate(exit_tokens) + 1
-    inside = after < start[exit_rows] + length[exit_rows]
-    steps = np.zeros(total, dtype=np.intp)
-    steps[after[inside]] = 1
-    last_state = first_state + np.bincount(exit_rows[inside], minlength=n)
-    steps[start] = first_state - np.concatenate(([0], last_state[:-1]))
-    flat = np.cumsum(steps)
-    del steps
-    edges = cum.reshape(-1, N_ACTIONS)
-    actions = (u >= edges[:, 0][flat]).astype(np.intp)
-    actions += u >= edges[:, 1][flat]
-    actions += u >= edges[:, 2][flat]
-    del u
-    logps = logp.reshape(-1)[flat * N_ACTIONS + actions]
-    states = np.subtract(flat, np.repeat(first_state, length), out=flat)
-    work = np.add.reduceat(actions == Action.WORK, start, dtype=np.intp)
-    last = actions[start + length - 1]
+    exit_tokens = np.concatenate(exit_tokens)
+    row_base = np.arange(n) * n_states - first_state  # flat state -> table row
+    exit_cell = (row_base[exit_rows] + np.concatenate(exit_states)) * N_ACTIONS
+    end_cell = (row_base + state) * N_ACTIONS
+    terms = (
+        (exit_cell + Action.WORK, 1),
+        (exit_cell + Action.FILLER, exit_tokens),
+        (exit_cell + (N_ACTIONS + Action.FILLER), -1 - exit_tokens),
+        (end_cell + Action.FILLER, length - answered - cap_work),
+        (end_cell + Action.WORK, cap_work),
+        ((end_cell + last)[answered], 1),
+    )
+    cells = np.concatenate([c for c, _ in terms])
+    weights = np.concatenate([np.broadcast_to(w, c.shape) for c, w in terms])
+    counts = np.bincount(cells, weights, n * n_states * N_ACTIONS).astype(np.int32).reshape(n, n_states, N_ACTIONS)
+    work = state - first_state + cap_work
 
     groups = []
     for k, p in enumerate(problems):
         problem = bank[p]
         g = slice(k * group_size, (k + 1) * group_size)
-        t = slice(start[g.start], start[g.start] + int(length[g].sum()))
         groups.append(
             RolloutGroup(
                 problem_id=problem.id,
-                lengths=length[g],
-                correct=(last[g] == _ANSWER_FOR_LETTER[problem.correct_answer]) & (work[g] >= problem.difficulty),
-                truncated=last[g] < Action.ANSWER_A,
-                actions=actions[t],
-                states=states[t],
-                behavior_logps=logps[t],
+                counts=counts[g],
+                behavior_logp=logp[p],
+                correct=answered[g]
+                & (last[g] == _ANSWER_FOR_LETTER[problem.correct_answer])
+                & (work[g] >= problem.difficulty),
+                truncated=~answered[g],
             )
         )
     return groups

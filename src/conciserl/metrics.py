@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -48,8 +49,8 @@ class BenchResult:
     def __post_init__(self) -> None:
         if not 0 <= self.accuracy <= 100:
             raise ValueError(f"accuracy must be in [0, 100], got {self.accuracy}")
-        if self.mean_tokens <= 0:
-            raise ValueError(f"mean_tokens must be > 0, got {self.mean_tokens}")
+        if not (math.isfinite(self.mean_tokens) and self.mean_tokens > 0):
+            raise ValueError(f"mean_tokens must be finite and > 0, got {self.mean_tokens}")
 
 
 @dataclass(frozen=True)
@@ -214,10 +215,15 @@ def load_results_csv(path: str | Path) -> list[BenchResult]:
                 f"expected header name,accuracy,mean_tokens, got {reader.fieldnames}"
             )
         results = []
+        seen = set()
         for row in reader:
             try:
                 if None in row or None in row.values():
                     raise ValueError("expected 3 cells")
+                key = split_method_benchmark(row["name"])
+                if key in seen:
+                    raise ValueError(f"duplicate row for {row['name']!r}")
+                seen.add(key)
                 results.append(BenchResult(row["name"], float(row["accuracy"]), float(row["mean_tokens"])))
             except ValueError as e:
                 raise ValueError(f"line {reader.line_num}: {e}") from None

@@ -135,7 +135,7 @@ def train_step(
     n_rollouts = sum(g.size for g in groups)
     log = StepLog(
         step=step,
-        batch_mean_length=sum(len(g.actions) for g in groups) / n_rollouts,
+        batch_mean_length=sum(int(g.lengths.sum()) for g in groups) / n_rollouts,
         mean_shortest_correct=buffer.stats(),
         batch_accuracy=sum(g.correct_count for g in groups) / n_rollouts,
         mean_reward=sum(s.value for rs in shaped for s in rs) / n_rollouts,

@@ -1,9 +1,9 @@
 """Scalar reference implementations that the tests check the library against.
 
 Nothing in ``conciserl`` calls these: the sampler records what they would
-recompute, and the objective works on whole token arrays. They restate the
+recompute, and the objective works on whole count tables. They restate the
 sampler, the task rules and the clipped term one token or one trace at a
-time, and the objective and its gradient one group at a time.
+time, and the objective and its gradient one token at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +15,12 @@ import numpy as np
 
 from conciserl.advantage import AdvantageVector
 from conciserl.core import ProblemSpec, Rollout, RolloutGroup
-from conciserl.env import Action, TabularPolicy, answer_letter
+from conciserl.env import N_ACTIONS, Action, TabularPolicy
+
+
+def answer_letter(action: int) -> str:
+    """The answer letter emitted by an ANSWER_* action."""
+    return {Action.ANSWER_A: "A", Action.ANSWER_B: "B"}[Action(action)]
 
 
 def is_answer(action: int) -> bool:
@@ -118,27 +123,40 @@ def sample_rollout(
     return Rollout(problem.id, tuple(actions), tuple(logps), len(actions), correct, truncated)
 
 
-def group_of(rollouts: Sequence[Rollout], w_cap: int) -> RolloutGroup:
-    """The columnar group of some rollouts of one problem, states replayed
-    through each trace."""
+def group_of(rollouts: Sequence[Rollout], logp_rows: np.ndarray) -> RolloutGroup:
+    """The count-table group of some rollouts of one problem, sampled from
+    the ``(w_cap + 1, N_ACTIONS)`` log-prob rows ``logp_rows``: each trace's
+    states are replayed, and its tokens counted cell by cell."""
+    w_cap = len(logp_rows) - 1
+    counts = np.zeros((len(rollouts), w_cap + 1, N_ACTIONS), dtype=np.int32)
+    for i, r in enumerate(rollouts):
+        states = replay_states(r.actions, w_cap)
+        assert np.array_equal(logp_rows[states, list(r.actions)], r.behavior_logps)
+        np.add.at(counts[i], (states, list(r.actions)), 1)
     return RolloutGroup(
         problem_id=rollouts[0].problem_id,
-        lengths=[r.length for r in rollouts],
+        counts=counts,
+        behavior_logp=logp_rows,
         correct=[r.correct for r in rollouts],
         truncated=[r.truncated for r in rollouts],
-        actions=np.concatenate([np.array(r.actions, dtype=np.intp) for r in rollouts]),
-        states=np.concatenate([replay_states(r.actions, w_cap) for r in rollouts]),
-        behavior_logps=np.concatenate([np.array(r.behavior_logps, dtype=float) for r in rollouts]),
     )
 
 
 def columns(group: RolloutGroup) -> tuple:
-    """A group's problem id and every column as a plain list, for comparing
+    """A group's problem id and every array as a plain list, for comparing
     groups (a group compares equal only to itself)."""
     return tuple(
         getattr(group, f.name) if f.name == "problem_id" else getattr(group, f.name).tolist()
         for f in dataclasses.fields(group)
     )
+
+
+def token_columns(group: RolloutGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One entry per token of a group's table: its rollout, state and
+    action, rollout after rollout (the tokens of a rollout in cell order)."""
+    rollout, states, actions = np.nonzero(group.counts)
+    n = group.counts[rollout, states, actions]
+    return np.repeat(rollout, n), np.repeat(states, n), np.repeat(actions, n)
 
 
 def sample_group(
@@ -154,26 +172,21 @@ def sample_group(
     ``TabularPolicy.log_probs()``; rollout r draws from
     ``default_rng((*key, r))`` in chunks of 64 uniforms, each token taking
     the first action whose cumulative probability exceeds its uniform, and
-    records its state as it is sampled. The per-token reference for
-    ``trainer.sample_batch``'s whole-batch walk.
+    counts it in the cell of the state it is sampled in. The per-token
+    reference for ``trainer.sample_batch``'s whole-batch walk.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     c = np.exp(logp).cumsum(axis=1).tolist()
-    lp = logp.tolist()
-    w_cap = len(lp) - 1
+    w_cap = len(logp) - 1
     d = problem.difficulty
     want = Action.ANSWER_A if problem.correct_answer == "A" else Action.ANSWER_B
 
-    actions: list[int] = []
-    states: list[int] = []
-    logps: list[float] = []
-    lengths: list[int] = []
+    counts = np.zeros((group_size, w_cap + 1, N_ACTIONS), dtype=np.int32)
     correct: list[bool] = []
     truncated: list[bool] = []
     for r in range(group_size):
         rng = np.random.default_rng((*key, r))
-        start = len(actions)
         w = 0
         work = 0
         answered = False
@@ -194,9 +207,7 @@ def sample_group(
                 a = 2
             else:
                 a = 3
-            actions.append(a)
-            states.append(w)
-            logps.append(lp[w][a])
+            counts[r, w, a] += 1
             if a == 0:
                 work += 1
                 if w < w_cap:
@@ -204,18 +215,9 @@ def sample_group(
             elif a >= 2:
                 answered = True
                 break
-        lengths.append(len(actions) - start)
         truncated.append(not answered)
         correct.append(answered and a == want and work >= d)
-    return RolloutGroup(
-        problem_id=problem.id,
-        lengths=np.array(lengths, dtype=np.intp),
-        correct=np.array(correct, dtype=bool),
-        truncated=np.array(truncated, dtype=bool),
-        actions=np.array(actions, dtype=np.intp),
-        states=np.array(states, dtype=np.intp),
-        behavior_logps=np.array(logps, dtype=float),
-    )
+    return RolloutGroup(problem.id, counts, logp, correct, truncated)
 
 
 def sample_batch(
@@ -234,20 +236,22 @@ def sample_batch(
     ]
 
 
-# The objective and its gradient one group at a time, each group given as a
-# (problem index, states, actions, behavior log-probs, per-token advantages)
-# tuple.
+# The objective and its gradient one token at a time, each group given as a
+# (problem index, states, actions, behavior log-probs, advantages) tuple of
+# per-token arrays.
 
 
 def token_terms(
     groups: Sequence[RolloutGroup], advantages: Sequence[AdvantageVector], policy: TabularPolicy
 ) -> list[tuple]:
-    """The per-group tuples of some groups and their advantages, each
-    rollout's advantage spread over its tokens."""
-    return [
-        (policy.problem_index(g.problem_id), g.states, g.actions, g.behavior_logps, np.repeat(a.values, g.lengths))
-        for g, a in zip(groups, advantages)
-    ]
+    """The per-group tuples of some groups and their advantages: every
+    token of a table, carrying its rollout's advantage."""
+    terms = []
+    for g, a in zip(groups, advantages):
+        rollout, states, actions = token_columns(g)
+        old = g.behavior_logp[states, actions]
+        terms.append((policy.problem_index(g.problem_id), states, actions, old, np.asarray(a.values)[rollout]))
+    return terms
 
 
 def reference_surrogate(groups, policy, eps_low, eps_high):
@@ -278,7 +282,7 @@ def reference_gradient(groups, policy, eps_low, eps_high):
 
 
 def surrogate(groups, advantages, policy, eps_low, eps_high):
-    """``objective.surrogate`` one group at a time, accumulating the
+    """``objective.surrogate`` one token at a time, accumulating the
     gradient with ``np.add.at``."""
     terms = token_terms(groups, advantages, policy)
     return (

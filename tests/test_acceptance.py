@@ -28,7 +28,7 @@ from conciserl.trainer import run, sample_batch
 from tests.reference import sample_rollout
 from tests.test_buffer import group
 from tests.test_metrics import MATH_COMPRESSED, MATH_VANILLA, OOD_TRAINED, OOD_VANILLA
-from tests.test_objective import random_batch, token_ratios
+from tests.test_objective import cell_ratios, random_batch
 
 N_SEEDS = 10
 
@@ -144,7 +144,7 @@ def test_06_gradient_vs_finite_differences():
         batch, policy = random_batch(rng, mode="count" if attempt % 2 else "std")
         # resample batches with any token within O(h) of a clip kink,
         # where the objective is not differentiable
-        ratio = token_ratios(batch[0], policy)
+        ratio = cell_ratios(batch[0], policy)
         near_kink = np.any(
             (np.abs(ratio - (1 - eps_low)) < 50 * h) | (np.abs(ratio - (1 + eps_high)) < 50 * h)
         )
@@ -239,7 +239,8 @@ def test_10_evaluation_protocol_properties():
     # majority@1 == pass@1, exactly, on drawn samples (one vote per problem)
     rng = np.random.default_rng(3)
     bank = [ProblemSpec(f"p{i}", 1 + i % 3, "A" if i % 2 else "B") for i in range(12)]
-    from conciserl.env import initial_policy, answer_letter
+    from conciserl.env import initial_policy
+    from tests.reference import answer_letter
 
     policy = initial_policy([p.id for p in bank], 4)
     samples, truth, outcomes = {}, {}, []

@@ -16,10 +16,11 @@ def token_advantages(values, lengths):
     """
     n = sum(lengths)
     policy = TabularPolicy(("p",), n)
-    old = policy.log_probs()[0, np.arange(n), Action.FILLER]
+    counts = np.zeros((len(lengths), n + 1, 4), dtype=np.int32)
+    counts[np.repeat(np.arange(len(lengths)), lengths), np.arange(n), Action.FILLER] = 1
     no = [False] * len(lengths)
-    group = RolloutGroup("p", lengths, no, no, [Action.FILLER] * n, range(n), old)
-    grad = surrogate([group], [AdvantageVector(values, "count")], policy, 0.2, 0.28)[1]
+    group = RolloutGroup("p", counts, policy.log_probs()[0], no, no)
+    grad = surrogate([group], [AdvantageVector(values)], policy, 0.2, 0.28)[1]
     return list(grad[0, :n, Action.FILLER] * n / 0.75)
 
 
@@ -27,7 +28,6 @@ class TestCountAdvantage:
     def test_hand_example(self):
         adv = count_advantage([1, 1, 0.5, 0], correct_count=3, epsilon_adv=1e-6)
         assert list(adv.values) == pytest.approx([0.125, 0.125, -0.0416667, -0.2083333], abs=1e-6)
-        assert adv.mode == "count"
 
     def test_zero_group(self):
         adv = count_advantage([0.0] * 4, correct_count=0, epsilon_adv=1e-6)
@@ -72,7 +72,6 @@ class TestStdAdvantage:
     def test_two_point_group(self):
         adv = std_advantage([1, 0])
         assert list(adv.values) == pytest.approx([1.0, -1.0], abs=1e-6)
-        assert adv.mode == "std"
 
     def test_identical_rewards_guarded(self):
         adv = std_advantage([0.5] * 5)
@@ -143,4 +142,4 @@ class TestBroadcast:
     def test_zero_length_rejected(self):
         # Every rollout owns at least one token.
         with pytest.raises(ValueError, match="length must be >= 1"):
-            RolloutGroup("p", [1, 0], [False, False], [False, False], [2], [0], [-1.0])
+            RolloutGroup("p", [[[0, 0, 1, 0]], [[0, 0, 0, 0]]], [[-1.0] * 4], [False, False], [False, False])

@@ -7,20 +7,17 @@ from conciserl.env import Action
 
 
 def group(problem_id, specs):
-    """A group of rollouts of WORK tokens ending in ANSWER_A, one per
-    (length, correct) spec; states are left uncapped."""
-    lengths = np.array([n for n, _ in specs], dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths
-    actions = np.full(lengths.sum(), Action.WORK, dtype=np.intp)
-    actions[starts + lengths - 1] = Action.ANSWER_A
+    """A group of rollouts of WORK tokens in state 0 ending in ANSWER_A, one
+    per (length, correct) spec."""
+    counts = np.zeros((len(specs), 1, 4), dtype=np.int32)
+    counts[:, 0, Action.WORK] = [n - 1 for n, _ in specs]
+    counts[:, 0, Action.ANSWER_A] = 1
     return RolloutGroup(
         problem_id,
-        lengths=lengths,
+        counts=counts,
+        behavior_logp=np.full((1, 4), -1.0),
         correct=[c for _, c in specs],
         truncated=[False] * len(specs),
-        actions=actions,
-        states=np.arange(len(actions)) - np.repeat(starts, lengths),
-        behavior_logps=np.full(len(actions), -1.0),
     )
 
 

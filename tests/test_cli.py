@@ -63,6 +63,8 @@ BAD_STEPS_JSONL = [
     b'{"step": true, "batch_mean_length": 5.0, "mean_shortest_correct": 3}\n',
 ]
 SHORT_ROW_CSV = b"name,accuracy,mean_tokens\nV,50\n"
+NON_FINITE_ROW_CSV = b"name,accuracy,mean_tokens\nV,60,90\nvan/a,50,nan\n"
+DUPLICATE_ROW_CSV = b"name,accuracy,mean_tokens\nV,60,90\nours/a,60,1e300\nours/a,70,100\n"
 NOT_UTF8_CONFIG = b"steps = 2\n# \xff\n"
 
 
@@ -275,7 +277,11 @@ class TestMetrics:
         path.write_text("name,accuracy,mean_tokens\nours/a,50.0,100.0\n")
         assert main(["metrics", "--results", str(path), "--vanilla", "v"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("row", [b"V,50", b"V,abc,1", b"V,50,1,9"], ids=["short", "non-numeric", "long"])
+    @pytest.mark.parametrize(
+        "row",
+        [b"V,50", b"V,abc,1", b"V,50,1,9", b"V,50,nan", b"V,50,inf", b"V,70,100", b"V/,70,100"],
+        ids=["short", "non-numeric", "long", "nan-tokens", "inf-tokens", "duplicate", "duplicate-bare-name"],
+    )
     def test_malformed_row_names_the_line(self, tmp_path, capsys, row):
         path = write_bytes(tmp_path / "results.csv", b"name,accuracy,mean_tokens\nV,60,90\n" + row + b"\n")
         assert main(["metrics", "--results", path, "--vanilla", "V"]) == EXIT_CONFIG
@@ -363,9 +369,16 @@ MALFORMED_INPUTS = {
         f"replay-{i}": (lambda t, d=data: ["replay", "--steps-jsonl", write_bytes(t / "steps.jsonl", d)])
         for i, data in enumerate(BAD_STEPS_JSONL)
     },
-    "metrics-short-row": lambda t: [
-        "metrics", "--results", write_bytes(t / "results.csv", SHORT_ROW_CSV), "--vanilla", "V"
-    ],
+    **{
+        f"metrics-{name}": lambda t, d=data: [
+            "metrics", "--results", write_bytes(t / "results.csv", d), "--vanilla", "V"
+        ]
+        for name, data in (
+            ("short-row", SHORT_ROW_CSV),
+            ("non-finite-tokens", NON_FINITE_ROW_CSV),
+            ("duplicate-row", DUPLICATE_ROW_CSV),
+        )
+    },
     "train-config-not-utf8": lambda t: [
         "train", "--config", write_bytes(t / "run.cfg", NOT_UTF8_CONFIG), "--out", str(t / "o")
     ],

@@ -77,67 +77,111 @@ class TestRollout:
 
 @st.composite
 def group_columns(draw):
-    """The columns of a valid RolloutGroup, as mutable lists."""
-    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
-    g, n = len(lengths), sum(lengths)
+    """The arrays of a valid RolloutGroup: a count table, as nested lists,
+    with at least one token per rollout, and the per-rollout flags."""
+    g, n_states = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    counts = np.array(
+        draw(st.lists(st.integers(0, 3), min_size=g * n_states * 4, max_size=g * n_states * 4))
+    ).reshape(g, n_states, 4)
+    counts[np.arange(g), draw(st.integers(0, n_states - 1)), draw(st.integers(0, 3))] += 1
     truncated = draw(st.lists(st.booleans(), min_size=g, max_size=g))
     correct = [draw(st.booleans()) and not t for t in truncated]
     return dict(
-        lengths=lengths,
+        counts=counts.tolist(),
+        behavior_logp=np.array(draw(st.lists(st.floats(-30.0, 0.0), min_size=n_states * 4, max_size=n_states * 4)))
+        .reshape(n_states, 4)
+        .tolist(),
         correct=correct,
         truncated=truncated,
-        actions=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
-        states=draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
-        behavior_logps=draw(st.lists(st.floats(-30.0, 0.0), min_size=n, max_size=n)),
     )
 
 
 BAD_LOGPS = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(1e-6, 1e300)
 
 
+def one_rollout(logp_row):
+    """A one-rollout group, FILLER in state 0 then ANSWER_A in state 1, over
+    the log-prob table whose rows are ``[0, logp_row[0], 0, 0]`` and
+    ``[0, 0, logp_row[1], 0]``."""
+    logp = np.zeros((2, 4))
+    logp[0, 1], logp[1, 2] = logp_row
+    return RolloutGroup("p", [[[0, 1, 0, 0], [0, 0, 1, 0]]], logp, [False], [False])
+
+
 class TestRolloutGroup:
     def test_columns_frozen_to_arrays(self):
-        g = RolloutGroup("p1", [3, 1], [True, False], [False, False], [0, 0, 2, 3], [0, 1, 2, 0], [-1.0] * 4)
-        assert g.size == 2 and g.correct_count == 1
-        assert g.lengths.dtype == g.actions.dtype == g.states.dtype == np.intp
-        assert g.correct.dtype == g.truncated.dtype == bool and g.behavior_logps.dtype == float
-        with pytest.raises(ValueError, match="read-only"):
-            g.lengths[0] = 2
+        counts = [[[2, 0, 1, 0], [0, 0, 0, 0]], [[0, 0, 0, 1], [0, 0, 0, 0]]]
+        g = RolloutGroup("p1", counts, np.full((2, 4), -1.0), [True, False], [False, False])
+        assert g.size == 2 and g.correct_count == 1 and g.lengths.tolist() == [3, 1]
+        assert g.counts.dtype == np.int32 and g.lengths.dtype == np.intp
+        assert g.correct.dtype == g.truncated.dtype == bool and g.behavior_logp.dtype == float
+        for array in (g.counts, g.behavior_logp, g.correct, g.truncated, g.lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     @settings(deadline=None)
     @given(group_columns())
     def test_valid_columns_accepted(self, cols):
         g = RolloutGroup("p", **cols)
-        assert g.size == len(cols["lengths"]) and g.correct_count == sum(cols["correct"])
+        assert g.size == len(cols["counts"]) and g.correct_count == sum(cols["correct"])
+        assert g.lengths.tolist() == np.sum(cols["counts"], axis=(1, 2)).tolist()
 
     @settings(deadline=None)
     @given(
         group_columns(),
-        st.sampled_from(["token count", "correct and truncated", "logp", "no rollouts"]),
+        st.sampled_from(
+            [
+                "empty rollout", "negative count", "not 3-D", "cells", "flags", "correct and truncated", "logp",
+                "no rollouts",
+            ]
+        ),
         st.data(),
     )
     def test_malformed_columns_rejected(self, cols, fault, data):
-        rollout = data.draw(st.integers(0, len(cols["lengths"]) - 1))
-        if fault == "token count":
-            cols["lengths"][rollout] += data.draw(st.sampled_from([-1, 1]))
+        counts = np.array(cols["counts"])
+        rollout = data.draw(st.integers(0, len(counts) - 1))
+        if fault == "empty rollout":
+            counts[rollout] = 0
+        elif fault == "negative count":
+            counts[rollout, 0, data.draw(st.integers(0, 3))] = -1
+        elif fault == "not 3-D":
+            counts = counts.sum(axis=data.draw(st.integers(0, 2)))
+        elif fault == "cells":
+            cols["behavior_logp"] = np.array(cols["behavior_logp"])[:, : data.draw(st.integers(0, 3))].tolist()
+        elif fault == "flags":
+            del cols["correct"][rollout], cols["truncated"][rollout]
         elif fault == "correct and truncated":
             cols["correct"][rollout] = cols["truncated"][rollout] = True
         elif fault == "logp":
-            token = data.draw(st.integers(0, len(cols["actions"]) - 1))
-            cols["behavior_logps"][token] = data.draw(BAD_LOGPS)
+            row = data.draw(st.integers(0, len(cols["behavior_logp"]) - 1))
+            cols["behavior_logp"][row][data.draw(st.integers(0, 3))] = data.draw(BAD_LOGPS)
         else:
-            cols = {name: [] for name in cols}
+            counts, cols["correct"], cols["truncated"] = counts[:0], [], []
         with pytest.raises(ValueError):
-            RolloutGroup("p", **cols)
+            RolloutGroup("p", **{**cols, "counts": counts})
 
     def test_slack_above_zero_accepted(self):
-        g = RolloutGroup("p", [2], [False], [False], [1, 2], [0, 0], [-0.5, 1e-12])
-        assert g.behavior_logps.tolist() == [-0.5, 1e-12]
+        assert one_rollout([-0.5, 1e-12]).behavior_logp[1, 2] == 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5], ids=["nan", "inf", "-inf", "0.5"])
     def test_bad_logp_named(self, bad):
         with pytest.raises(ValueError, match=f"finite and <= 0, got {bad}"):
-            RolloutGroup("p", [3], [False], [False], [0, 1, 2], [0, 1, 1], [-1.0, bad, -0.5])
+            one_rollout([-1.0, bad])
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            ([[0, 1, 0, 0], [0, 0, 1, 0]], "rollouts, states, actions"),
+            ([[[0, -1, 0, 0], [0, 0, 2, 0]]], ">= 0"),
+            ([[[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]], "do not match behavior_logp"),
+            ([[[0, 1.5, 0, 0], [0, 0, 1, 0]]], "whole numbers"),
+            ([[[0, 2**32 + 1, 0, 0], [0, 0, 1, 0]]], "fit in int32"),
+        ],
+        ids=["2-D", "negative", "five actions", "fraction", "past int32"],
+    )
+    def test_bad_table_named(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            RolloutGroup("p", counts, np.zeros((2, 4)), [False], [False])
 
 
 class TestValidateConfig:

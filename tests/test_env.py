@@ -10,7 +10,6 @@ from conciserl.core import ProblemSpec
 from conciserl.env import (
     Action,
     TabularPolicy,
-    answer_letter,
     initial_policy,
     load_bank,
     make_problem_bank,
@@ -21,6 +20,7 @@ from conciserl.env import (
 from conciserl.trainer import sample_batch
 from tests import reference
 from tests.reference import (
+    answer_letter,
     columns,
     group_of,
     is_answer,
@@ -262,9 +262,9 @@ def assert_walk_equals_reference(policy, bank, group_size, l_max, key):
 
 class TestSampleGroup:
     """Sampling groups: the whole-batch walk behind ``trainer.sample_batch``
-    draws the same uniforms and takes the same actions as the token-by-token
-    reference ``tests.reference.sample_group``, which restates the scalar
-    sampler."""
+    draws the same uniforms and counts the same actions in the same states
+    as the token-by-token reference ``tests.reference.sample_group``, which
+    restates the scalar sampler."""
 
     @pytest.mark.parametrize("block_tokens", [env._BLOCK_TOKENS, 40])
     def test_equals_token_reference_at_chunk_edges(self, monkeypatch, block_tokens):
@@ -278,7 +278,7 @@ class TestSampleGroup:
                 policy, bank, group_size, key = random_batch_case(rng, l_max)
                 groups = assert_walk_equals_reference(policy, bank, group_size, l_max, key)
                 for g in groups:
-                    saturated += int(np.sum((g.states == policy.w_cap) & (g.actions == Action.WORK)))
+                    saturated += int(g.counts[:, -1, Action.WORK].sum())
                     truncated += int(g.truncated.sum())
         assert saturated > 0 and truncated > 0
 
@@ -287,6 +287,14 @@ class TestSampleGroup:
             rng = np.random.default_rng(9500 + group_size)
             policy, bank, _, key = random_batch_case(rng, 130)
             assert_walk_equals_reference(policy, bank, group_size, 130, key)
+
+    def test_group_larger_than_a_block(self):
+        # a group of more than _BLOCK_ROLLOUTS rollouts is walked in parts
+        # and its tables joined in rollout order
+        rng = np.random.default_rng(9600)
+        policy, bank, _, key = random_batch_case(rng, 40)
+        groups = assert_walk_equals_reference(policy, bank, env._BLOCK_ROLLOUTS + 44, 40, key)
+        assert all(g.size == env._BLOCK_ROLLOUTS + 44 for g in groups)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -309,14 +317,14 @@ class TestSampleGroup:
         logp = TabularPolicy(("q",), 2, logits).log_probs()
         (g,) = sample_groups(logp, [ProblemSpec("q", 1, "A")], (4,), 3, l_max=12)
         assert g.truncated.all() and not g.correct.any() and g.lengths.tolist() == [12] * 3
-        assert g.states.max() == 2
+        assert g.counts[:, 2].sum() > 0 and not g.counts[..., 2:].any()
 
     def test_deterministic_in_key(self):
         logp = initial_policy(("q",), 4).log_probs()
         prob = ProblemSpec("q", 2, "A")
         (a,), (b,), (c,) = (sample_groups(logp, [prob], key, 8, 32) for key in ((7, 1), (7, 1), (7, 2)))
         assert columns(a) == columns(b)
-        assert not np.array_equal(a.actions, c.actions)
+        assert not np.array_equal(a.counts, c.counts)
 
     def test_bad_l_max(self):
         with pytest.raises(ValueError, match="l_max"):
@@ -328,8 +336,9 @@ class TestSampleGroup:
 
     def test_equals_scalar_reference(self):
         # rollout r of a group is the reference sampler on default_rng((*key, r)),
-        # its states replayed through the trace; WORK-heavy policies saturate
-        # the state at w_cap, and answer-averse ones truncate at l_max
+        # its tokens counted in the states replayed through the trace;
+        # WORK-heavy policies saturate the state at w_cap, and answer-averse
+        # ones truncate at l_max
         saturated = truncated = 0
         for seed in range(60):
             rng = np.random.default_rng(700 + seed)
@@ -344,10 +353,10 @@ class TestSampleGroup:
             got = sample_group(logp, prob, key, group_size, l_max)
             want = group_of(
                 [sample_rollout(logp, prob, np.random.default_rng((*key, r)), l_max) for r in range(group_size)],
-                w_cap,
+                logp,
             )
             assert columns(got) == columns(want)
-            saturated += int(np.sum((got.states == w_cap) & (got.actions == Action.WORK)))
+            saturated += int(got.counts[:, w_cap, Action.WORK].sum())
             truncated += int(got.truncated.sum())
         assert saturated > 0 and truncated > 0
 

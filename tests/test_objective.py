@@ -8,12 +8,13 @@ from conciserl.objective import surrogate
 from conciserl.trainer import sample_batch
 from tests.reference import (
     clipped_term,
+    columns,
     group_of,
     logprob,
     reference_gradient,
     reference_surrogate,
-    replay_states,
     sample_rollout,
+    token_columns,
     token_ratio,
     token_terms,
 )
@@ -47,8 +48,9 @@ def random_groups(rng, n_problems=2, group_size=4, w_cap=4, mode="count", policy
     """Groups sampled from a behavior policy, with their advantages."""
     rollouts, behavior = random_rollouts(rng, n_problems, group_size, w_cap, policy)
     groups, advs = [], []
+    logp = behavior.log_probs()
     for group_rollouts in rollouts:
-        group = group_of(group_rollouts, behavior.w_cap)
+        group = group_of(group_rollouts, logp[behavior.problem_index(group_rollouts[0].problem_id)])
         rewards = [1.0 if r.correct else 0.0 for r in group_rollouts]
         if mode == "count":
             advs.append(count_advantage(rewards, group.correct_count, 1e-6))
@@ -67,42 +69,47 @@ def random_batch(rng, n_problems=2, group_size=4, w_cap=4, mode="count"):
     return (groups, advs), new
 
 
-def token_ratios(groups, policy):
-    """Every token's importance ratio under the policy, in batch order."""
+def cell_ratios(groups, policy):
+    """The importance ratio under the policy of every cell that some token
+    of a group falls in, in batch order: the ratios of the batch's tokens,
+    each once."""
     logp = policy.log_probs()
     return np.concatenate([
-        np.exp(logp[policy.problem_index(g.problem_id), g.states, g.actions] - g.behavior_logps)
+        np.exp(logp[policy.problem_index(g.problem_id)] - g.behavior_logp)[g.counts.sum(axis=0) > 0]
         for g in groups
     ])
 
 
 def tokens(policy, *groups):
     """Groups of one-token rollouts and their advantages, from per-group
-    (problem index, states, actions, old_logps, advantages) tuples."""
+    (problem index, states, actions, old_logps, advantages) tuples; a
+    group's behavior table is the policy's rows with each token's old
+    log-prob in its cell."""
     built, advs = [], []
     for index, states, actions, old_logps, advantages in groups:
         n = len(actions)
+        cells = np.asarray(states, dtype=np.intp), np.asarray(actions, dtype=np.intp)
+        counts = np.zeros((n, policy.w_cap + 1, 4), dtype=np.int32)
+        counts[(np.arange(n), *cells)] = 1
+        behavior = policy.log_probs()[index]
+        behavior[cells] = old_logps
+        assert np.array_equal(behavior[cells], old_logps)
         no = np.zeros(n, dtype=bool)
-        built.append(RolloutGroup(policy.problem_ids[index], np.ones(n), no, no, actions, states, old_logps))
-        advs.append(AdvantageVector(advantages, "count"))
+        built.append(RolloutGroup(policy.problem_ids[index], counts, behavior, no, no))
+        advs.append(AdvantageVector(advantages))
     return built, advs
 
 
-# Reference: each group's token arrays built rollout by rollout from the
-# sampled traces, states replayed through every trace.
-
-
-def reference_groups(rollouts, advantages, policy):
-    return [
-        (
-            policy.problem_index(group[0].problem_id),
-            np.concatenate([replay_states(r.actions, policy.w_cap) for r in group]),
-            np.concatenate([np.array(r.actions, dtype=np.intp) for r in group]),
-            np.concatenate([np.array(r.behavior_logps) for r in group]),
-            np.concatenate([np.full(r.length, float(a)) for a, r in zip(adv.values, group)]),
-        )
-        for group, adv in zip(rollouts, advantages)
-    ]
+def assert_equals_token_oracle(groups, advs, policy):
+    """The count-table surrogate and gradient agree with the per-token
+    ``np.add.at`` oracle up to the order of their float additions: to rtol
+    1e-12, and the gradient to 1e-12 of its largest entry where a state
+    row's terms cancel to rounding noise."""
+    value, grad = surrogate(groups, advs, policy, EPS_LOW, EPS_HIGH)
+    terms = token_terms(groups, advs, policy)
+    assert value == pytest.approx(reference_surrogate(terms, policy, EPS_LOW, EPS_HIGH), rel=1e-12, abs=0)
+    want = reference_gradient(terms, policy, EPS_LOW, EPS_HIGH)
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestTokenRatio:
@@ -153,7 +160,7 @@ class TestClippedTerm:
 
 
 class TestTokenBatch:
-    """A step's tokens are the per-token columns of its groups; each
+    """A step's tokens are the cells of its groups' count tables; each
     rollout's advantage covers its own tokens."""
 
     def test_empty_batch_rejected(self):
@@ -161,43 +168,65 @@ class TestTokenBatch:
             surrogate([], [], TabularPolicy(("p",), 2), EPS_LOW, EPS_HIGH)
 
     def test_group_token_length_mismatch(self):
-        with pytest.raises(ValueError, match="one entry per token"):
-            RolloutGroup("p", [3], [False], [False], [0, 0, 2], [0, 1], [-1.0] * 3)
+        # the table's (state, action) cells are the behavior table's
+        with pytest.raises(ValueError, match="do not match behavior_logp"):
+            RolloutGroup("p", np.ones((1, 3, 4)), np.full((2, 4), -1.0), [False], [False])
 
     def test_offsets_must_cover_tokens(self):
-        with pytest.raises(ValueError, match="token count"):
-            RolloutGroup("p", [2], [False], [False], [0, 0, 2], [0, 1, 2], [-1.0] * 3)
+        # a rollout's length is its table's token count, not a second record
+        counts = np.zeros((2, 3, 4))
+        counts[0, :, Action.WORK], counts[0, 2, Action.ANSWER_A], counts[1, 0, Action.ANSWER_B] = 1, 1, 1
+        group = RolloutGroup("p", counts, np.full((3, 4), -1.0), [True, False], [False, False])
+        assert group.lengths.tolist() == [4, 1]
+        with pytest.raises(TypeError):
+            RolloutGroup("p", counts, np.full((3, 4), -1.0), [True, False], [False, False], lengths=[4, 1])
 
     def test_advantages_broadcast_per_rollout(self):
-        # two rollouts of 3 and 2 tokens score exactly as five one-token
-        # rollouts carrying their rollout's advantage
+        # two rollouts of 3 and 2 tokens score as five one-token rollouts
+        # carrying their rollout's advantage: the same gradient, and the same
+        # value but for the order of its float additions
         rng = np.random.default_rng(9)
         policy = random_policy(rng, ("p",), w_cap=4)
         old = np.log(rng.uniform(0.05, 1.0, size=5))
         states, actions = [0, 1, 2, 0, 0], [0, 0, 2, 1, 3]
-        group = RolloutGroup("p", [3, 2], [True, False], [False, False], actions, states, old)
+        counts = np.zeros((2, 5, 4))
+        counts[[0, 0, 0, 1, 1], states, actions] = 1
+        behavior = policy.log_probs()[0]
+        behavior[states, actions] = old
+        group = RolloutGroup("p", counts, behavior, [True, False], [False, False])
         adv = count_advantage([1.0, 0.0], 1, 1e-6)
         per_token = tokens(policy, (0, states, actions, old, [adv.values[0]] * 3 + [adv.values[1]] * 2))
         value, grad = surrogate([group], [adv], policy, EPS_LOW, EPS_HIGH)
         ref_value, ref_grad = surrogate(*per_token, policy, EPS_LOW, EPS_HIGH)
-        assert value == ref_value and np.array_equal(grad, ref_grad)
+        assert value == pytest.approx(ref_value, rel=1e-15) and np.array_equal(grad, ref_grad)
 
     def test_size_mismatch_rejected(self):
         policy = TabularPolicy(("p",), 4)
-        group = RolloutGroup("p", [1, 1], [False, False], [False, False], [2, 2], [0, 0], [-1.4, -1.4])
+        (group,), _ = tokens(policy, (0, [0, 0], [2, 2], [-1.4, -1.4], [0.0, 0.0]))
         adv = count_advantage([1.0, 0.5, 0.0], 2, 1e-6)
         with pytest.raises(ValueError, match="size mismatch"):
             surrogate([group], [adv], policy, EPS_LOW, EPS_HIGH)
         with pytest.raises(ValueError, match="one AdvantageVector per group"):
             surrogate([group, group], [adv], policy, EPS_LOW, EPS_HIGH)
 
+    @pytest.mark.parametrize("n_states, n_actions", [(4, 4), (6, 4), (5, 3), (5, 8)])
+    def test_cells_must_be_the_policys(self, n_states, n_actions):
+        # a table over other states or actions than the policy's, such as
+        # one sampled at another w_cap, is named rather than indexed
+        policy = TabularPolicy(("p", "q"), 4)
+        counts = np.zeros((2, n_states, n_actions))
+        counts[:, 0, 0] = 1
+        group = RolloutGroup("q", counts, np.full((n_states, n_actions), -1.0), [False, False], [False, False])
+        with pytest.raises(ValueError, match=f"count table of 'q' has cells \\({n_states}, {n_actions}\\)"):
+            surrogate([group], [AdvantageVector((0.5, -0.5))], policy, EPS_LOW, EPS_HIGH)
+
 
 class TestFlatten:
-    """The flat per-token columns the sampler records for a step."""
+    """The count tables the sampler records for a step."""
 
     def test_matches_per_group_arrays(self):
-        # sample_batch's columns are the per-rollout reference arrays on the
-        # same (*key, problem, rollout) streams, concatenated; small w_cap
+        # sample_batch's tables are those of the per-rollout reference
+        # traces on the same (*key, problem, rollout) streams; small w_cap
         # and WORK-heavy policies make states saturate
         saturated = 0
         for seed in range(30):
@@ -214,15 +243,9 @@ class TestFlatten:
                 rollouts = [
                     sample_rollout(logp[p], problem, np.random.default_rng((*key, p, r)), 64) for r in range(5)
                 ]
-                adv = AdvantageVector((0.0,) * 5, "count")
-                (index, states, actions, old_logps, _), = reference_groups([rollouts], [adv], policy)
-                assert group.problem_id == problem.id and index == p
-                assert np.array_equal(group.states, states)
-                assert np.array_equal(group.actions, actions)
-                assert np.array_equal(group.behavior_logps, old_logps)
+                assert columns(group) == columns(group_of(rollouts, logp[p]))
                 assert group.lengths.tolist() == [r.length for r in rollouts]
-                assert group.correct.tolist() == [r.correct for r in rollouts]
-                saturated += int(np.sum((group.states == w_cap) & (group.actions == Action.WORK)))
+                saturated += int(group.counts[:, w_cap, Action.WORK].sum())
         assert saturated > 0
 
     def test_states_replay_each_trace(self):
@@ -232,22 +255,26 @@ class TestFlatten:
         logits[..., 1:] = -1e9
         policy = TabularPolicy(("p",), 2, logits)
         (group,) = sample_batch(policy, [ProblemSpec("p", 1, "A")], 3, 5, (0,))
-        assert group.states.tolist() == [0, 1, 2, 2, 2] * 3
+        assert group.counts[..., Action.WORK].tolist() == [[1, 1, 3]] * 3
+        assert group.counts.sum() == group.counts[..., Action.WORK].sum()
         for seed in range(10):
             rng = np.random.default_rng(450 + seed)
             policy = random_policy(rng, ("p",), w_cap=2)
-            (group,) = sample_batch(policy, [ProblemSpec("p", 1, "B")], 6, 16, (seed,))
-            traces = np.split(group.actions, np.cumsum(group.lengths)[:-1])
-            assert np.array_equal(group.states, np.concatenate([replay_states(t, 2) for t in traces]))
+            problem = ProblemSpec("p", 1, "B")
+            (group,) = sample_batch(policy, [problem], 6, 16, (seed,))
+            logp = policy.log_probs()[0]
+            traces = [sample_rollout(logp, problem, np.random.default_rng((seed, 0, r)), 16) for r in range(6)]
+            assert np.array_equal(group.counts, group_of(traces, logp).counts)
 
     def test_objective_and_gradient_equal_per_group_reference(self):
-        # exact equality, not approximate: the per-group pass over the
-        # columns keeps the reference float operations and np.add.at order
+        # the count tables score as the per-token reference on the same
+        # traces, up to the order of float additions
         clip_active = 0
         for seed in range(30):
             rng = np.random.default_rng(500 + seed)
             rollouts, behavior = random_rollouts(rng, n_problems=3, group_size=6)
-            groups = [group_of(rs, behavior.w_cap) for rs in rollouts]
+            logp = behavior.log_probs()
+            groups = [group_of(rs, logp[i]) for i, rs in enumerate(rollouts)]
             rewards = [[1.0 if r.correct else 0.0 for r in rs] for rs in rollouts]
             if seed % 2:
                 advs = [count_advantage(rw, g.correct_count, 1e-6) for rw, g in zip(rewards, groups)]
@@ -255,17 +282,14 @@ class TestFlatten:
                 advs = [std_advantage(rw) for rw in rewards]
             policy = behavior.copy()
             policy.logits = policy.logits + rng.normal(0, 0.5, size=policy.logits.shape)
-            ref = reference_groups(rollouts, advs, policy)
-            value, grad = surrogate(groups, advs, policy, EPS_LOW, EPS_HIGH)
-            assert value == reference_surrogate(ref, policy, EPS_LOW, EPS_HIGH)
-            assert np.array_equal(grad, reference_gradient(ref, policy, EPS_LOW, EPS_HIGH))
-            ratio = token_ratios(groups, policy)
+            assert_equals_token_oracle(groups, advs, policy)
+            ratio = cell_ratios(groups, policy)
             clip_active += int(np.sum((ratio < 1 - EPS_LOW) | (ratio > 1 + EPS_HIGH)))
         assert clip_active > 0
 
     def test_repeated_problems_and_active_clip_equal_reference(self):
         # stale-behavior batches in which some problems appear twice: each
-        # gradient cell gets the reference's additions in the same order
+        # gradient cell sums the terms of every group of its problem
         clip_active = 0
         for seed in range(30):
             rng = np.random.default_rng(600 + seed)
@@ -279,11 +303,8 @@ class TestFlatten:
             advs = [mode(rng.random(g.size), g.correct_count, 1e-6) for g in groups]
             policy = behavior.copy()
             policy.logits = policy.logits + rng.normal(0, 0.5, size=policy.logits.shape)
-            value, grad = surrogate(groups, advs, policy, EPS_LOW, EPS_HIGH)
-            terms = token_terms(groups, advs, policy)
-            assert value == reference_surrogate(terms, policy, EPS_LOW, EPS_HIGH)
-            assert np.array_equal(grad, reference_gradient(terms, policy, EPS_LOW, EPS_HIGH))
-            ratio = token_ratios(groups, policy)
+            assert_equals_token_oracle(groups, advs, policy)
+            ratio = cell_ratios(groups, policy)
             clip_active += int(np.sum((ratio < 1 - EPS_LOW) | (ratio > 1 + EPS_HIGH)))
         assert clip_active > 0
 
@@ -315,15 +336,40 @@ class TestSurrogate:
             per_group = []
             for group, adv in zip(*batch):
                 p = policy.problem_index(group.problem_id)
-                token_advs = [v for v, n in zip(adv.values, group.lengths) for _ in range(n)]
                 terms = []
-                for s, a, old, token_adv in zip(group.states, group.actions, group.behavior_logps, token_advs):
-                    ratio = token_ratio(logp[p, s, a], old)
-                    terms.append(clipped_term(ratio, token_adv, EPS_LOW, EPS_HIGH))
+                for r, s, a in zip(*token_columns(group)):
+                    ratio = token_ratio(logp[p, s, a], group.behavior_logp[s, a])
+                    terms.append(clipped_term(ratio, adv.values[r], EPS_LOW, EPS_HIGH))
                 per_group.append(sum(terms) / len(terms))
             expected = sum(per_group) / len(per_group)
             got = surrogate(*batch, policy, EPS_LOW, EPS_HIGH)[0]
             assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_count_tables_equal_token_oracle(self):
+        # hand-built tables, not sampled ones: rollouts of up to thousands of
+        # tokens in any cells, batches that repeat problems, behavior tables
+        # far enough from the policy that the clip acts on both sides
+        clipped = {"low": 0, "high": 0}
+        for seed in range(40):
+            rng = np.random.default_rng(650 + seed)
+            ids = tuple(f"p{i}" for i in range(3))
+            policy = random_policy(rng, ids, w_cap=int(rng.integers(1, 6)))
+            logp = policy.log_probs()
+            groups, advs = [], []
+            for index in rng.integers(0, len(ids), size=int(rng.integers(1, 7))):
+                size = int(rng.integers(1, 9))
+                counts = rng.integers(0, 3, size=(size, *logp.shape[1:])) * rng.integers(1, 800, size=(size, 1, 1))
+                counts[:, 0, Action.ANSWER_A] += 1
+                behavior = logp[index] + rng.normal(0, 0.4, size=logp.shape[1:])
+                behavior -= np.log(np.exp(behavior).sum(axis=-1, keepdims=True))
+                no = np.zeros(size, dtype=bool)
+                groups.append(RolloutGroup(ids[index], counts, behavior, no, no))
+                advs.append(AdvantageVector(rng.normal(0, 1, size=size)))
+            assert_equals_token_oracle(groups, advs, policy)
+            ratio = cell_ratios(groups, policy)
+            clipped["low"] += int(np.sum(ratio < 1 - EPS_LOW))
+            clipped["high"] += int(np.sum(ratio > 1 + EPS_HIGH))
+        assert min(clipped.values()) > 0
 
     def test_group_normalization_balances_lengths(self):
         # a long group and a short group contribute equally to the batch mean
@@ -356,7 +402,7 @@ class TestGradient:
                 num[idx] = (up - down) / (2 * h)
             # skip batches where some token sits within O(h) of a clip
             # boundary: the objective is not differentiable there
-            ratio = token_ratios(batch[0], policy)
+            ratio = cell_ratios(batch[0], policy)
             near_kink = np.any(
                 (np.abs(ratio - (1 - EPS_LOW)) < 50 * h) | (np.abs(ratio - (1 + EPS_HIGH)) < 50 * h)
             )

@@ -100,7 +100,7 @@ class TestSampleBatch:
                     sample_rollout(rows, problem, np.random.default_rng((*key, p, r)), cfg.l_max)
                     for r in range(cfg.group_size)
                 ]
-                assert columns(group) == columns(group_of(rollouts, cfg.w_cap))
+                assert columns(group) == columns(group_of(rollouts, rows))
 
     def test_log_probs_once_per_batch(self, monkeypatch):
         cfg = small_config()
@@ -376,16 +376,14 @@ def run_record(out):
 
 
 class TestSameNumbersAsReferences:
-    """The whole-batch sampler and the bincount gradient change no number:
-    with the token-by-token sampler and the per-group ``np.add.at``
-    gradient of ``tests/reference.py`` in their place, runs and evals give
+    """The whole-batch sampler changes no number: with the token-by-token
+    sampler of ``tests/reference.py`` in its place, runs and evals give
     identical logs, buffers, logits and reports."""
 
     @staticmethod
     def use_references(monkeypatch):
         monkeypatch.setattr(trainer, "sample_batch", reference.sample_batch)
         monkeypatch.setattr(cli, "sample_batch", reference.sample_batch)
-        monkeypatch.setattr(trainer, "surrogate", reference.surrogate)
 
     def test_desk_run_and_eval(self, tmp_path, monkeypatch):
         config = RunConfig(group_size=8, l_max=1024, steps=20, seed=0)
