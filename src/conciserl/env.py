@@ -10,11 +10,13 @@ that is differentiable by hand.
 
 from __future__ import annotations
 
+import operator
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import ANSWERS, InvariantViolation, ProblemSpec, RolloutGroup
 
@@ -113,6 +115,79 @@ _FIRST_CHUNK = 16
 _BLOCK_ROLLOUTS = 256
 _BLOCK_TOKENS = 1 << 19
 
+# numpy's SeedSequence constants (pool size, hashmix, mix and state output).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence whose PCG64 seed words were hashed already."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _hashers(const: int, mult: int):
+    """SeedSequence's running hash constant: for each successive hash, the
+    constant it xors in and the next one, which it multiplies by."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def _hash(value: np.ndarray, hashers) -> np.ndarray:
+    xor, mult = next(hashers)
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+def _generators(key: tuple[int, ...], problems: range, rollouts: range) -> list[np.random.Generator]:
+    """``[np.random.default_rng((*key, p, r)) for p in problems for r in
+    rollouts]``, with numpy's SeedSequence hash run once over the block.
+
+    Every rollout's entropy is the key's little-endian 32-bit words, then
+    one word each for p and r, so the hash makes the same calls with the
+    same constants on every rollout: each is one uint32 array operation
+    here. PCG64 seeds its 128-bit state from the hashed words itself.
+    """
+    words = []
+    for k in map(operator.index, key):
+        if k < 0:
+            raise ValueError(f"seed {k} in rng key {tuple(key)} is negative; seeds must be non-negative integers")
+        words += [k >> shift & _MASK32 for shift in range(0, max(k.bit_length(), 1), 32)]
+    n = len(problems) * len(rollouts)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy.append(np.repeat(np.asarray(problems, dtype=np.uint32), len(rollouts)))
+    entropy.append(np.tile(np.asarray(rollouts, dtype=np.uint32), len(problems)))
+    zero = np.zeros(n, dtype=np.uint32)
+    hashers = _hashers(_INIT_A, _MULT_A)
+    pool = [_hash(entropy[i] if i < len(entropy) else zero, hashers) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], hashers))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, hashers))
+    # generate_state(4, np.uint64): eight words hashed from the pool in turn.
+    hashers = _hashers(_INIT_B, _MULT_B)
+    state = np.stack([_hash(pool[i % _POOL_SIZE], hashers) for i in range(2 * _POOL_SIZE)], axis=1)
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in state]
+
 
 def sample_groups(
     logp: np.ndarray,
@@ -126,10 +201,10 @@ def sample_groups(
     ``logp[i]`` holds ``bank[i]``'s ``(w_cap + 1, N_ACTIONS)`` rows of
     ``TabularPolicy.log_probs()``, row w being the state with w WORK tokens
     so far; rollout r of ``bank[i]`` draws one uniform per token from
-    ``default_rng((*key, i, r))`` and takes the first action whose
+    ``default_rng((*key, i, r))``'s stream and takes the first action whose
     cumulative probability exceeds it. An episode ends at the first ANSWER_*
     token or is truncated at ``l_max`` tokens; truncated episodes are
-    incorrect by convention.
+    incorrect by convention. ``key`` must hold non-negative integers.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -172,9 +247,11 @@ def _sample_block(
     ``w_cap``; any other token exits it. A run of state-keeping tokens
     therefore ends at the first uniform outside ``[cum[w, 0], cum[w, 1])``
     (``[0, cum[w, 1])`` at ``w_cap``), which one numpy pass finds for every
-    live rollout at once. Rollouts draw their uniforms in doubling chunks;
-    PCG64 yields the same doubles whatever the chunk sizes, so a rollout
-    consumes exactly the uniforms a token-by-token loop would.
+    live rollout at once. Each rollout's generator is seeded as
+    ``default_rng((*key, p, r))`` would be, from one vectorized seed hash
+    of the block (``_generators``). Rollouts draw their uniforms in doubling
+    chunks; PCG64 yields the same doubles whatever the chunk sizes, so a
+    rollout consumes exactly the uniforms a token-by-token loop would.
 
     The exits are all the count table needs: the tokens of state w before
     ``w_cap`` are the FILLERs between the WORK exit into w and the one out
@@ -184,7 +261,7 @@ def _sample_block(
     n_states = logp.shape[1]
     group_size = len(rollouts)
     n = len(problems) * group_size
-    rngs = [np.random.default_rng((*key, p, r)) for p in problems for r in rollouts]
+    rngs = _generators(key, problems, rollouts)
     # Per flat (problem, state) index: a uniform below ``lo`` is a WORK exit
     # (never at w_cap), one at or above ``hi`` an answer, ANSWER_B from
     # ``b`` on; below ``work_edge`` it is a WORK token, which keeps w_cap.

@@ -93,9 +93,11 @@ def sample_batch(
 ) -> list[RolloutGroup]:
     """Sample ``group_size`` rollouts per problem from the (frozen) policy.
 
-    Rollout r of problem p draws from ``default_rng((*key, p, r))``;
-    training keys by (seed, step), ``eval`` by (seed,). The policy's
-    log-probs are computed once for the whole batch.
+    Rollout r of problem p draws from ``default_rng((*key, p, r))``'s
+    stream, whose generators ``env.sample_groups`` seeds from one vectorized
+    hash per block; training keys by (seed, step), ``eval`` by (seed,). A
+    negative key element is a ValueError. The policy's log-probs are
+    computed once for the whole batch.
     """
     logp = policy.log_probs()[[policy.problem_index(problem.id) for problem in bank]]
     return sample_groups(logp, bank, key, group_size, l_max)

@@ -247,6 +247,14 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(ck), "--n-samples", "16", "--k", "1,4"]) == EXIT_OK
         assert len(calls) == 1
 
+    def test_negative_seed_named(self, tmp_path, capsys):
+        ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
+        assert main(["eval", "--checkpoint", str(ck), "--seed", "-1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.fullmatch(r"error: seed -1 .*non-negative.*\n", err), err
+        assert not (ck / "eval.json").exists()
+
     def test_bad_k(self, tmp_path):
         out = quick_train(tmp_path)
         ck = out / "checkpoints" / "step_00004"
@@ -379,6 +387,7 @@ MALFORMED_INPUTS = {
             ("duplicate-row", DUPLICATE_ROW_CSV),
         )
     },
+    "eval-negative-seed": lambda t: [*eval_argv(t, lambda ck: None), "--seed", "-1"],
     "train-config-not-utf8": lambda t: [
         "train", "--config", write_bytes(t / "run.cfg", NOT_UTF8_CONFIG), "--out", str(t / "o")
     ],

@@ -249,8 +249,18 @@ def random_batch_case(rng, l_max):
     logits[..., Action.WORK] += rng.uniform(0, 3)
     logits[..., 2:] -= rng.uniform(0, 12, size=(n_problems, 1, 1))
     policy = TabularPolicy([p.id for p in bank][::-1], w_cap, logits)
-    key = tuple(int(k) for k in rng.integers(0, 1000, size=int(rng.integers(1, 3))))
-    return policy, bank, int(rng.integers(1, 17)), key
+    return policy, bank, int(rng.integers(1, 17)), random_key(rng)
+
+
+# Key elements at the edges of numpy's 32-bit seed words: 0 (one zero word),
+# the largest one-word value, the smallest two-word one and a three-word one.
+EDGE_KEY_ELEMENTS = (0, 2**32 - 1, 2**32, 2**64 + 5)
+
+
+def random_key(rng):
+    """0 to 3 key elements: word edges, small values and multi-word ones."""
+    choices = [*EDGE_KEY_ELEMENTS, int(rng.integers(0, 1000)), int(rng.integers(0, 2**63)) << 40]
+    return tuple(choices[i] for i in rng.integers(0, len(choices), size=int(rng.integers(0, 4))))
 
 
 def assert_walk_equals_reference(policy, bank, group_size, l_max, key):
@@ -359,6 +369,47 @@ class TestSampleGroup:
             saturated += int(got.counts[:, w_cap, Action.WORK].sum())
             truncated += int(got.truncated.sum())
         assert saturated > 0 and truncated > 0
+
+
+def assert_generators_are_default_rngs(key, problems, rollouts):
+    got = env._generators(key, problems, rollouts)
+    want = [np.random.default_rng((*key, p, r)) for p in problems for r in rollouts]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.bit_generator.state == w.bit_generator.state
+
+
+class TestGenerators:
+    """``env._generators`` hashes a block's seeds in one vectorized pass; each
+    generator must start in exactly ``default_rng((*key, p, r))``'s state."""
+
+    @pytest.mark.parametrize("prefix_length", range(4))
+    def test_edge_elements(self, prefix_length):
+        for key in itertools.product(EDGE_KEY_ELEMENTS, repeat=prefix_length):
+            assert_generators_are_default_rngs(key, range(0, 2), range(0, 3))
+            assert_generators_are_default_rngs(key, range(2**32 - 2, 2**32), range(2**32 - 3, 2**32))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        key=st.lists(
+            st.one_of(st.sampled_from(EDGE_KEY_ELEMENTS), st.integers(0, 2**32 - 1), st.integers(0, 2**130)),
+            max_size=3,
+        ),
+        p=st.integers(0, 2**32 - 1),
+        r=st.integers(0, 2**32 - 1),
+        n_problems=st.integers(1, 3),
+        n_rollouts=st.integers(1, 4),
+    )
+    def test_states_equal_default_rng_property(self, key, p, r, n_problems, n_rollouts):
+        problems = range(p, min(p + n_problems, 2**32))
+        rollouts = range(r, min(r + n_rollouts, 2**32))
+        assert_generators_are_default_rngs(tuple(key), problems, rollouts)
+
+    @pytest.mark.parametrize("key", [(-1,), (3, -7), (-(2**40), 0)])
+    def test_negative_element_named(self, key):
+        bad = next(k for k in key if k < 0)
+        with pytest.raises(ValueError, match=rf"seed {bad} .*non-negative"):
+            env._generators(key, range(2), range(2))
 
 
 class TestProblemBank:
