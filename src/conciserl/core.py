@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
@@ -198,13 +199,19 @@ class RunConfig:
         """Reject the config unless every field constraint holds.
 
         Collects every violation (by field name) into a single ConfigError,
-        so no invalid config can exist.
+        so no invalid config can exist: first every field that is not a
+        finite float or an integer as its type says, then, once all are,
+        every range violation.
         """
-        errors = [
-            f"{f.name} must be finite"
-            for f in dataclasses.fields(self)
-            if f.type == "float" and not math.isfinite(getattr(self, f.name))
-        ]
+        errors = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                errors.append(f"{f.name} must be finite")
+            elif f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                errors.append(f"{f.name} must be an integer, got {value!r}")
+        if errors:  # the range checks below compare numbers
+            raise ConfigError(errors)
         if self.alpha < 0:
             errors.append("alpha must be >= 0")
         if not 0 <= self.r_pen:
@@ -263,10 +270,12 @@ def _coerce(name: str, raw: str) -> Any:
 def load_config(path: str | Path) -> RunConfig:
     """Load a RunConfig from a flat ``key = value`` text file.
 
-    Blank lines and ``#`` comments are ignored; unknown keys are an error.
+    Blank lines and ``#`` comments are ignored; unknown and repeated keys
+    are an error.
     """
     overrides: dict[str, Any] = {}
     errors: list[str] = []
+    seen: set[str] = set()
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -280,6 +289,10 @@ def load_config(path: str | Path) -> RunConfig:
         if key not in _FIELD_TYPES:
             errors.append(f"unknown config key: {key}")
             continue
+        if key in seen:
+            errors.append(f"line {lineno}: duplicate key {key}")
+            continue
+        seen.add(key)
         try:
             overrides[key] = _coerce(key, raw)
         except ValueError:

@@ -110,8 +110,7 @@ def min_correct_length(problem: ProblemSpec) -> int:
 _FIRST_CHUNK = 16
 # Rollouts are walked together in blocks of at most this many rollouts and
 # this many tokens at l_max: a block's generators and its current chunk of
-# uniforms are all that the sampler keeps live besides the finished groups.
-# A block holds whole groups, or part of one group when a group is larger.
+# uniforms are all that the sampler keeps live besides the batch's tables.
 _BLOCK_ROLLOUTS = 256
 _BLOCK_TOKENS = 1 << 19
 
@@ -154,9 +153,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _generators(key: tuple[int, ...], problems: range, rollouts: range) -> list[np.random.Generator]:
-    """``[np.random.default_rng((*key, p, r)) for p in problems for r in
-    rollouts]``, with numpy's SeedSequence hash run once over the block.
+def _generators(key: tuple[int, ...], problems: np.ndarray, rollouts: np.ndarray) -> list[np.random.Generator]:
+    """``[np.random.default_rng((*key, p, r)) for p, r in zip(problems,
+    rollouts)]``, with numpy's SeedSequence hash run once over the block.
 
     Every rollout's entropy is the key's little-endian 32-bit words, then
     one word each for p and r, so the hash makes the same calls with the
@@ -168,10 +167,9 @@ def _generators(key: tuple[int, ...], problems: range, rollouts: range) -> list[
         if k < 0:
             raise ValueError(f"seed {k} in rng key {tuple(key)} is negative; seeds must be non-negative integers")
         words += [k >> shift & _MASK32 for shift in range(0, max(k.bit_length(), 1), 32)]
-    n = len(problems) * len(rollouts)
+    n = len(problems)
     entropy = [np.full(n, w, dtype=np.uint32) for w in words]
-    entropy.append(np.repeat(np.asarray(problems, dtype=np.uint32), len(rollouts)))
-    entropy.append(np.tile(np.asarray(rollouts, dtype=np.uint32), len(problems)))
+    entropy += [np.asarray(problems, dtype=np.uint32), np.asarray(rollouts, dtype=np.uint32)]
     zero = np.zeros(n, dtype=np.uint32)
     hashers = _hashers(_INIT_A, _MULT_A)
     pool = [_hash(entropy[i] if i < len(entropy) else zero, hashers) for i in range(_POOL_SIZE)]
@@ -205,43 +203,44 @@ def sample_groups(
     cumulative probability exceeds it. An episode ends at the first ANSWER_*
     token or is truncated at ``l_max`` tokens; truncated episodes are
     incorrect by convention. ``key`` must hold non-negative integers.
+
+    The batch's rollouts, problem by problem, are walked in consecutive
+    blocks (``_walk``) whose edges need not fall between groups: a rollout's
+    stream and walk do not depend on the rollouts it shares a block with.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
     cum = np.exp(logp).cumsum(axis=-1)
+    n_problems, n_states = logp.shape[:2]
+    problems, rollouts = np.divmod(np.arange(n_problems * group_size), group_size)
+    counts = np.empty((len(problems), n_states, N_ACTIONS), dtype=np.int32)
+    answered, last, work = (np.empty(len(problems), dtype=t) for t in (bool, np.intp, np.intp))
     block = max(1, min(_BLOCK_ROLLOUTS, _BLOCK_TOKENS // l_max))
-    groups: list[RolloutGroup] = []
-    if group_size <= block:
-        per_block = block // group_size
-        for first in range(0, len(bank), per_block):
-            problems = range(first, min(first + per_block, len(bank)))
-            groups += _sample_block(logp, cum, bank, problems, range(group_size), key, l_max)
-        return groups
-    for p in range(len(bank)):
-        parts = [
-            _sample_block(logp, cum, bank, range(p, p + 1), range(r, min(r + block, group_size)), key, l_max)[0]
-            for r in range(0, group_size, block)
-        ]
-        counts, correct, truncated = (
-            np.concatenate([getattr(g, c) for g in parts]) for c in ("counts", "correct", "truncated")
-        )
-        groups.append(RolloutGroup(bank[p].id, counts, logp[p], correct, truncated))
-    return groups
+    for first in range(0, len(problems), block):
+        b = slice(first, first + block)
+        counts[b], answered[b], last[b], work[b] = _walk(cum, problems[b], rollouts[b], key, l_max)
+    difficulty = np.array([problem.difficulty for problem in bank])
+    answer = np.array([_ANSWER_FOR_LETTER[problem.correct_answer] for problem in bank])
+    correct = answered & (last == answer[problems]) & (work >= difficulty[problems])
+    shape = (n_problems, group_size)
+    counts = counts.reshape(*shape, n_states, N_ACTIONS)
+    correct, truncated = correct.reshape(shape), ~answered.reshape(shape)
+    return [RolloutGroup(problem.id, counts[p], logp[p], correct[p], truncated[p]) for p, problem in enumerate(bank)]
 
 
-def _sample_block(
-    logp: np.ndarray,
+def _walk(
     cum: np.ndarray,
-    bank: Sequence[ProblemSpec],
-    problems: range,
-    rollouts: range,
+    problems: np.ndarray,
+    rollouts: np.ndarray,
     key: tuple[int, ...],
     l_max: int,
-) -> list[RolloutGroup]:
-    """The ``rollouts`` of each problem of ``bank[problems]``, as one group
-    per problem, walked one state exit at a time.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rollout r of problem p, for each ``(p, r)`` of ``zip(problems,
+    rollouts)``, walked one state exit at a time under the cumulative action
+    probabilities ``cum[p]``: its count table, whether it answered within
+    ``l_max``, its last action (the answer, if it answered) and its WORK count.
 
     In state w a FILLER token keeps the state, and so does a WORK token at
     ``w_cap``; any other token exits it. A run of state-keeping tokens
@@ -258,9 +257,8 @@ def _sample_block(
     of it, then that exit; the last state holds the rest of the rollout,
     its answer and, at ``w_cap``, the WORK tokens the walk counts there.
     """
-    n_states = logp.shape[1]
-    group_size = len(rollouts)
-    n = len(problems) * group_size
+    n_states = cum.shape[1]
+    n = len(problems)
     rngs = _generators(key, problems, rollouts)
     # Per flat (problem, state) index: a uniform below ``lo`` is a WORK exit
     # (never at w_cap), one at or above ``hi`` an answer, ANSWER_B from
@@ -269,7 +267,7 @@ def _sample_block(
     lo = work_edge.copy()
     lo[n_states - 1 :: n_states] = -1.0
     hi, b = cum[:, :, 1].reshape(-1), cum[:, :, 2].reshape(-1)
-    first_state = np.repeat(np.arange(problems.start, problems.stop) * n_states, group_size)
+    first_state = problems * n_states
     state = first_state.copy()
     length = np.full(n, l_max + 1, dtype=np.intp)  # until the rollout answers
     exit_u = np.empty(n)  # the uniform of its latest exit, its answer's once it has one
@@ -341,23 +339,7 @@ def _sample_block(
     weights = np.concatenate([np.broadcast_to(w, c.shape) for c, w in terms])
     counts = np.bincount(cells, weights, n * n_states * N_ACTIONS).astype(np.int32).reshape(n, n_states, N_ACTIONS)
     work = state - first_state + cap_work
-
-    groups = []
-    for k, p in enumerate(problems):
-        problem = bank[p]
-        g = slice(k * group_size, (k + 1) * group_size)
-        groups.append(
-            RolloutGroup(
-                problem_id=problem.id,
-                counts=counts[g],
-                behavior_logp=logp[p],
-                correct=answered[g]
-                & (last[g] == _ANSWER_FOR_LETTER[problem.correct_answer])
-                & (work[g] >= problem.difficulty),
-                truncated=~answered[g],
-            )
-        )
-    return groups
+    return counts, answered, last, work
 
 
 def make_problem_bank(

@@ -2,13 +2,12 @@
 voting, length diversity, and trace analysis.
 
 Works both on rollouts from the toy environment and on externally supplied
-result files (benchmark CSVs, trace JSONL).
+result files (benchmark CSVs).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 from collections import Counter
@@ -162,46 +161,12 @@ def overthinking_counts(
     return counts, mean_steps
 
 
-@dataclass(frozen=True)
-class QuintileStat:
-    count: int
-    accuracy: float       # percent
-    token_change: float   # percent change of mean method tokens vs vanilla
-
-
 def quintile_sizes(n: int) -> list[int]:
     """Five equal-as-possible contiguous bins, remainder to earlier bins."""
     if n < 5:
         raise ValueError("need at least 5 records")
     q, r = divmod(n, 5)
     return [q + 1 if i < r else q for i in range(5)]
-
-
-def difficulty_quintiles(
-    records: Sequence[tuple[float, bool, float]],
-) -> list[QuintileStat]:
-    """Per-quintile accuracy and token change, binned by vanilla length.
-
-    ``records`` are (vanilla_tokens, method_correct, method_tokens); sorting
-    by vanilla tokens ascending defines the difficulty ordering.
-    """
-    sizes = quintile_sizes(len(records))
-    ordered = sorted(records, key=lambda rec: rec[0])
-    stats = []
-    start = 0
-    for size in sizes:
-        chunk = ordered[start : start + size]
-        start += size
-        vanilla_mean = sum(rec[0] for rec in chunk) / size
-        method_mean = sum(rec[2] for rec in chunk) / size
-        stats.append(
-            QuintileStat(
-                count=size,
-                accuracy=accuracy([rec[1] for rec in chunk]),
-                token_change=change_rate(method_mean, vanilla_mean),
-            )
-        )
-    return stats
 
 
 # --- file interfaces ---
@@ -228,24 +193,6 @@ def load_results_csv(path: str | Path) -> list[BenchResult]:
             except ValueError as e:
                 raise ValueError(f"line {reader.line_num}: {e}") from None
         return results
-
-
-def load_traces_jsonl(path: str | Path) -> list[TraceRecord]:
-    records = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        records.append(
-            TraceRecord(
-                problem_id=d["problem_id"],
-                text=d["text"],
-                answer=d["answer"],
-                correct=bool(d["correct"]),
-                token_count=int(d["token_count"]),
-            )
-        )
-    return records
 
 
 def split_method_benchmark(name: str) -> tuple[str, str]:

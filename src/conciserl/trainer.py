@@ -94,10 +94,11 @@ def sample_batch(
     """Sample ``group_size`` rollouts per problem from the (frozen) policy.
 
     Rollout r of problem p draws from ``default_rng((*key, p, r))``'s
-    stream, whose generators ``env.sample_groups`` seeds from one vectorized
-    hash per block; training keys by (seed, step), ``eval`` by (seed,). A
-    negative key element is a ValueError. The policy's log-probs are
-    computed once for the whole batch.
+    stream; ``env.sample_groups`` walks the batch's rollouts in consecutive
+    blocks, whatever groups they cut, and seeds each block's generators
+    from one vectorized hash. Training keys by (seed, step), ``eval`` by
+    (seed,). A negative key element is a ValueError. The policy's log-probs
+    are computed once for the whole batch.
     """
     logp = policy.log_probs()[[policy.problem_index(problem.id) for problem in bank]]
     return sample_groups(logp, bank, key, group_size, l_max)

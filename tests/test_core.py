@@ -18,6 +18,7 @@ from conciserl.core import (
 )
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+INT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "int"]
 
 
 def make_rollout(length=3, correct=True, truncated=False, problem_id="p1"):
@@ -225,6 +226,15 @@ class TestValidateConfig:
             "init_answer_logit",
         ]
 
+    def test_int_fields(self):
+        assert INT_FIELDS == [
+            "group_size", "l_max", "w_cap", "steps", "seed", "n_problems", "d_min", "d_max",
+            "checkpoint_every",
+        ]
+
+    def test_numpy_integers_accepted(self):
+        assert RunConfig(seed=np.int64(3), l_max=np.int32(64)) == RunConfig(seed=3, l_max=64)
+
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
@@ -237,6 +247,16 @@ def test_non_finite_rejected(name, value, tmp_path):
         load_config(path)
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, 2.5, 10.0, True, "3"], ids=["nan", "inf", "2.5", "10.0", "True", "str"]
+)
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_non_integer_rejected(name, value):
+    # a float that equals an integer is not one either
+    with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
+        RunConfig(**{name: value})
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--r-pen"])
@@ -258,6 +278,12 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("alpha = 0.1\nbogus = 3\n")
         with pytest.raises(ConfigError, match="unknown config key: bogus"):
+            load_config(path)
+
+    def test_duplicate_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\nalpha = 0.1\n\nseed = 2\n")
+        with pytest.raises(ConfigError, match="line 4: duplicate key seed"):
             load_config(path)
 
     def test_comments_and_blank_lines(self, tmp_path):

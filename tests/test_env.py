@@ -299,12 +299,25 @@ class TestSampleGroup:
             assert_walk_equals_reference(policy, bank, group_size, 130, key)
 
     def test_group_larger_than_a_block(self):
-        # a group of more than _BLOCK_ROLLOUTS rollouts is walked in parts
-        # and its tables joined in rollout order
+        # a group of more than _BLOCK_ROLLOUTS rollouts spans several blocks
         rng = np.random.default_rng(9600)
         policy, bank, _, key = random_batch_case(rng, 40)
         groups = assert_walk_equals_reference(policy, bank, env._BLOCK_ROLLOUTS + 44, 40, key)
         assert all(g.size == env._BLOCK_ROLLOUTS + 44 for g in groups)
+
+    @pytest.mark.parametrize("block_rollouts", [1, 3, 4, 6])
+    def test_blocks_straddle_groups(self, monkeypatch, block_rollouts):
+        # no block of 1, 3, G - 1 or G + 1 rollouts holds a whole number of
+        # G = 5 groups: blocks start and end partway through a group, and
+        # many hold the end of one problem's group and the start of the next
+        monkeypatch.setattr(env, "_BLOCK_ROLLOUTS", block_rollouts)
+        problems = 0
+        for i, l_max in enumerate([1, 17, 130]):
+            for seed in range(4):
+                policy, bank, _, key = random_batch_case(np.random.default_rng(9700 + 10 * i + seed), l_max)
+                assert_walk_equals_reference(policy, bank, 5, l_max, key)
+                problems += len(bank)
+        assert problems > 12  # some of the 12 banks hold several problems
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -372,22 +385,26 @@ class TestSampleGroup:
 
 
 def assert_generators_are_default_rngs(key, problems, rollouts):
-    got = env._generators(key, problems, rollouts)
-    want = [np.random.default_rng((*key, p, r)) for p in problems for r in rollouts]
+    got = env._generators(key, np.asarray(problems), np.asarray(rollouts))
+    want = [np.random.default_rng((*key, p, r)) for p, r in zip(problems, rollouts)]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.bit_generator.state == w.bit_generator.state
 
 
 class TestGenerators:
-    """``env._generators`` hashes a block's seeds in one vectorized pass; each
-    generator must start in exactly ``default_rng((*key, p, r))``'s state."""
+    """``env._generators`` hashes a block's seeds in one vectorized pass; the
+    generator of each per-rollout ``(p, r)`` pair must start in exactly
+    ``default_rng((*key, p, r))``'s state."""
 
     @pytest.mark.parametrize("prefix_length", range(4))
     def test_edge_elements(self, prefix_length):
         for key in itertools.product(EDGE_KEY_ELEMENTS, repeat=prefix_length):
-            assert_generators_are_default_rngs(key, range(0, 2), range(0, 3))
-            assert_generators_are_default_rngs(key, range(2**32 - 2, 2**32), range(2**32 - 3, 2**32))
+            assert_generators_are_default_rngs(key, *zip(*itertools.product(range(0, 2), range(0, 3))))
+            edges = itertools.product(range(2**32 - 2, 2**32), range(2**32 - 3, 2**32))
+            assert_generators_are_default_rngs(key, *zip(*edges))
+            # pairs in any order, not only a block of whole groups
+            assert_generators_are_default_rngs(key, [2**32 - 1, 0, 3, 0], [0, 2**32 - 1, 1, 1])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -395,21 +412,21 @@ class TestGenerators:
             st.one_of(st.sampled_from(EDGE_KEY_ELEMENTS), st.integers(0, 2**32 - 1), st.integers(0, 2**130)),
             max_size=3,
         ),
-        p=st.integers(0, 2**32 - 1),
-        r=st.integers(0, 2**32 - 1),
-        n_problems=st.integers(1, 3),
-        n_rollouts=st.integers(1, 4),
+        pairs=st.lists(
+            st.tuples(*[st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))] * 2),
+            min_size=1,
+            max_size=12,
+        ),
     )
-    def test_states_equal_default_rng_property(self, key, p, r, n_problems, n_rollouts):
-        problems = range(p, min(p + n_problems, 2**32))
-        rollouts = range(r, min(r + n_rollouts, 2**32))
+    def test_states_equal_default_rng_property(self, key, pairs):
+        problems, rollouts = zip(*pairs)
         assert_generators_are_default_rngs(tuple(key), problems, rollouts)
 
     @pytest.mark.parametrize("key", [(-1,), (3, -7), (-(2**40), 0)])
     def test_negative_element_named(self, key):
         bad = next(k for k in key if k < 0)
         with pytest.raises(ValueError, match=rf"seed {bad} .*non-negative"):
-            env._generators(key, range(2), range(2))
+            env._generators(key, np.arange(2), np.arange(2))
 
 
 class TestProblemBank:

@@ -1,5 +1,4 @@
 import itertools
-import json
 from collections import Counter
 
 import numpy as np
@@ -11,11 +10,9 @@ from conciserl.metrics import (
     accuracy,
     avg_delta,
     change_rate,
-    difficulty_quintiles,
     ipt,
     length_cv,
     load_results_csv,
-    load_traces_jsonl,
     majority_at_k,
     overthinking_counts,
     quintile_sizes,
@@ -244,16 +241,6 @@ class TestQuintiles:
         with pytest.raises(ValueError):
             quintile_sizes(4)
 
-    def test_binned_by_vanilla_length(self):
-        # 10 records with vanilla lengths 1..10 shuffled; hardest bin is 9,10
-        records = [(float(v), v <= 9, float(v) / 2) for v in (3, 1, 7, 9, 5, 2, 10, 6, 4, 8)]
-        stats = difficulty_quintiles(records)
-        assert [s.count for s in stats] == [2, 2, 2, 2, 2]
-        assert stats[0].accuracy == 100.0
-        assert stats[4].accuracy == 50.0  # lengths 9, 10 -> one incorrect
-        for s in stats:
-            assert s.token_change == pytest.approx(-50.0)
-
 
 class TestFileInterfaces:
     def test_results_csv_round_trip(self, tmp_path):
@@ -272,12 +259,6 @@ class TestFileInterfaces:
         path.write_text("method,acc\nx,1\n")
         with pytest.raises(ValueError, match="header"):
             load_results_csv(path)
-
-    def test_traces_jsonl(self, tmp_path):
-        path = tmp_path / "traces.jsonl"
-        rec = {"problem_id": "p", "text": "Wait", "answer": "A", "correct": True, "token_count": 4}
-        path.write_text(json.dumps(rec) + "\n\n")
-        assert load_traces_jsonl(path) == [TraceRecord("p", "Wait", "A", True, 4)]
 
     def test_split_method_benchmark(self):
         assert split_method_benchmark("vanilla/amc23") == ("vanilla", "amc23")
