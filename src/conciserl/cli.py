@@ -92,31 +92,24 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     policy, buffer, bank, _ = resume(args.checkpoint)
-    k_list = [int(k) for k in str(args.k).split(",") if k.strip()]
+    try:
+        k_list = [int(k) for k in str(args.k).split(",") if k.strip()]
+    except ValueError:
+        raise ValueError(f"--k must be comma-separated integers, got {args.k!r}") from None
     if not k_list or min(k_list) < 1 or max(k_list) > args.n_samples:
         raise ValueError("every k must satisfy 1 <= k <= n_samples")
 
     groups = sample_batch(policy, bank, args.n_samples, buffer.l_max, (args.seed,))
-    # The vote of a sample is the answer it gave when it produced a valid
-    # solution (a correct rollout's last action is the correct answer),
-    # otherwise a non-matching sentinel; sample-level correctness then
-    # coincides with the verifier.
-    truth = {p.id: p.correct_answer for p in bank}
-    samples = {
-        g.problem_id: [
-            (truth[g.problem_id] if c else "invalid", n) for c, n in zip(g.correct.tolist(), g.lengths.tolist())
-        ]
-        for g in groups
-    }
-    outcomes = [c for g in groups for c in g.correct.tolist()]
-    lengths = {g.problem_id: g.lengths.tolist() for g in groups}
+    correct = np.stack([g.correct for g in groups])  # (problems, samples), bank order
+    lengths = np.stack([g.lengths for g in groups])
+    order = np.argsort([p.id for p in bank])  # majority@k draws problem by problem in id order
 
-    pass1 = metrics_mod.accuracy(outcomes)
-    mean_tokens = float(np.mean([t for pool in samples.values() for _, t in pool]))
+    pass1 = metrics_mod.accuracy(correct)
+    mean_tokens = float(lengths.mean())
     majority = {}
     for k in sorted(set(k_list)):
         rng = np.random.default_rng((args.seed, 1_000_003, k))
-        acc, total = metrics_mod.majority_at_k(samples, truth, k, rng)
+        acc, total = metrics_mod.majority_at_k(correct[order], lengths[order], k, rng)
         majority[str(k)] = {"accuracy": acc, "total_tokens": total}
     report = {
         "n_samples": args.n_samples,

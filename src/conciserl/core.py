@@ -200,13 +200,15 @@ class RunConfig:
 
         Collects every violation (by field name) into a single ConfigError,
         so no invalid config can exist: first every field that is not a
-        finite float or an integer as its type says, then, once all are,
-        every range violation.
+        finite real number or an integer as its type says, then, once all
+        are, every range violation.
         """
         errors = []
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                errors.append(f"{f.name} must be a real number, got {value!r}")
+            elif f.type == "float" and not math.isfinite(value):
                 errors.append(f"{f.name} must be finite")
             elif f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
                 errors.append(f"{f.name} must be an integer, got {value!r}")

@@ -35,8 +35,7 @@ _ANSWER_FOR_LETTER = {"A": Action.ANSWER_A, "B": Action.ANSWER_B}
 class TabularPolicy:
     """Softmax policy over actions, conditioned on (problem, work_count).
 
-    ``logits`` has shape (n_problems, w_cap + 1, N_ACTIONS). The behavior
-    snapshot used for sampling is just a ``copy()`` of the current policy.
+    ``logits`` has shape (n_problems, w_cap + 1, N_ACTIONS).
     """
 
     __slots__ = ("problem_ids", "w_cap", "logits", "_index")

@@ -2,7 +2,8 @@
 voting, length diversity, and trace analysis.
 
 Works both on rollouts from the toy environment and on externally supplied
-result files (benchmark CSVs).
+result files (benchmark CSVs). The sample metrics take the sampler's
+(problems, samples) ``correct`` and ``lengths`` tables as they are.
 """
 
 from __future__ import annotations
@@ -10,10 +11,9 @@ from __future__ import annotations
 import csv
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,11 +65,12 @@ class TraceRecord:
             raise ValueError("token_count must be >= 1")
 
 
-def accuracy(outcomes: Sequence[bool]) -> float:
-    """Fraction of correct outcomes, as a percentage."""
-    if not outcomes:
+def accuracy(outcomes: np.ndarray) -> float:
+    """Fraction of correct outcomes in a bool array of any shape, as a percentage."""
+    outcomes = np.asarray(outcomes, dtype=bool)
+    if not outcomes.size:
         raise ValueError("outcomes must be non-empty")
-    return 100.0 * sum(1 for o in outcomes if o) / len(outcomes)
+    return 100.0 * np.count_nonzero(outcomes) / outcomes.size
 
 
 def ipt(accuracy_pct: float, mean_tokens: float) -> float:
@@ -94,52 +95,42 @@ def avg_delta(pairs: Sequence[tuple[float, float]]) -> float:
 
 
 def majority_at_k(
-    samples: Mapping[str, Sequence[tuple[str, int]]],
-    truth: Mapping[str, str],
-    k: int,
-    rng: np.random.Generator,
+    correct: np.ndarray, lengths: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[float, int]:
     """Majority-vote accuracy over k samples drawn per problem.
 
-    Draws k samples without replacement (deterministic under ``rng``), takes
-    the modal answer with lexicographic tie-breaking, and scores it against
-    the ground truth. Returns (accuracy in [0, 1], total tokens consumed).
+    Each row of the (problems, samples) tables, in order, draws k samples
+    without replacement with one ``rng.choice`` call. Every wrong sample casts
+    the same wrong vote, so a row is right when at least half of its k are
+    (a tie goes to the right answer). Returns (accuracy in [0, 1], total
+    tokens drawn).
     """
+    correct = np.asarray(correct, dtype=bool)
+    lengths = np.asarray(lengths)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not samples:
-        raise ValueError("samples must be non-empty")
-    n_correct = 0
-    total_tokens = 0
-    for pid in sorted(samples):
-        pool = samples[pid]
-        if len(pool) < k:
-            raise ValueError(f"problem {pid!r} has {len(pool)} samples, need >= {k}")
-        chosen = rng.choice(len(pool), size=k, replace=False)
-        counts = Counter(pool[i][0] for i in chosen)
-        total_tokens += sum(pool[i][1] for i in chosen)
-        top = max(counts.values())
-        winner = min(a for a, c in counts.items() if c == top)
-        if winner == truth[pid]:
-            n_correct += 1
-    return n_correct / len(samples), total_tokens
+    if correct.ndim != 2 or correct.shape != lengths.shape or not len(correct):
+        raise ValueError(f"need equal (problems, samples) tables, got {correct.shape} and {lengths.shape}")
+    n_problems, n = correct.shape
+    if n < k:
+        raise ValueError(f"each problem has {n} samples, need >= {k}")
+    chosen = np.array([rng.choice(n, size=k, replace=False) for _ in range(n_problems)])
+    votes = np.take_along_axis(correct, chosen, axis=1).sum(axis=1)
+    total_tokens = int(np.take_along_axis(lengths, chosen, axis=1).sum())
+    return np.count_nonzero(2 * votes >= k) / n_problems, total_tokens
 
 
-def length_cv(lengths_per_problem: Mapping[str, Sequence[float]]) -> float:
+def length_cv(lengths: np.ndarray) -> float:
     """Mean over problems of the per-problem coefficient of variation
-    (population std / mean) of response length."""
-    if not lengths_per_problem:
-        raise ValueError("need at least one problem")
-    cvs = []
-    for pid, lengths in lengths_per_problem.items():
-        arr = np.asarray(lengths, dtype=float)
-        if len(arr) < 2:
-            raise ValueError(f"problem {pid!r} needs >= 2 samples")
-        mean = arr.mean()
-        if mean <= 0:
-            raise ValueError(f"problem {pid!r} has non-positive mean length")
-        cvs.append(arr.std() / mean)
-    return float(np.mean(cvs))
+    (population std / mean) of response length, over a (problems, samples)
+    table."""
+    lengths = np.asarray(lengths, dtype=float)
+    if lengths.ndim != 2 or not len(lengths) or lengths.shape[1] < 2:
+        raise ValueError(f"need a (problems, samples >= 2) table, got shape {lengths.shape}")
+    mean = lengths.mean(axis=1)
+    if not (mean > 0).all():
+        raise ValueError(f"problem row {int(np.argmin(mean > 0))} has non-positive mean length")
+    return float(np.mean(lengths.std(axis=1) / mean))
 
 
 def overthinking_counts(

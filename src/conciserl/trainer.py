@@ -1,4 +1,4 @@
-"""Per-step training loop: snapshot, sample, verify, shape, advantage, update.
+"""Per-step training loop: sample, verify, shape, advantage, update.
 
 Rewards are shaped against the buffer state from before the current batch's
 update, then the buffer folds in the batch, and a single gradient-ascent step
@@ -113,11 +113,12 @@ def train_step(
 ) -> tuple[TabularPolicy, ExperienceBuffer, StepLog]:
     """One full training step; mutates policy and buffer in place.
 
-    ``step`` seeds the per-(step, problem, rollout) rng streams.
+    ``step`` seeds the per-(step, problem, rollout) rng streams. The batch is
+    sampled from ``policy`` itself: each group keeps the log-prob table it
+    was sampled under, so no snapshot of the policy is taken.
     """
     t0 = time.perf_counter()
-    behavior = policy.copy()
-    groups = sample_batch(behavior, bank, config.group_size, config.l_max, (config.seed, step))
+    groups = sample_batch(policy, bank, config.group_size, config.l_max, (config.seed, step))
 
     # Shape against the pre-update buffer, then fold the batch in.
     shaped = [shape_group(g, buffer, config.alpha, config.r_pen) for g in groups]

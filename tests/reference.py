@@ -1,15 +1,18 @@
 """Scalar reference implementations that the tests check the library against.
 
 Nothing in ``conciserl`` calls these: the sampler records what they would
-recompute, and the objective works on whole count tables. They restate the
-sampler, the task rules and the clipped term one token or one trace at a
-time, and the objective and its gradient one token at a time.
+recompute, the objective works on whole count tables, and the eval metrics
+on (problem, sample) arrays. They restate the sampler, the task rules and
+the clipped term one token or one trace at a time, the objective and its
+gradient one token at a time, and majority@k and length CV one problem at a
+time over per-sample answers.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from collections import Counter
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -289,3 +292,64 @@ def surrogate(groups, advantages, policy, eps_low, eps_high):
         reference_surrogate(terms, policy, eps_low, eps_high),
         reference_gradient(terms, policy, eps_low, eps_high),
     )
+
+
+def majority_at_k(
+    samples: Mapping[str, Sequence[tuple[str, int]]],
+    truth: Mapping[str, str],
+    k: int,
+    rng: np.random.Generator,
+) -> tuple[float, int]:
+    """``metrics.majority_at_k`` over per-sample ``(answer, length)`` votes.
+
+    Problems are taken in sorted-id order; each draws k samples without
+    replacement, takes the modal answer with lexicographic tie-breaking and
+    scores it against ``truth``. Returns (accuracy, total tokens drawn).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not samples:
+        raise ValueError("samples must be non-empty")
+    n_correct = 0
+    total_tokens = 0
+    for pid in sorted(samples):
+        pool = samples[pid]
+        if len(pool) < k:
+            raise ValueError(f"problem {pid!r} has {len(pool)} samples, need >= {k}")
+        chosen = rng.choice(len(pool), size=k, replace=False)
+        counts = Counter(pool[i][0] for i in chosen)
+        total_tokens += sum(pool[i][1] for i in chosen)
+        top = max(counts.values())
+        winner = min(a for a, c in counts.items() if c == top)
+        if winner == truth[pid]:
+            n_correct += 1
+    return n_correct / len(samples), total_tokens
+
+
+def length_cv(lengths_per_problem: Mapping[str, Sequence[float]]) -> float:
+    """``metrics.length_cv`` one problem at a time: the mean of each
+    problem's population std / mean of response length."""
+    if not lengths_per_problem:
+        raise ValueError("need at least one problem")
+    cvs = []
+    for pid, lengths in lengths_per_problem.items():
+        arr = np.asarray(lengths, dtype=float)
+        if len(arr) < 2:
+            raise ValueError(f"problem {pid!r} needs >= 2 samples")
+        mean = arr.mean()
+        if mean <= 0:
+            raise ValueError(f"problem {pid!r} has non-positive mean length")
+        cvs.append(arr.std() / mean)
+    return float(np.mean(cvs))
+
+
+def eval_votes(ids, correct, lengths, answers):
+    """The per-sample ``(vote, length)`` pools and the ``truth`` map
+    ``majority_at_k`` above scores, from (problem, sample) arrays whose rows
+    follow ``ids``: a correct sample votes its problem's answer, a wrong one
+    the shared ``"invalid"`` sentinel."""
+    samples = {
+        pid: [(answer if c else "invalid", n) for c, n in zip(row_c.tolist(), row_n.tolist())]
+        for pid, answer, row_c, row_n in zip(ids, answers, correct, lengths)
+    }
+    return samples, dict(zip(ids, answers))

@@ -240,20 +240,17 @@ def test_10_evaluation_protocol_properties():
     rng = np.random.default_rng(3)
     bank = [ProblemSpec(f"p{i}", 1 + i % 3, "A" if i % 2 else "B") for i in range(12)]
     from conciserl.env import initial_policy
-    from tests.reference import answer_letter
 
     policy = initial_policy([p.id for p in bank], 4)
-    samples, truth, outcomes = {}, {}, []
+    outcomes, lengths = [], []
     for p in bank:
         r = sample_rollout(policy.log_probs()[policy.problem_index(p.id)], p, rng, l_max=32)
-        vote = answer_letter(r.actions[-1]) if r.correct else "invalid"
-        samples[p.id] = [(vote, r.length)]
-        truth[p.id] = p.correct_answer
         outcomes.append(r.correct)
-    m1, _ = majority_at_k(samples, truth, 1, np.random.default_rng(0))
+        lengths.append(r.length)
+    m1, _ = majority_at_k(np.c_[outcomes], np.c_[lengths], 1, np.random.default_rng(0))
     ok &= m1 == sum(outcomes) / len(outcomes)
     # constant-length data has zero length CV
-    ok &= length_cv({"p": [7.0] * 5}) == 0.0
+    ok &= length_cv([[7.0] * 5]) == 0.0
     # hand-counted keyword fixture
     counts, _ = overthinking_counts([TraceRecord("p", "Wait\n\nBut wait, hmm", "A", True, 5)])
     ok &= counts["Wait"] == 2 and counts["But"] == 1 and counts["Hmm"] == 1

@@ -11,9 +11,10 @@ import pytest
 import conciserl
 from conciserl.buffer import ExperienceBuffer
 from conciserl.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
-from conciserl.core import Rollout, load_config
+from conciserl.core import ProblemSpec, Rollout, RunConfig, load_config
 from conciserl.env import TabularPolicy
-from conciserl.trainer import resume, train_step
+from conciserl.trainer import resume, run, sample_batch, train_step
+from tests import reference
 
 CHECKPOINT_FILES = ["policy_logits.npy", "buffer.expbuf", "meta.json", "bank.tsv"]
 TRAIN_ARGS = ["train", "--steps", "3", "--group-size", "4", "--seed", "1"]
@@ -128,8 +129,8 @@ class TestTrain:
         assert "utf-8" in capsys.readouterr().err
 
     def test_blow_up_is_an_invariant_violation(self, tmp_path, capsys, monkeypatch):
-        # the step that blows up returns; the next step's policy.copy() refuses
-        # the non-finite logits
+        # the step that blows up returns; the run stops on its non-finite
+        # logits before the next step
         def blow_up(self, grad, learning_rate):
             self.logits = self.logits + np.inf
 
@@ -260,6 +261,36 @@ class TestEval:
         ck = out / "checkpoints" / "step_00004"
         assert main(["eval", "--checkpoint", str(ck), "--n-samples", "4", "--k", "9"]) == EXIT_CONFIG
 
+    def test_non_integer_k_named(self, tmp_path, capsys):
+        ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
+        assert main(["eval", "--checkpoint", str(ck), "--k", "1,x"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --k must be comma-separated integers, got '1,x'\n"
+        assert not (ck / "eval.json").exists()
+
+    def test_unsorted_bank_ids(self, tmp_path):
+        # majority@k draws problems in id order and length_cv averages them
+        # in bank order, as the per-sample vote pipeline of tests/reference.py
+        ids = ["zeta", "p10", "alpha", "p2", "M", "b", "p1", "Zz", "q", "aa", "p0", "mid"]
+        bank = [ProblemSpec(pid, 1 + i % 4, "AB"[i % 2]) for i, pid in enumerate(ids)]
+        config = RunConfig(group_size=4, steps=2, l_max=64, checkpoint_every=2, d_max=4, init_answer_logit=-1.0)
+        run(config, bank=bank, out_dir=tmp_path)
+        ck = tmp_path / "checkpoints" / "step_00002"
+        argv = ["eval", "--checkpoint", str(ck), "--n-samples", "16", "--k", "1,2,4,16", "--seed", "3"]
+        assert main(argv) == EXIT_OK
+        report = json.loads((ck / "eval.json").read_text())
+
+        policy, buffer, bank, _ = resume(ck)
+        groups = sample_batch(policy, bank, 16, buffer.l_max, (3,))
+        lengths = np.stack([g.lengths for g in groups])
+        samples, truth = reference.eval_votes(
+            ids, np.stack([g.correct for g in groups]), lengths, [p.correct_answer for p in bank]
+        )
+        for k in (1, 2, 4, 16):
+            expected = reference.majority_at_k(samples, truth, k, np.random.default_rng((3, 1_000_003, k)))
+            assert tuple(report["majority_at_k"][str(k)].values()) == expected
+        per_problem = {pid: row.tolist() for pid, row in zip(ids, lengths)}
+        assert report["length_cv"] == reference.length_cv(per_problem)
+
 
 class TestMetrics:
     def test_summary_output(self, tmp_path, capsys):
@@ -388,6 +419,7 @@ MALFORMED_INPUTS = {
         )
     },
     "eval-negative-seed": lambda t: [*eval_argv(t, lambda ck: None), "--seed", "-1"],
+    "eval-bad-k": lambda t: [*eval_argv(t, lambda ck: None), "--k", "1,x"],
     "train-config-not-utf8": lambda t: [
         "train", "--config", write_bytes(t / "run.cfg", NOT_UTF8_CONFIG), "--out", str(t / "o")
     ],

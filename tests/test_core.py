@@ -259,6 +259,35 @@ def test_non_integer_rejected(name, value):
         RunConfig(**{name: value})
 
 
+# Values of the wrong type for each field type RunConfig declares.
+WRONG_TYPE = {"float": ["x", None, [1], True], "int": ["x", None, 2.5, True], "str": [None, 1, ["count"]]}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_wrong_type_rejected(field):
+    # a ConfigError that names the field, never a bare TypeError
+    for value in WRONG_TYPE[field.type]:
+        with pytest.raises(ConfigError, match=rf"\b{field.name} must be ") as info:
+            RunConfig(**{field.name: value})
+        if field.type == "float":
+            assert info.value.errors == [f"{field.name} must be a real number, got {value!r}"]
+
+
+def test_type_errors_reported_together():
+    with pytest.raises(ConfigError) as info:
+        RunConfig(alpha="x", r_pen=None, seed=1.5, eps_low=math.nan)
+    assert info.value.errors == [
+        "alpha must be a real number, got 'x'",
+        "r_pen must be a real number, got None",
+        "eps_low must be finite",
+        "seed must be an integer, got 1.5",
+    ]
+
+
+def test_real_numbers_accepted_in_float_fields():
+    assert RunConfig(alpha=0, learning_rate=np.float32(2000.0)) == RunConfig(alpha=0.0, learning_rate=2000.0)
+
+
 @pytest.mark.parametrize("flag", ["--alpha", "--r-pen"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_cli_override_rejected(flag, value, tmp_path):

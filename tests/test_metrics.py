@@ -1,8 +1,9 @@
 import itertools
-from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conciserl.metrics import (
     BenchResult,
@@ -19,6 +20,7 @@ from conciserl.metrics import (
     split_method_benchmark,
     summarize_results,
 )
+from tests import reference
 
 # Golden reference values: published per-benchmark (accuracy %, mean tokens)
 # for an unmodified baseline and a length-compressed model, with the printed
@@ -61,6 +63,9 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             accuracy([])
+
+    def test_table(self):
+        assert accuracy(np.array([[True, False], [True, True]])) == 75.0
 
 
 class TestIpt:
@@ -119,74 +124,129 @@ class TestGoldenAverages:
 
 class TestMajorityAtK:
     def test_unanimous(self):
-        samples = {"p": [("A", 10), ("A", 12), ("A", 9)]}
-        acc, tokens = majority_at_k(samples, {"p": "A"}, k=3, rng=np.random.default_rng(0))
+        acc, tokens = majority_at_k([[True, True, True]], [[10, 12, 9]], k=3, rng=np.random.default_rng(0))
         assert acc == 1.0
         assert tokens == 31
 
-    def test_lexicographic_tie_break(self):
-        samples = {"p": [("B", 1), ("A", 1)]}
-        acc, _ = majority_at_k(samples, {"p": "A"}, k=2, rng=np.random.default_rng(0))
-        assert acc == 1.0  # tie between A and B resolves to "A"
+    def test_even_k_tie_goes_to_the_right_answer(self):
+        acc, _ = majority_at_k([[True, False]], [[1, 1]], k=2, rng=np.random.default_rng(0))
+        assert acc == 1.0  # one right vote against one shared wrong vote
 
     def test_k_one_is_single_sample(self):
-        samples = {"p": [("A", 5), ("B", 5)]}
-        rng = np.random.default_rng(1)
-        accs = {majority_at_k(samples, {"p": "A"}, 1, np.random.default_rng(s))[0] for s in range(20)}
+        correct, lengths = [[True, False]], [[5, 5]]
+        accs = {majority_at_k(correct, lengths, 1, np.random.default_rng(s))[0] for s in range(20)}
         assert accs == {0.0, 1.0}
 
     def test_pool_too_small(self):
         with pytest.raises(ValueError):
-            majority_at_k({"p": [("A", 1)]}, {"p": "A"}, 2, np.random.default_rng(0))
+            majority_at_k([[True]], [[1]], 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "correct, lengths",
+        [([True, False], [1, 1]), ([[True]], [[1, 2]]), (np.zeros((0, 3), bool), np.zeros((0, 3)))],
+        ids=["1-d", "shape-mismatch", "no-problems"],
+    )
+    def test_not_a_table(self, correct, lengths):
+        with pytest.raises(ValueError, match="tables, got"):
+            majority_at_k(correct, lengths, 1, np.random.default_rng(0))
 
     def test_matches_subset_enumeration(self):
         # expected accuracy over many rng draws approximates the exact average
         # over all k-subsets (sampling is without replacement)
-        pool = [("A", 1), ("A", 1), ("B", 1), ("B", 1), ("C", 1)]
-        truth = {"p": "A"}
+        correct = [True, True, False, False, False]
         k = 3
-        wins = 0
-        subsets = list(itertools.combinations(range(len(pool)), k))
-        for idxs in subsets:
-            counts = Counter(pool[i][0] for i in idxs)
-            top = max(counts.values())
-            winner = min(a for a, c in counts.items() if c == top)
-            wins += winner == "A"
-        exact = wins / len(subsets)
+        subsets = list(itertools.combinations(range(len(correct)), k))
+        exact = sum(2 * sum(correct[i] for i in idxs) >= k for idxs in subsets) / len(subsets)
         draws = [
-            majority_at_k({"p": pool}, truth, k, np.random.default_rng(s))[0]
+            majority_at_k([correct], [[1] * 5], k, np.random.default_rng(s))[0]
             for s in range(2000)
         ]
         assert np.mean(draws) == pytest.approx(exact, abs=0.03)
 
     def test_token_budget_scales_with_k(self):
-        samples = {"p": [("A", 7)] * 6}
         for k in (1, 3, 6):
-            _, tokens = majority_at_k(samples, {"p": "A"}, k, np.random.default_rng(0))
+            _, tokens = majority_at_k([[True] * 6], [[7] * 6], k, np.random.default_rng(0))
             assert tokens == 7 * k
+
+
+@st.composite
+def sample_tables(draw, max_problems=6, max_samples=9):
+    """(ids, answers, correct, lengths, k, seed): a (problem, sample) table
+    under shuffled, unsorted problem ids."""
+    n_problems = draw(st.integers(1, max_problems))
+    n = draw(st.integers(1, max_samples))
+    ids = draw(st.lists(st.text("abpqZ019", min_size=1, max_size=4), min_size=n_problems,
+                        max_size=n_problems, unique=True))
+    answers = draw(st.lists(st.sampled_from("AB"), min_size=n_problems, max_size=n_problems))
+    cells = n_problems * n
+    correct = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells))).reshape(n_problems, n)
+    lengths = np.array(draw(st.lists(st.integers(1, 20_000), min_size=cells, max_size=cells)))
+    k = draw(st.integers(1, n))
+    return ids, answers, correct, lengths.reshape(n_problems, n), k, draw(st.integers(0, 2**32))
+
+
+class TestAgainstVoteOracle:
+    """The array metrics against the per-sample vote and per-problem loops of
+    ``tests/reference.py``, on the tables ``conciserl eval`` would pass."""
+
+    @staticmethod
+    def check(ids, answers, correct, lengths, k, seed):
+        samples, truth = reference.eval_votes(ids, correct, lengths, answers)
+        order = np.argsort(ids)
+        got = majority_at_k(correct[order], lengths[order], k, np.random.default_rng(seed))
+        assert got == reference.majority_at_k(samples, truth, k, np.random.default_rng(seed))
+        assert type(got[1]) is int
+        if correct.shape[1] >= 2:
+            per_problem = {pid: row.tolist() for pid, row in zip(ids, lengths)}
+            assert length_cv(lengths) == reference.length_cv(per_problem)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sample_tables())
+    def test_random_tables(self, table):
+        self.check(*table)
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_even_k_ties(self, k):
+        # every row holds as many right samples as wrong ones
+        correct = np.tile([True, False], (5, 3))
+        rng = np.random.default_rng(k)
+        for seed in range(20):
+            self.check(["e", "a", "d", "b", "c"], list("ABBAB"), rng.permuted(correct, axis=1),
+                       rng.integers(1, 50, size=(5, 6)), k, seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_k_equals_n(self, n):
+        rng = np.random.default_rng(n)
+        for seed in range(10):
+            correct = rng.random((4, n)) < 0.5
+            self.check(["z", "y", "x", "w"], list("ABAB"), correct, rng.integers(1, 50, size=(4, n)), n, seed)
 
 
 class TestLengthCv:
     def test_constant_lengths(self):
-        assert length_cv({"p": [5.0, 5.0, 5.0]}) == 0.0
+        assert length_cv([[5.0, 5.0, 5.0]]) == 0.0
 
     def test_known_value(self):
         # std([2, 4]) = 1 (population), mean = 3
-        assert length_cv({"p": [2.0, 4.0]}) == pytest.approx(1 / 3)
+        assert length_cv([[2.0, 4.0]]) == pytest.approx(1 / 3)
 
     def test_mean_over_problems(self):
-        cv = length_cv({"a": [2.0, 4.0], "b": [5.0, 5.0]})
+        cv = length_cv([[2.0, 4.0], [5.0, 5.0]])
         assert cv == pytest.approx((1 / 3 + 0.0) / 2)
 
     def test_diverse_exceeds_uniform(self):
         rng = np.random.default_rng(2)
-        tight = {"p": list(rng.normal(100, 1, size=50))}
-        wide = {"p": list(rng.normal(100, 40, size=50).clip(min=1))}
+        tight = rng.normal(100, 1, size=(1, 50))
+        wide = rng.normal(100, 40, size=(1, 50)).clip(min=1)
         assert length_cv(wide) > length_cv(tight)
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
-            length_cv({"p": [3.0]})
+            length_cv([[3.0]])
+
+    def test_non_positive_mean_named(self):
+        with pytest.raises(ValueError, match="problem row 1 has non-positive mean length"):
+            length_cv([[1.0, 2.0], [0.0, 0.0]])
 
 
 def trace(text, pid="p", correct=True, tokens=10):
