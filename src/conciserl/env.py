@@ -104,14 +104,16 @@ def min_correct_length(problem: ProblemSpec) -> int:
     return problem.difficulty + 1
 
 
-# Width of each rollout's first chunk of uniforms; every later chunk doubles
-# (capped at the tokens left before l_max).
+# Width of each rollout's first chunk of uniforms; every later chunk doubles,
+# capped at the tokens left before l_max and at the chunk budget.
 _FIRST_CHUNK = 16
-# Rollouts are walked together in blocks of at most this many rollouts and
-# this many tokens at l_max: a block's generators and its current chunk of
-# uniforms are all that the sampler keeps live besides the batch's tables.
-_BLOCK_ROLLOUTS = 256
-_BLOCK_TOKENS = 1 << 19
+# Rollouts are walked together in blocks of at most _BLOCK_ROLLOUTS, which
+# bounds the block's live generators and the arrays of its table build. A
+# chunk holds at most _CHUNK_UNIFORMS uniforms over the block's live rows
+# (but never narrows below _FIRST_CHUNK), which bounds the uniforms and the
+# per-pass masks at any l_max.
+_BLOCK_ROLLOUTS = 512
+_CHUNK_UNIFORMS = 1 << 14
 
 # numpy's SeedSequence constants (pool size, hashmix, mix and state output).
 _POOL_SIZE = 4
@@ -216,9 +218,8 @@ def sample_groups(
     problems, rollouts = np.divmod(np.arange(n_problems * group_size), group_size)
     counts = np.empty((len(problems), n_states, N_ACTIONS), dtype=np.int32)
     answered, last, work = (np.empty(len(problems), dtype=t) for t in (bool, np.intp, np.intp))
-    block = max(1, min(_BLOCK_ROLLOUTS, _BLOCK_TOKENS // l_max))
-    for first in range(0, len(problems), block):
-        b = slice(first, first + block)
+    for first in range(0, len(problems), _BLOCK_ROLLOUTS):
+        b = slice(first, first + _BLOCK_ROLLOUTS)
         counts[b], answered[b], last[b], work[b] = _walk(cum, problems[b], rollouts[b], key, l_max)
     difficulty = np.array([problem.difficulty for problem in bank])
     answer = np.array([_ANSWER_FOR_LETTER[problem.correct_answer] for problem in bank])
@@ -247,9 +248,10 @@ def _walk(
     (``[0, cum[w, 1])`` at ``w_cap``), which one numpy pass finds for every
     live rollout at once. Each rollout's generator is seeded as
     ``default_rng((*key, p, r))`` would be, from one vectorized seed hash
-    of the block (``_generators``). Rollouts draw their uniforms in doubling
-    chunks; PCG64 yields the same doubles whatever the chunk sizes, so a
-    rollout consumes exactly the uniforms a token-by-token loop would.
+    of the block (``_generators``). Rollouts draw their uniforms in chunks
+    that double up to the chunk budget; PCG64 yields the same doubles
+    whatever the chunk sizes, so a rollout consumes exactly the uniforms a
+    token-by-token loop would.
 
     The exits are all the count table needs: the tokens of state w before
     ``w_cap`` are the FILLERs between the WORK exit into w and the one out
@@ -310,8 +312,8 @@ def _walk(
             spilled.append(r[~(answer | more)])
             r, s, ur, cursor = r[more], s[more], ur[more], j[more]
         offset += width
-        width = min(2 * width, l_max - offset)
-        rows = np.concatenate(spilled) if width else rows[:0]
+        rows = np.concatenate(spilled) if offset < l_max else rows[:0]
+        width = min(2 * width, l_max - offset, max(_FIRST_CHUNK, _CHUNK_UNIFORMS // max(rows.size, 1)))
 
     # The count table in one bincount, each term at its flat (rollout,
     # state, action) cell: an exit adds one WORK and its place t as FILLERs

@@ -10,6 +10,7 @@ worker scheduling; ``sample_batch`` is also the sampler of ``eval``.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -50,6 +51,7 @@ class StepLog:
     objective_value: float
     wall_ms: float
     solved_count: int
+    batch_digest: str
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -84,6 +86,18 @@ class RunResult:
     bank: tuple[ProblemSpec, ...]
 
 
+def batch_digest(groups: Sequence[RolloutGroup]) -> str:
+    """sha256 of a sampled batch: its ``(P, G, w_cap + 1, N_ACTIONS)``
+    little-endian int32 count table, then its ``(P, G)`` ``correct`` and
+    ``truncated`` arrays. Integers and booleans only, so it witnesses the
+    sampled streams and no float order can move it."""
+    h = hashlib.sha256()
+    for name, dtype in (("counts", "<i4"), ("correct", bool), ("truncated", bool)):
+        for g in groups:
+            h.update(np.ascontiguousarray(getattr(g, name), dtype=dtype))
+    return h.hexdigest()
+
+
 def sample_batch(
     policy: TabularPolicy,
     bank: Sequence[ProblemSpec],
@@ -95,10 +109,12 @@ def sample_batch(
 
     Rollout r of problem p draws from ``default_rng((*key, p, r))``'s
     stream; ``env.sample_groups`` walks the batch's rollouts in consecutive
-    blocks, whatever groups they cut, and seeds each block's generators
-    from one vectorized hash. Training keys by (seed, step), ``eval`` by
-    (seed,). A negative key element is a ValueError. The policy's log-probs
-    are computed once for the whole batch.
+    blocks of at most ``env._BLOCK_ROLLOUTS`` at any ``l_max``, whatever
+    groups they cut, and seeds each block's generators from one vectorized
+    hash. A training step of the CLI defaults (20 x 16 rollouts) is one
+    block. Training keys by (seed, step), ``eval`` by (seed,). A negative
+    key element is a ValueError. The policy's log-probs are computed once
+    for the whole batch.
     """
     logp = policy.log_probs()[[policy.problem_index(problem.id) for problem in bank]]
     return sample_groups(logp, bank, key, group_size, l_max)
@@ -115,15 +131,16 @@ def train_step(
 
     ``step`` seeds the per-(step, problem, rollout) rng streams. The batch is
     sampled from ``policy`` itself: each group keeps the log-prob table it
-    was sampled under, so no snapshot of the policy is taken.
+    was sampled under, so no snapshot of the policy is taken. A gradient
+    that is not finite raises InvariantViolation before the buffer or the
+    policy moves.
     """
     t0 = time.perf_counter()
     groups = sample_batch(policy, bank, config.group_size, config.l_max, (config.seed, step))
 
-    # Shape against the pre-update buffer, then fold the batch in.
+    # Shape against the pre-update buffer; the batch is folded in once the
+    # gradient is known to be finite.
     shaped = [shape_group(g, buffer, config.alpha, config.r_pen) for g in groups]
-    for g in groups:
-        buffer.update(g)
 
     advs = []
     for g, rs in zip(groups, shaped):
@@ -134,6 +151,10 @@ def train_step(
             advs.append(std_advantage(values))
 
     objective_value, grad = surrogate(groups, advs, policy, config.eps_low, config.eps_high)
+    if not np.isfinite(grad).all():
+        raise InvariantViolation(f"gradient is not finite at step {step}")
+    for g in groups:
+        buffer.update(g)
     policy.ascend(grad, config.learning_rate)
 
     n_rollouts = sum(g.size for g in groups)
@@ -147,6 +168,7 @@ def train_step(
         objective_value=objective_value,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
         solved_count=buffer.solved_count(),
+        batch_digest=batch_digest(groups),
     )
     return policy, buffer, log
 
@@ -161,7 +183,8 @@ def run(
     When ``out_dir`` is given, writes ``steps.jsonl`` (one StepLog per line)
     and periodic checkpoints under ``checkpoints/step_<n>/``. A step that
     leaves the logits non-finite stops the run with InvariantViolation after
-    its log line and before any checkpoint of it.
+    its log line and before any checkpoint of it; a step whose gradient is
+    not finite stops it before either.
     """
     if bank is None:
         bank = make_problem_bank(config.n_problems, (config.d_min, config.d_max), config.seed)

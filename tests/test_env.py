@@ -228,8 +228,8 @@ class TestSampleRollout:
 
 
 # l_max on both sides of every edge between the walk's chunks of uniforms
-# (16, then doubling: edges at 16, 48, 112, 240, 496 and 1008 tokens) and of
-# the reference's chunks of 64.
+# (16, then doubling while the chunk budget allows: edges at 16, 48, 112,
+# 240, 496 and 1008 tokens) and of the reference's chunks of 64.
 CHUNK_EDGE_L_MAX = [
     1, 2, 15, 16, 17, 47, 48, 49, 63, 64, 65, 111, 112, 113, 127, 128, 129,
     239, 240, 241, 495, 496, 497, 1007, 1008, 1009, 2000,
@@ -276,11 +276,13 @@ class TestSampleGroup:
     as the token-by-token reference ``tests.reference.sample_group``, which
     restates the scalar sampler."""
 
-    @pytest.mark.parametrize("block_tokens", [env._BLOCK_TOKENS, 40])
-    def test_equals_token_reference_at_chunk_edges(self, monkeypatch, block_tokens):
-        # the default budget walks each batch as one block; a 40-token one
-        # walks 40 // l_max rollouts per block (at least one), splitting groups
-        monkeypatch.setattr(env, "_BLOCK_TOKENS", block_tokens)
+    @pytest.mark.parametrize("chunk_uniforms", [env._CHUNK_UNIFORMS, 40])
+    def test_equals_token_reference_at_chunk_edges(self, monkeypatch, chunk_uniforms):
+        # the default budget lets these batches of at most 64 rollouts double
+        # their chunks to 256 uniforms wide or more; a 40-uniform one holds
+        # most chunks at _FIRST_CHUNK and cuts the rest at uneven widths as
+        # rollouts finish
+        monkeypatch.setattr(env, "_CHUNK_UNIFORMS", chunk_uniforms)
         saturated = truncated = 0
         for i, l_max in enumerate(CHUNK_EDGE_L_MAX):
             for seed in range(3):
@@ -319,20 +321,39 @@ class TestSampleGroup:
                 problems += len(bank)
         assert problems > 12  # some of the 12 banks hold several problems
 
+    @pytest.mark.parametrize("l_max", [1, 16384])
+    @pytest.mark.parametrize("group_size", [16, 64])
+    def test_blocks_are_cut_by_rollout_count_alone(self, monkeypatch, l_max, group_size):
+        # whatever l_max, the batch is walked in ceil(P·G / _BLOCK_ROLLOUTS)
+        # consecutive blocks of at most _BLOCK_ROLLOUTS rollouts
+        blocks = []
+        walk = env._walk
+
+        def spy(cum, problems, rollouts, key, l_max):
+            blocks.append(list(zip(problems.tolist(), rollouts.tolist())))
+            return walk(cum, problems, rollouts, key, l_max)
+
+        monkeypatch.setattr(env, "_walk", spy)
+        bank = make_problem_bank(20, (1, 10), 0)
+        sample_batch(initial_policy([p.id for p in bank], 10), bank, group_size, l_max, (0, 1))
+        assert len(blocks) == -(-20 * group_size // env._BLOCK_ROLLOUTS)
+        assert max(map(len, blocks)) <= env._BLOCK_ROLLOUTS
+        assert sum(blocks, []) == [(p, r) for p in range(20) for r in range(group_size)]
+
     @settings(max_examples=50, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         l_max=st.one_of(st.sampled_from(CHUNK_EDGE_L_MAX[:-1]), st.integers(1, 300)),
-        block_tokens=st.sampled_from([1, 500, 1 << 20]),
+        chunk_uniforms=st.sampled_from([1, 500, 1 << 20]),
     )
-    def test_equals_token_reference_property(self, seed, l_max, block_tokens):
+    def test_equals_token_reference_property(self, seed, l_max, chunk_uniforms):
         policy, bank, group_size, key = random_batch_case(np.random.default_rng(seed), l_max)
-        original = env._BLOCK_TOKENS
-        env._BLOCK_TOKENS = block_tokens
+        original = env._CHUNK_UNIFORMS
+        env._CHUNK_UNIFORMS = chunk_uniforms
         try:
             assert_walk_equals_reference(policy, bank, group_size, l_max, key)
         finally:
-            env._BLOCK_TOKENS = original
+            env._CHUNK_UNIFORMS = original
 
     def test_truncation_at_l_max(self):
         logits = np.zeros((1, 3, 4))

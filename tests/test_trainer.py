@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from conciserl import cli, trainer
 from conciserl.buffer import ExperienceBuffer
 from conciserl.core import InvariantViolation, ProblemSpec, RunConfig
-from conciserl.env import TabularPolicy, initial_policy, make_problem_bank
+from conciserl.env import Action, TabularPolicy, initial_policy, make_problem_bank
 from conciserl.trainer import (
     StepLog,
     checkpoint,
@@ -52,6 +53,33 @@ def blow_up_at(monkeypatch, step):
             self.logits = self.logits + np.inf
 
     monkeypatch.setattr(TabularPolicy, "ascend", ascend)
+
+
+def nan_gradient_at(monkeypatch, step):
+    """Make the ``step``-th surrogate of the run return a NaN gradient."""
+    original = trainer.surrogate
+    calls = []
+
+    def surrogate(*args):
+        value, grad = original(*args)
+        calls.append(None)
+        if len(calls) == step:
+            grad = grad.copy()
+            grad[0, 0, 0] = np.nan
+        return value, grad
+
+    monkeypatch.setattr(trainer, "surrogate", surrogate)
+
+
+def traced_peak_mb(sample):
+    """The traced peak of ``sample()``, in MB, after one warm-up call."""
+    sample()
+    tracemalloc.start()
+    try:
+        sample()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 SMALL = dict(group_size=4, steps=5, l_max=64, w_cap=5, n_problems=4, d_min=1, d_max=4)
@@ -109,6 +137,34 @@ class TestSampleBatch:
         calls = count_log_probs(monkeypatch)
         sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 1))
         assert len(calls) == 1
+
+
+class TestSampleBatchMemory:
+    """The sampler's blocks and chunks bound what it keeps live: a block's
+    generators and table build grow with its rollouts, a chunk with its
+    live rows times its width. Walking the 5,120-rollout eval batch as one
+    block peaked at about 12 MB traced, and chunks that double with no
+    budget took the long batch to about 1.4 MB; both fail here."""
+
+    BANK = make_problem_bank(20, (1, 10), 0)
+
+    def test_verbose_long_batch(self):
+        # a train_long step: 20 x 16 rollouts of hundreds of tokens each
+        policy = initial_policy([p.id for p in self.BANK], 10, answer_logit=-6)
+        peak = traced_peak_mb(lambda: sample_batch(policy, self.BANK, 16, 16384, (0, 1)))
+        assert peak < 1.25
+
+    def test_converged_eval_batch(self):
+        # an eval batch of 20 x 256 rollouts from a policy that works up to
+        # the difficulty and then answers right, as a converged one does
+        logits = np.full((20, 11, 4), -8.0)
+        for i, p in enumerate(self.BANK):
+            logits[i, : p.difficulty, Action.WORK] = 8.0
+            logits[i, p.difficulty :, Action.ANSWER_A if p.correct_answer == "A" else Action.ANSWER_B] = 8.0
+        policy = TabularPolicy([p.id for p in self.BANK], 10, logits)
+        groups = sample_batch(policy, self.BANK, 256, 1024, (0,))
+        assert all(g.correct.all() for g in groups)
+        assert traced_peak_mb(lambda: sample_batch(policy, self.BANK, 256, 1024, (0,))) < 4.0
 
 
 class TestTrainStep:
@@ -220,6 +276,37 @@ class TestRun:
         lines = (tmp_path / "steps.jsonl").read_text().splitlines()
         assert [json.loads(x)["step"] for x in lines] == [1, 2]
         assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == ["step_00001"]
+
+    def test_non_finite_gradient_stops_at_its_step(self, tmp_path, monkeypatch):
+        # step 2's gradient is NaN: the run stops before the policy moves,
+        # writing neither its log line nor its checkpoint
+        nan_gradient_at(monkeypatch, 2)
+        with pytest.raises(InvariantViolation, match="^gradient is not finite at step 2$"):
+            run(small_config(steps=4, checkpoint_every=1), out_dir=tmp_path)
+        lines = (tmp_path / "steps.jsonl").read_text().splitlines()
+        assert [json.loads(x)["step"] for x in lines] == [1]
+        assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == ["step_00001"]
+
+    def test_non_finite_gradient_leaves_the_state(self, monkeypatch):
+        # at G = 8 the step's batch holds correct rollouts, so folding it in
+        # would lower two buffer entries
+        cfg = small_config(group_size=8)
+        bank = make_problem_bank(cfg.n_problems, (cfg.d_min, cfg.d_max), cfg.seed)
+        policy = initial_policy([p.id for p in bank], cfg.w_cap)
+        buffer = ExperienceBuffer.init([p.id for p in bank], cfg.l_max)
+        logits, entries = policy.logits.copy(), buffer.entries()
+        nan_gradient_at(monkeypatch, 1)
+        with pytest.raises(InvariantViolation, match="^gradient is not finite at step 1$"):
+            train_step(policy, buffer, bank, cfg, 1)
+        assert np.array_equal(policy.logits, logits) and buffer.entries() == entries
+
+    def test_non_finite_gradient_exits_4(self, tmp_path, capsys, monkeypatch):
+        nan_gradient_at(monkeypatch, 1)
+        out = tmp_path / "o"
+        assert cli.main(["train", "--steps", "3", "--group-size", "4", "--out", str(out)]) == cli.EXIT_INVARIANT
+        assert "invariant violation: gradient is not finite at step 1" in capsys.readouterr().err
+        assert (out / "steps.jsonl").read_text() == ""
+        assert not (out / "checkpoints").exists() and not (out / "summary.json").exists()
 
     def test_blown_up_step_returns(self, monkeypatch):
         # the step itself returns its non-finite policy; the run stops after it
