@@ -125,6 +125,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _percent(change: float | None) -> str:
+    """A change rate as ``+12.34%``, or ``n/a`` where it is undefined."""
+    return "     n/a" if change is None else f"{change:+7.2f}%"
+
+
 def cmd_metrics(args: argparse.Namespace) -> int:
     results = metrics_mod.load_results_csv(args.results)
     summary = metrics_mod.summarize_results(results, args.vanilla)
@@ -135,12 +140,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                 f"{label:<28} Acc {row['accuracy']:6.1f}  "
                 f"Token {row['mean_tokens']:9.1f}  IPT {row['ipt']:7.2f}"
             )
-            if "d_acc" in row and method != args.vanilla:
-                line += f"  dAcc {row['d_acc']:+7.2f}%  dToken {row['d_token']:+7.2f}%"
+            if "d_token" in row and method != args.vanilla:
+                line += f"  dAcc {_percent(row['d_acc'])}  dToken {_percent(row['d_token'])}"
             print(line)
         line = f"{method + ' (avg)':<28} IPT {info['avg_ipt']:7.2f}"
-        if method != args.vanilla and info["d_acc"] is not None:
-            line += f"  dAcc {info['d_acc']:+7.2f}%  dToken {info['d_token']:+7.2f}%"
+        if method != args.vanilla and info["d_token"] is not None:
+            line += f"  dAcc {_percent(info['d_acc'])}  dToken {_percent(info['d_token'])}"
         print(line)
     return EXIT_OK
 

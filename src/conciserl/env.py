@@ -104,14 +104,15 @@ def min_correct_length(problem: ProblemSpec) -> int:
     return problem.difficulty + 1
 
 
-# Width of each rollout's first chunk of uniforms; every later chunk doubles,
-# capped at the tokens left before l_max and at the chunk budget.
+# Width of each rollout's first chunk of uniforms, drawn for the whole block
+# in numpy (_first_chunk); every later chunk doubles, capped at the tokens
+# left before l_max and at the chunk budget.
 _FIRST_CHUNK = 16
 # Rollouts are walked together in blocks of at most _BLOCK_ROLLOUTS, which
-# bounds the block's live generators and the arrays of its table build. A
-# chunk holds at most _CHUNK_UNIFORMS uniforms over the block's live rows
-# (but never narrows below _FIRST_CHUNK), which bounds the uniforms and the
-# per-pass masks at any l_max.
+# bounds the block's first chunk, the generators of its rollouts that outlive
+# that chunk and the arrays of its table build. A chunk holds at most
+# _CHUNK_UNIFORMS uniforms over the block's live rows (but never narrows below
+# _FIRST_CHUNK), which bounds the uniforms and the per-pass masks at any l_max.
 _BLOCK_ROLLOUTS = 512
 _CHUNK_UNIFORMS = 1 << 14
 
@@ -124,6 +125,69 @@ _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 
 
+# PCG64's 128-bit LCG multiplier M. The j-th double of a stream comes from
+# the state M^(j+2)·(init + inc) + S_(j+2)·inc, S_k = Σ_{i<k} M^i (mod 2^128),
+# where init and inc are the seed words: seeding steps the LCG once from
+# init + inc and every draw steps it again.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+
+
+def _constants(values: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """128-bit constants as uint64 arrays: their high words, their low words
+    and the low words' 32-bit halves."""
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+    lo = np.array([v & _MASK64 for v in values], dtype=np.uint64)
+    return hi, lo, lo & _MASK32, lo >> 32
+
+
+_POWERS = [pow(_PCG_MULT, k, 1 << 128) for k in range(_FIRST_CHUNK + 2)]
+_STREAM_POWERS = _constants(_POWERS[2:])
+_STREAM_SUMS = _constants([sum(_POWERS[:k]) % (1 << 128) for k in range(2, _FIRST_CHUNK + 2)])
+_INVERSE_MULT = _constants([pow(_PCG_MULT, -1, 1 << 128)])
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, const: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi:lo) · const mod 2^128`` on uint64 arrays, ``const`` from
+    ``_constants``; the low words' 64x64-bit product is built from 32-bit
+    halves. Arrays only: numpy warns on uint64 scalar overflow."""
+    c_hi, c_lo, c0, c1 = const
+    a0, a1 = lo & _MASK32, lo >> 32
+    t = a1 * c0 + (a0 * c0 >> 32)  # no term here can carry out of 64 bits
+    mid = a0 * c1 + (t & _MASK32)
+    carry = a1 * c1 + (t >> 32) + (mid >> 32)
+    return carry + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _increment(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's odd increment ``(w2:w3 << 1) | 1`` of each row of seed words."""
+    w2, w3 = words[:, 2], words[:, 3]
+    return (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
+
+
+def _first_chunk(words: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.random.Generator(PCG64(seed))``'s first ``width`` doubles, for
+    each row of seed words from ``_seed_words``, with the high and low words
+    of each stream's state after the last of them; ``width`` is at most
+    ``_FIRST_CHUNK``.
+
+    Every state comes straight from the seed words (see ``_PCG_MULT``), and
+    its double is PCG64's XSL-RR output (``hi ^ lo`` rotated right by
+    ``hi >> 58``) shifted to 53 bits and scaled by 2^-53.
+    """
+    inc_hi, inc_lo = _increment(words)
+    x_lo = words[:, 1] + inc_lo
+    x_hi = words[:, 0] + inc_hi + (x_lo < inc_lo)
+    cols = slice(0, width)
+    a_hi, a_lo = _mul128(x_hi[:, None], x_lo[:, None], [c[cols] for c in _STREAM_POWERS])
+    b_hi, b_lo = _mul128(inc_hi[:, None], inc_lo[:, None], [c[cols] for c in _STREAM_SUMS])
+    lo = a_lo + b_lo
+    hi = a_hi + b_hi + (lo < b_lo)
+    x, rot = hi ^ lo, hi >> 58
+    x = (x >> rot) | (x << ((64 - rot) & 63))
+    return (x >> 11) * 2.0**-53, hi[:, -1], lo[:, -1]
+
+
 class _SeedState(ISeedSequence):
     """A seed sequence whose PCG64 seed words were hashed already."""
 
@@ -132,6 +196,20 @@ class _SeedState(ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
+
+
+def _generators(words: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> list[np.random.Generator]:
+    """One generator per row of seed words, going on from that stream's
+    state ``hi:lo``.
+
+    Seeding is affine, so seed words with ``init' = M^-1·(hi:lo - inc) -
+    inc`` and the row's increment words make PCG64's seeding land on
+    ``hi:lo``, and the generator draws what the stream draws next.
+    """
+    inc_hi, inc_lo = _increment(words)
+    hi, lo = _mul128(hi - inc_hi - (lo < inc_lo), lo - inc_lo, _INVERSE_MULT)
+    seeds = np.stack([hi - inc_hi - (lo < inc_lo), lo - inc_lo, words[:, 2], words[:, 3]], axis=1)
+    return [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in seeds]
 
 
 def _hashers(const: int, mult: int):
@@ -154,14 +232,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _generators(key: tuple[int, ...], problems: np.ndarray, rollouts: np.ndarray) -> list[np.random.Generator]:
-    """``[np.random.default_rng((*key, p, r)) for p, r in zip(problems,
-    rollouts)]``, with numpy's SeedSequence hash run once over the block.
+def _seed_words(key: tuple[int, ...], problems: np.ndarray, rollouts: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence((*key, p, r)).generate_state(4, np.uint64)``
+    for each ``(p, r)`` of ``zip(problems, rollouts)``, as the rows of one
+    ``(n, 4)`` array: the PCG64 seed words of ``default_rng((*key, p, r))``,
+    from numpy's SeedSequence hash run once over the block.
 
     Every rollout's entropy is the key's little-endian 32-bit words, then
     one word each for p and r, so the hash makes the same calls with the
     same constants on every rollout: each is one uint32 array operation
-    here. PCG64 seeds its 128-bit state from the hashed words itself.
+    here.
     """
     words = []
     for k in map(operator.index, key):
@@ -184,8 +264,7 @@ def _generators(key: tuple[int, ...], problems: np.ndarray, rollouts: np.ndarray
     # generate_state(4, np.uint64): eight words hashed from the pool in turn.
     hashers = _hashers(_INIT_B, _MULT_B)
     state = np.stack([_hash(pool[i % _POOL_SIZE], hashers) for i in range(2 * _POOL_SIZE)], axis=1)
-    state = state.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in state]
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def sample_groups(
@@ -246,12 +325,15 @@ def _walk(
     ``w_cap``; any other token exits it. A run of state-keeping tokens
     therefore ends at the first uniform outside ``[cum[w, 0], cum[w, 1])``
     (``[0, cum[w, 1])`` at ``w_cap``), which one numpy pass finds for every
-    live rollout at once. Each rollout's generator is seeded as
-    ``default_rng((*key, p, r))`` would be, from one vectorized seed hash
-    of the block (``_generators``). Rollouts draw their uniforms in chunks
-    that double up to the chunk budget; PCG64 yields the same doubles
-    whatever the chunk sizes, so a rollout consumes exactly the uniforms a
-    token-by-token loop would.
+    live rollout at once. Rollout (p, r) draws ``default_rng((*key, p,
+    r))``'s stream: one vectorized seed hash gives the block's seed words
+    (``_seed_words``), from which numpy computes every rollout's first chunk
+    of PCG64 doubles at once (``_first_chunk``). Only the rollouts still
+    live after it get a generator, which ``_generators`` starts where that
+    chunk ended; they draw their further uniforms in chunks that double up
+    to the chunk budget. PCG64 yields the same doubles whatever the chunk
+    sizes, so a rollout consumes exactly the uniforms a token-by-token loop
+    would.
 
     The exits are all the count table needs: the tokens of state w before
     ``w_cap`` are the FILLERs between the WORK exit into w and the one out
@@ -260,7 +342,7 @@ def _walk(
     """
     n_states = cum.shape[1]
     n = len(problems)
-    rngs = _generators(key, problems, rollouts)
+    words = _seed_words(key, problems, rollouts)
     # Per flat (problem, state) index: a uniform below ``lo`` is a WORK exit
     # (never at w_cap), one at or above ``hi`` an answer, ANSWER_B from
     # ``b`` on; below ``work_edge`` it is a WORK token, which keeps w_cap.
@@ -279,8 +361,11 @@ def _walk(
     while rows.size:
         chunk = np.empty((rows.size, width + 1))
         chunk[:, width] = 2.0  # a sentinel that exits every state
-        for out, row in zip(chunk[:, :width], rows.tolist()):
-            rngs[row].random(out=out)
+        if offset:
+            for out, row in zip(chunk[:, :width], rows.tolist()):
+                rngs[row].random(out=out)
+        else:
+            chunk[:, :width], pcg_hi, pcg_lo = _first_chunk(words, width)
         columns = np.arange(width + 1)
         # The rollouts still in this chunk: their states, their uniforms and
         # the column of their last exit.
@@ -311,8 +396,10 @@ def _walk(
             more = work & (j < width - 1)
             spilled.append(r[~(answer | more)])
             r, s, ur, cursor = r[more], s[more], ur[more], j[more]
+        rows = np.concatenate(spilled) if offset + width < l_max else rows[:0]
+        if not offset:
+            rngs = dict(zip(rows.tolist(), _generators(words[rows], pcg_hi[rows], pcg_lo[rows])))
         offset += width
-        rows = np.concatenate(spilled) if offset < l_max else rows[:0]
         width = min(2 * width, l_max - offset, max(_FIRST_CHUNK, _CHUNK_UNIFORMS // max(rows.size, 1)))
 
     # The count table in one bincount, each term at its flat (rollout,

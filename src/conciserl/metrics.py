@@ -200,7 +200,10 @@ def summarize_results(
 
     Returns, per method: per-benchmark rows (accuracy, tokens, ipt, d_acc,
     d_token) and the averages (avg_ipt, d_acc, d_token). Deltas average the
-    per-benchmark change rates over the benchmarks shared with vanilla.
+    per-benchmark change rates over the benchmarks shared with vanilla; a
+    benchmark where vanilla scores 0% has no accuracy change rate, so its
+    ``d_acc`` is None and the ``d_acc`` average leaves it out (None when no
+    benchmark has one).
     """
     by_method: dict[str, dict[str, BenchResult]] = {}
     for res in results:
@@ -222,9 +225,11 @@ def summarize_results(
             }
             if bench in vanilla:
                 base = vanilla[bench]
-                row["d_acc"] = change_rate(res.accuracy, base.accuracy)
+                row["d_acc"] = None
+                if base.accuracy:
+                    row["d_acc"] = change_rate(res.accuracy, base.accuracy)
+                    acc_pairs.append((res.accuracy, base.accuracy))
                 row["d_token"] = change_rate(res.mean_tokens, base.mean_tokens)
-                acc_pairs.append((res.accuracy, base.accuracy))
                 tok_pairs.append((res.mean_tokens, base.mean_tokens))
             rows[bench] = row
         summary[method] = {

@@ -110,11 +110,13 @@ def sample_batch(
     Rollout r of problem p draws from ``default_rng((*key, p, r))``'s
     stream; ``env.sample_groups`` walks the batch's rollouts in consecutive
     blocks of at most ``env._BLOCK_ROLLOUTS`` at any ``l_max``, whatever
-    groups they cut, and seeds each block's generators from one vectorized
-    hash. A training step of the CLI defaults (20 x 16 rollouts) is one
-    block. Training keys by (seed, step), ``eval`` by (seed,). A negative
-    key element is a ValueError. The policy's log-probs are computed once
-    for the whole batch.
+    groups they cut. Each block's seed words come from one vectorized hash,
+    every rollout's first chunk of uniforms is computed from them in numpy,
+    and only the rollouts that outlive that chunk get a generator. A
+    training step of the CLI defaults (20 x 16 rollouts) is one block.
+    Training keys by (seed, step), ``eval`` by (seed,). A negative key
+    element is a ValueError. The policy's log-probs are computed once for
+    the whole batch.
     """
     logp = policy.log_probs()[[policy.problem_index(problem.id) for problem in bank]]
     return sample_groups(logp, bank, key, group_size, l_max)

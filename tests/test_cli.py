@@ -308,6 +308,21 @@ class TestMetrics:
         assert "ours (avg)" in text
         assert "dToken" in text
 
+    def test_zero_vanilla_accuracy(self, tmp_path, capsys):
+        # a valid CSV whose vanilla row scores 0%: its dAcc reads n/a, and the
+        # average runs over the benchmarks that have one
+        path = tmp_path / "results.csv"
+        path.write_text("name,accuracy,mean_tokens\nvanilla/aime,0,1000\nours/aime,10,500\n")
+        assert main(["metrics", "--results", str(path), "--vanilla", "vanilla"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        row = next(line for line in lines if line.startswith("ours/aime"))
+        avg = next(line for line in lines if line.startswith("ours (avg)"))
+        assert "dAcc      n/a  dToken  -50.00%" in row and "dAcc      n/a  dToken  -50.00%" in avg
+        path.write_text(path.read_text() + "vanilla/amc,50,1000\nours/amc,60,500\n")
+        assert main(["metrics", "--results", str(path), "--vanilla", "vanilla"]) == EXIT_OK
+        avg = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("ours (avg)"))
+        assert "dAcc  +20.00%  dToken  -50.00%" in avg
+
     def test_missing_file(self, tmp_path):
         assert main(["metrics", "--results", str(tmp_path / "x.csv"), "--vanilla", "v"]) == EXIT_IO
 

@@ -405,49 +405,160 @@ class TestSampleGroup:
         assert saturated > 0 and truncated > 0
 
 
-def assert_generators_are_default_rngs(key, problems, rollouts):
-    got = env._generators(key, np.asarray(problems), np.asarray(rollouts))
-    want = [np.random.default_rng((*key, p, r)) for p, r in zip(problems, rollouts)]
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.bit_generator.state == w.bit_generator.state
+def assert_seed_words_are_default_rngs(key, problems, rollouts):
+    got = env._seed_words(key, np.asarray(problems), np.asarray(rollouts))
+    want = [
+        np.random.default_rng((*key, p, r)).bit_generator.seed_seq.generate_state(4, np.uint64)
+        for p, r in zip(problems, rollouts)
+    ]
+    assert got.dtype == np.uint64 and got.shape == (len(want), 4)
+    assert np.array_equal(got, np.array(want, dtype=np.uint64).reshape(-1, 4))
+
+
+# Keys from every prefix of EDGE_KEY_ELEMENTS up to length 2 and ones past
+# 2**128; (p, r) pairs at 0 and at numpy's largest one-word values.
+STREAM_KEYS = [
+    *(k for n in range(3) for k in itertools.product(EDGE_KEY_ELEMENTS, repeat=n)),
+    (2**128 + 7,),
+    (2**130, 5, 2**64 - 1),
+]
+STREAM_PAIRS = [(0, 0), (0, 1), (1, 0), (3, 11), (2**32 - 1, 0), (0, 2**32 - 1), (2**32 - 1, 2**32 - 1)]
+# Hypothesis keys of up to three elements, word edges and multi-word ones
+# included, and (p, r) pairs that often sit at numpy's one-word edges.
+RNG_KEYS = st.lists(
+    st.one_of(st.sampled_from(EDGE_KEY_ELEMENTS), st.integers(0, 2**32 - 1), st.integers(0, 2**130)), max_size=3
+)
+ROLLOUT_PAIRS = st.tuples(*[st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))] * 2)
 
 
 class TestGenerators:
-    """``env._generators`` hashes a block's seeds in one vectorized pass; the
-    generator of each per-rollout ``(p, r)`` pair must start in exactly
-    ``default_rng((*key, p, r))``'s state."""
+    """``env._seed_words`` hashes a block's seeds in one vectorized pass;
+    each per-rollout ``(p, r)`` row must hold exactly the PCG64 seed words
+    of ``default_rng((*key, p, r))``: its SeedSequence's
+    ``generate_state(4, np.uint64)``."""
 
     @pytest.mark.parametrize("prefix_length", range(4))
     def test_edge_elements(self, prefix_length):
         for key in itertools.product(EDGE_KEY_ELEMENTS, repeat=prefix_length):
-            assert_generators_are_default_rngs(key, *zip(*itertools.product(range(0, 2), range(0, 3))))
+            assert_seed_words_are_default_rngs(key, *zip(*itertools.product(range(0, 2), range(0, 3))))
             edges = itertools.product(range(2**32 - 2, 2**32), range(2**32 - 3, 2**32))
-            assert_generators_are_default_rngs(key, *zip(*edges))
+            assert_seed_words_are_default_rngs(key, *zip(*edges))
             # pairs in any order, not only a block of whole groups
-            assert_generators_are_default_rngs(key, [2**32 - 1, 0, 3, 0], [0, 2**32 - 1, 1, 1])
+            assert_seed_words_are_default_rngs(key, [2**32 - 1, 0, 3, 0], [0, 2**32 - 1, 1, 1])
 
     @settings(max_examples=100, deadline=None)
     @given(
-        key=st.lists(
-            st.one_of(st.sampled_from(EDGE_KEY_ELEMENTS), st.integers(0, 2**32 - 1), st.integers(0, 2**130)),
-            max_size=3,
-        ),
-        pairs=st.lists(
-            st.tuples(*[st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))] * 2),
-            min_size=1,
-            max_size=12,
-        ),
+        key=RNG_KEYS,
+        pairs=st.lists(ROLLOUT_PAIRS, min_size=1, max_size=12),
     )
     def test_states_equal_default_rng_property(self, key, pairs):
         problems, rollouts = zip(*pairs)
-        assert_generators_are_default_rngs(tuple(key), problems, rollouts)
+        assert_seed_words_are_default_rngs(tuple(key), problems, rollouts)
 
     @pytest.mark.parametrize("key", [(-1,), (3, -7), (-(2**40), 0)])
     def test_negative_element_named(self, key):
         bad = next(k for k in key if k < 0)
         with pytest.raises(ValueError, match=rf"seed {bad} .*non-negative"):
-            env._generators(key, np.arange(2), np.arange(2))
+            env._seed_words(key, np.arange(2), np.arange(2))
+
+
+def assert_first_chunk_continues_default_rng(key, pairs, width, later=(1, 1, 14, 32, 64)):
+    """``_first_chunk`` draws each stream's first ``width`` doubles, and the
+    generators ``_generators`` starts from its end state go on with the next
+    ones: one at a time, then in chunks whose edges fall at other offsets."""
+    problems, rollouts = (np.array(c) for c in zip(*pairs))
+    words = env._seed_words(key, problems, rollouts)
+    first, hi, lo = env._first_chunk(words, width)
+    streams = [np.random.default_rng((*key, p, r)).random(width + sum(later)) for p, r in pairs]
+    assert first.shape == (len(pairs), width)
+    assert np.array_equal(first, np.array(streams)[:, :width])
+    for gen, stream, (p, r) in zip(env._generators(words, hi, lo), streams, pairs):
+        ref = np.random.default_rng((*key, p, r))
+        ref.random(width)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(np.concatenate([gen.random(n) for n in later]), stream[width:])
+
+
+class TestFirstChunk:
+    """Every rollout's first chunk is PCG64 computed in numpy for the whole
+    block, and only rollouts that outlive it get a generator: its doubles
+    and those generators must be ``default_rng((*key, p, r))``'s stream,
+    bit for bit, at every offset."""
+
+    @pytest.mark.parametrize("width", [1, 15, env._FIRST_CHUNK])
+    def test_equals_default_rng(self, width):
+        for key in STREAM_KEYS:
+            assert_first_chunk_continues_default_rng(key, STREAM_PAIRS, width)
+
+    def test_rotation_by_zero(self):
+        # a state whose top six bits are 0 rotates its output by 0, where the
+        # rotation's two halves coincide: streams that reach one in their
+        # first chunk, found through numpy's own state
+        pairs = []
+        for r in range(256):
+            ref = np.random.default_rng((0, 0, r))
+            for _ in range(env._FIRST_CHUNK):
+                ref.random()
+                if ref.bit_generator.state["state"]["state"] >> 122 == 0:
+                    pairs.append((0, r))
+                    break
+        assert len(pairs) > 20
+        assert_first_chunk_continues_default_rng((0,), pairs, env._FIRST_CHUNK)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        key=RNG_KEYS,
+        pairs=st.lists(ROLLOUT_PAIRS, min_size=1, max_size=8),
+        width=st.integers(1, env._FIRST_CHUNK),
+    )
+    def test_equals_default_rng_property(self, key, pairs, width):
+        assert_first_chunk_continues_default_rng(tuple(key), pairs, width, later=(1, 1, 7, 31))
+
+    @staticmethod
+    def count_generators(monkeypatch):
+        built = []
+
+        class Counted(np.random.PCG64):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "PCG64", Counted)
+        return built
+
+    BANK = make_problem_bank(20, (1, 10), 0)
+
+    def test_no_generator_for_rollouts_within_the_first_chunk(self, monkeypatch):
+        # a converged batch answers within d + 1 <= 11 tokens
+        built = self.count_generators(monkeypatch)
+        logits = np.full((20, 11, 4), -8.0)
+        for i, p in enumerate(self.BANK):
+            logits[i, : p.difficulty, Action.WORK] = 8.0
+            logits[i, p.difficulty :, Action.ANSWER_A if p.correct_answer == "A" else Action.ANSWER_B] = 8.0
+        policy = TabularPolicy([p.id for p in self.BANK], 10, logits)
+        groups = sample_batch(policy, self.BANK, 64, 1024, (0,))
+        assert all(g.correct.all() and g.lengths.max() <= env._FIRST_CHUNK for g in groups)
+        assert built == []
+
+    @pytest.mark.parametrize("l_max", [1, 15, env._FIRST_CHUNK])
+    def test_no_generator_when_l_max_ends_the_first_chunk(self, monkeypatch, l_max):
+        # answer-averse rollouts run to l_max, which the first chunk covers
+        built = self.count_generators(monkeypatch)
+        policy = initial_policy([p.id for p in self.BANK], 10, answer_logit=-20)
+        groups = sample_batch(policy, self.BANK, 40, l_max, (3, 1))
+        assert all(g.truncated.all() for g in groups)
+        assert built == []
+
+    def test_one_generator_per_rollout_longer_than_the_first_chunk(self, monkeypatch):
+        # 20 x 40 rollouts (two blocks), some answering within 16 tokens and
+        # some after
+        built = self.count_generators(monkeypatch)
+        policy = initial_policy([p.id for p in self.BANK], 10, answer_logit=-2.5)
+        groups = sample_batch(policy, self.BANK, 40, 1024, (3, 2))
+        lengths = np.concatenate([g.lengths for g in groups])
+        longer = int((lengths > env._FIRST_CHUNK).sum())
+        assert 0 < longer < len(lengths) and len(lengths) > env._BLOCK_ROLLOUTS
+        assert len(built) == longer
 
 
 class TestProblemBank:

@@ -348,3 +348,17 @@ class TestSummarizeResults:
     def test_missing_vanilla(self):
         with pytest.raises(ValueError, match="vanilla"):
             summarize_results([BenchResult("x/a", 1.0, 2.0)], "vanilla")
+
+    def test_zero_vanilla_accuracy_has_no_accuracy_change(self):
+        # a 0% vanilla row has no accuracy change rate; the d_acc average
+        # runs over the benchmarks that have one, and d_token over all
+        rows = [("vanilla/aime", 0.0, 1000.0), ("ours/aime", 10.0, 500.0), ("vanilla/amc", 50.0, 1000.0),
+                ("ours/amc", 60.0, 800.0)]
+        summary = summarize_results([BenchResult(*row) for row in rows], "vanilla")
+        ours = summary["ours"]
+        assert ours["benchmarks"]["aime"]["d_acc"] is None
+        assert ours["benchmarks"]["aime"]["d_token"] == pytest.approx(-50.0)
+        assert ours["d_acc"] == pytest.approx(20.0)
+        assert ours["d_token"] == pytest.approx(-35.0)
+        only = summarize_results([BenchResult(*row) for row in rows[:2]], "vanilla")
+        assert only["ours"]["d_acc"] is None and only["ours"]["d_token"] == pytest.approx(-50.0)
