@@ -110,10 +110,10 @@ def min_correct_length(problem: ProblemSpec) -> int:
 _FIRST_CHUNK = 16
 # Rollouts are walked together in blocks of at most _BLOCK_ROLLOUTS, which
 # bounds the block's first chunk, the generators of its rollouts that outlive
-# that chunk and the arrays of its table build. A chunk holds at most
+# that chunk and its per-(rollout, state) tables. A chunk holds at most
 # _CHUNK_UNIFORMS uniforms over the block's live rows (but never narrows below
 # _FIRST_CHUNK), which bounds the uniforms and the per-pass masks at any l_max.
-_BLOCK_ROLLOUTS = 512
+_BLOCK_ROLLOUTS = 1024
 _CHUNK_UNIFORMS = 1 << 14
 
 # numpy's SeedSequence constants (pool size, hashmix, mix and state output).
@@ -150,13 +150,22 @@ _INVERSE_MULT = _constants([pow(_PCG_MULT, -1, 1 << 128)])
 def _mul128(hi: np.ndarray, lo: np.ndarray, const: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """``(hi:lo) · const mod 2^128`` on uint64 arrays, ``const`` from
     ``_constants``; the low words' 64x64-bit product is built from 32-bit
-    halves. Arrays only: numpy warns on uint64 scalar overflow."""
+    halves, in place so that at most three products are live. Arrays only:
+    numpy warns on uint64 scalar overflow."""
     c_hi, c_lo, c0, c1 = const
     a0, a1 = lo & _MASK32, lo >> 32
-    t = a1 * c0 + (a0 * c0 >> 32)  # no term here can carry out of 64 bits
-    mid = a0 * c1 + (t & _MASK32)
-    carry = a1 * c1 + (t >> 32) + (mid >> 32)
-    return carry + lo * c_hi + hi * c_lo, lo * c_lo
+    t = a0 * c0
+    t >>= 32
+    t += a1 * c0  # no term here can carry out of 64 bits
+    carry = a0 * c1
+    carry += t & _MASK32
+    carry >>= 32
+    t >>= 32
+    carry += t
+    carry += a1 * c1
+    carry += lo * c_hi
+    carry += hi * c_lo
+    return carry, np.multiply(lo, c_lo, out=t)
 
 
 def _increment(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,19 +182,28 @@ def _first_chunk(words: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray,
 
     Every state comes straight from the seed words (see ``_PCG_MULT``), and
     its double is PCG64's XSL-RR output (``hi ^ lo`` rotated right by
-    ``hi >> 58``) shifted to 53 bits and scaled by 2^-53.
+    ``hi >> 58``) shifted to 53 bits and scaled by 2^-53. The arithmetic
+    runs in place, so at most five ``(rows, width)`` uint64 arrays are live
+    at once.
     """
     inc_hi, inc_lo = _increment(words)
     x_lo = words[:, 1] + inc_lo
     x_hi = words[:, 0] + inc_hi + (x_lo < inc_lo)
     cols = slice(0, width)
-    a_hi, a_lo = _mul128(x_hi[:, None], x_lo[:, None], [c[cols] for c in _STREAM_POWERS])
+    hi, lo = _mul128(x_hi[:, None], x_lo[:, None], [c[cols] for c in _STREAM_POWERS])
     b_hi, b_lo = _mul128(inc_hi[:, None], inc_lo[:, None], [c[cols] for c in _STREAM_SUMS])
-    lo = a_lo + b_lo
-    hi = a_hi + b_hi + (lo < b_lo)
-    x, rot = hi ^ lo, hi >> 58
-    x = (x >> rot) | (x << ((64 - rot) & 63))
-    return (x >> 11) * 2.0**-53, hi[:, -1], lo[:, -1]
+    lo += b_lo
+    hi += b_hi
+    hi += lo < b_lo
+    end = hi[:, -1].copy(), lo[:, -1].copy()
+    x, rot = np.bitwise_xor(hi, lo, out=lo), np.right_shift(hi, 58, out=hi)
+    shift = np.subtract(64, rot, out=b_hi)
+    shift &= 63
+    shift = np.left_shift(x, shift, out=shift)
+    x >>= rot
+    x |= shift
+    x >>= 11
+    return x * 2.0**-53, *end
 
 
 class _SeedState(ISeedSequence):
@@ -284,9 +302,12 @@ def sample_groups(
     token or is truncated at ``l_max`` tokens; truncated episodes are
     incorrect by convention. ``key`` must hold non-negative integers.
 
-    The batch's rollouts, problem by problem, are walked in consecutive
-    blocks (``_walk``) whose edges need not fall between groups: a rollout's
-    stream and walk do not depend on the rollouts it shares a block with.
+    One vectorized seed hash gives the seed words of every rollout of the
+    batch (``_seed_words``). The rollouts, problem by problem, are then
+    walked in consecutive blocks of at most ``_BLOCK_ROLLOUTS`` (``_walk``),
+    each with its rows of those words; block edges need not fall between
+    groups: a rollout's stream and walk do not depend on the rollouts it
+    shares a block with.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -295,11 +316,12 @@ def sample_groups(
     cum = np.exp(logp).cumsum(axis=-1)
     n_problems, n_states = logp.shape[:2]
     problems, rollouts = np.divmod(np.arange(n_problems * group_size), group_size)
+    words = _seed_words(key, problems, rollouts)
     counts = np.empty((len(problems), n_states, N_ACTIONS), dtype=np.int32)
     answered, last, work = (np.empty(len(problems), dtype=t) for t in (bool, np.intp, np.intp))
     for first in range(0, len(problems), _BLOCK_ROLLOUTS):
         b = slice(first, first + _BLOCK_ROLLOUTS)
-        counts[b], answered[b], last[b], work[b] = _walk(cum, problems[b], rollouts[b], key, l_max)
+        counts[b], answered[b], last[b], work[b] = _walk(cum, problems[b], words[b], l_max)
     difficulty = np.array([problem.difficulty for problem in bank])
     answer = np.array([_ANSWER_FOR_LETTER[problem.correct_answer] for problem in bank])
     correct = answered & (last == answer[problems]) & (work >= difficulty[problems])
@@ -309,67 +331,59 @@ def sample_groups(
     return [RolloutGroup(problem.id, counts[p], logp[p], correct[p], truncated[p]) for p, problem in enumerate(bank)]
 
 
-def _walk(
-    cum: np.ndarray,
-    problems: np.ndarray,
-    rollouts: np.ndarray,
-    key: tuple[int, ...],
-    l_max: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rollout r of problem p, for each ``(p, r)`` of ``zip(problems,
-    rollouts)``, walked one state exit at a time under the cumulative action
-    probabilities ``cum[p]``: its count table, whether it answered within
-    ``l_max``, its last action (the answer, if it answered) and its WORK count.
+def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) -> tuple[np.ndarray, ...]:
+    """Each rollout of a block, of problem ``problems[i]`` with seed words
+    ``words[i]`` (``_seed_words``), walked one state exit at a time under the
+    cumulative action probabilities ``cum[problems[i]]``: its count table,
+    whether it answered within ``l_max``, its last action (the answer, if it
+    answered) and its WORK count.
 
     In state w a FILLER token keeps the state, and so does a WORK token at
     ``w_cap``; any other token exits it. A run of state-keeping tokens
     therefore ends at the first uniform outside ``[cum[w, 0], cum[w, 1])``
     (``[0, cum[w, 1])`` at ``w_cap``), which one numpy pass finds for every
-    live rollout at once. Rollout (p, r) draws ``default_rng((*key, p,
-    r))``'s stream: one vectorized seed hash gives the block's seed words
-    (``_seed_words``), from which numpy computes every rollout's first chunk
-    of PCG64 doubles at once (``_first_chunk``). Only the rollouts still
-    live after it get a generator, which ``_generators`` starts where that
-    chunk ended; they draw their further uniforms in chunks that double up
-    to the chunk budget. PCG64 yields the same doubles whatever the chunk
-    sizes, so a rollout consumes exactly the uniforms a token-by-token loop
-    would.
+    live rollout at once. Each rollout draws the PCG64 stream its seed words
+    seed: numpy computes every rollout's first chunk of doubles at once
+    (``_first_chunk``), and only the rollouts still live after it get a
+    generator, which ``_generators`` starts where that chunk ended; they draw
+    their further uniforms in chunks that double up to the chunk budget.
+    PCG64 yields the same doubles whatever the chunk sizes, so a rollout
+    consumes exactly the uniforms a token-by-token loop would.
 
-    The exits are all the count table needs: the tokens of state w before
-    ``w_cap`` are the FILLERs between the WORK exit into w and the one out
-    of it, then that exit; the last state holds the rest of the rollout,
-    its answer and, at ``w_cap``, the WORK tokens the walk counts there.
+    The walk keeps one number per (rollout, state): ``left``, the token at
+    which the rollout left the state, which is its answer in its last state,
+    or ``l_max`` if it was truncated there. The count table follows: each
+    state before the last holds the FILLERs between the tokens that entered
+    and left it, then one WORK; the last holds that gap, less the WORK tokens
+    the walk counts at ``w_cap``, those WORK tokens and the answer.
     """
     n_states = cum.shape[1]
     n = len(problems)
-    words = _seed_words(key, problems, rollouts)
-    # Per flat (problem, state) index: a uniform below ``lo`` is a WORK exit
-    # (never at w_cap), one at or above ``hi`` an answer, ANSWER_B from
-    # ``b`` on; below ``work_edge`` it is a WORK token, which keeps w_cap.
-    work_edge = cum[:, :, 0].reshape(-1)
-    lo = work_edge.copy()
-    lo[n_states - 1 :: n_states] = -1.0
-    hi, b = cum[:, :, 1].reshape(-1), cum[:, :, 2].reshape(-1)
-    first_state = problems * n_states
+    # Per flat (rollout, state) cell: a uniform below ``lo`` is a WORK exit
+    # (never at w_cap), one at or above ``hi`` an answer. At w_cap, one below
+    # ``cap_edge`` is a WORK token, which keeps the state.
+    lo, hi = cum[problems, :, 0], cum[problems, :, 1].reshape(-1)
+    cap_edge = lo[:, -1].copy()
+    lo[:, -1] = -1.0
+    lo = lo.reshape(-1)
+    first_state = np.arange(0, n * n_states, n_states)
     state = first_state.copy()
-    length = np.full(n, l_max + 1, dtype=np.intp)  # until the rollout answers
+    left = np.full(n * n_states, l_max)
     exit_u = np.empty(n)  # the uniform of its latest exit, its answer's once it has one
     cap_work = np.zeros(n, dtype=np.intp)  # WORK tokens at w_cap
-    exit_rows, exit_tokens, exit_states = [], [], []  # every WORK exit
     rows = np.arange(n)
     offset, width = 0, min(_FIRST_CHUNK, l_max)
     while rows.size:
-        chunk = np.empty((rows.size, width + 1))
-        chunk[:, width] = 2.0  # a sentinel that exits every state
-        if offset:
-            for out, row in zip(chunk[:, :width], rows.tolist()):
-                rngs[row].random(out=out)
-        else:
-            chunk[:, :width], pcg_hi, pcg_lo = _first_chunk(words, width)
-        columns = np.arange(width + 1)
         # The rollouts still in this chunk: their states, their uniforms and
         # the column of their last exit.
-        r, s, ur, cursor = rows, state[rows], chunk, None
+        r, s, ur, cursor = rows, state[rows], np.empty((rows.size, width + 1)), None
+        ur[:, width] = 2.0  # a sentinel that exits every state
+        if offset:
+            for out, row in zip(ur[:, :width], rows.tolist()):
+                rngs[row].random(out=out)
+        else:
+            ur[:, :width], pcg_hi, pcg_lo = _first_chunk(words, width)
+        columns = np.arange(width + 1)
         spilled = []  # rollouts that go on into the next chunk
         while r.size:
             lo_r = lo[s]
@@ -379,22 +393,20 @@ def _walk(
             j = exits.argmax(axis=1)
             cap = lo_r < 0
             if cap.any():
-                kept = (ur[cap] < work_edge[s[cap]][:, None]) & (columns < j[cap][:, None])
+                rc = r[cap]
+                kept = (ur[cap] < cap_edge[rc][:, None]) & (columns < j[cap][:, None])
                 if cursor is not None:
                     kept &= columns > cursor[cap][:, None]
-                cap_work[r[cap]] += kept.sum(axis=1)
+                cap_work[rc] += kept.sum(axis=1)
             u = exit_u[r] = ur[np.arange(r.size), j]
+            # at the sentinel, offset + width: l_max once the last chunk is spent
+            left[s] = offset + j
             work = u < lo_r
-            token = offset + j  # the exit's place in its rollout
-            exit_rows.append(r[work])
-            exit_tokens.append(token[work])
-            exit_states.append(s[work])
             s += work
             state[r] = s
-            answer = (j < width) & ~work
-            length[r[answer]] = token[answer] + 1
-            more = work & (j < width - 1)
-            spilled.append(r[~(answer | more)])
+            after = j + work  # the column after the exit, or past the chunk
+            spilled.append(r[after >= width])
+            more = work & (after < width)
             r, s, ur, cursor = r[more], s[more], ur[more], j[more]
         rows = np.concatenate(spilled) if offset + width < l_max else rows[:0]
         if not offset:
@@ -402,32 +414,19 @@ def _walk(
         offset += width
         width = min(2 * width, l_max - offset, max(_FIRST_CHUNK, _CHUNK_UNIFORMS // max(rows.size, 1)))
 
-    # The count table in one bincount, each term at its flat (rollout,
-    # state, action) cell: an exit adds one WORK and its place t as FILLERs
-    # to the state it leaves, and -(t + 1) FILLERs to the one it enters;
-    # the last state gets every token left that is not its answer or a
-    # WORK at w_cap.
-    answered = length <= l_max
-    length = np.minimum(length, l_max)
-    last = Action.ANSWER_A + (exit_u >= b[state])  # the answer, if answered
-    exit_rows = np.concatenate(exit_rows)
-    exit_tokens = np.concatenate(exit_tokens)
-    row_base = np.arange(n) * n_states - first_state  # flat state -> table row
-    exit_cell = (row_base[exit_rows] + np.concatenate(exit_states)) * N_ACTIONS
-    end_cell = (row_base + state) * N_ACTIONS
-    terms = (
-        (exit_cell + Action.WORK, 1),
-        (exit_cell + Action.FILLER, exit_tokens),
-        (exit_cell + (N_ACTIONS + Action.FILLER), -1 - exit_tokens),
-        (end_cell + Action.FILLER, length - answered - cap_work),
-        (end_cell + Action.WORK, cap_work),
-        ((end_cell + last)[answered], 1),
-    )
-    cells = np.concatenate([c for c, _ in terms])
-    weights = np.concatenate([np.broadcast_to(w, c.shape) for c, w in terms])
-    counts = np.bincount(cells, weights, n * n_states * N_ACTIONS).astype(np.int32).reshape(n, n_states, N_ACTIONS)
-    work = state - first_state + cap_work
-    return counts, answered, last, work
+    level = state - first_state  # each rollout's last state, at its flat cell ``state``
+    answered = left[state] < l_max
+    last = Action.ANSWER_A + (exit_u >= cum[problems, level, 2])  # the answer, if answered
+    columns = np.arange(n_states)
+    counts = np.zeros((n, n_states, N_ACTIONS), dtype=np.int32)
+    counts[..., Action.WORK] = columns < level[:, None]
+    gap = np.diff(left.reshape(n, n_states), prepend=-1) - 1  # the tokens between entering and leaving
+    counts[..., Action.FILLER] = np.where(columns <= level[:, None], gap, 0)
+    cells = counts.reshape(-1, N_ACTIONS)
+    cells[state, Action.FILLER] -= cap_work
+    cells[state, Action.WORK] = cap_work
+    cells[state, last] = answered
+    return counts, answered, last, level + cap_work
 
 
 def make_problem_bank(

@@ -16,6 +16,7 @@ import math
 import os
 import shutil
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -108,12 +109,13 @@ def sample_batch(
     """Sample ``group_size`` rollouts per problem from the (frozen) policy.
 
     Rollout r of problem p draws from ``default_rng((*key, p, r))``'s
-    stream; ``env.sample_groups`` walks the batch's rollouts in consecutive
-    blocks of at most ``env._BLOCK_ROLLOUTS`` at any ``l_max``, whatever
-    groups they cut. Each block's seed words come from one vectorized hash,
-    every rollout's first chunk of uniforms is computed from them in numpy,
-    and only the rollouts that outlive that chunk get a generator. A
-    training step of the CLI defaults (20 x 16 rollouts) is one block.
+    stream; ``env.sample_groups`` hashes the seed words of the whole batch
+    once, then walks its rollouts in consecutive blocks of at most
+    ``env._BLOCK_ROLLOUTS`` (1,024) at any ``l_max``, whatever groups they
+    cut. Every rollout's first chunk of uniforms is computed from its seed
+    words in numpy, and only the rollouts that outlive that chunk get a
+    generator. A training step of the CLI defaults (20 x 16 rollouts) is
+    one block, an ``eval`` of 20 x 256 rollouts five.
     Training keys by (seed, step), ``eval`` by (seed,). A negative key
     element is a ValueError. The policy's log-probs are computed once for
     the whole batch.
@@ -263,6 +265,9 @@ def _read_meta(path: Path) -> tuple[object, int, list[str], int]:
     version, step, ids, w_cap = meta["version"], int(meta["step"]), meta["problem_ids"], meta["w_cap"]
     if type(w_cap) is not int or not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
         raise TypeError("w_cap must be an int and problem_ids a list of strings")
+    repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
+    if repeated:
+        raise ValueError(f"problem_ids repeat {', '.join(repeated)}")
     return version, step, ids, w_cap
 
 

@@ -31,6 +31,16 @@ def edit_meta(ck, **fields):
     path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
 
 
+def repeat_first_problem(ck):
+    # meta.json, bank.tsv and the logits agree on five rows, and the buffer
+    # on the problem ids, but p000 is listed twice
+    edit_meta(ck, problem_ids=[*json.loads((ck / "meta.json").read_text())["problem_ids"], "p000"])
+    bank = ck / "bank.tsv"
+    bank.write_text(bank.read_text() + bank.read_text().splitlines(keepends=True)[0])
+    logits = np.load(ck / "policy_logits.npy")
+    np.save(ck / "policy_logits.npy", np.concatenate([logits, logits[:1]]))
+
+
 # Checkpoint edits that `conciserl eval` must refuse: (edit, exit code, stderr pattern).
 BAD_CHECKPOINTS = {
     "logits-nan": (nan_logits, EXIT_INVARIANT, "invariant violation: logits are not finite"),
@@ -48,6 +58,7 @@ BAD_CHECKPOINTS = {
     "meta-problem_ids": (
         lambda ck: edit_meta(ck, problem_ids=5), EXIT_IO, "unreadable checkpoint file .*meta.json"
     ),
+    "meta-repeated-id": (repeat_first_problem, EXIT_IO, "unreadable checkpoint file .*meta.json.*repeat p000"),
 }
 # steps.jsonl contents that `conciserl replay` must refuse with exit 3.
 BAD_STEPS_JSONL = [

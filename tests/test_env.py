@@ -325,20 +325,38 @@ class TestSampleGroup:
     @pytest.mark.parametrize("group_size", [16, 64])
     def test_blocks_are_cut_by_rollout_count_alone(self, monkeypatch, l_max, group_size):
         # whatever l_max, the batch is walked in ceil(P·G / _BLOCK_ROLLOUTS)
-        # consecutive blocks of at most _BLOCK_ROLLOUTS rollouts
+        # consecutive blocks of at most _BLOCK_ROLLOUTS rollouts, each with
+        # its rows of the batch's seed words
         blocks = []
         walk = env._walk
 
-        def spy(cum, problems, rollouts, key, l_max):
-            blocks.append(list(zip(problems.tolist(), rollouts.tolist())))
-            return walk(cum, problems, rollouts, key, l_max)
+        def spy(cum, problems, words, l_max):
+            blocks.append((problems, words))
+            return walk(cum, problems, words, l_max)
 
         monkeypatch.setattr(env, "_walk", spy)
         bank = make_problem_bank(20, (1, 10), 0)
         sample_batch(initial_policy([p.id for p in bank], 10), bank, group_size, l_max, (0, 1))
         assert len(blocks) == -(-20 * group_size // env._BLOCK_ROLLOUTS)
-        assert max(map(len, blocks)) <= env._BLOCK_ROLLOUTS
-        assert sum(blocks, []) == [(p, r) for p in range(20) for r in range(group_size)]
+        assert max(len(problems) for problems, _ in blocks) <= env._BLOCK_ROLLOUTS
+        problems, rollouts = np.divmod(np.arange(20 * group_size), group_size)
+        assert np.array_equal(np.concatenate([p for p, _ in blocks]), problems)
+        assert np.array_equal(np.concatenate([w for _, w in blocks]), env._seed_words((0, 1), problems, rollouts))
+
+    def test_seeds_hashed_once_per_batch(self, monkeypatch):
+        # an eval batch of 20 x 256 rollouts spans several blocks, which
+        # share one hash of the batch's seed words
+        calls = []
+        seed_words = env._seed_words
+
+        def spy(key, problems, rollouts):
+            calls.append(len(problems))
+            return seed_words(key, problems, rollouts)
+
+        monkeypatch.setattr(env, "_seed_words", spy)
+        bank = make_problem_bank(20, (1, 10), 0)
+        sample_batch(initial_policy([p.id for p in bank], 10), bank, 256, 1024, (0,))
+        assert 20 * 256 > env._BLOCK_ROLLOUTS and calls == [20 * 256]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -550,11 +568,11 @@ class TestFirstChunk:
         assert built == []
 
     def test_one_generator_per_rollout_longer_than_the_first_chunk(self, monkeypatch):
-        # 20 x 40 rollouts (two blocks), some answering within 16 tokens and
+        # 20 x 64 rollouts (two blocks), some answering within 16 tokens and
         # some after
         built = self.count_generators(monkeypatch)
         policy = initial_policy([p.id for p in self.BANK], 10, answer_logit=-2.5)
-        groups = sample_batch(policy, self.BANK, 40, 1024, (3, 2))
+        groups = sample_batch(policy, self.BANK, 64, 1024, (3, 2))
         lengths = np.concatenate([g.lengths for g in groups])
         longer = int((lengths > env._FIRST_CHUNK).sum())
         assert 0 < longer < len(lengths) and len(lengths) > env._BLOCK_ROLLOUTS

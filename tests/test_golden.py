@@ -49,6 +49,9 @@ LONG_GOLDEN = (
 # sha256 of the (P, n) correct and lengths tables of `conciserl eval
 # --n-samples 64` on the step-30 checkpoint of the desk run at seed 0.
 EVAL_GOLDEN = "80ab343c4b5f11cb944f1b96992674e5b9d316db1aa6222b6cf2c823093ef186"
+# The same at --n-samples 256, eval_sweep's shape: 5,120 rollouts, which
+# the sampler walks in several blocks.
+EVAL_SWEEP_GOLDEN = "a304d3ff83b2d27737941f1a353c601dd5827855df1009016373bf982288487d"
 
 
 def digest_chain(result):
@@ -80,8 +83,9 @@ def test_cli_defaults_verbose_start():
     assert (digest_chain(result), final_entries(result)) == LONG_GOLDEN
 
 
-def test_eval_sample(desk_runs, tmp_path, monkeypatch):
-    _, out = desk_runs[0]
+def eval_digest(checkpoint_dir, n_samples, tmp_path, monkeypatch):
+    """sha256 of the (P, n) correct and lengths tables that ``conciserl eval``
+    samples on the step-30 checkpoint in ``checkpoint_dir``."""
     sampled = []
     sample_batch = cli.sample_batch
 
@@ -90,10 +94,19 @@ def test_eval_sample(desk_runs, tmp_path, monkeypatch):
         return sampled[-1]
 
     monkeypatch.setattr(cli, "sample_batch", recorded)
-    ckpt = out / "checkpoints" / "step_00030"
-    assert cli.main(["eval", "--checkpoint", str(ckpt), "--n-samples", "64", "--out", str(tmp_path / "e.json")]) == 0
+    ckpt = checkpoint_dir / "checkpoints" / "step_00030"
+    argv = ["eval", "--checkpoint", str(ckpt), "--n-samples", str(n_samples), "--out", str(tmp_path / "e.json")]
+    assert cli.main(argv) == 0
     (groups,) = sampled
     correct = np.stack([g.correct for g in groups])
     lengths = np.stack([g.lengths for g in groups]).astype("<i8")
-    assert correct.shape == (20, 64)
-    assert hashlib.sha256(correct.tobytes() + lengths.tobytes()).hexdigest() == EVAL_GOLDEN
+    assert correct.shape == (20, n_samples)
+    return hashlib.sha256(correct.tobytes() + lengths.tobytes()).hexdigest()
+
+
+def test_eval_sample(desk_runs, tmp_path, monkeypatch):
+    assert eval_digest(desk_runs[0][1], 64, tmp_path, monkeypatch) == EVAL_GOLDEN
+
+
+def test_eval_sweep_sample(desk_runs, tmp_path, monkeypatch):
+    assert eval_digest(desk_runs[0][1], 256, tmp_path, monkeypatch) == EVAL_SWEEP_GOLDEN
