@@ -26,11 +26,12 @@ from .env import (
     load_bank,
     make_problem_bank,
     min_correct_length,
+    sample_batch,
     save_bank,
 )
 from .objective import surrogate
 from .rewards import RewardTier, ShapedReward, shape, shape_group
-from .trainer import RunResult, StepLog, checkpoint, resume, run, sample_batch, train_step
+from .trainer import RunResult, StepLog, checkpoint, resume, run, train_step
 
 __all__ = [
     "Action",

@@ -43,13 +43,13 @@ def count_advantage(
     return AdvantageVector(tuple((r - mu) / denom))
 
 
-def std_advantage(rewards: Sequence[float], eps_std: float = EPS_STD) -> AdvantageVector:
-    """(r_i - mean) / (population std + eps_std); the GRPO baseline."""
+def std_advantage(rewards: Sequence[float]) -> AdvantageVector:
+    """(r_i - mean) / (population std + EPS_STD); the GRPO baseline."""
     r = np.asarray(rewards, dtype=float)
     if r.ndim != 1 or len(r) < 2:
         raise ValueError("need a group of at least 2 rewards")
     mu = float(r.mean())
-    denom = float(r.std()) + eps_std
+    denom = float(r.std()) + EPS_STD
     return AdvantageVector(tuple((r - mu) / denom))
 
 

@@ -52,12 +52,6 @@ class ExperienceBuffer:
     def l_max(self) -> int:
         return self._l_max
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, problem_id: str) -> bool:
-        return problem_id in self._entries
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExperienceBuffer):
             return NotImplemented
@@ -68,9 +62,6 @@ class ExperienceBuffer:
 
     def entries(self) -> dict[str, int]:
         return dict(self._entries)
-
-    def copy(self) -> "ExperienceBuffer":
-        return ExperienceBuffer(self._entries, self._l_max)
 
     def update(self, group: RolloutGroup) -> None:
         """Fold one rollout group into the running minimum.

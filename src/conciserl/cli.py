@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .core import InvariantViolation, RunConfig, load_config, save_config
-from .trainer import read_step_log, resume, run, sample_batch
+from .core import ADVANTAGE_MODES, InvariantViolation, RunConfig, load_config, save_config
+from .env import sample_batch
+from .trainer import read_step_log, resume, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--steps", type=int)
     p_train.add_argument("--alpha", type=float)
     p_train.add_argument("--r-pen", type=float, dest="r_pen")
-    p_train.add_argument("--advantage-mode", choices=["count", "std"], dest="advantage_mode")
+    p_train.add_argument("--advantage-mode", choices=ADVANTAGE_MODES, dest="advantage_mode")
     p_train.add_argument("--group-size", type=int, dest="group_size")
 
     p_eval = sub.add_parser("eval", help="sample from a frozen checkpoint and score it")

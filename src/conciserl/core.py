@@ -50,6 +50,9 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("problem id must be non-empty")
+        if "\t" in self.id or self.id.splitlines() != [self.id]:
+            # bank.tsv and .expbuf store one tab-separated record per line
+            raise ValueError(f"problem id {self.id!r} holds a tab or a line break")
         if not isinstance(self.difficulty, int) or self.difficulty < 1:
             raise ValueError(f"difficulty must be a positive integer, got {self.difficulty!r}")
         if self.correct_answer not in ANSWERS:
@@ -66,7 +69,7 @@ class Rollout:
 
     The library samples, shapes and trains on ``RolloutGroup`` count tables
     and builds no ``Rollout``; the record is the unit of the scalar reference
-    sampler the tests check ``trainer.sample_batch`` against.
+    sampler the tests check ``env.sample_batch`` against.
     ``behavior_logps`` are the log-probabilities (nats) of each emitted token
     under the policy that sampled it.
     """

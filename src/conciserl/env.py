@@ -285,34 +285,38 @@ def _seed_words(key: tuple[int, ...], problems: np.ndarray, rollouts: np.ndarray
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def sample_groups(
-    logp: np.ndarray,
+def sample_batch(
+    policy: TabularPolicy,
     bank: Sequence[ProblemSpec],
-    key: tuple[int, ...],
     group_size: int,
     l_max: int,
+    key: tuple[int, ...],
 ) -> list[RolloutGroup]:
-    """Sample ``group_size`` episodes of every problem of ``bank``.
+    """Sample ``group_size`` episodes of every problem of ``bank`` from the
+    (frozen) policy; the one sampler of training and ``eval``.
 
-    ``logp[i]`` holds ``bank[i]``'s ``(w_cap + 1, N_ACTIONS)`` rows of
-    ``TabularPolicy.log_probs()``, row w being the state with w WORK tokens
-    so far; rollout r of ``bank[i]`` draws one uniform per token from
-    ``default_rng((*key, i, r))``'s stream and takes the first action whose
-    cumulative probability exceeds it. An episode ends at the first ANSWER_*
-    token or is truncated at ``l_max`` tokens; truncated episodes are
-    incorrect by convention. ``key`` must hold non-negative integers.
+    Rollout r of ``bank[p]`` draws one uniform per token from the stream of
+    ``default_rng((*key, p, r))`` and takes the first action whose
+    cumulative probability under ``policy.log_probs()`` (computed once for
+    the batch) exceeds it. An episode ends at the first ANSWER_* token or is
+    truncated at ``l_max`` tokens; truncated episodes are incorrect by
+    convention. Training keys by (seed, step), ``eval`` by (seed,); a
+    negative key element is a ValueError.
 
     One vectorized seed hash gives the seed words of every rollout of the
     batch (``_seed_words``). The rollouts, problem by problem, are then
-    walked in consecutive blocks of at most ``_BLOCK_ROLLOUTS`` (``_walk``),
-    each with its rows of those words; block edges need not fall between
-    groups: a rollout's stream and walk do not depend on the rollouts it
-    shares a block with.
+    walked in consecutive blocks of at most ``_BLOCK_ROLLOUTS`` (``_walk``)
+    at any ``l_max``; block edges need not fall between groups, as a
+    rollout's stream and walk do not depend on the rollouts it shares a
+    block with. Within a block, a chunk of uniforms holds at most
+    ``_CHUNK_UNIFORMS`` across the live rollouts (never narrower than
+    ``_FIRST_CHUNK``).
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
+    logp = policy.log_probs()[[policy.problem_index(problem.id) for problem in bank]]
     cum = np.exp(logp).cumsum(axis=-1)
     n_problems, n_states = logp.shape[:2]
     problems, rollouts = np.divmod(np.arange(n_problems * group_size), group_size)

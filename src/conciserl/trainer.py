@@ -4,7 +4,7 @@ Rewards are shaped against the buffer state from before the current batch's
 update, then the buffer folds in the batch, and a single gradient-ascent step
 is taken on the clipped surrogate. Rollout rng streams are derived from
 (seed, step, problem, rollout), so results are reproducible regardless of
-worker scheduling; ``sample_batch`` is also the sampler of ``eval``.
+worker scheduling; ``env.sample_batch`` is also the sampler of ``eval``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .env import (
     initial_policy,
     load_bank,
     make_problem_bank,
-    sample_groups,
+    sample_batch,
     save_bank,
 )
 from .objective import surrogate
@@ -97,31 +97,6 @@ def batch_digest(groups: Sequence[RolloutGroup]) -> str:
         for g in groups:
             h.update(np.ascontiguousarray(getattr(g, name), dtype=dtype))
     return h.hexdigest()
-
-
-def sample_batch(
-    policy: TabularPolicy,
-    bank: Sequence[ProblemSpec],
-    group_size: int,
-    l_max: int,
-    key: tuple[int, ...],
-) -> list[RolloutGroup]:
-    """Sample ``group_size`` rollouts per problem from the (frozen) policy.
-
-    Rollout r of problem p draws from ``default_rng((*key, p, r))``'s
-    stream; ``env.sample_groups`` hashes the seed words of the whole batch
-    once, then walks its rollouts in consecutive blocks of at most
-    ``env._BLOCK_ROLLOUTS`` (1,024) at any ``l_max``, whatever groups they
-    cut. Every rollout's first chunk of uniforms is computed from its seed
-    words in numpy, and only the rollouts that outlive that chunk get a
-    generator. A training step of the CLI defaults (20 x 16 rollouts) is
-    one block, an ``eval`` of 20 x 256 rollouts five.
-    Training keys by (seed, step), ``eval`` by (seed,). A negative key
-    element is a ValueError. The policy's log-probs are computed once for
-    the whole batch.
-    """
-    logp = policy.log_probs()[[policy.problem_index(problem.id) for problem in bank]]
-    return sample_groups(logp, bank, key, group_size, l_max)
 
 
 def train_step(
@@ -262,9 +237,11 @@ def checkpoint(
 
 def _read_meta(path: Path) -> tuple[object, int, list[str], int]:
     meta = json.loads(path.read_text())
-    version, step, ids, w_cap = meta["version"], int(meta["step"]), meta["problem_ids"], meta["w_cap"]
-    if type(w_cap) is not int or not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-        raise TypeError("w_cap must be an int and problem_ids a list of strings")
+    version, step, ids, w_cap = meta["version"], meta["step"], meta["problem_ids"], meta["w_cap"]
+    if type(step) is not int or step < 0 or type(w_cap) is not int or w_cap < 1:
+        raise ValueError(f"step must be an int >= 0 and w_cap an int >= 1, got {step!r} and {w_cap!r}")
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise TypeError("problem_ids must be a list of strings")
     repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
     if repeated:
         raise ValueError(f"problem_ids repeat {', '.join(repeated)}")

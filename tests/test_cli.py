@@ -41,6 +41,12 @@ def repeat_first_problem(ck):
     np.save(ck / "policy_logits.npy", np.concatenate([logits, logits[:1]]))
 
 
+def zero_w_cap(ck):
+    # the logits are resized to match, so only the w_cap value is wrong
+    edit_meta(ck, w_cap=0)
+    np.save(ck / "policy_logits.npy", np.load(ck / "policy_logits.npy")[:, :1])
+
+
 # Checkpoint edits that `conciserl eval` must refuse: (edit, exit code, stderr pattern).
 BAD_CHECKPOINTS = {
     "logits-nan": (nan_logits, EXIT_INVARIANT, "invariant violation: logits are not finite"),
@@ -55,6 +61,9 @@ BAD_CHECKPOINTS = {
         "unreadable checkpoint file .*policy_logits.npy",
     ),
     "meta-w_cap": (lambda ck: edit_meta(ck, w_cap="x"), EXIT_IO, "unreadable checkpoint file .*meta.json"),
+    "meta-w_cap-0": (zero_w_cap, EXIT_IO, "unreadable checkpoint file .*meta.json"),
+    "meta-step-float": (lambda ck: edit_meta(ck, step=2.7), EXIT_IO, "unreadable checkpoint file .*meta.json"),
+    "meta-step-bool": (lambda ck: edit_meta(ck, step=True), EXIT_IO, "unreadable checkpoint file .*meta.json"),
     "meta-problem_ids": (
         lambda ck: edit_meta(ck, problem_ids=5), EXIT_IO, "unreadable checkpoint file .*meta.json"
     ),

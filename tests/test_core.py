@@ -46,6 +46,12 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec("q1", 1, "C")
 
+    @pytest.mark.parametrize("bad_id", ["a\tb", "a\u2028b", "a\x1cb"], ids=["tab", "line-separator", "file-separator"])
+    def test_id_the_checkpoint_files_cannot_store(self, bad_id):
+        # bank.tsv and .expbuf are tab-separated lines read with splitlines()
+        with pytest.raises(ValueError, match="tab or a line break"):
+            ProblemSpec(bad_id, 1, "A")
+
     def test_round_trip(self):
         p = ProblemSpec("q1", 3, "B")
         assert ProblemSpec(**p.to_dict()) == p

@@ -14,10 +14,9 @@ from conciserl.env import (
     load_bank,
     make_problem_bank,
     min_correct_length,
-    sample_groups,
+    sample_batch,
     save_bank,
 )
-from conciserl.trainer import sample_batch
 from tests import reference
 from tests.reference import (
     answer_letter,
@@ -376,25 +375,25 @@ class TestSampleGroup:
     def test_truncation_at_l_max(self):
         logits = np.zeros((1, 3, 4))
         logits[:, :, 2:] = -1e9
-        logp = TabularPolicy(("q",), 2, logits).log_probs()
-        (g,) = sample_groups(logp, [ProblemSpec("q", 1, "A")], (4,), 3, l_max=12)
+        policy = TabularPolicy(("q",), 2, logits)
+        (g,) = sample_batch(policy, [ProblemSpec("q", 1, "A")], 3, 12, (4,))
         assert g.truncated.all() and not g.correct.any() and g.lengths.tolist() == [12] * 3
         assert g.counts[:, 2].sum() > 0 and not g.counts[..., 2:].any()
 
     def test_deterministic_in_key(self):
-        logp = initial_policy(("q",), 4).log_probs()
+        policy = initial_policy(("q",), 4)
         prob = ProblemSpec("q", 2, "A")
-        (a,), (b,), (c,) = (sample_groups(logp, [prob], key, 8, 32) for key in ((7, 1), (7, 1), (7, 2)))
+        (a,), (b,), (c,) = (sample_batch(policy, [prob], 8, 32, key) for key in ((7, 1), (7, 1), (7, 2)))
         assert columns(a) == columns(b)
         assert not np.array_equal(a.counts, c.counts)
 
     def test_bad_l_max(self):
         with pytest.raises(ValueError, match="l_max"):
-            sample_groups(initial_policy(("q",), 2).log_probs(), [ProblemSpec("q", 1, "A")], (0,), 2, 0)
+            sample_batch(initial_policy(("q",), 2), [ProblemSpec("q", 1, "A")], 2, 0, (0,))
 
     def test_bad_group_size(self):
         with pytest.raises(ValueError, match="group_size"):
-            sample_groups(initial_policy(("q",), 2).log_probs(), [ProblemSpec("q", 1, "A")], (0,), 0, 8)
+            sample_batch(initial_policy(("q",), 2), [ProblemSpec("q", 1, "A")], 0, 8, (0,))
 
     def test_equals_scalar_reference(self):
         # rollout r of a group is the reference sampler on default_rng((*key, r)),
