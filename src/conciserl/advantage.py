@@ -22,35 +22,41 @@ class AdvantageVector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
 
 
 def count_advantage(
     rewards: Sequence[float], correct_count: int, epsilon_adv: float
 ) -> AdvantageVector:
     """(r_i - mean) / (correct_count + eps), count clamped to 1 when zero."""
-    r = np.asarray(rewards, dtype=float)
-    if r.ndim != 1 or len(r) < 2:
-        raise ValueError("need a group of at least 2 rewards")
-    if np.any(r < 0) or np.any(r > 1):
-        raise ValueError("rewards must lie in [0, 1]")
+    r = _rewards(rewards)
     if correct_count < 0:
         raise ValueError("correct_count must be >= 0")
     if epsilon_adv <= 0:
         raise ValueError("epsilon_adv must be > 0")
-    mu = float(r.mean())
+    mu = np.add.reduce(r) / len(r)  # the bits of r.mean(), without its wrappers
     denom = max(correct_count, 1) + epsilon_adv
-    return AdvantageVector(tuple((r - mu) / denom))
+    return AdvantageVector(((r - mu) / denom).tolist())
 
 
 def std_advantage(rewards: Sequence[float]) -> AdvantageVector:
     """(r_i - mean) / (population std + EPS_STD); the GRPO baseline."""
+    r = _rewards(rewards)
+    mu = float(r.mean())
+    denom = float(r.std()) + EPS_STD
+    return AdvantageVector(((r - mu) / denom).tolist())
+
+
+def _rewards(rewards: Sequence[float]) -> np.ndarray:
+    """One group's rewards as a float array: at least two, each in [0, 1]
+    (a NaN is not)."""
     r = np.asarray(rewards, dtype=float)
     if r.ndim != 1 or len(r) < 2:
         raise ValueError("need a group of at least 2 rewards")
-    mu = float(r.mean())
-    denom = float(r.std()) + EPS_STD
-    return AdvantageVector(tuple((r - mu) / denom))
+    # min() and max() propagate a NaN, which fails both comparisons.
+    if not (r.min() >= 0.0 and r.max() <= 1.0):
+        raise ValueError("rewards must lie in [0, 1]")
+    return r
 
 
 def advantage_gap(r_pen: float, correct_count: int, epsilon_adv: float) -> float:

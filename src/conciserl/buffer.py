@@ -33,6 +33,9 @@ class ExperienceBuffer:
         if l_max < 1:
             raise ValueError("l_max must be >= 1")
         for pid, v in entries.items():
+            # .expbuf stores each entry as an int, which a float or a bool is not
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"entry {pid!r}={v!r} is not an int")
             if not 1 <= v <= l_max:
                 raise ValueError(f"entry {pid!r}={v} outside [1, {l_max}]")
         self._entries = dict(entries)

@@ -53,7 +53,8 @@ class ProblemSpec:
         if "\t" in self.id or self.id.splitlines() != [self.id]:
             # bank.tsv and .expbuf store one tab-separated record per line
             raise ValueError(f"problem id {self.id!r} holds a tab or a line break")
-        if not isinstance(self.difficulty, int) or self.difficulty < 1:
+        # bank.tsv stores the difficulty as an int; a bool would be written as True
+        if isinstance(self.difficulty, bool) or not isinstance(self.difficulty, int) or self.difficulty < 1:
             raise ValueError(f"difficulty must be a positive integer, got {self.difficulty!r}")
         if self.correct_answer not in ANSWERS:
             raise ValueError(f"correct_answer must be one of {ANSWERS}, got {self.correct_answer!r}")
@@ -137,7 +138,9 @@ class RolloutGroup:
         counts, logps = self.counts, self.behavior_logp
         if counts.ndim != 3:
             raise ValueError(f"counts must be a (rollouts, states, actions) table, got shape {counts.shape}")
-        if not np.array_equal(counts, given):
+        # A table given as int32 is kept as it is, so only a converted one
+        # can differ from what was given.
+        if counts is not given and not np.array_equal(counts, given):
             raise ValueError("counts must be whole numbers that fit in int32")
         if counts.shape[1:] != logps.shape:
             raise ValueError(f"counts cells {counts.shape[1:]} do not match behavior_logp {logps.shape}")
@@ -146,16 +149,17 @@ class RolloutGroup:
             raise ValueError("a rollout group must contain at least one rollout")
         if not len(self.correct) == len(self.truncated) == g:
             raise ValueError("counts, correct and truncated must have one entry per rollout")
-        if np.any(counts < 0):
+        if (counts < 0).any():
             raise ValueError("counts must be >= 0")
         lengths = counts.sum(axis=(1, 2), dtype=np.intp)
         lengths.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
         if lengths.min() < 1:
             raise ValueError("rollout length must be >= 1")
-        if np.any(self.truncated & self.correct):
+        if (self.truncated & self.correct).any():
             raise ValueError("a truncated rollout cannot be correct")
-        if not (np.isfinite(logps).all() and logps.max() <= _LOGP_TOL):
+        # min() and max() propagate a NaN, which fails both comparisons.
+        if not (logps.min() > -math.inf and logps.max() <= _LOGP_TOL):
             lp = logps[~(np.isfinite(logps) & (logps <= _LOGP_TOL))][0]
             raise ValueError(f"behavior log-probabilities must be finite and <= 0, got {lp}")
 

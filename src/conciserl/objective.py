@@ -35,6 +35,11 @@ def surrogate(
     Each rollout's advantage applies to every one of its tokens. At an exact
     tie between the two min branches the unclipped branch's gradient is used
     (ties are measure-zero under sampling).
+
+    The batch is computed as one ``(P, G_max, w_cap + 1, N_ACTIONS)`` table,
+    groups shorter than ``G_max`` padded with empty rollouts of advantage 0.
+    A problem may appear in more than one group; its gradient rows are summed
+    in batch order.
     """
     if not (0 < eps_low < eps_high):
         raise ValueError("need 0 < eps_low < eps_high")
@@ -43,29 +48,31 @@ def surrogate(
     if len(groups) != len(advantages):
         raise ValueError("one AdvantageVector per group required")
     cells = policy.logits.shape[1:]
-    logp = policy.log_probs()
-    probs = np.exp(logp)
-    grad = np.zeros_like(policy.logits)
-    total = 0.0
-    for group, a in zip(groups, advantages):
+    counts = np.zeros((len(groups), max(g.size for g in groups), *cells), dtype=np.int32)
+    adv = np.zeros(counts.shape[:2])
+    for i, (group, a) in enumerate(zip(groups, advantages)):
         if len(a.values) != group.size:
             raise ValueError(f"advantage vector size mismatch for {group.problem_id!r}")
         if group.counts.shape[1:] != cells:
             raise ValueError(
                 f"count table of {group.problem_id!r} has cells {group.counts.shape[1:]}, not the policy's {cells}"
             )
-        p = policy.problem_index(group.problem_id)
-        n = int(group.lengths.sum())
-        ratio = np.exp(logp[p] - group.behavior_logp)
-        adv = np.asarray(a.values)[:, None, None]
-        unclipped_val = ratio * adv
-        clipped_val = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high) * adv
-        # One running sum in batch order (the builtin sum of floats
-        # compensates its rounding from Python 3.12 on).
-        total += float((group.counts * np.minimum(unclipped_val, clipped_val)).sum()) / n
-        # d(ratio * A)/d logits = ratio * A * (onehot(action) - probs(state)),
-        # with ties taking the unclipped branch
-        weight = (group.counts * np.where(unclipped_val <= clipped_val, unclipped_val, 0.0)).sum(axis=0)
-        weight /= n * len(groups)
-        grad[p] += weight - probs[p] * weight.sum(axis=-1, keepdims=True)
+        counts[i, : group.size] = group.counts
+        adv[i, : group.size] = a.values
+    index = np.array([policy.problem_index(g.problem_id) for g in groups])
+    n = counts.sum(axis=(1, 2, 3), dtype=np.intp)  # (P,) tokens per group
+    logp = policy.log_probs()
+    ratio = np.exp(logp[index] - np.array([g.behavior_logp for g in groups]))[:, None]
+    adv = adv[:, :, None, None]
+    unclipped_val = ratio * adv
+    clipped_val = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high) * adv
+    per_group = (counts * np.minimum(unclipped_val, clipped_val)).sum(axis=(1, 2, 3)) / n
+    # One running sum in batch order, as a loop over the groups would add.
+    total = float(np.cumsum(per_group)[-1])
+    # d(ratio * A)/d logits = ratio * A * (onehot(action) - probs(state)),
+    # with ties taking the unclipped branch
+    weight = (counts * np.where(unclipped_val <= clipped_val, unclipped_val, 0.0)).sum(axis=1)
+    weight /= (n * len(groups))[:, None, None]
+    grad = np.zeros_like(policy.logits)
+    np.add.at(grad, index, weight - np.exp(logp[index]) * weight.sum(axis=-1, keepdims=True))
     return total / len(groups), grad

@@ -8,6 +8,7 @@ correct response while still applying graded compression pressure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,19 +28,25 @@ class ShapedReward:
     tier: RewardTier
 
 
+# The two tiers whose value is fixed; a ShapedReward is immutable, so every
+# rollout in them shares one.
+_INCORRECT = ShapedReward(0.0, RewardTier.INCORRECT)
+_CONCISE_CORRECT = ShapedReward(1.0, RewardTier.CONCISE_CORRECT)
+
+
 def shape(length: int, correct: bool, threshold: float, r_pen: float) -> ShapedReward:
     """Map one rollout's length and correctness to its three-tier reward.
 
     The length comparison is inclusive: length == threshold is concise.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
+    if not 0 < threshold < math.inf:  # a NaN fails both comparisons
+        raise ValueError(f"threshold must be a finite number > 0, got {threshold!r}")
     if not 0 <= r_pen < 1:
         raise ValueError("r_pen must be in [0, 1)")
     if not correct:
-        return ShapedReward(0.0, RewardTier.INCORRECT)
+        return _INCORRECT
     if length <= threshold:
-        return ShapedReward(1.0, RewardTier.CONCISE_CORRECT)
+        return _CONCISE_CORRECT
     return ShapedReward(float(r_pen), RewardTier.VERBOSE_CORRECT)
 
 

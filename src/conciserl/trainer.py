@@ -25,7 +25,7 @@ import numpy as np
 
 from .advantage import count_advantage, std_advantage
 from .buffer import ExperienceBuffer
-from .core import InvariantViolation, ProblemSpec, RolloutGroup, RunConfig
+from .core import InvariantViolation, ProblemSpec, RunConfig
 from .env import (
     N_ACTIONS,
     TabularPolicy,
@@ -52,6 +52,10 @@ class StepLog:
     objective_value: float
     wall_ms: float
     solved_count: int
+    concise_count: int
+    verbose_count: int
+    incorrect_count: int
+    truncated_frac: float
     batch_digest: str
 
     def to_dict(self) -> dict:
@@ -87,15 +91,14 @@ class RunResult:
     bank: tuple[ProblemSpec, ...]
 
 
-def batch_digest(groups: Sequence[RolloutGroup]) -> str:
+def batch_digest(counts: np.ndarray, correct: np.ndarray, truncated: np.ndarray) -> str:
     """sha256 of a sampled batch: its ``(P, G, w_cap + 1, N_ACTIONS)``
     little-endian int32 count table, then its ``(P, G)`` ``correct`` and
     ``truncated`` arrays. Integers and booleans only, so it witnesses the
     sampled streams and no float order can move it."""
     h = hashlib.sha256()
-    for name, dtype in (("counts", "<i4"), ("correct", bool), ("truncated", bool)):
-        for g in groups:
-            h.update(np.ascontiguousarray(getattr(g, name), dtype=dtype))
+    for array, dtype in ((counts, "<i4"), (correct, bool), (truncated, bool)):
+        h.update(np.ascontiguousarray(array, dtype=dtype))
     return h.hexdigest()
 
 
@@ -120,14 +123,19 @@ def train_step(
     # Shape against the pre-update buffer; the batch is folded in once the
     # gradient is known to be finite.
     shaped = [shape_group(g, buffer, config.alpha, config.r_pen) for g in groups]
+    # The step's (P, G) arrays, and its (P, G, w_cap + 1, N_ACTIONS) table.
+    rewards = np.array([[s.value for s in rs] for rs in shaped])
+    correct = np.array([g.correct for g in groups])
+    truncated = np.array([g.truncated for g in groups])
+    lengths = np.array([g.lengths for g in groups])
+    counts = np.array([g.counts for g in groups])
 
-    advs = []
-    for g, rs in zip(groups, shaped):
-        values = [s.value for s in rs]
-        if config.advantage_mode == "count":
-            advs.append(count_advantage(values, g.correct_count, config.epsilon_adv))
-        else:
-            advs.append(std_advantage(values))
+    if config.advantage_mode == "count":
+        correct_counts = np.count_nonzero(correct, axis=1).tolist()
+        advs = [count_advantage(r, c, config.epsilon_adv) for r, c in zip(rewards, correct_counts)]
+    else:
+        advs = [std_advantage(r) for r in rewards]
+    advantages = np.array([a.values for a in advs])
 
     objective_value, grad = surrogate(groups, advs, policy, config.eps_low, config.eps_high)
     if not np.isfinite(grad).all():
@@ -136,18 +144,25 @@ def train_step(
         buffer.update(g)
     policy.ascend(grad, config.learning_rate)
 
-    n_rollouts = sum(g.size for g in groups)
+    n_rollouts = correct.size
+    n_correct = int(np.count_nonzero(correct))
+    # A correct rollout scores 1 when concise and r_pen < 1 when verbose.
+    n_concise = int(np.count_nonzero(correct & (rewards == 1.0)))
     log = StepLog(
         step=step,
-        batch_mean_length=sum(int(g.lengths.sum()) for g in groups) / n_rollouts,
+        batch_mean_length=int(lengths.sum()) / n_rollouts,
         mean_shortest_correct=buffer.stats(),
-        batch_accuracy=sum(g.correct_count for g in groups) / n_rollouts,
-        mean_reward=sum(s.value for rs in shaped for s in rs) / n_rollouts,
-        mean_abs_advantage=sum(abs(v) for a in advs for v in a.values) / n_rollouts,
+        batch_accuracy=n_correct / n_rollouts,
+        mean_reward=float(rewards.mean()),
+        mean_abs_advantage=float(np.abs(advantages).mean()),
         objective_value=objective_value,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
         solved_count=buffer.solved_count(),
-        batch_digest=batch_digest(groups),
+        concise_count=n_concise,
+        verbose_count=n_correct - n_concise,
+        incorrect_count=n_rollouts - n_correct,
+        truncated_frac=int(np.count_nonzero(truncated)) / n_rollouts,
+        batch_digest=batch_digest(counts, correct, truncated),
     )
     return policy, buffer, log
 

@@ -4,8 +4,8 @@ Nothing in ``conciserl`` calls these: the sampler records what they would
 recompute, the objective works on whole count tables, and the eval metrics
 on (problem, sample) arrays. They restate the sampler, the task rules and
 the clipped term one token or one trace at a time, the objective and its
-gradient one token at a time, and majority@k and length CV one problem at a
-time over per-sample answers.
+gradient one token at a time and one group at a time, and majority@k and
+length CV one problem at a time over per-sample answers.
 """
 
 from __future__ import annotations
@@ -292,6 +292,29 @@ def surrogate(groups, advantages, policy, eps_low, eps_high):
         reference_surrogate(terms, policy, eps_low, eps_high),
         reference_gradient(terms, policy, eps_low, eps_high),
     )
+
+
+def group_loop_surrogate(groups, advantages, policy, eps_low, eps_high):
+    """``objective.surrogate`` one group at a time: each group's count table
+    weighted cell by cell, the objective a running sum over the groups and
+    the gradient rows added group by group. The whole-batch surrogate keeps
+    this loop's order of float additions."""
+    logp = policy.log_probs()
+    probs = np.exp(logp)
+    grad = np.zeros_like(policy.logits)
+    total = 0.0
+    for group, a in zip(groups, advantages):
+        p = policy.problem_index(group.problem_id)
+        n = int(group.lengths.sum())
+        ratio = np.exp(logp[p] - group.behavior_logp)
+        adv = np.asarray(a.values)[:, None, None]
+        unclipped_val = ratio * adv
+        clipped_val = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high) * adv
+        total += float((group.counts * np.minimum(unclipped_val, clipped_val)).sum()) / n
+        weight = (group.counts * np.where(unclipped_val <= clipped_val, unclipped_val, 0.0)).sum(axis=0)
+        weight /= n * len(groups)
+        grad[p] += weight - probs[p] * weight.sum(axis=-1, keepdims=True)
+    return total / len(groups), grad
 
 
 def majority_at_k(

@@ -48,6 +48,14 @@ class TestCountAdvantage:
         with pytest.raises(ValueError):
             count_advantage([1.5, 0.0], 1, 1e-6)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_reward_rejected(self, bad):
+        # a NaN passes every comparison-based range check it fails
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            count_advantage([bad, 1.0], 1, 1e-6)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            count_advantage(np.array([1.0, 0.5, bad, 0.0]), 2, 1e-6)
+
     def test_centering(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -72,6 +80,11 @@ class TestStdAdvantage:
     def test_two_point_group(self):
         adv = std_advantage([1, 0])
         assert list(adv.values) == pytest.approx([1.0, -1.0], abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1.5, -0.5])
+    def test_reward_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            std_advantage([bad, 1.0])
 
     def test_identical_rewards_guarded(self):
         adv = std_advantage([0.5] * 5)

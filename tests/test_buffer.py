@@ -35,6 +35,13 @@ class TestInit:
     def test_degenerate_budget(self):
         assert ExperienceBuffer.init({"p1"}, 1).entry("p1") == 1
 
+    @pytest.mark.parametrize("bad", [3.5, 3.0, True], ids=["float", "whole-float", "bool"])
+    def test_entry_the_expbuf_cannot_store(self, bad):
+        # .expbuf stores each entry as an int: 3.5 would be written as the
+        # unparseable '3.5', True as 'True'
+        with pytest.raises(ValueError, match="is not an int"):
+            ExperienceBuffer({"a": 3, "b": bad}, 8)
+
     def test_empty_ids_rejected(self):
         with pytest.raises(ValueError):
             ExperienceBuffer.init(set(), 100)

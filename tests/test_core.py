@@ -42,6 +42,13 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec("q1", 0, "A")
 
+    @pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+    def test_difficulty_the_bank_file_cannot_store(self, bad):
+        # bank.tsv stores the difficulty as an int; True would be read back
+        # as the unparseable 'True'
+        with pytest.raises(ValueError, match="difficulty must be a positive integer"):
+            ProblemSpec("q1", bad, "A")
+
     def test_bad_answer(self):
         with pytest.raises(ValueError):
             ProblemSpec("q1", 1, "C")

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from conciserl.advantage import AdvantageVector, count_advantage, std_advantage
-from conciserl.core import ProblemSpec, Rollout, RolloutGroup
-from conciserl.env import Action, TabularPolicy
+from conciserl.buffer import ExperienceBuffer
+from conciserl.core import ProblemSpec, Rollout, RolloutGroup, RunConfig
+from conciserl.env import Action, TabularPolicy, initial_policy, make_problem_bank
 from conciserl.objective import surrogate
+from conciserl.rewards import shape_group
 from conciserl.trainer import sample_batch
 from tests.reference import (
     clipped_term,
     columns,
+    group_loop_surrogate,
     group_of,
     logprob,
     reference_gradient,
@@ -379,6 +382,71 @@ class TestSurrogate:
         short_g = (1, [0], [2], [old], [-1.0])
         val = surrogate(*tokens(policy, long_g, short_g), policy, EPS_LOW, EPS_HIGH)[0]
         assert val == pytest.approx((1.0 + -1.0) / 2)
+
+
+
+def training_batch(config, seed, bank=None):
+    """A batch as ``train_step`` samples it at step 1 of a run of
+    ``config``, with its count advantages, and the policy it was sampled
+    from."""
+    bank = make_problem_bank(config.n_problems, (config.d_min, config.d_max), seed) if bank is None else bank
+    ids = list(dict.fromkeys(p.id for p in bank))
+    policy = initial_policy(ids, config.w_cap, config.init_answer_logit)
+    groups = sample_batch(policy, bank, config.group_size, config.l_max, (seed, 1))
+    buffer = ExperienceBuffer.init(ids, config.l_max)
+    advs = [
+        count_advantage([s.value for s in shape_group(g, buffer, config.alpha, config.r_pen)], g.correct_count, 1e-6)
+        for g in groups
+    ]
+    return groups, advs, policy
+
+
+def desk_batch(seed):
+    return training_batch(RunConfig(group_size=8, l_max=1024), seed)
+
+
+def cli_defaults_batch(seed):
+    return training_batch(RunConfig(init_answer_logit=-6.0), seed)
+
+
+def ragged_batch(seed):
+    # 10-rollout groups alternating with 1-rollout groups, whose advantage a
+    # group-relative baseline would not give; only the table shapes matter
+    rng = np.random.default_rng(seed)
+    groups, _, policy = training_batch(RunConfig(group_size=10, l_max=256, n_problems=6), seed)
+    groups = [
+        g if i % 2 else RolloutGroup(g.problem_id, g.counts[:1], g.behavior_logp, g.correct[:1], g.truncated[:1])
+        for i, g in enumerate(groups)
+    ]
+    return groups, [AdvantageVector(rng.normal(0, 0.5, size=g.size)) for g in groups], policy
+
+
+def repeated_problem_batch(seed):
+    unique = make_problem_bank(3, (1, 10), seed)
+    bank = [unique[i] for i in (0, 1, 0, 2, 1, 0)]
+    return training_batch(RunConfig(group_size=8, l_max=1024), seed, bank)
+
+
+class TestWholeBatch:
+    """The whole-batch surrogate against the loop over groups it replaced:
+    the gradient bit for bit, the objective to rtol 1e-12 (a ragged batch's
+    padding regroups the objective's pairwise sums)."""
+
+    @pytest.mark.parametrize("make", [desk_batch, cli_defaults_batch, ragged_batch, repeated_problem_batch])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_group_loop(self, make, seed):
+        groups, advs, behavior = make(seed)
+        perturbed = behavior.copy()
+        perturbed.logits = perturbed.logits + np.random.default_rng(seed).normal(0, 0.5, size=perturbed.logits.shape)
+        # the sampling policy itself, as in training (every ratio 1), and a
+        # perturbed one on which the clip acts
+        for policy in (behavior, perturbed):
+            value, grad = surrogate(groups, advs, policy, EPS_LOW, EPS_HIGH)
+            want_value, want_grad = group_loop_surrogate(groups, advs, policy, EPS_LOW, EPS_HIGH)
+            assert grad.tobytes() == want_grad.tobytes()
+            assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+        ratio = cell_ratios(groups, perturbed)
+        assert np.any((ratio < 1 - EPS_LOW) | (ratio > 1 + EPS_HIGH))
 
 
 class TestGradient:

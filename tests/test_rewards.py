@@ -26,6 +26,12 @@ class TestShape:
     def test_boundary_is_inclusive(self):
         assert shape(110, True, 110.0, 0.5).value == 1.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_threshold_not_finite_and_positive_rejected(self, bad):
+        for correct in (True, False):
+            with pytest.raises(ValueError, match="threshold"):
+                shape(3, correct, bad, 0.5)
+
     def test_r_pen_out_of_range(self):
         with pytest.raises(ValueError):
             shape(3, True, 10.0, 1.0)

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,38 @@ class TestTrainStep:
         assert 0 <= log.solved_count <= cfg.n_problems
         assert log.wall_ms > 0
         assert StepLog(**log.to_dict()) == log
+
+    @pytest.mark.parametrize("r_pen", [0.5, 0.0])
+    def test_tier_counts_match_shape_group(self, monkeypatch, r_pen):
+        # every rollout is counted in the tier shape_group gave it, also at
+        # r_pen 0, where verbose and incorrect rollouts share a reward
+        cfg = small_config(group_size=8, l_max=12, steps=12, n_problems=6, r_pen=r_pen)
+        shaped, sampled = [], []
+
+        def record(fn, into):
+            def recorded(*args, **kwargs):
+                into.append(fn(*args, **kwargs))
+                return into[-1]
+
+            return recorded
+
+        monkeypatch.setattr(trainer, "shape_group", record(trainer.shape_group, shaped))
+        monkeypatch.setattr(trainer, "sample_batch", record(trainer.sample_batch, sampled))
+        logs = run(cfg).logs
+        totals = Counter()
+        for i, log in enumerate(logs):
+            tiers = Counter(s.tier.name for rs in shaped[i * cfg.n_problems : (i + 1) * cfg.n_problems] for s in rs)
+            counts = {
+                "CONCISE_CORRECT": log.concise_count,
+                "VERBOSE_CORRECT": log.verbose_count,
+                "INCORRECT": log.incorrect_count,
+            }
+            assert sum(counts.values()) == cfg.n_problems * cfg.group_size
+            assert counts == {tier: tiers[tier] for tier in counts}
+            truncated = np.concatenate([g.truncated for g in sampled[i]])
+            assert log.truncated_frac == truncated.mean()
+            totals.update({**counts, "truncated": int(truncated.sum())})
+        assert min(totals.values()) > 0
 
 
 class TestRun:
