@@ -50,7 +50,7 @@ class TestCountAdvantage:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_reward_rejected(self, bad):
-        # a NaN passes every comparison-based range check it fails
+        # a NaN is neither < 0 nor > 1, so a check for either lets it through
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             count_advantage([bad, 1.0], 1, 1e-6)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

@@ -384,7 +384,6 @@ class TestSurrogate:
         assert val == pytest.approx((1.0 + -1.0) / 2)
 
 
-
 def training_batch(config, seed, bank=None):
     """A batch as ``train_step`` samples it at step 1 of a run of
     ``config``, with its count advantages, and the policy it was sampled
@@ -410,8 +409,8 @@ def cli_defaults_batch(seed):
 
 
 def ragged_batch(seed):
-    # 10-rollout groups alternating with 1-rollout groups, whose advantage a
-    # group-relative baseline would not give; only the table shapes matter
+    # 10-rollout groups alternating with 1-rollout groups, with random
+    # advantages (a group-relative one needs two rollouts)
     rng = np.random.default_rng(seed)
     groups, _, policy = training_batch(RunConfig(group_size=10, l_max=256, n_problems=6), seed)
     groups = [
