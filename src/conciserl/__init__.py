@@ -14,7 +14,7 @@ from .core import (
     InvariantViolation,
     ProblemSpec,
     Rollout,
-    RolloutGroup,
+    RolloutBatch,
     RunConfig,
     load_config,
     save_config,
@@ -42,7 +42,7 @@ __all__ = [
     "ProblemSpec",
     "RewardTier",
     "Rollout",
-    "RolloutGroup",
+    "RolloutBatch",
     "RunConfig",
     "RunResult",
     "ShapedReward",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from .core import RolloutGroup
+from .core import RolloutBatch
 
 _MAGIC = "EXPBUF"
 _VERSION = "v1"
@@ -66,8 +66,8 @@ class ExperienceBuffer:
     def entries(self) -> dict[str, int]:
         return dict(self._entries)
 
-    def update(self, group: RolloutGroup) -> None:
-        """Fold one rollout group into the running minimum.
+    def update(self, group: RolloutBatch) -> None:
+        """Fold one problem's group, such as ``batch[p]``, into the running minimum.
 
         The entry becomes min(old, shortest correct length in the group); a
         group with no correct rollouts leaves the buffer unchanged. Unknown

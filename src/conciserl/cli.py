@@ -70,6 +70,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         if getattr(args, k) is not None
     }
     config = dataclasses.replace(config, **overrides)
+    found = [n for n in ("config.txt", "steps.jsonl", "summary.json", "checkpoints") if (args.out / n).exists()]
+    if found:
+        raise ValueError(f"{args.out} already holds a run ({', '.join(found)}); train into a new or empty directory")
     args.out.mkdir(parents=True, exist_ok=True)
     save_config(config, args.out / "config.txt")
     result = run(config, out_dir=args.out)
@@ -100,9 +103,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not k_list or min(k_list) < 1 or max(k_list) > args.n_samples:
         raise ValueError("every k must satisfy 1 <= k <= n_samples")
 
-    groups = sample_batch(policy, bank, args.n_samples, buffer.l_max, (args.seed,))
-    correct = np.stack([g.correct for g in groups])  # (problems, samples), bank order
-    lengths = np.stack([g.lengths for g in groups])
+    batch = sample_batch(policy, bank, args.n_samples, buffer.l_max, (args.seed,))
+    correct, lengths = batch.correct, batch.lengths  # (problems, samples), bank order
     order = np.argsort([p.id for p in bank])  # majority@k draws problem by problem in id order
 
     pass1 = metrics_mod.accuracy(correct)

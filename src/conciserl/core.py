@@ -11,7 +11,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class Rollout:
     """One sampled trajectory under a behavior-policy snapshot, as a scalar
     record.
 
-    The library samples, shapes and trains on ``RolloutGroup`` count tables
+    The library samples, shapes and trains on ``RolloutBatch`` count tables
     and builds no ``Rollout``; the record is the unit of the scalar reference
     sampler the tests check ``env.sample_batch`` against.
     ``behavior_logps`` are the log-probabilities (nats) of each emitted token
@@ -107,51 +107,54 @@ class Rollout:
 
 
 @dataclass(frozen=True, eq=False)
-class RolloutGroup:
-    """The G rollouts sampled for one problem from one policy snapshot, as
-    one (state, action) count table per rollout.
+class RolloutBatch:
+    """The G rollouts sampled for each of P problems from one policy
+    snapshot, as one (state, action) count table per rollout.
 
-    ``counts[i, w, a]`` is how many tokens of rollout i took action a in
-    state w, the number of WORK tokens before them capped at the policy's
-    ``w_cap``. A token's importance ratio depends only on its cell, so the
-    table is all the objective needs of a rollout's tokens.
-    ``behavior_logp`` is the problem's ``(w_cap + 1, N_ACTIONS)`` table of
-    log-probabilities (nats) under the policy that sampled the group,
-    constants rather than functions of the current parameters. ``lengths``
-    is derived from the table. The arrays are frozen on construction, and a
-    group compares equal only to itself.
+    ``counts[p, i, w, a]`` is how many tokens of rollout i of problem p took
+    action a in state w, the number of WORK tokens before them capped at the
+    policy's ``w_cap``. A token's importance ratio depends only on its cell,
+    so the table is all the objective needs of a rollout's tokens.
+    ``behavior_logp[p]`` is problem p's table of log-probabilities (nats)
+    under the policy that sampled the batch, constants rather than functions
+    of the current parameters. ``lengths`` is derived from the table. The
+    arrays are checked and frozen on construction, and a record compares
+    equal only to itself. ``batch[p]``, also by iteration, is problem p's
+    group: a one-problem record viewing the checked arrays.
     """
 
-    problem_id: str
-    counts: np.ndarray          # (G, w_cap + 1, N_ACTIONS) int32
-    behavior_logp: np.ndarray   # (w_cap + 1, N_ACTIONS)
-    correct: np.ndarray         # (G,) bool
-    truncated: np.ndarray       # (G,) bool
-    lengths: np.ndarray = dataclasses.field(init=False)  # (G,) tokens per rollout
+    problem_ids: tuple[str, ...]
+    counts: np.ndarray          # (P, G, w_cap + 1, N_ACTIONS) int32
+    behavior_logp: np.ndarray   # (P, w_cap + 1, N_ACTIONS)
+    correct: np.ndarray         # (P, G) bool
+    truncated: np.ndarray       # (P, G) bool
+    lengths: np.ndarray = dataclasses.field(init=False)  # (P, G) tokens per rollout
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "problem_ids", tuple(self.problem_ids))
         given = self.counts
         for name, dtype in (("counts", np.int32), ("behavior_logp", float), ("correct", bool), ("truncated", bool)):
             array = np.asarray(getattr(self, name)).astype(dtype, copy=False)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         counts, logps = self.counts, self.behavior_logp
-        if counts.ndim != 3:
-            raise ValueError(f"counts must be a (rollouts, states, actions) table, got shape {counts.shape}")
+        if counts.ndim != 4:
+            raise ValueError(f"counts must be a (problems, rollouts, states, actions) table, got shape {counts.shape}")
         # A table given as int32 is kept as it is, so only a converted one
         # can differ from what was given.
         if counts is not given and not np.array_equal(counts, given):
             raise ValueError("counts must be whole numbers that fit in int32")
-        if counts.shape[1:] != logps.shape:
-            raise ValueError(f"counts cells {counts.shape[1:]} do not match behavior_logp {logps.shape}")
-        g = len(counts)
-        if g < 1:
-            raise ValueError("a rollout group must contain at least one rollout")
-        if not len(self.correct) == len(self.truncated) == g:
+        if (counts.shape[0], *counts.shape[2:]) != logps.shape:
+            raise ValueError(f"counts cells {counts.shape[2:]} do not match behavior_logp {logps.shape}")
+        if len(self.problem_ids) != len(counts):
+            raise ValueError(f"{len(self.problem_ids)} problem ids for {len(counts)} problems")
+        if 0 in counts.shape[:2]:
+            raise ValueError("a rollout batch must contain at least one rollout of at least one problem")
+        if not self.correct.shape == self.truncated.shape == counts.shape[:2]:
             raise ValueError("counts, correct and truncated must have one entry per rollout")
         if (counts < 0).any():
             raise ValueError("counts must be >= 0")
-        lengths = counts.sum(axis=(1, 2), dtype=np.intp)
+        lengths = counts.sum(axis=(2, 3), dtype=np.intp)
         lengths.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
         if lengths.min() < 1:
@@ -163,13 +166,25 @@ class RolloutGroup:
             lp = logps[~(np.isfinite(logps) & (logps <= _LOGP_TOL))][0]
             raise ValueError(f"behavior log-probabilities must be finite and <= 0, got {lp}")
 
-    @property
-    def size(self) -> int:
-        return len(self.counts)
+    def __len__(self) -> int:
+        return len(self.problem_ids)
+
+    def __getitem__(self, p: int) -> "RolloutBatch":
+        """Problem p's group, without checking again what was checked."""
+        p = range(len(self))[p]  # an IndexError past either end
+        group = object.__new__(RolloutBatch)
+        vars(group).update({name: value[p : p + 1] for name, value in vars(self).items()})
+        return group
+
+    def __iter__(self) -> Iterator["RolloutBatch"]:
+        return map(self.__getitem__, range(len(self)))
 
     @property
-    def correct_count(self) -> int:
-        return int(np.count_nonzero(self.correct))
+    def problem_id(self) -> str:
+        """The problem of a one-problem record, such as ``batch[p]``."""
+        if len(self) != 1:
+            raise ValueError(f"a record of {len(self)} problems has no single problem_id")
+        return self.problem_ids[0]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .core import ANSWERS, InvariantViolation, ProblemSpec, RolloutGroup
+from .core import ANSWERS, InvariantViolation, ProblemSpec, RolloutBatch
 
 
 class Action(IntEnum):
@@ -291,9 +291,9 @@ def sample_batch(
     group_size: int,
     l_max: int,
     key: tuple[int, ...],
-) -> list[RolloutGroup]:
+) -> RolloutBatch:
     """Sample ``group_size`` episodes of every problem of ``bank`` from the
-    (frozen) policy; the one sampler of training and ``eval``.
+    (frozen) policy, as one record; the one sampler of training and ``eval``.
 
     Rollout r of ``bank[p]`` draws one uniform per token from the stream of
     ``default_rng((*key, p, r))`` and takes the first action whose
@@ -332,7 +332,7 @@ def sample_batch(
     shape = (n_problems, group_size)
     counts = counts.reshape(*shape, n_states, N_ACTIONS)
     correct, truncated = correct.reshape(shape), ~answered.reshape(shape)
-    return [RolloutGroup(problem.id, counts[p], logp[p], correct[p], truncated[p]) for p, problem in enumerate(bank)]
+    return RolloutBatch(tuple(problem.id for problem in bank), counts, logp, correct, truncated)
 
 
 def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) -> tuple[np.ndarray, ...]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .buffer import ExperienceBuffer
-from .core import RolloutGroup
+from .core import RolloutBatch
 
 
 class RewardTier(Enum):
@@ -51,9 +51,9 @@ def shape(length: int, correct: bool, threshold: float, r_pen: float) -> ShapedR
 
 
 def shape_group(
-    group: RolloutGroup, buffer: ExperienceBuffer, alpha: float, r_pen: float
+    group: RolloutBatch, buffer: ExperienceBuffer, alpha: float, r_pen: float
 ) -> list[ShapedReward]:
-    """Shape every rollout in a group against the group's buffer threshold.
+    """Shape every rollout of one problem's group, such as ``batch[p]``, against its buffer threshold.
 
     Order is preserved. The caller is responsible for using the buffer state
     from before the current batch's update (the threshold a rollout is judged
@@ -62,5 +62,5 @@ def shape_group(
     thr = buffer.threshold(group.problem_id, alpha)
     return [
         shape(length, correct, thr, r_pen)
-        for length, correct in zip(group.lengths.tolist(), group.correct.tolist())
+        for length, correct in zip(group.lengths[0].tolist(), group.correct[0].tolist())
     ]

@@ -112,23 +112,20 @@ def train_step(
     """One full training step; mutates policy and buffer in place.
 
     ``step`` seeds the per-(step, problem, rollout) rng streams. The batch is
-    sampled from ``policy`` itself: each group keeps the log-prob table it
+    sampled from ``policy`` itself: the record keeps the log-prob table it
     was sampled under, so no snapshot of the policy is taken. A gradient
     that is not finite raises InvariantViolation before the buffer or the
     policy moves.
     """
     t0 = time.perf_counter()
-    groups = sample_batch(policy, bank, config.group_size, config.l_max, (config.seed, step))
+    batch = sample_batch(policy, bank, config.group_size, config.l_max, (config.seed, step))
+    correct = batch.correct
 
     # Shape against the pre-update buffer; the batch is folded in once the
     # gradient is known to be finite.
+    groups = list(batch)
     shaped = [shape_group(g, buffer, config.alpha, config.r_pen) for g in groups]
-    # The step's (P, G) arrays, and its (P, G, w_cap + 1, N_ACTIONS) table.
-    rewards = np.array([[s.value for s in rs] for rs in shaped])
-    correct = np.array([g.correct for g in groups])
-    truncated = np.array([g.truncated for g in groups])
-    lengths = np.array([g.lengths for g in groups])
-    counts = np.array([g.counts for g in groups])
+    rewards = np.array([[s.value for s in rs] for rs in shaped])  # (P, G)
 
     if config.advantage_mode == "count":
         correct_counts = np.count_nonzero(correct, axis=1).tolist()
@@ -137,7 +134,7 @@ def train_step(
         advs = [std_advantage(r) for r in rewards]
     advantages = np.array([a.values for a in advs])
 
-    objective_value, grad = surrogate(groups, advs, policy, config.eps_low, config.eps_high)
+    objective_value, grad = surrogate(batch, advantages, policy, config.eps_low, config.eps_high)
     if not np.isfinite(grad).all():
         raise InvariantViolation(f"gradient is not finite at step {step}")
     for g in groups:
@@ -150,7 +147,7 @@ def train_step(
     n_concise = int(np.count_nonzero(correct & (rewards == 1.0)))
     log = StepLog(
         step=step,
-        batch_mean_length=int(lengths.sum()) / n_rollouts,
+        batch_mean_length=int(batch.lengths.sum()) / n_rollouts,
         mean_shortest_correct=buffer.stats(),
         batch_accuracy=n_correct / n_rollouts,
         mean_reward=float(rewards.mean()),
@@ -161,8 +158,8 @@ def train_step(
         concise_count=n_concise,
         verbose_count=n_correct - n_concise,
         incorrect_count=n_rollouts - n_correct,
-        truncated_frac=int(np.count_nonzero(truncated)) / n_rollouts,
-        batch_digest=batch_digest(counts, correct, truncated),
+        truncated_frac=int(np.count_nonzero(batch.truncated)) / n_rollouts,
+        batch_digest=batch_digest(batch.counts, correct, batch.truncated),
     )
     return policy, buffer, log
 
@@ -225,11 +222,12 @@ def checkpoint(
 
     The files are written to ``<path>.tmp`` and the directory is then
     renamed into place, so a writer that dies mid-way leaves no directory
-    at ``path`` that ``resume`` would read; a checkpoint already at
-    ``path`` is replaced.
+    at ``path`` that ``resume`` would read. A checkpoint already at ``path``
+    is replaced: it is moved to ``<path>.old`` first, moved back if the
+    rename fails, and deleted once the new one is in place.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp, old = path.with_name(path.name + ".tmp"), path.with_name(path.name + ".old")
     shutil.rmtree(tmp, ignore_errors=True)
     tmp.mkdir(parents=True)
     try:
@@ -243,9 +241,16 @@ def checkpoint(
         (tmp / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
         np.save(tmp / "policy_logits.npy", policy.logits)
         buffer.save(tmp / "buffer.expbuf")
+        shutil.rmtree(old, ignore_errors=True)
         if path.exists():
-            shutil.rmtree(path)
-        os.replace(tmp, path)
+            os.replace(path, old)
+        try:
+            os.replace(tmp, path)
+        except BaseException:
+            if old.exists():
+                os.replace(old, path)
+            raise
+        shutil.rmtree(old, ignore_errors=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)  # left only by a write that raised
 

@@ -16,8 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from conciserl.advantage import AdvantageVector
-from conciserl.core import ProblemSpec, Rollout, RolloutGroup
+from conciserl.core import ProblemSpec, Rollout, RolloutBatch
 from conciserl.env import N_ACTIONS, Action, TabularPolicy
 
 
@@ -126,40 +125,50 @@ def sample_rollout(
     return Rollout(problem.id, tuple(actions), tuple(logps), len(actions), correct, truncated)
 
 
-def group_of(rollouts: Sequence[Rollout], logp_rows: np.ndarray) -> RolloutGroup:
-    """The count-table group of some rollouts of one problem, sampled from
-    the ``(w_cap + 1, N_ACTIONS)`` log-prob rows ``logp_rows``: each trace's
-    states are replayed, and its tokens counted cell by cell."""
+def group_of(rollouts: Sequence[Rollout], logp_rows: np.ndarray) -> RolloutBatch:
+    """The one-problem count-table record of some rollouts of one problem,
+    sampled from the ``(w_cap + 1, N_ACTIONS)`` log-prob rows ``logp_rows``:
+    each trace's states are replayed, and its tokens counted cell by cell."""
     w_cap = len(logp_rows) - 1
-    counts = np.zeros((len(rollouts), w_cap + 1, N_ACTIONS), dtype=np.int32)
+    counts = np.zeros((1, len(rollouts), w_cap + 1, N_ACTIONS), dtype=np.int32)
     for i, r in enumerate(rollouts):
         states = replay_states(r.actions, w_cap)
         assert np.array_equal(logp_rows[states, list(r.actions)], r.behavior_logps)
-        np.add.at(counts[i], (states, list(r.actions)), 1)
-    return RolloutGroup(
-        problem_id=rollouts[0].problem_id,
+        np.add.at(counts[0, i], (states, list(r.actions)), 1)
+    return RolloutBatch(
+        problem_ids=(rollouts[0].problem_id,),
         counts=counts,
-        behavior_logp=logp_rows,
-        correct=[r.correct for r in rollouts],
-        truncated=[r.truncated for r in rollouts],
+        behavior_logp=[logp_rows],
+        correct=[[r.correct for r in rollouts]],
+        truncated=[[r.truncated for r in rollouts]],
     )
 
 
-def columns(group: RolloutGroup) -> tuple:
-    """A group's problem id and every array as a plain list, for comparing
-    groups (a group compares equal only to itself)."""
+def stack(groups: Sequence[RolloutBatch]) -> RolloutBatch:
+    """One record of the rows of some records of one group size, in order."""
+    arrays = ("counts", "behavior_logp", "correct", "truncated")
+    return RolloutBatch(
+        tuple(pid for g in groups for pid in g.problem_ids),
+        *(np.concatenate([getattr(g, name) for g in groups]) for name in arrays),
+    )
+
+
+def columns(batch: RolloutBatch) -> tuple:
+    """A record's problem ids and every array as a plain list, for comparing
+    records (a record compares equal only to itself)."""
     return tuple(
-        getattr(group, f.name) if f.name == "problem_id" else getattr(group, f.name).tolist()
-        for f in dataclasses.fields(group)
+        getattr(batch, f.name) if f.name == "problem_ids" else getattr(batch, f.name).tolist()
+        for f in dataclasses.fields(batch)
     )
 
 
-def token_columns(group: RolloutGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One entry per token of a group's table: its rollout, state and
-    action, rollout after rollout (the tokens of a rollout in cell order)."""
-    rollout, states, actions = np.nonzero(group.counts)
-    n = group.counts[rollout, states, actions]
-    return np.repeat(rollout, n), np.repeat(states, n), np.repeat(actions, n)
+def token_columns(batch: RolloutBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One entry per token of a record's table: its problem row, rollout,
+    state and action, problem after problem and rollout after rollout (the
+    tokens of a rollout in cell order)."""
+    cells = np.nonzero(batch.counts)
+    n = batch.counts[cells]
+    return tuple(np.repeat(c, n) for c in cells)
 
 
 def sample_group(
@@ -168,8 +177,9 @@ def sample_group(
     key: tuple[int, ...],
     group_size: int,
     l_max: int,
-) -> RolloutGroup:
-    """``group_size`` episodes of one problem, sampled token by token.
+) -> RolloutBatch:
+    """``group_size`` episodes of one problem, sampled token by token, as a
+    one-problem record.
 
     ``logp`` is the problem's ``(w_cap + 1, N_ACTIONS)`` slice of
     ``TabularPolicy.log_probs()``; rollout r draws from
@@ -220,7 +230,7 @@ def sample_group(
                 break
         truncated.append(not answered)
         correct.append(answered and a == want and work >= d)
-    return RolloutGroup(problem.id, counts, logp, correct, truncated)
+    return RolloutBatch((problem.id,), counts[None], logp[None], [correct], [truncated])
 
 
 def sample_batch(
@@ -229,14 +239,14 @@ def sample_batch(
     group_size: int,
     l_max: int,
     key: tuple[int, ...],
-) -> list[RolloutGroup]:
-    """``trainer.sample_batch`` one group at a time: problem p's group is
+) -> RolloutBatch:
+    """``env.sample_batch`` one group at a time: problem p's group is
     ``sample_group`` on its policy rows with key ``(*key, p)``."""
     logp = policy.log_probs()
-    return [
+    return stack([
         sample_group(logp[policy.problem_index(problem.id)], problem, (*key, p), group_size, l_max)
         for p, problem in enumerate(bank)
-    ]
+    ])
 
 
 # The objective and its gradient one token at a time, each group given as a
@@ -244,17 +254,16 @@ def sample_batch(
 # per-token arrays.
 
 
-def token_terms(
-    groups: Sequence[RolloutGroup], advantages: Sequence[AdvantageVector], policy: TabularPolicy
-) -> list[tuple]:
-    """The per-group tuples of some groups and their advantages: every
+def token_terms(batch: RolloutBatch, advantages: np.ndarray, policy: TabularPolicy) -> list[tuple]:
+    """The per-group tuples of a record and its ``(P, G)`` advantages: every
     token of a table, carrying its rollout's advantage."""
-    terms = []
-    for g, a in zip(groups, advantages):
-        rollout, states, actions = token_columns(g)
-        old = g.behavior_logp[states, actions]
-        terms.append((policy.problem_index(g.problem_id), states, actions, old, np.asarray(a.values)[rollout]))
-    return terms
+    problem, rollout, states, actions = token_columns(batch)
+    old = batch.behavior_logp[problem, states, actions]
+    adv = np.asarray(advantages)[problem, rollout]
+    return [
+        (policy.problem_index(pid), states[problem == p], actions[problem == p], old[problem == p], adv[problem == p])
+        for p, pid in enumerate(batch.problem_ids)
+    ]
 
 
 def reference_surrogate(groups, policy, eps_low, eps_high):
@@ -284,17 +293,17 @@ def reference_gradient(groups, policy, eps_low, eps_high):
     return grad
 
 
-def surrogate(groups, advantages, policy, eps_low, eps_high):
+def surrogate(batch, advantages, policy, eps_low, eps_high):
     """``objective.surrogate`` one token at a time, accumulating the
     gradient with ``np.add.at``."""
-    terms = token_terms(groups, advantages, policy)
+    terms = token_terms(batch, advantages, policy)
     return (
         reference_surrogate(terms, policy, eps_low, eps_high),
         reference_gradient(terms, policy, eps_low, eps_high),
     )
 
 
-def group_loop_surrogate(groups, advantages, policy, eps_low, eps_high):
+def group_loop_surrogate(batch, advantages, policy, eps_low, eps_high):
     """``objective.surrogate`` one group at a time: each group's count table
     weighted cell by cell, the objective a running sum over the groups and
     the gradient rows added group by group. The whole-batch surrogate keeps
@@ -303,18 +312,19 @@ def group_loop_surrogate(groups, advantages, policy, eps_low, eps_high):
     probs = np.exp(logp)
     grad = np.zeros_like(policy.logits)
     total = 0.0
-    for group, a in zip(groups, advantages):
+    for group, a in zip(batch, np.asarray(advantages)):
         p = policy.problem_index(group.problem_id)
+        counts = group.counts[0]
         n = int(group.lengths.sum())
-        ratio = np.exp(logp[p] - group.behavior_logp)
-        adv = np.asarray(a.values)[:, None, None]
+        ratio = np.exp(logp[p] - group.behavior_logp[0])
+        adv = a[:, None, None]
         unclipped_val = ratio * adv
         clipped_val = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high) * adv
-        total += float((group.counts * np.minimum(unclipped_val, clipped_val)).sum()) / n
-        weight = (group.counts * np.where(unclipped_val <= clipped_val, unclipped_val, 0.0)).sum(axis=0)
-        weight /= n * len(groups)
+        total += float((counts * np.minimum(unclipped_val, clipped_val)).sum()) / n
+        weight = (counts * np.where(unclipped_val <= clipped_val, unclipped_val, 0.0)).sum(axis=0)
+        weight /= n * len(batch)
         grad[p] += weight - probs[p] * weight.sum(axis=-1, keepdims=True)
-    return total / len(groups), grad
+    return total / len(batch), grad
 
 
 def majority_at_k(

@@ -170,11 +170,11 @@ def test_06_gradient_vs_finite_differences():
 
 def _final_accuracy_per_problem(result, config):
     """Fresh-batch accuracy per problem under the final (frozen) policy."""
-    groups = sample_batch(
+    batch = sample_batch(
         result.policy.copy(), result.bank, config.group_size, config.l_max,
         (config.seed, config.steps + 1),
     )
-    return {g.problem_id: g.correct_count / g.size for g in groups}
+    return dict(zip(batch.problem_ids, batch.correct.mean(axis=1).tolist()))
 
 
 def test_07_buffer_converges_to_oracle(count_runs):

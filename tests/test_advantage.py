@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conciserl.advantage import AdvantageVector, advantage_gap, count_advantage, std_advantage
-from conciserl.core import RolloutGroup
+from conciserl.advantage import advantage_gap, count_advantage, std_advantage
+from conciserl.core import RolloutBatch
 from conciserl.env import Action, TabularPolicy
 from conciserl.objective import surrogate
 
@@ -16,11 +16,11 @@ def token_advantages(values, lengths):
     """
     n = sum(lengths)
     policy = TabularPolicy(("p",), n)
-    counts = np.zeros((len(lengths), n + 1, 4), dtype=np.int32)
-    counts[np.repeat(np.arange(len(lengths)), lengths), np.arange(n), Action.FILLER] = 1
-    no = [False] * len(lengths)
-    group = RolloutGroup("p", counts, policy.log_probs()[0], no, no)
-    grad = surrogate([group], [AdvantageVector(values)], policy, 0.2, 0.28)[1]
+    counts = np.zeros((1, len(lengths), n + 1, 4), dtype=np.int32)
+    counts[0, np.repeat(np.arange(len(lengths)), lengths), np.arange(n), Action.FILLER] = 1
+    no = [[False] * len(lengths)]
+    group = RolloutBatch(["p"], counts, policy.log_probs(), no, no)
+    grad = surrogate(group, [values], policy, 0.2, 0.28)[1]
     return list(grad[0, :n, Action.FILLER] * n / 0.75)
 
 
@@ -155,4 +155,4 @@ class TestBroadcast:
     def test_zero_length_rejected(self):
         # Every rollout owns at least one token.
         with pytest.raises(ValueError, match="length must be >= 1"):
-            RolloutGroup("p", [[[0, 0, 1, 0]], [[0, 0, 0, 0]]], [[-1.0] * 4], [False, False], [False, False])
+            RolloutBatch(["p"], [[[[0, 0, 1, 0]], [[0, 0, 0, 0]]]], [[[-1.0] * 4]], [[False, False]], [[False, False]])

@@ -2,22 +2,23 @@ import numpy as np
 import pytest
 
 from conciserl.buffer import BufferFormatError, ExperienceBuffer
-from conciserl.core import RolloutGroup
+from conciserl.core import RolloutBatch
 from conciserl.env import Action
+from tests.reference import stack
 
 
 def group(problem_id, specs):
-    """A group of rollouts of WORK tokens in state 0 ending in ANSWER_A, one
-    per (length, correct) spec."""
-    counts = np.zeros((len(specs), 1, 4), dtype=np.int32)
-    counts[:, 0, Action.WORK] = [n - 1 for n, _ in specs]
-    counts[:, 0, Action.ANSWER_A] = 1
-    return RolloutGroup(
-        problem_id,
+    """A one-problem record of rollouts of WORK tokens in state 0 ending in
+    ANSWER_A, one per (length, correct) spec."""
+    counts = np.zeros((1, len(specs), 1, 4), dtype=np.int32)
+    counts[0, :, 0, Action.WORK] = [n - 1 for n, _ in specs]
+    counts[0, :, 0, Action.ANSWER_A] = 1
+    return RolloutBatch(
+        (problem_id,),
         counts=counts,
-        behavior_logp=np.full((1, 4), -1.0),
-        correct=[c for _, c in specs],
-        truncated=[False] * len(specs),
+        behavior_logp=np.full((1, 1, 4), -1.0),
+        correct=[[c for _, c in specs]],
+        truncated=[[False] * len(specs)],
     )
 
 
@@ -73,6 +74,18 @@ class TestUpdate:
         buf = ExperienceBuffer({"q": 500, "r": 700}, 16384)
         buf.update(group("q", [(100, True)]))
         assert buf.entry("r") == 700
+
+    def test_folds_one_group_of_a_batch(self):
+        # a group is one row of a batch; a record of several problems is not
+        # one group
+        buf = ExperienceBuffer({"q": 500, "r": 700}, 16384)
+        batch = stack([group("q", [(100, True), (90, False)]), group("r", [(300, True), (200, True)])])
+        with pytest.raises(ValueError, match="2 problems"):
+            buf.update(batch)
+        assert buf.entries() == {"q": 500, "r": 700}
+        for g in batch:
+            buf.update(g)
+        assert buf.entries() == {"q": 100, "r": 200}
 
     def test_monotone_under_random_sequences(self):
         rng = np.random.default_rng(0)

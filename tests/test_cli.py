@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +12,14 @@ import pytest
 import conciserl
 from conciserl.buffer import ExperienceBuffer
 from conciserl.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
-from conciserl.core import ProblemSpec, Rollout, RunConfig, load_config
+from conciserl.core import ProblemSpec, Rollout, RolloutBatch, RunConfig, load_config
 from conciserl.env import TabularPolicy
 from conciserl.trainer import resume, run, sample_batch, train_step
 from tests import reference
 
 CHECKPOINT_FILES = ["policy_logits.npy", "buffer.expbuf", "meta.json", "bank.tsv"]
 TRAIN_ARGS = ["train", "--steps", "3", "--group-size", "4", "--seed", "1"]
+RUN_FILES = ("config.txt", "steps.jsonl", "summary.json", "checkpoints")  # what train writes, in the order named
 
 
 def nan_logits(ck):
@@ -121,6 +123,32 @@ class TestTrain:
         assert summary["steps"] == 4
         assert summary["n_problems"] == 4
         assert (out / "checkpoints" / "step_00004" / "policy_logits.npy").exists()
+
+    @pytest.mark.parametrize(
+        "held",
+        [*RUN_FILES, ", ".join(RUN_FILES)],
+    )
+    def test_refuses_a_directory_that_holds_a_run(self, tmp_path, capsys, held):
+        # a second run into a run's directory would leave the first run's
+        # checkpoints beside its own logs; it exits 2, naming what it found,
+        # and writes nothing
+        out = quick_train(tmp_path)
+        for path in out.iterdir():
+            if path.is_dir() and path.name not in held:
+                shutil.rmtree(path)
+            elif path.name not in held:
+                path.unlink()
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["train", "--out", str(out), "--steps", "1", "--seed", "7"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {out} already holds a run ({held}); train into a new or empty directory\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_trains_into_an_empty_directory(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        assert main(["train", "--out", str(tmp_path / "out"), "--steps", "1", "--group-size", "2"]) == EXIT_OK
+        assert (tmp_path / "out" / "summary.json").exists()
 
     def test_cli_overrides_config(self, tmp_path):
         out = quick_train(tmp_path, extra=["--steps", "2"])
@@ -300,11 +328,9 @@ class TestEval:
         report = json.loads((ck / "eval.json").read_text())
 
         policy, buffer, bank, _ = resume(ck)
-        groups = sample_batch(policy, bank, 16, buffer.l_max, (3,))
-        lengths = np.stack([g.lengths for g in groups])
-        samples, truth = reference.eval_votes(
-            ids, np.stack([g.correct for g in groups]), lengths, [p.correct_answer for p in bank]
-        )
+        batch = sample_batch(policy, bank, 16, buffer.l_max, (3,))
+        lengths = batch.lengths
+        samples, truth = reference.eval_votes(ids, batch.correct, lengths, [p.correct_answer for p in bank])
         for k in (1, 2, 4, 16):
             expected = reference.majority_at_k(samples, truth, k, np.random.default_rng((3, 1_000_003, k)))
             assert tuple(report["majority_at_k"][str(k)].values()) == expected
@@ -418,6 +444,26 @@ def test_no_rollout_records_on_the_train_or_eval_path(tmp_path, monkeypatch):
     assert built == []
     Rollout("p", (2,), (-1.0,), 1, False, False)
     assert len(built) == 1  # the counter does see a record when one is built
+
+
+def test_one_record_check_per_batch(tmp_path, monkeypatch):
+    # a training step and an eval check their sampled batch once, not once
+    # per problem: the groups they shape and fold are views of it
+    out = quick_train(tmp_path)
+    ck = out / "checkpoints" / "step_00004"
+    checked = []
+    original = RolloutBatch.__post_init__
+
+    def counted(self):
+        checked.append(self.correct.shape)
+        original(self)
+
+    monkeypatch.setattr(RolloutBatch, "__post_init__", counted)
+    policy, buffer, bank, step = resume(ck)
+    train_step(policy, buffer, bank, load_config(out / "config.txt"), step + 1)
+    assert checked == [(4, 4)]
+    assert main(["eval", "--checkpoint", str(ck), "--n-samples", "8", "--k", "1,4"]) == EXIT_OK
+    assert checked == [(4, 4), (4, 8)]
 
 
 class TestParser:

@@ -11,7 +11,7 @@ from conciserl.core import (
     ConfigError,
     ProblemSpec,
     Rollout,
-    RolloutGroup,
+    RolloutBatch,
     RunConfig,
     load_config,
     save_config,
@@ -90,21 +90,20 @@ class TestRollout:
 
 
 @st.composite
-def group_columns(draw):
-    """The arrays of a valid RolloutGroup: a count table, as nested lists,
+def batch_columns(draw):
+    """The arrays of a valid RolloutBatch: a count table, as nested lists,
     with at least one token per rollout, and the per-rollout flags."""
-    g, n_states = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    counts = np.array(
-        draw(st.lists(st.integers(0, 3), min_size=g * n_states * 4, max_size=g * n_states * 4))
-    ).reshape(g, n_states, 4)
-    counts[np.arange(g), draw(st.integers(0, n_states - 1)), draw(st.integers(0, 3))] += 1
-    truncated = draw(st.lists(st.booleans(), min_size=g, max_size=g))
-    correct = [draw(st.booleans()) and not t for t in truncated]
+    p, g, n_states = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    size = p * g * n_states * 4
+    counts = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))).reshape(p, g, n_states, 4)
+    counts[:, np.arange(g), draw(st.integers(0, n_states - 1)), draw(st.integers(0, 3))] += 1
+    truncated = [draw(st.lists(st.booleans(), min_size=g, max_size=g)) for _ in range(p)]
+    correct = [[draw(st.booleans()) and not t for t in row] for row in truncated]
+    logps = draw(st.lists(st.floats(-30.0, 0.0), min_size=p * n_states * 4, max_size=p * n_states * 4))
     return dict(
+        problem_ids=[f"p{i}" for i in range(p)],
         counts=counts.tolist(),
-        behavior_logp=np.array(draw(st.lists(st.floats(-30.0, 0.0), min_size=n_states * 4, max_size=n_states * 4)))
-        .reshape(n_states, 4)
-        .tolist(),
+        behavior_logp=np.array(logps).reshape(p, n_states, 4).tolist(),
         correct=correct,
         truncated=truncated,
     )
@@ -114,68 +113,93 @@ BAD_LOGPS = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(1e-6, 1
 
 
 def one_rollout(logp_row):
-    """A one-rollout group, FILLER in state 0 then ANSWER_A in state 1, over
+    """A one-rollout record, FILLER in state 0 then ANSWER_A in state 1, over
     the log-prob table whose rows are ``[0, logp_row[0], 0, 0]`` and
     ``[0, 0, logp_row[1], 0]``."""
-    logp = np.zeros((2, 4))
-    logp[0, 1], logp[1, 2] = logp_row
-    return RolloutGroup("p", [[[0, 1, 0, 0], [0, 0, 1, 0]]], logp, [False], [False])
+    logp = np.zeros((1, 2, 4))
+    logp[0, 0, 1], logp[0, 1, 2] = logp_row
+    return RolloutBatch(["p"], [[[[0, 1, 0, 0], [0, 0, 1, 0]]]], logp, [[False]], [[False]])
 
 
-class TestRolloutGroup:
+def three_problems():
+    """A valid 3 x 2 record whose rows differ in every array."""
+    counts = np.zeros((3, 2, 2, 4), dtype=np.int32)
+    counts[:, :, 0, 1] = [[1, 2], [3, 4], [5, 6]]
+    counts[:, :, 1, 2] = 1
+    logp = -np.arange(1.0, 25.0).reshape(3, 2, 4)
+    correct = [[True, False], [False, False], [False, True]]
+    truncated = [[False, True], [False, False], [True, False]]
+    return RolloutBatch(("a", "b", "c"), counts, logp, correct, truncated)
+
+
+def rows(batch):
+    """A record's problem ids and every array, as plain lists of its rows."""
+    arrays = [getattr(batch, f.name).tolist() for f in dataclasses.fields(batch) if f.name != "problem_ids"]
+    return list(zip(batch.problem_ids, *arrays))
+
+
+class TestRolloutBatch:
     def test_columns_frozen_to_arrays(self):
-        counts = [[[2, 0, 1, 0], [0, 0, 0, 0]], [[0, 0, 0, 1], [0, 0, 0, 0]]]
-        g = RolloutGroup("p1", counts, np.full((2, 4), -1.0), [True, False], [False, False])
-        assert g.size == 2 and g.correct_count == 1 and g.lengths.tolist() == [3, 1]
-        assert g.counts.dtype == np.int32 and g.lengths.dtype == np.intp
-        assert g.correct.dtype == g.truncated.dtype == bool and g.behavior_logp.dtype == float
-        for array in (g.counts, g.behavior_logp, g.correct, g.truncated, g.lengths):
+        counts = [[[[2, 0, 1, 0], [0, 0, 0, 0]], [[0, 0, 0, 1], [0, 0, 0, 0]]]]
+        b = RolloutBatch(["p1"], counts, np.full((1, 2, 4), -1.0), [[True, False]], [[False, False]])
+        assert b.problem_ids == ("p1",) and len(b) == 1 and b.lengths.tolist() == [[3, 1]]
+        assert b.counts.dtype == np.int32 and b.lengths.dtype == np.intp
+        assert b.correct.dtype == b.truncated.dtype == bool and b.behavior_logp.dtype == float
+        for array in (b.counts, b.behavior_logp, b.correct, b.truncated, b.lengths):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
     @settings(deadline=None)
-    @given(group_columns())
+    @given(batch_columns())
     def test_valid_columns_accepted(self, cols):
-        g = RolloutGroup("p", **cols)
-        assert g.size == len(cols["counts"]) and g.correct_count == sum(cols["correct"])
-        assert g.lengths.tolist() == np.sum(cols["counts"], axis=(1, 2)).tolist()
+        b = RolloutBatch(**cols)
+        assert b.problem_ids == tuple(cols["problem_ids"]) and b.correct.tolist() == cols["correct"]
+        assert b.lengths.tolist() == np.sum(cols["counts"], axis=(2, 3)).tolist()
 
     @settings(deadline=None)
     @given(
-        group_columns(),
+        batch_columns(),
         st.sampled_from(
             [
-                "empty rollout", "negative count", "not 3-D", "cells", "flags", "correct and truncated", "logp",
-                "no rollouts",
+                "empty rollout", "negative count", "not 4-D", "cells", "flags", "correct and truncated", "logp",
+                "no rollouts", "no problems", "problem ids",
             ]
         ),
         st.data(),
     )
     def test_malformed_columns_rejected(self, cols, fault, data):
         counts = np.array(cols["counts"])
-        rollout = data.draw(st.integers(0, len(counts) - 1))
+        problem = data.draw(st.integers(0, len(counts) - 1))
+        rollout = data.draw(st.integers(0, counts.shape[1] - 1))
         if fault == "empty rollout":
-            counts[rollout] = 0
+            counts[problem, rollout] = 0
         elif fault == "negative count":
-            counts[rollout, 0, data.draw(st.integers(0, 3))] = -1
-        elif fault == "not 3-D":
-            counts = counts.sum(axis=data.draw(st.integers(0, 2)))
+            counts[problem, rollout, 0, data.draw(st.integers(0, 3))] = -1
+        elif fault == "not 4-D":
+            counts = counts.sum(axis=data.draw(st.integers(0, 3)))
         elif fault == "cells":
-            cols["behavior_logp"] = np.array(cols["behavior_logp"])[:, : data.draw(st.integers(0, 3))].tolist()
+            cols["behavior_logp"] = np.array(cols["behavior_logp"])[..., : data.draw(st.integers(0, 3))].tolist()
         elif fault == "flags":
-            del cols["correct"][rollout], cols["truncated"][rollout]
+            for row in (*cols["correct"], *cols["truncated"]):
+                del row[rollout]
         elif fault == "correct and truncated":
-            cols["correct"][rollout] = cols["truncated"][rollout] = True
+            cols["correct"][problem][rollout] = cols["truncated"][problem][rollout] = True
         elif fault == "logp":
-            row = data.draw(st.integers(0, len(cols["behavior_logp"]) - 1))
-            cols["behavior_logp"][row][data.draw(st.integers(0, 3))] = data.draw(BAD_LOGPS)
+            row = data.draw(st.integers(0, len(cols["behavior_logp"][problem]) - 1))
+            cols["behavior_logp"][problem][row][data.draw(st.integers(0, 3))] = data.draw(BAD_LOGPS)
+        elif fault == "no rollouts":
+            counts = counts[:, :0]
+            cols["correct"] = cols["truncated"] = [[] for _ in counts]
+        elif fault == "no problems":
+            counts, cols["problem_ids"], cols["correct"], cols["truncated"] = counts[:0], [], [], []
+            cols["behavior_logp"] = np.array(cols["behavior_logp"])[:0]
         else:
-            counts, cols["correct"], cols["truncated"] = counts[:0], [], []
+            cols["problem_ids"] = data.draw(st.sampled_from([cols["problem_ids"][:-1], [*cols["problem_ids"], "q"]]))
         with pytest.raises(ValueError):
-            RolloutGroup("p", **{**cols, "counts": counts})
+            RolloutBatch(**{**cols, "counts": counts})
 
     def test_slack_above_zero_accepted(self):
-        assert one_rollout([-0.5, 1e-12]).behavior_logp[1, 2] == 1e-12
+        assert one_rollout([-0.5, 1e-12]).behavior_logp[0, 1, 2] == 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5], ids=["nan", "inf", "-inf", "0.5"])
     def test_bad_logp_named(self, bad):
@@ -185,17 +209,57 @@ class TestRolloutGroup:
     @pytest.mark.parametrize(
         "counts, match",
         [
-            ([[0, 1, 0, 0], [0, 0, 1, 0]], "rollouts, states, actions"),
-            ([[[0, -1, 0, 0], [0, 0, 2, 0]]], ">= 0"),
-            ([[[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]], "do not match behavior_logp"),
-            ([[[0, 1.5, 0, 0], [0, 0, 1, 0]]], "whole numbers"),
-            ([[[0, 2**32 + 1, 0, 0], [0, 0, 1, 0]]], "fit in int32"),
+            ([[0, 1, 0, 0], [0, 0, 1, 0]], "problems, rollouts, states, actions"),
+            ([[[0, 1, 0, 0], [0, 0, 1, 0]]], "problems, rollouts, states, actions"),
+            ([[[[0, -1, 0, 0], [0, 0, 2, 0]]]], ">= 0"),
+            ([[[[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]]], "do not match behavior_logp"),
+            ([[[[0, 1.5, 0, 0], [0, 0, 1, 0]]]], "whole numbers"),
+            ([[[[0, 2**32 + 1, 0, 0], [0, 0, 1, 0]]]], "fit in int32"),
         ],
-        ids=["2-D", "negative", "five actions", "fraction", "past int32"],
+        ids=["2-D", "3-D", "negative", "five actions", "fraction", "past int32"],
     )
     def test_bad_table_named(self, counts, match):
         with pytest.raises(ValueError, match=match):
-            RolloutGroup("p", counts, np.zeros((2, 4)), [False], [False])
+            RolloutBatch(["p"], counts, np.zeros((1, 2, 4)), [[False]], [[False]])
+
+    @pytest.mark.parametrize("ids", [(), ("a", "b")], ids=["none", "two"])
+    def test_problem_ids_one_per_row(self, ids):
+        with pytest.raises(ValueError, match=f"{len(ids)} problem ids for 1 problems"):
+            RolloutBatch(ids, [[[[0, 1, 0, 0], [0, 0, 1, 0]]]], np.zeros((1, 2, 4)), [[False]], [[False]])
+
+    def test_groups_are_its_rows(self):
+        batch = three_problems()
+        assert len(batch) == 3
+        want = rows(batch)
+        for p, group in enumerate(batch):
+            assert rows(group) == [want[p]] == rows(batch[p])
+            assert group.problem_id == batch.problem_ids[p]
+        assert rows(batch[-1]) == [want[-1]] and rows(batch[-3]) == [want[0]]
+
+    @pytest.mark.parametrize("p", [3, -4])
+    def test_group_past_either_end(self, p):
+        with pytest.raises(IndexError):
+            three_problems()[p]
+
+    def test_groups_view_the_checked_arrays(self, monkeypatch):
+        # a group is neither checked again nor copied, and cannot be written
+        batch = three_problems()
+        checks = []
+        monkeypatch.setattr(RolloutBatch, "__post_init__", lambda self: checks.append(self))
+        groups = list(batch)
+        assert checks == []
+        for p, group in enumerate(groups):
+            for name in ("counts", "behavior_logp", "correct", "truncated", "lengths"):
+                array = getattr(group, name)
+                assert np.shares_memory(array, getattr(batch, name)) and array.shape[0] == 1
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+    def test_problem_id_needs_one_problem(self):
+        batch = three_problems()
+        with pytest.raises(ValueError, match="a record of 3 problems has no single problem_id"):
+            batch.problem_id
+        assert one_rollout([-1.0, -1.0]).problem_id == "p"
 
 
 class TestValidateConfig:

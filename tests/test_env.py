@@ -265,7 +265,7 @@ def random_key(rng):
 def assert_walk_equals_reference(policy, bank, group_size, l_max, key):
     got = sample_batch(policy, bank, group_size, l_max, key)
     want = reference.sample_batch(policy, bank, group_size, l_max, key)
-    assert list(map(columns, got)) == list(map(columns, want))
+    assert columns(got) == columns(want)
     return got
 
 
@@ -287,10 +287,9 @@ class TestSampleGroup:
             for seed in range(3):
                 rng = np.random.default_rng(9000 + 10 * i + seed)
                 policy, bank, group_size, key = random_batch_case(rng, l_max)
-                groups = assert_walk_equals_reference(policy, bank, group_size, l_max, key)
-                for g in groups:
-                    saturated += int(g.counts[:, -1, Action.WORK].sum())
-                    truncated += int(g.truncated.sum())
+                batch = assert_walk_equals_reference(policy, bank, group_size, l_max, key)
+                saturated += int(batch.counts[:, :, -1, Action.WORK].sum())
+                truncated += int(batch.truncated.sum())
         assert saturated > 0 and truncated > 0
 
     def test_every_group_size(self):
@@ -303,8 +302,8 @@ class TestSampleGroup:
         # a group of more than _BLOCK_ROLLOUTS rollouts spans several blocks
         rng = np.random.default_rng(9600)
         policy, bank, _, key = random_batch_case(rng, 40)
-        groups = assert_walk_equals_reference(policy, bank, env._BLOCK_ROLLOUTS + 44, 40, key)
-        assert all(g.size == env._BLOCK_ROLLOUTS + 44 for g in groups)
+        batch = assert_walk_equals_reference(policy, bank, env._BLOCK_ROLLOUTS + 44, 40, key)
+        assert batch.correct.shape == (len(bank), env._BLOCK_ROLLOUTS + 44)
 
     @pytest.mark.parametrize("block_rollouts", [1, 3, 4, 6])
     def test_blocks_straddle_groups(self, monkeypatch, block_rollouts):
@@ -376,14 +375,14 @@ class TestSampleGroup:
         logits = np.zeros((1, 3, 4))
         logits[:, :, 2:] = -1e9
         policy = TabularPolicy(("q",), 2, logits)
-        (g,) = sample_batch(policy, [ProblemSpec("q", 1, "A")], 3, 12, (4,))
-        assert g.truncated.all() and not g.correct.any() and g.lengths.tolist() == [12] * 3
-        assert g.counts[:, 2].sum() > 0 and not g.counts[..., 2:].any()
+        batch = sample_batch(policy, [ProblemSpec("q", 1, "A")], 3, 12, (4,))
+        assert batch.truncated.all() and not batch.correct.any() and batch.lengths.tolist() == [[12] * 3]
+        assert batch.counts[:, :, 2].sum() > 0 and not batch.counts[..., 2:].any()
 
     def test_deterministic_in_key(self):
         policy = initial_policy(("q",), 4)
         prob = ProblemSpec("q", 2, "A")
-        (a,), (b,), (c,) = (sample_batch(policy, [prob], 8, 32, key) for key in ((7, 1), (7, 1), (7, 2)))
+        a, b, c = (sample_batch(policy, [prob], 8, 32, key) for key in ((7, 1), (7, 1), (7, 2)))
         assert columns(a) == columns(b)
         assert not np.array_equal(a.counts, c.counts)
 
@@ -417,7 +416,7 @@ class TestSampleGroup:
                 logp,
             )
             assert columns(got) == columns(want)
-            saturated += int(got.counts[:, w_cap, Action.WORK].sum())
+            saturated += int(got.counts[:, :, w_cap, Action.WORK].sum())
             truncated += int(got.truncated.sum())
         assert saturated > 0 and truncated > 0
 
@@ -553,8 +552,8 @@ class TestFirstChunk:
             logits[i, : p.difficulty, Action.WORK] = 8.0
             logits[i, p.difficulty :, Action.ANSWER_A if p.correct_answer == "A" else Action.ANSWER_B] = 8.0
         policy = TabularPolicy([p.id for p in self.BANK], 10, logits)
-        groups = sample_batch(policy, self.BANK, 64, 1024, (0,))
-        assert all(g.correct.all() and g.lengths.max() <= env._FIRST_CHUNK for g in groups)
+        batch = sample_batch(policy, self.BANK, 64, 1024, (0,))
+        assert batch.correct.all() and batch.lengths.max() <= env._FIRST_CHUNK
         assert built == []
 
     @pytest.mark.parametrize("l_max", [1, 15, env._FIRST_CHUNK])
@@ -562,8 +561,8 @@ class TestFirstChunk:
         # answer-averse rollouts run to l_max, which the first chunk covers
         built = self.count_generators(monkeypatch)
         policy = initial_policy([p.id for p in self.BANK], 10, answer_logit=-20)
-        groups = sample_batch(policy, self.BANK, 40, l_max, (3, 1))
-        assert all(g.truncated.all() for g in groups)
+        batch = sample_batch(policy, self.BANK, 40, l_max, (3, 1))
+        assert batch.truncated.all()
         assert built == []
 
     def test_one_generator_per_rollout_longer_than_the_first_chunk(self, monkeypatch):
@@ -571,8 +570,7 @@ class TestFirstChunk:
         # some after
         built = self.count_generators(monkeypatch)
         policy = initial_policy([p.id for p in self.BANK], 10, answer_logit=-2.5)
-        groups = sample_batch(policy, self.BANK, 64, 1024, (3, 2))
-        lengths = np.concatenate([g.lengths for g in groups])
+        lengths = sample_batch(policy, self.BANK, 64, 1024, (3, 2)).lengths.ravel()
         longer = int((lengths > env._FIRST_CHUNK).sum())
         assert 0 < longer < len(lengths) and len(lengths) > env._BLOCK_ROLLOUTS
         assert len(built) == longer

@@ -13,7 +13,6 @@ token-by-token reference; this file checks it against itself.
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from conciserl import cli
@@ -97,9 +96,9 @@ def eval_digest(checkpoint_dir, n_samples, tmp_path, monkeypatch):
     ckpt = checkpoint_dir / "checkpoints" / "step_00030"
     argv = ["eval", "--checkpoint", str(ckpt), "--n-samples", str(n_samples), "--out", str(tmp_path / "e.json")]
     assert cli.main(argv) == 0
-    (groups,) = sampled
-    correct = np.stack([g.correct for g in groups])
-    lengths = np.stack([g.lengths for g in groups]).astype("<i8")
+    (batch,) = sampled
+    correct = batch.correct
+    lengths = batch.lengths.astype("<i8")
     assert correct.shape == (20, n_samples)
     return hashlib.sha256(correct.tobytes() + lengths.tobytes()).hexdigest()
 

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from conciserl.advantage import AdvantageVector, count_advantage, std_advantage
+from conciserl.advantage import count_advantage, std_advantage
 from conciserl.buffer import ExperienceBuffer
-from conciserl.core import ProblemSpec, Rollout, RolloutGroup, RunConfig
+from conciserl.core import ProblemSpec, Rollout, RolloutBatch, RunConfig
 from conciserl.env import Action, TabularPolicy, initial_policy, make_problem_bank
 from conciserl.objective import surrogate
 from conciserl.rewards import shape_group
@@ -17,6 +19,7 @@ from tests.reference import (
     reference_gradient,
     reference_surrogate,
     sample_rollout,
+    stack,
     token_columns,
     token_ratio,
     token_terms,
@@ -48,68 +51,65 @@ def random_rollouts(rng, n_problems=2, group_size=4, w_cap=4, policy=None):
 
 
 def random_groups(rng, n_problems=2, group_size=4, w_cap=4, mode="count", policy=None):
-    """Groups sampled from a behavior policy, with their advantages."""
+    """A batch sampled from a behavior policy, with its ``(P, G)``
+    advantages."""
     rollouts, behavior = random_rollouts(rng, n_problems, group_size, w_cap, policy)
     groups, advs = [], []
     logp = behavior.log_probs()
     for group_rollouts in rollouts:
-        group = group_of(group_rollouts, logp[behavior.problem_index(group_rollouts[0].problem_id)])
+        groups.append(group_of(group_rollouts, logp[behavior.problem_index(group_rollouts[0].problem_id)]))
         rewards = [1.0 if r.correct else 0.0 for r in group_rollouts]
         if mode == "count":
-            advs.append(count_advantage(rewards, group.correct_count, 1e-6))
+            advs.append(count_advantage(rewards, sum(r.correct for r in group_rollouts), 1e-6).values)
         else:
-            advs.append(std_advantage(rewards))
-        groups.append(group)
-    return groups, advs, behavior
+            advs.append(std_advantage(rewards).values)
+    return stack(groups), np.array(advs), behavior
 
 
 def random_batch(rng, n_problems=2, group_size=4, w_cap=4, mode="count"):
-    """Sample groups from a behavior policy, score a perturbed policy."""
-    groups, advs, behavior = random_groups(rng, n_problems, group_size, w_cap, mode)
+    """Sample a batch from a behavior policy, score a perturbed policy."""
+    batch, advs, behavior = random_groups(rng, n_problems, group_size, w_cap, mode)
     # perturb away from the behavior snapshot so ratios leave 1.0
     new = behavior.copy()
     new.logits = new.logits + rng.normal(0, 0.3, size=new.logits.shape)
-    return (groups, advs), new
+    return (batch, advs), new
 
 
-def cell_ratios(groups, policy):
+def cell_ratios(batch, policy):
     """The importance ratio under the policy of every cell that some token
     of a group falls in, in batch order: the ratios of the batch's tokens,
     each once."""
-    logp = policy.log_probs()
-    return np.concatenate([
-        np.exp(logp[policy.problem_index(g.problem_id)] - g.behavior_logp)[g.counts.sum(axis=0) > 0]
-        for g in groups
-    ])
+    index = [policy.problem_index(pid) for pid in batch.problem_ids]
+    return np.exp(policy.log_probs()[index] - batch.behavior_logp)[batch.counts.sum(axis=1) > 0]
 
 
 def tokens(policy, *groups):
-    """Groups of one-token rollouts and their advantages, from per-group
-    (problem index, states, actions, old_logps, advantages) tuples; a
-    group's behavior table is the policy's rows with each token's old
-    log-prob in its cell."""
+    """A batch of one-token rollouts and its advantages, from per-group
+    (problem index, states, actions, old_logps, advantages) tuples of one
+    length; a group's behavior table is the policy's rows with each token's
+    old log-prob in its cell."""
     built, advs = [], []
     for index, states, actions, old_logps, advantages in groups:
         n = len(actions)
         cells = np.asarray(states, dtype=np.intp), np.asarray(actions, dtype=np.intp)
-        counts = np.zeros((n, policy.w_cap + 1, 4), dtype=np.int32)
-        counts[(np.arange(n), *cells)] = 1
+        counts = np.zeros((1, n, policy.w_cap + 1, 4), dtype=np.int32)
+        counts[(0, np.arange(n), *cells)] = 1
         behavior = policy.log_probs()[index]
         behavior[cells] = old_logps
         assert np.array_equal(behavior[cells], old_logps)
-        no = np.zeros(n, dtype=bool)
-        built.append(RolloutGroup(policy.problem_ids[index], counts, behavior, no, no))
-        advs.append(AdvantageVector(advantages))
-    return built, advs
+        no = np.zeros((1, n), dtype=bool)
+        built.append(RolloutBatch([policy.problem_ids[index]], counts, behavior[None], no, no))
+        advs.append(advantages)
+    return stack(built), np.array(advs, dtype=float)
 
 
-def assert_equals_token_oracle(groups, advs, policy):
+def assert_equals_token_oracle(batch, advs, policy):
     """The count-table surrogate and gradient agree with the per-token
     ``np.add.at`` oracle up to the order of their float additions: to rtol
     1e-12, and the gradient to 1e-12 of its largest entry where a state
     row's terms cancel to rounding noise."""
-    value, grad = surrogate(groups, advs, policy, EPS_LOW, EPS_HIGH)
-    terms = token_terms(groups, advs, policy)
+    value, grad = surrogate(batch, advs, policy, EPS_LOW, EPS_HIGH)
+    terms = token_terms(batch, advs, policy)
     assert value == pytest.approx(reference_surrogate(terms, policy, EPS_LOW, EPS_HIGH), rel=1e-12, abs=0)
     want = reference_gradient(terms, policy, EPS_LOW, EPS_HIGH)
     np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -167,22 +167,23 @@ class TestTokenBatch:
     rollout's advantage covers its own tokens."""
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="empty batch"):
-            surrogate([], [], TabularPolicy(("p",), 2), EPS_LOW, EPS_HIGH)
+        # a batch holds at least one rollout, so the objective never divides by zero groups
+        with pytest.raises(ValueError, match="at least one rollout of at least one problem"):
+            RolloutBatch((), np.zeros((0, 2, 3, 4)), np.zeros((0, 3, 4)), np.zeros((0, 2)), np.zeros((0, 2)))
 
     def test_group_token_length_mismatch(self):
         # the table's (state, action) cells are the behavior table's
         with pytest.raises(ValueError, match="do not match behavior_logp"):
-            RolloutGroup("p", np.ones((1, 3, 4)), np.full((2, 4), -1.0), [False], [False])
+            RolloutBatch(["p"], np.ones((1, 1, 3, 4)), np.full((1, 2, 4), -1.0), [[False]], [[False]])
 
     def test_offsets_must_cover_tokens(self):
         # a rollout's length is its table's token count, not a second record
-        counts = np.zeros((2, 3, 4))
-        counts[0, :, Action.WORK], counts[0, 2, Action.ANSWER_A], counts[1, 0, Action.ANSWER_B] = 1, 1, 1
-        group = RolloutGroup("p", counts, np.full((3, 4), -1.0), [True, False], [False, False])
-        assert group.lengths.tolist() == [4, 1]
+        counts = np.zeros((1, 2, 3, 4))
+        counts[0, 0, :, Action.WORK], counts[0, 0, 2, Action.ANSWER_A], counts[0, 1, 0, Action.ANSWER_B] = 1, 1, 1
+        batch = RolloutBatch(["p"], counts, np.full((1, 3, 4), -1.0), [[True, False]], [[False, False]])
+        assert batch.lengths.tolist() == [[4, 1]]
         with pytest.raises(TypeError):
-            RolloutGroup("p", counts, np.full((3, 4), -1.0), [True, False], [False, False], lengths=[4, 1])
+            RolloutBatch(["p"], counts, np.full((1, 3, 4), -1.0), [[True, False]], [[False, False]], lengths=[[4, 1]])
 
     def test_advantages_broadcast_per_rollout(self):
         # two rollouts of 3 and 2 tokens score as five one-token rollouts
@@ -192,36 +193,37 @@ class TestTokenBatch:
         policy = random_policy(rng, ("p",), w_cap=4)
         old = np.log(rng.uniform(0.05, 1.0, size=5))
         states, actions = [0, 1, 2, 0, 0], [0, 0, 2, 1, 3]
-        counts = np.zeros((2, 5, 4))
-        counts[[0, 0, 0, 1, 1], states, actions] = 1
-        behavior = policy.log_probs()[0]
-        behavior[states, actions] = old
-        group = RolloutGroup("p", counts, behavior, [True, False], [False, False])
-        adv = count_advantage([1.0, 0.0], 1, 1e-6)
-        per_token = tokens(policy, (0, states, actions, old, [adv.values[0]] * 3 + [adv.values[1]] * 2))
-        value, grad = surrogate([group], [adv], policy, EPS_LOW, EPS_HIGH)
+        counts = np.zeros((1, 2, 5, 4))
+        counts[0, [0, 0, 0, 1, 1], states, actions] = 1
+        behavior = policy.log_probs()
+        behavior[0, states, actions] = old
+        batch = RolloutBatch(["p"], counts, behavior, [[True, False]], [[False, False]])
+        adv = count_advantage([1.0, 0.0], 1, 1e-6).values
+        per_token = tokens(policy, (0, states, actions, old, [adv[0]] * 3 + [adv[1]] * 2))
+        value, grad = surrogate(batch, [adv], policy, EPS_LOW, EPS_HIGH)
         ref_value, ref_grad = surrogate(*per_token, policy, EPS_LOW, EPS_HIGH)
         assert value == pytest.approx(ref_value, rel=1e-15) and np.array_equal(grad, ref_grad)
 
     def test_size_mismatch_rejected(self):
+        # one advantage per rollout of the (1, 2) batch, no more and no fewer
         policy = TabularPolicy(("p",), 4)
-        (group,), _ = tokens(policy, (0, [0, 0], [2, 2], [-1.4, -1.4], [0.0, 0.0]))
-        adv = count_advantage([1.0, 0.5, 0.0], 2, 1e-6)
-        with pytest.raises(ValueError, match="size mismatch"):
-            surrogate([group], [adv], policy, EPS_LOW, EPS_HIGH)
-        with pytest.raises(ValueError, match="one AdvantageVector per group"):
-            surrogate([group, group], [adv], policy, EPS_LOW, EPS_HIGH)
+        batch, _ = tokens(policy, (0, [0, 0], [2, 2], [-1.4, -1.4], [0.0, 0.0]))
+        for shape in [(1, 3), (2, 2), (2,), (1, 2, 1)]:
+            message = f"advantages of shape {shape} do not match the batch's (1, 2) rollouts"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                surrogate(batch, np.zeros(shape), policy, EPS_LOW, EPS_HIGH)
 
     @pytest.mark.parametrize("n_states, n_actions", [(4, 4), (6, 4), (5, 3), (5, 8)])
     def test_cells_must_be_the_policys(self, n_states, n_actions):
         # a table over other states or actions than the policy's, such as
         # one sampled at another w_cap, is named rather than indexed
         policy = TabularPolicy(("p", "q"), 4)
-        counts = np.zeros((2, n_states, n_actions))
-        counts[:, 0, 0] = 1
-        group = RolloutGroup("q", counts, np.full((n_states, n_actions), -1.0), [False, False], [False, False])
-        with pytest.raises(ValueError, match=f"count table of 'q' has cells \\({n_states}, {n_actions}\\)"):
-            surrogate([group], [AdvantageVector((0.5, -0.5))], policy, EPS_LOW, EPS_HIGH)
+        counts = np.zeros((1, 2, n_states, n_actions))
+        counts[:, :, 0, 0] = 1
+        no = [[False, False]]
+        batch = RolloutBatch(["q"], counts, np.full((1, n_states, n_actions), -1.0), no, no)
+        with pytest.raises(ValueError, match=f"count table has cells \\({n_states}, {n_actions}\\), not the policy's"):
+            surrogate(batch, [[0.5, -0.5]], policy, EPS_LOW, EPS_HIGH)
 
 
 class TestFlatten:
@@ -240,15 +242,17 @@ class TestFlatten:
             policy.logits[..., Action.WORK] += 2.0
             bank = [ProblemSpec(pid, int(rng.integers(1, w_cap + 1)), "AB"[i % 2]) for i, pid in enumerate(ids)]
             key = (seed, 3)
-            groups = sample_batch(policy, bank, 5, 64, key)
+            batch = sample_batch(policy, bank, 5, 64, key)
             logp = policy.log_probs()
-            for p, (group, problem) in enumerate(zip(groups, bank)):
+            want = []
+            for p, problem in enumerate(bank):
                 rollouts = [
                     sample_rollout(logp[p], problem, np.random.default_rng((*key, p, r)), 64) for r in range(5)
                 ]
-                assert columns(group) == columns(group_of(rollouts, logp[p]))
-                assert group.lengths.tolist() == [r.length for r in rollouts]
-                saturated += int(group.counts[:, w_cap, Action.WORK].sum())
+                want.append(group_of(rollouts, logp[p]))
+                assert batch.lengths[p].tolist() == [r.length for r in rollouts]
+            assert columns(batch) == columns(stack(want))
+            saturated += int(batch.counts[:, :, w_cap, Action.WORK].sum())
         assert saturated > 0
 
     def test_states_replay_each_trace(self):
@@ -257,17 +261,17 @@ class TestFlatten:
         logits = np.zeros((1, 3, 4))
         logits[..., 1:] = -1e9
         policy = TabularPolicy(("p",), 2, logits)
-        (group,) = sample_batch(policy, [ProblemSpec("p", 1, "A")], 3, 5, (0,))
-        assert group.counts[..., Action.WORK].tolist() == [[1, 1, 3]] * 3
-        assert group.counts.sum() == group.counts[..., Action.WORK].sum()
+        batch = sample_batch(policy, [ProblemSpec("p", 1, "A")], 3, 5, (0,))
+        assert batch.counts[..., Action.WORK].tolist() == [[[1, 1, 3]] * 3]
+        assert batch.counts.sum() == batch.counts[..., Action.WORK].sum()
         for seed in range(10):
             rng = np.random.default_rng(450 + seed)
             policy = random_policy(rng, ("p",), w_cap=2)
             problem = ProblemSpec("p", 1, "B")
-            (group,) = sample_batch(policy, [problem], 6, 16, (seed,))
+            batch = sample_batch(policy, [problem], 6, 16, (seed,))
             logp = policy.log_probs()[0]
             traces = [sample_rollout(logp, problem, np.random.default_rng((seed, 0, r)), 16) for r in range(6)]
-            assert np.array_equal(group.counts, group_of(traces, logp).counts)
+            assert np.array_equal(batch.counts, group_of(traces, logp).counts)
 
     def test_objective_and_gradient_equal_per_group_reference(self):
         # the count tables score as the per-token reference on the same
@@ -277,16 +281,17 @@ class TestFlatten:
             rng = np.random.default_rng(500 + seed)
             rollouts, behavior = random_rollouts(rng, n_problems=3, group_size=6)
             logp = behavior.log_probs()
-            groups = [group_of(rs, logp[i]) for i, rs in enumerate(rollouts)]
+            batch = stack([group_of(rs, logp[i]) for i, rs in enumerate(rollouts)])
             rewards = [[1.0 if r.correct else 0.0 for r in rs] for rs in rollouts]
             if seed % 2:
-                advs = [count_advantage(rw, g.correct_count, 1e-6) for rw, g in zip(rewards, groups)]
+                correct_counts = batch.correct.sum(axis=1).tolist()
+                advs = [count_advantage(rw, c, 1e-6).values for rw, c in zip(rewards, correct_counts)]
             else:
-                advs = [std_advantage(rw) for rw in rewards]
+                advs = [std_advantage(rw).values for rw in rewards]
             policy = behavior.copy()
             policy.logits = policy.logits + rng.normal(0, 0.5, size=policy.logits.shape)
-            assert_equals_token_oracle(groups, advs, policy)
-            ratio = cell_ratios(groups, policy)
+            assert_equals_token_oracle(batch, advs, policy)
+            ratio = cell_ratios(batch, policy)
             clip_active += int(np.sum((ratio < 1 - EPS_LOW) | (ratio > 1 + EPS_HIGH)))
         assert clip_active > 0
 
@@ -301,13 +306,14 @@ class TestFlatten:
             unique = [ProblemSpec(pid, int(rng.integers(1, 4)), "AB"[i % 2]) for i, pid in enumerate(ids)]
             bank = [unique[int(i)] for i in rng.integers(0, 3, size=5)]
             assert len({p.id for p in bank}) < len(bank)
-            groups = sample_batch(behavior, bank, int(rng.integers(2, 9)), 48, (seed,))
+            batch = sample_batch(behavior, bank, int(rng.integers(2, 9)), 48, (seed,))
             mode = count_advantage if seed % 2 else (lambda r, c, e: std_advantage(r))
-            advs = [mode(rng.random(g.size), g.correct_count, 1e-6) for g in groups]
+            group_size = batch.correct.shape[1]
+            advs = [mode(rng.random(group_size), c, 1e-6).values for c in batch.correct.sum(axis=1).tolist()]
             policy = behavior.copy()
             policy.logits = policy.logits + rng.normal(0, 0.5, size=policy.logits.shape)
-            assert_equals_token_oracle(groups, advs, policy)
-            ratio = cell_ratios(groups, policy)
+            assert_equals_token_oracle(batch, advs, policy)
+            ratio = cell_ratios(batch, policy)
             clip_active += int(np.sum((ratio < 1 - EPS_LOW) | (ratio > 1 + EPS_HIGH)))
         assert clip_active > 0
 
@@ -325,9 +331,9 @@ class TestSurrogate:
         # batch objective collapses to the mean over groups of the mean
         # per-token advantage
         rng = np.random.default_rng(12)
-        groups, advs, behavior = random_groups(rng)
-        expected = np.mean([np.repeat(a.values, g.lengths).mean() for g, a in zip(groups, advs)])
-        got = surrogate(groups, advs, behavior, EPS_LOW, EPS_HIGH)[0]
+        batch, advs, behavior = random_groups(rng)
+        expected = np.mean([np.repeat(a, n).mean() for a, n in zip(advs, batch.lengths)])
+        got = surrogate(batch, advs, behavior, EPS_LOW, EPS_HIGH)[0]
         assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_matches_bruteforce(self):
@@ -335,15 +341,14 @@ class TestSurrogate:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             batch, policy = random_batch(rng)
+            record, advs = batch
             logp = policy.log_probs()
-            per_group = []
-            for group, adv in zip(*batch):
-                p = policy.problem_index(group.problem_id)
-                terms = []
-                for r, s, a in zip(*token_columns(group)):
-                    ratio = token_ratio(logp[p, s, a], group.behavior_logp[s, a])
-                    terms.append(clipped_term(ratio, adv.values[r], EPS_LOW, EPS_HIGH))
-                per_group.append(sum(terms) / len(terms))
+            per_group = [[] for _ in record.problem_ids]
+            for q, r, s, a in zip(*token_columns(record)):
+                p = policy.problem_index(record.problem_ids[q])
+                ratio = token_ratio(logp[p, s, a], record.behavior_logp[q, s, a])
+                per_group[q].append(clipped_term(ratio, advs[q, r], EPS_LOW, EPS_HIGH))
+            per_group = [sum(terms) / len(terms) for terms in per_group]
             expected = sum(per_group) / len(per_group)
             got = surrogate(*batch, policy, EPS_LOW, EPS_HIGH)[0]
             assert got == pytest.approx(expected, rel=1e-12)
@@ -358,29 +363,31 @@ class TestSurrogate:
             ids = tuple(f"p{i}" for i in range(3))
             policy = random_policy(rng, ids, w_cap=int(rng.integers(1, 6)))
             logp = policy.log_probs()
-            groups, advs = [], []
-            for index in rng.integers(0, len(ids), size=int(rng.integers(1, 7))):
-                size = int(rng.integers(1, 9))
-                counts = rng.integers(0, 3, size=(size, *logp.shape[1:])) * rng.integers(1, 800, size=(size, 1, 1))
-                counts[:, 0, Action.ANSWER_A] += 1
-                behavior = logp[index] + rng.normal(0, 0.4, size=logp.shape[1:])
-                behavior -= np.log(np.exp(behavior).sum(axis=-1, keepdims=True))
-                no = np.zeros(size, dtype=bool)
-                groups.append(RolloutGroup(ids[index], counts, behavior, no, no))
-                advs.append(AdvantageVector(rng.normal(0, 1, size=size)))
-            assert_equals_token_oracle(groups, advs, policy)
-            ratio = cell_ratios(groups, policy)
+            index = rng.integers(0, len(ids), size=int(rng.integers(1, 7)))
+            size = (len(index), int(rng.integers(1, 9)))
+            counts = rng.integers(0, 3, size=(*size, *logp.shape[1:])) * rng.integers(1, 800, size=(*size, 1, 1))
+            counts[:, :, 0, Action.ANSWER_A] += 1
+            behavior = logp[index] + rng.normal(0, 0.4, size=(len(index), *logp.shape[1:]))
+            behavior -= np.log(np.exp(behavior).sum(axis=-1, keepdims=True))
+            no = np.zeros(size, dtype=bool)
+            batch = RolloutBatch([ids[i] for i in index], counts, behavior, no, no)
+            advs = rng.normal(0, 1, size=size)
+            assert_equals_token_oracle(batch, advs, policy)
+            ratio = cell_ratios(batch, policy)
             clipped["low"] += int(np.sum(ratio < 1 - EPS_LOW))
             clipped["high"] += int(np.sum(ratio > 1 + EPS_HIGH))
         assert min(clipped.values()) > 0
 
     def test_group_normalization_balances_lengths(self):
-        # a long group and a short group contribute equally to the batch mean
+        # a group of a 10-token rollout and a group of a 1-token rollout
+        # contribute equally to the batch mean
         policy = TabularPolicy(("a", "b"), 2)
-        old = float(policy.log_probs()[0, 0, 2])
-        long_g = (0, np.zeros(10), np.full(10, 2), np.full(10, old), np.full(10, 1.0))
-        short_g = (1, [0], [2], [old], [-1.0])
-        val = surrogate(*tokens(policy, long_g, short_g), policy, EPS_LOW, EPS_HIGH)[0]
+        counts = np.zeros((2, 1, 3, 4))
+        counts[:, 0, 0, Action.ANSWER_A] = [10, 1]
+        no = [[False], [False]]
+        batch = RolloutBatch(("a", "b"), counts, policy.log_probs(), no, no)
+        assert batch.lengths.tolist() == [[10], [1]]
+        val = surrogate(batch, [[1.0], [-1.0]], policy, EPS_LOW, EPS_HIGH)[0]
         assert val == pytest.approx((1.0 + -1.0) / 2)
 
 
@@ -391,13 +398,13 @@ def training_batch(config, seed, bank=None):
     bank = make_problem_bank(config.n_problems, (config.d_min, config.d_max), seed) if bank is None else bank
     ids = list(dict.fromkeys(p.id for p in bank))
     policy = initial_policy(ids, config.w_cap, config.init_answer_logit)
-    groups = sample_batch(policy, bank, config.group_size, config.l_max, (seed, 1))
+    batch = sample_batch(policy, bank, config.group_size, config.l_max, (seed, 1))
     buffer = ExperienceBuffer.init(ids, config.l_max)
     advs = [
-        count_advantage([s.value for s in shape_group(g, buffer, config.alpha, config.r_pen)], g.correct_count, 1e-6)
-        for g in groups
+        count_advantage([s.value for s in shape_group(g, buffer, config.alpha, config.r_pen)], c, 1e-6).values
+        for g, c in zip(batch, batch.correct.sum(axis=1).tolist())
     ]
-    return groups, advs, policy
+    return batch, np.array(advs), policy
 
 
 def desk_batch(seed):
@@ -408,18 +415,6 @@ def cli_defaults_batch(seed):
     return training_batch(RunConfig(init_answer_logit=-6.0), seed)
 
 
-def ragged_batch(seed):
-    # 10-rollout groups alternating with 1-rollout groups, with random
-    # advantages (a group-relative one needs two rollouts)
-    rng = np.random.default_rng(seed)
-    groups, _, policy = training_batch(RunConfig(group_size=10, l_max=256, n_problems=6), seed)
-    groups = [
-        g if i % 2 else RolloutGroup(g.problem_id, g.counts[:1], g.behavior_logp, g.correct[:1], g.truncated[:1])
-        for i, g in enumerate(groups)
-    ]
-    return groups, [AdvantageVector(rng.normal(0, 0.5, size=g.size)) for g in groups], policy
-
-
 def repeated_problem_batch(seed):
     unique = make_problem_bank(3, (1, 10), seed)
     bank = [unique[i] for i in (0, 1, 0, 2, 1, 0)]
@@ -428,23 +423,22 @@ def repeated_problem_batch(seed):
 
 class TestWholeBatch:
     """The whole-batch surrogate against the loop over groups it replaced:
-    the gradient bit for bit, the objective to rtol 1e-12 (a ragged batch's
-    padding regroups the objective's pairwise sums)."""
+    the gradient bit for bit, the objective to rtol 1e-12."""
 
-    @pytest.mark.parametrize("make", [desk_batch, cli_defaults_batch, ragged_batch, repeated_problem_batch])
+    @pytest.mark.parametrize("make", [desk_batch, cli_defaults_batch, repeated_problem_batch])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_equals_group_loop(self, make, seed):
-        groups, advs, behavior = make(seed)
+        batch, advs, behavior = make(seed)
         perturbed = behavior.copy()
         perturbed.logits = perturbed.logits + np.random.default_rng(seed).normal(0, 0.5, size=perturbed.logits.shape)
         # the sampling policy itself, as in training (every ratio 1), and a
         # perturbed one on which the clip acts
         for policy in (behavior, perturbed):
-            value, grad = surrogate(groups, advs, policy, EPS_LOW, EPS_HIGH)
-            want_value, want_grad = group_loop_surrogate(groups, advs, policy, EPS_LOW, EPS_HIGH)
+            value, grad = surrogate(batch, advs, policy, EPS_LOW, EPS_HIGH)
+            want_value, want_grad = group_loop_surrogate(batch, advs, policy, EPS_LOW, EPS_HIGH)
             assert grad.tobytes() == want_grad.tobytes()
             assert value == pytest.approx(want_value, rel=1e-12, abs=0)
-        ratio = cell_ratios(groups, perturbed)
+        ratio = cell_ratios(batch, perturbed)
         assert np.any((ratio < 1 - EPS_LOW) | (ratio > 1 + EPS_HIGH))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conciserl.buffer import ExperienceBuffer
 from conciserl.rewards import RewardTier, ShapedReward, shape, shape_group
+from tests.reference import stack
 from tests.test_buffer import group
 
 
@@ -105,3 +106,11 @@ class TestShapeGroup:
         g = group("zz", [(10, True)])
         with pytest.raises(KeyError):
             shape_group(g, buf, 0.1, 0.5)
+
+    def test_one_group_of_a_batch(self):
+        # each group of a batch is shaped against its own problem's threshold
+        buf = ExperienceBuffer({"q": 100, "r": 10}, 16384)
+        batch = stack([group("q", [(100, True), (50, False)]), group("r", [(100, True), (11, True)])])
+        assert [[s.value for s in shape_group(g, buf, 0.1, 0.5)] for g in batch] == [[1.0, 0.0], [0.5, 1.0]]
+        with pytest.raises(ValueError, match="2 problems"):
+            shape_group(batch, buf, 0.1, 0.5)

@@ -19,7 +19,7 @@ from conciserl.trainer import (
     train_step,
 )
 from tests import reference
-from tests.reference import columns, group_of, sample_rollout
+from tests.reference import columns, group_of, sample_rollout, stack
 
 
 def count_log_probs(monkeypatch):
@@ -95,10 +95,10 @@ class TestSampleBatch:
         cfg = small_config()
         bank = make_problem_bank(cfg.n_problems, (cfg.d_min, cfg.d_max), cfg.seed)
         policy = initial_policy([p.id for p in bank], cfg.w_cap)
-        groups = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 1))
-        assert len(groups) == cfg.n_problems
-        assert all(g.size == cfg.group_size for g in groups)
-        assert [g.problem_id for g in groups] == [p.id for p in bank]
+        batch = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 1))
+        assert batch.correct.shape == batch.truncated.shape == (cfg.n_problems, cfg.group_size)
+        assert batch.counts.shape == (cfg.n_problems, cfg.group_size, cfg.w_cap + 1, 4)
+        assert batch.problem_ids == tuple(p.id for p in bank)
 
     def test_deterministic_in_seed_and_step(self):
         cfg = small_config(seed=9)
@@ -107,8 +107,8 @@ class TestSampleBatch:
         a = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 3))
         b = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 3))
         c = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (cfg.seed, 4))
-        assert list(map(columns, a)) == list(map(columns, b))
-        assert list(map(columns, a)) != list(map(columns, c))
+        assert columns(a) == columns(b)
+        assert columns(a) != columns(c)
 
     def test_rollout_streams_keyed_by_problem_and_rollout(self):
         # rollout r of problem p draws from default_rng((*key, p, r)), so a
@@ -122,14 +122,16 @@ class TestSampleBatch:
         policy = TabularPolicy(ids[::-1], cfg.w_cap, logits)
         logp = policy.log_probs()
         for key in ((cfg.seed, 3), (cfg.seed,)):
-            groups = sample_batch(policy, bank, cfg.group_size, cfg.l_max, key)
-            for p, (problem, group) in enumerate(zip(bank, groups)):
+            batch = sample_batch(policy, bank, cfg.group_size, cfg.l_max, key)
+            want = []
+            for p, problem in enumerate(bank):
                 rows = logp[policy.problem_index(problem.id)]
                 rollouts = [
                     sample_rollout(rows, problem, np.random.default_rng((*key, p, r)), cfg.l_max)
                     for r in range(cfg.group_size)
                 ]
-                assert columns(group) == columns(group_of(rollouts, rows))
+                want.append(group_of(rollouts, rows))
+            assert columns(batch) == columns(stack(want))
 
     def test_log_probs_once_per_batch(self, monkeypatch):
         cfg = small_config()
@@ -188,10 +190,8 @@ class TestTrainStep:
         bank = (ProblemSpec("p000", 1, "A"),)
         policy = initial_policy(("p000",), cfg.w_cap)
         buffer = ExperienceBuffer.init(("p000",), cfg.l_max)
-        groups = sample_batch(policy.copy(), bank, cfg.group_size, cfg.l_max, (cfg.seed, 1))
-        shortest = min(
-            (n for g in groups for n in g.lengths[g.correct].tolist()), default=cfg.l_max
-        )
+        batch = sample_batch(policy.copy(), bank, cfg.group_size, cfg.l_max, (cfg.seed, 1))
+        shortest = min(batch.lengths[batch.correct].tolist(), default=cfg.l_max)
         train_step(policy, buffer, bank, cfg, step=1)
         assert buffer.entry("p000") == shortest
         assert shortest >= 2  # analytic floor: difficulty + 1
@@ -247,7 +247,7 @@ class TestTrainStep:
             }
             assert sum(counts.values()) == cfg.n_problems * cfg.group_size
             assert counts == {tier: tiers[tier] for tier in counts}
-            truncated = np.concatenate([g.truncated for g in sampled[i]])
+            truncated = sampled[i].truncated
             assert log.truncated_frac == truncated.mean()
             totals.update({**counts, "truncated": int(truncated.sum())})
         assert min(totals.values()) > 0
@@ -409,6 +409,29 @@ class TestCheckpointResume:
         assert [p.name for p in tmp_path.iterdir()] == ["old"]
         monkeypatch.undo()
         assert resume(tmp_path / "old")[3] == 1
+
+    @pytest.mark.parametrize("failing", ["rename into place", "every rename"])
+    def test_failed_rename_keeps_the_old_checkpoint(self, tmp_path, monkeypatch, failing):
+        # the new checkpoint is written in full, but renaming it into place
+        # fails (after the old one was moved aside, or before anything
+        # moved): the old checkpoint is back at the path, and nothing else
+        # is left
+        result = run(small_config(steps=1))
+        ck = tmp_path / "ck"
+        checkpoint(result.policy, result.buffer, 1, ck, result.bank)
+        replace = trainer.os.replace
+
+        def broken_replace(src, dst):
+            if failing == "every rename" or Path(src).name == "ck.tmp":
+                raise OSError("rename failed")
+            return replace(src, dst)
+
+        monkeypatch.setattr(trainer.os, "replace", broken_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            checkpoint(result.policy, result.buffer, 2, ck, result.bank)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+        assert resume(ck)[3] == 1
 
     def test_version_mismatch(self, tmp_path):
         cfg = small_config(steps=1)
