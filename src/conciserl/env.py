@@ -230,17 +230,19 @@ def _generators(words: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> list[np.ra
     return [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in seeds]
 
 
-def _hashers(const: int, mult: int):
-    """SeedSequence's running hash constant: for each successive hash, the
-    constant it xors in and the next one, which it multiplies by."""
-    while True:
-        nxt = const * mult & _MASK32
-        yield np.uint32(const), np.uint32(nxt)
-        const = nxt
+def _hash_constants(const: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """What ``n`` successive SeedSequence hashes from ``const`` xor in and
+    multiply by (the next one's xor), as ``(n, 1)`` uint32 columns."""
+    column = np.array([const * pow(mult, i, 1 << 32) & _MASK32 for i in range(n + 1)], dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
 
 
-def _hash(value: np.ndarray, hashers) -> np.ndarray:
-    xor, mult = next(hashers)
+# The pool's 16 hashes (fill, then mix), and generate_state(4, np.uint64)'s 8.
+_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hash(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
     value = (value ^ xor) * mult
     return value ^ (value >> _XSHIFT)
 
@@ -258,31 +260,30 @@ def _seed_words(key: tuple[int, ...], problems: np.ndarray, rollouts: np.ndarray
 
     Every rollout's entropy is the key's little-endian 32-bit words, then
     one word each for p and r, so the hash makes the same calls with the
-    same constants on every rollout: each is one uint32 array operation
-    here.
+    same constants on every rollout. The pool is one ``(4, n)`` array: each
+    word is hashed and mixed into the other three rows in one operation,
+    and each entropy word past the fourth into all four rows.
     """
     words = []
     for k in map(operator.index, key):
         if k < 0:
             raise ValueError(f"seed {k} in rng key {tuple(key)} is negative; seeds must be non-negative integers")
         words += [k >> shift & _MASK32 for shift in range(0, max(k.bit_length(), 1), 32)]
-    n = len(problems)
-    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
-    entropy += [np.asarray(problems, dtype=np.uint32), np.asarray(rollouts, dtype=np.uint32)]
-    zero = np.zeros(n, dtype=np.uint32)
-    hashers = _hashers(_INIT_A, _MULT_A)
-    pool = [_hash(entropy[i] if i < len(entropy) else zero, hashers) for i in range(_POOL_SIZE)]
+    entropy = np.zeros((max(len(words) + 2, _POOL_SIZE), len(problems)), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)], entropy[len(words) + 1] = problems, rollouts
+    xor, mult = _POOL_HASHES
+    pool = _hash(entropy[:_POOL_SIZE], xor[:_POOL_SIZE], mult[:_POOL_SIZE])
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], hashers))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hash(word, hashers))
+        k = slice(_POOL_SIZE + 3 * src, _POOL_SIZE + 3 * src + 3)
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k], mult[k]))
+    for word in entropy[_POOL_SIZE : len(words) + 2]:  # the running constant goes on
+        xor, mult = _hash_constants(int(mult[-1, 0]), _MULT_A, _POOL_SIZE)
+        pool = _mix(pool, _hash(word, xor, mult))
     # generate_state(4, np.uint64): eight words hashed from the pool in turn.
-    hashers = _hashers(_INIT_B, _MULT_B)
-    state = np.stack([_hash(pool[i % _POOL_SIZE], hashers) for i in range(2 * _POOL_SIZE)], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    state = _hash(np.tile(pool, (2, 1)), *_STATE_HASHES)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 def sample_batch(

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .buffer import ExperienceBuffer
 from .core import RolloutBatch
 
@@ -51,16 +53,17 @@ def shape(length: int, correct: bool, threshold: float, r_pen: float) -> ShapedR
 
 
 def shape_group(
-    group: RolloutBatch, buffer: ExperienceBuffer, alpha: float, r_pen: float
+    batch: RolloutBatch, buffer: ExperienceBuffer, alpha: float, r_pen: float
 ) -> list[ShapedReward]:
-    """Shape every rollout of one problem's group, such as ``batch[p]``, against its buffer threshold.
-
-    Order is preserved. The caller is responsible for using the buffer state
-    from before the current batch's update (the threshold a rollout is judged
-    against must not be tightened by that same rollout).
-    """
-    thr = buffer.threshold(group.problem_id, alpha)
-    return [
-        shape(length, correct, thr, r_pen)
-        for length, correct in zip(group.lengths[0].tolist(), group.correct[0].tolist())
-    ]
+    """Shape every rollout of a batch, or of a group such as ``batch[p]``, as
+    ``shape`` would, in one ``np.where`` over ``(P, G)`` against each
+    problem's threshold: one flat list in ``(p, i)`` order. Pass the buffer
+    from before the batch's update, so no rollout tightens its own threshold."""
+    thr = np.array([buffer.threshold(pid, alpha) for pid in batch.problem_ids])
+    if not (thr.min() > 0 and thr.max() < math.inf):  # a NaN fails both comparisons
+        raise ValueError(f"threshold must be a finite number > 0, got {thr.tolist()}")
+    if not 0 <= r_pen < 1:
+        raise ValueError("r_pen must be in [0, 1)")
+    tiers = np.where(batch.correct, batch.lengths > thr[:, None], 2)  # concise 0, verbose 1, incorrect 2
+    rewards = (_CONCISE_CORRECT, ShapedReward(float(r_pen), RewardTier.VERBOSE_CORRECT), _INCORRECT)
+    return [rewards[t] for t in tiers.ravel().tolist()]

@@ -50,13 +50,19 @@ class StepLog:
     mean_reward: float
     mean_abs_advantage: float
     objective_value: float
-    wall_ms: float
     solved_count: int
     concise_count: int
     verbose_count: int
     incorrect_count: int
     truncated_frac: float
     batch_digest: str
+    # Milliseconds per phase (perf_counter); update is the fold and the ascent
+    sample_ms: float
+    shape_ms: float
+    advantage_ms: float
+    surrogate_ms: float
+    update_ms: float
+    wall_ms: float
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -117,30 +123,32 @@ def train_step(
     that is not finite raises InvariantViolation before the buffer or the
     policy moves.
     """
-    t0 = time.perf_counter()
+    clock = [time.perf_counter()]  # the start, then the end of each phase
     batch = sample_batch(policy, bank, config.group_size, config.l_max, (config.seed, step))
     correct = batch.correct
-
+    clock.append(time.perf_counter())
     # Shape against the pre-update buffer; the batch is folded in once the
     # gradient is known to be finite.
-    groups = list(batch)
-    shaped = [shape_group(g, buffer, config.alpha, config.r_pen) for g in groups]
-    rewards = np.array([[s.value for s in rs] for rs in shaped])  # (P, G)
-
+    shaped = shape_group(batch, buffer, config.alpha, config.r_pen)
+    rewards = np.array([s.value for s in shaped]).reshape(correct.shape)  # (P, G)
+    clock.append(time.perf_counter())
     if config.advantage_mode == "count":
         correct_counts = np.count_nonzero(correct, axis=1).tolist()
         advs = [count_advantage(r, c, config.epsilon_adv) for r, c in zip(rewards, correct_counts)]
     else:
         advs = [std_advantage(r) for r in rewards]
     advantages = np.array([a.values for a in advs])
-
+    clock.append(time.perf_counter())
     objective_value, grad = surrogate(batch, advantages, policy, config.eps_low, config.eps_high)
     if not np.isfinite(grad).all():
         raise InvariantViolation(f"gradient is not finite at step {step}")
-    for g in groups:
+    clock.append(time.perf_counter())
+    for g in batch:
         buffer.update(g)
     policy.ascend(grad, config.learning_rate)
+    clock.append(time.perf_counter())
 
+    ms = [(end - start) * 1000.0 for start, end in zip(clock, clock[1:])]
     n_rollouts = correct.size
     n_correct = int(np.count_nonzero(correct))
     # A correct rollout scores 1 when concise and r_pen < 1 when verbose.
@@ -153,13 +161,14 @@ def train_step(
         mean_reward=float(rewards.mean()),
         mean_abs_advantage=float(np.abs(advantages).mean()),
         objective_value=objective_value,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
         solved_count=buffer.solved_count(),
         concise_count=n_concise,
         verbose_count=n_correct - n_concise,
         incorrect_count=n_rollouts - n_correct,
         truncated_frac=int(np.count_nonzero(batch.truncated)) / n_rollouts,
         batch_digest=batch_digest(batch.counts, correct, batch.truncated),
+        sample_ms=ms[0], shape_ms=ms[1], advantage_ms=ms[2], surrogate_ms=ms[3], update_ms=ms[4],
+        wall_ms=(time.perf_counter() - clock[0]) * 1000.0,
     )
     return policy, buffer, log
 

@@ -43,6 +43,15 @@ class TestInit:
         with pytest.raises(ValueError, match="is not an int"):
             ExperienceBuffer({"a": 3, "b": bad}, 8)
 
+    @pytest.mark.parametrize("pid", ["a\tb", "a\nb", "a\r", "\u2028a"])
+    def test_id_the_expbuf_cannot_store(self, pid):
+        # .expbuf stores one id<TAB>value record per line, so these ids would
+        # be written as bytes that loads refuses
+        with pytest.raises(ValueError, match="tab or a line break"):
+            ExperienceBuffer({pid: 3}, 10)
+        with pytest.raises(ValueError, match="tab or a line break"):
+            ExperienceBuffer.init(["ok", pid], 10)
+
     def test_empty_ids_rejected(self):
         with pytest.raises(ValueError):
             ExperienceBuffer.init(set(), 100)

@@ -1,9 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conciserl.buffer import ExperienceBuffer
+from conciserl.core import RunConfig
+from conciserl.env import initial_policy, make_problem_bank, sample_batch
 from conciserl.rewards import RewardTier, ShapedReward, shape, shape_group
 from tests.reference import stack
 from tests.test_buffer import group
@@ -108,9 +111,84 @@ class TestShapeGroup:
             shape_group(g, buf, 0.1, 0.5)
 
     def test_one_group_of_a_batch(self):
-        # each group of a batch is shaped against its own problem's threshold
+        # each group of a batch is shaped against its own problem's threshold,
+        # and the batch call is the per-group calls, concatenated
         buf = ExperienceBuffer({"q": 100, "r": 10}, 16384)
         batch = stack([group("q", [(100, True), (50, False)]), group("r", [(100, True), (11, True)])])
-        assert [[s.value for s in shape_group(g, buf, 0.1, 0.5)] for g in batch] == [[1.0, 0.0], [0.5, 1.0]]
-        with pytest.raises(ValueError, match="2 problems"):
+        per_group = [[s.value for s in shape_group(g, buf, 0.1, 0.5)] for g in batch]
+        assert per_group == [[1.0, 0.0], [0.5, 1.0]]
+        assert shape_group(batch, buf, 0.1, 0.5) == [s for g in batch for s in shape_group(g, buf, 0.1, 0.5)]
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_threshold_not_finite_rejected(self, alpha):
+        buf = ExperienceBuffer({"q": 100}, 16384)
+        with pytest.raises(ValueError, match="threshold"):
+            shape_group(group("q", [(10, True)]), buf, alpha, 0.5)
+
+    def test_r_pen_out_of_range(self):
+        buf = ExperienceBuffer({"q": 100}, 16384)
+        for r_pen in (-0.1, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="r_pen"):
+                shape_group(group("q", [(10, False)]), buf, 0.1, r_pen)
+
+
+def assert_shapes_as_scalar(batch, buffer, alpha, r_pen):
+    """The whole-batch shaping gives every rollout what ``shape`` gives it."""
+    got = shape_group(batch, buffer, alpha, r_pen)
+    want = [
+        shape(length, correct, buffer.threshold(pid, alpha), r_pen)
+        for pid, lengths, corrects in zip(batch.problem_ids, batch.lengths.tolist(), batch.correct.tolist())
+        for length, correct in zip(lengths, corrects)
+    ]
+    assert got == want
+    return got
+
+
+class TestWholeBatchEqualsScalar:
+    """``shape_group`` over a whole ``(P, G)`` batch equals ``rewards.shape``
+    on every rollout."""
+
+    @pytest.mark.parametrize("r_pen", [0.0, 0.5])
+    def test_hand_built_records(self, r_pen):
+        l_max = 64
+        buf = ExperienceBuffer({"at": 10, "unsolved": l_max, "wrong": 3, "low": 1}, l_max)
+        batch = stack(
+            [
+                # lengths below, exactly at and above 10 * 1.1 = 11.0
+                group("at", [(11, True), (10, True), (12, True), (11, False)]),
+                # unsolved: the threshold is l_max * 1.1, above any length
+                group("unsolved", [(l_max, True), (l_max, False), (1, True), (33, True)]),
+                group("wrong", [(n, False) for n in (1, 3, 4, 60)]),
+                group("low", [(1, True), (2, True), (1, False), (5, True)]),
+            ]
+        )
+        tiers = [s.tier for s in assert_shapes_as_scalar(batch, buf, 0.1, r_pen)]
+        concise, verbose, incorrect = RewardTier.CONCISE_CORRECT, RewardTier.VERBOSE_CORRECT, RewardTier.INCORRECT
+        assert tiers == [
+            concise, concise, verbose, incorrect,
+            concise, incorrect, concise, concise,
+            incorrect, incorrect, incorrect, incorrect,
+            concise, verbose, incorrect, verbose,
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sampled_desk_batches(self, seed):
+        cfg = RunConfig(group_size=8, l_max=1024, seed=seed)
+        bank = make_problem_bank(cfg.n_problems, (cfg.d_min, cfg.d_max), seed)
+        ids = [p.id for p in bank]
+        policy = initial_policy(ids, cfg.w_cap, cfg.init_answer_logit)
+        rng = np.random.default_rng(seed)
+        # entries at, below and above the sampled lengths, and one unsolved
+        entries = {pid: int(rng.integers(1, 48)) for pid in ids}
+        entries[ids[0]] = cfg.l_max
+        buf = ExperienceBuffer(entries, cfg.l_max)
+        batch = sample_batch(policy, bank, cfg.group_size, cfg.l_max, (seed, 1))
+        for r_pen in (0.0, cfg.r_pen):
+            tiers = Counter(s.tier for s in assert_shapes_as_scalar(batch, buf, cfg.alpha, r_pen))
+            assert len(tiers) == len(RewardTier)
+
+    def test_unknown_problem_raises_key_error(self):
+        buf = ExperienceBuffer({"q": 100}, 16384)
+        batch = stack([group("q", [(10, True)]), group("zz", [(10, True)])])
+        with pytest.raises(KeyError, match="zz"):
             shape_group(batch, buf, 0.1, 0.5)

@@ -35,6 +35,11 @@ def count_log_probs(monkeypatch):
     return calls
 
 
+def untimed(record):
+    """A step log record without its ``*_ms`` timings."""
+    return {k: v for k, v in record.items() if not k.endswith("_ms")}
+
+
 def nan_logits(path):
     """Put a NaN into a saved policy_logits.npy."""
     logits = np.load(path)
@@ -217,13 +222,16 @@ class TestTrainStep:
         assert log.mean_reward <= log.batch_accuracy + 1e-12
         assert log.mean_shortest_correct == buffer.stats()
         assert 0 <= log.solved_count <= cfg.n_problems
-        assert log.wall_ms > 0
+        phases = [log.sample_ms, log.shape_ms, log.advantage_ms, log.surrogate_ms, log.update_ms]
+        assert min(phases) > 0
+        assert sum(phases) <= log.wall_ms
         assert StepLog(**log.to_dict()) == log
 
     @pytest.mark.parametrize("r_pen", [0.5, 0.0])
     def test_tier_counts_match_shape_group(self, monkeypatch, r_pen):
         # every rollout is counted in the tier shape_group gave it, also at
-        # r_pen 0, where verbose and incorrect rollouts share a reward
+        # r_pen 0, where verbose and incorrect rollouts share a reward; a
+        # step shapes its whole batch in one call
         cfg = small_config(group_size=8, l_max=12, steps=12, n_problems=6, r_pen=r_pen)
         shaped, sampled = [], []
 
@@ -239,18 +247,19 @@ class TestTrainStep:
         logs = run(cfg).logs
         totals = Counter()
         for i, log in enumerate(logs):
-            tiers = Counter(s.tier.name for rs in shaped[i * cfg.n_problems : (i + 1) * cfg.n_problems] for s in rs)
+            tiers = Counter(s.tier.name for s in shaped[i])
             counts = {
                 "CONCISE_CORRECT": log.concise_count,
                 "VERBOSE_CORRECT": log.verbose_count,
                 "INCORRECT": log.incorrect_count,
             }
-            assert sum(counts.values()) == cfg.n_problems * cfg.group_size
+            assert sum(counts.values()) == len(shaped[i]) == cfg.n_problems * cfg.group_size
             assert counts == {tier: tiers[tier] for tier in counts}
             truncated = sampled[i].truncated
             assert log.truncated_frac == truncated.mean()
             totals.update({**counts, "truncated": int(truncated.sum())})
         assert min(totals.values()) > 0
+        assert len(shaped) == len(sampled) == cfg.steps
 
 
 class TestRun:
@@ -261,10 +270,7 @@ class TestRun:
         assert np.array_equal(a.policy.logits, b.policy.logits)
         assert a.buffer == b.buffer
         for la, lb in zip(a.logs, b.logs):
-            da, db = la.to_dict(), lb.to_dict()
-            da.pop("wall_ms")
-            db.pop("wall_ms")
-            assert da == db
+            assert untimed(la.to_dict()) == untimed(lb.to_dict())
 
     def test_seed_changes_trajectory(self):
         a = run(small_config(seed=1))
@@ -509,11 +515,9 @@ class TestLearningDynamics:
 
 def run_record(out):
     """What a run directory says about its trajectory: every steps.jsonl
-    field but wall_ms, and the last checkpoint's buffer entries and logits
-    bytes."""
-    steps = [json.loads(line) for line in (out / "steps.jsonl").read_text().splitlines()]
-    for record in steps:
-        del record["wall_ms"]
+    field but the ``*_ms`` timings, and the last checkpoint's buffer entries
+    and logits bytes."""
+    steps = [untimed(json.loads(line)) for line in (out / "steps.jsonl").read_text().splitlines()]
     ckpt = sorted((out / "checkpoints").iterdir())[-1]
     _, buffer, _, _ = resume(ckpt)
     return steps, buffer.entries(), np.load(ckpt / "policy_logits.npy").tobytes()
