@@ -33,10 +33,10 @@ class ExperienceBuffer:
         if l_max < 1:
             raise ValueError("l_max must be >= 1")
         for pid, v in entries.items():
-            # .expbuf stores one id<TAB>int record per line, which a tab or a
-            # line break in the id, or a float or a bool entry, would break
-            if "\t" in pid or "".join(pid.splitlines()) != pid:
-                raise ValueError(f"problem id {pid!r} holds a tab or a line break")
+            # .expbuf stores one id<TAB>int record per line, which a non-str id,
+            # a tab or a line break in one, or a float or bool entry would break
+            if not isinstance(pid, str) or "\t" in pid or "".join(pid.splitlines()) != pid:
+                raise ValueError(f"problem id {pid!r} is not a str free of tabs and line breaks")
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"entry {pid!r}={v!r} is not an int")
             if not 1 <= v <= l_max:

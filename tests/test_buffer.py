@@ -43,13 +43,14 @@ class TestInit:
         with pytest.raises(ValueError, match="is not an int"):
             ExperienceBuffer({"a": 3, "b": bad}, 8)
 
-    @pytest.mark.parametrize("pid", ["a\tb", "a\nb", "a\r", "\u2028a"])
+    @pytest.mark.parametrize("pid", ["a\tb", "a\nb", "a\r", "\u2028a", 3])
     def test_id_the_expbuf_cannot_store(self, pid):
-        # .expbuf stores one id<TAB>value record per line, so these ids would
-        # be written as bytes that loads refuses
-        with pytest.raises(ValueError, match="tab or a line break"):
+        # .expbuf stores one id<TAB>value record per line: the first three
+        # would be written as bytes that loads refuses, and the last two
+        # would load back as another id ('a', '3')
+        with pytest.raises(ValueError, match="not a str free of tabs and line breaks"):
             ExperienceBuffer({pid: 3}, 10)
-        with pytest.raises(ValueError, match="tab or a line break"):
+        with pytest.raises(ValueError, match="not a str free of tabs and line breaks"):
             ExperienceBuffer.init(["ok", pid], 10)
 
     def test_empty_ids_rejected(self):
