@@ -169,7 +169,7 @@ class TestWholeBatchEqualsScalar:
             concise, incorrect, concise, concise,
             incorrect, incorrect, incorrect, incorrect,
             concise, verbose, incorrect, verbose,
-        ]  # fmt: skip
+        ]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sampled_desk_batches(self, seed):
