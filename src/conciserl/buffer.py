@@ -14,7 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from .core import RolloutBatch
+from .core import RolloutBatch, check_ids
 
 _MAGIC = "EXPBUF"
 _VERSION = "v1"
@@ -32,11 +32,9 @@ class ExperienceBuffer:
     def __init__(self, entries: dict[str, int], l_max: int):
         if l_max < 1:
             raise ValueError("l_max must be >= 1")
+        check_ids(entries)
         for pid, v in entries.items():
-            # .expbuf stores one id<TAB>int record per line, which a non-str id,
-            # a tab or a line break in one, or a float or bool entry would break
-            if not isinstance(pid, str) or "\t" in pid or "".join(pid.splitlines()) != pid:
-                raise ValueError(f"problem id {pid!r} is not a str free of tabs and line breaks")
+            # .expbuf stores each entry as an int, which a float or a bool is not
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"entry {pid!r}={v!r} is not an int")
             if not 1 <= v <= l_max:
@@ -47,12 +45,8 @@ class ExperienceBuffer:
     @classmethod
     def init(cls, problem_ids: Iterable[str], l_max: int) -> "ExperienceBuffer":
         """Fresh buffer with every entry at the token budget ``l_max``."""
-        ids = list(problem_ids)
-        if not ids:
-            raise ValueError("problem_ids must be non-empty")
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate problem ids")
-        return cls({pid: l_max for pid in ids}, l_max)
+        # checked first: a dict would merge repeated ids
+        return cls(dict.fromkeys(check_ids(problem_ids), l_max), l_max)
 
     @property
     def l_max(self) -> int:
@@ -107,8 +101,6 @@ class ExperienceBuffer:
 
     def stats(self) -> float:
         """Arithmetic mean of all entries (unsolved problems count at l_max)."""
-        if not self._entries:
-            raise ValueError("buffer is empty")
         return sum(self._entries.values()) / len(self._entries)
 
     def solved_count(self) -> int:
@@ -155,8 +147,6 @@ class ExperienceBuffer:
             if not 1 <= value <= l_max:
                 raise BufferFormatError(f"line {lineno}: value {value} outside [1, {l_max}]")
             entries[pid] = value
-        if not entries:
-            raise BufferFormatError("no entries")
         return cls(entries, l_max)
 
     def save(self, path: str | Path) -> None:

@@ -35,6 +35,21 @@ class InvariantViolation(ValueError):
     """Input data contradicts itself or an invariant of the method."""
 
 
+def check_ids(ids: Iterable[Any]) -> tuple[str, ...]:
+    """``ids`` as a tuple, or ValueError: bank.tsv, meta.json and .expbuf
+    store ids in tab-separated lines, so there must be at least one, none may
+    repeat, and each must be a non-empty str free of tabs and line breaks."""
+    ids = tuple(ids)
+    if not ids:
+        raise ValueError("there are no problem ids")
+    for pid in ids:  # splitlines() drops "" and splits at every line break
+        if not isinstance(pid, str) or "\t" in pid or pid.splitlines() != [pid]:
+            raise ValueError(f"problem id {pid!r} is not a non-empty str free of tabs and line breaks")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"problem ids repeat {', '.join(sorted({pid for pid in ids if ids.count(pid) > 1}))}")
+    return ids
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A synthetic verifiable task.
@@ -48,11 +63,7 @@ class ProblemSpec:
     correct_answer: str
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("problem id must be non-empty")
-        if "\t" in self.id or self.id.splitlines() != [self.id]:
-            # bank.tsv and .expbuf store one tab-separated record per line
-            raise ValueError(f"problem id {self.id!r} holds a tab or a line break")
+        check_ids([self.id])
         # bank.tsv stores the difficulty as an int; a bool would be written as True
         if isinstance(self.difficulty, bool) or not isinstance(self.difficulty, int) or self.difficulty < 1:
             raise ValueError(f"difficulty must be a positive integer, got {self.difficulty!r}")

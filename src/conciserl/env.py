@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .core import ANSWERS, InvariantViolation, ProblemSpec, RolloutBatch
+from .core import ANSWERS, InvariantViolation, ProblemSpec, RolloutBatch, check_ids
 
 
 class Action(IntEnum):
@@ -46,11 +46,7 @@ class TabularPolicy:
         w_cap: int,
         logits: np.ndarray | None = None,
     ):
-        ids = tuple(problem_ids)
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate problem ids")
-        if not ids:
-            raise ValueError("need at least one problem")
+        ids = check_ids(problem_ids)
         if w_cap < 1:
             raise ValueError("w_cap must be >= 1")
         shape = (len(ids), w_cap + 1, N_ACTIONS)

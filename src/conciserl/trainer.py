@@ -16,7 +16,6 @@ import math
 import os
 import shutil
 import time
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -25,7 +24,7 @@ import numpy as np
 
 from .advantage import count_advantage, std_advantage
 from .buffer import ExperienceBuffer
-from .core import InvariantViolation, ProblemSpec, RunConfig
+from .core import InvariantViolation, ProblemSpec, RunConfig, check_ids
 from .env import (
     N_ACTIONS,
     TabularPolicy,
@@ -221,11 +220,7 @@ def run(
 
 
 def checkpoint(
-    policy: TabularPolicy,
-    buffer: ExperienceBuffer,
-    step: int,
-    path: str | Path,
-    bank: Sequence[ProblemSpec],
+    policy: TabularPolicy, buffer: ExperienceBuffer, step: int, path: str | Path, bank: Sequence[ProblemSpec]
 ) -> None:
     """Write a resumable training state, bank included, to a directory.
 
@@ -233,20 +228,17 @@ def checkpoint(
     renamed into place, so a writer that dies mid-way leaves no directory
     at ``path`` that ``resume`` would read. A checkpoint already at ``path``
     is replaced: it is moved to ``<path>.old`` first, moved back if the
-    rename fails, and deleted once the new one is in place.
+    rename fails, and deleted once the new one is in place. A state that
+    ``resume`` would refuse raises (``_check_state``), writing nothing.
     """
+    meta = {"version": CHECKPOINT_VERSION, "step": step, "w_cap": policy.w_cap, "problem_ids": list(policy.problem_ids)}
+    _check_state(meta, policy.logits, buffer, bank)
     path = Path(path)
     tmp, old = path.with_name(path.name + ".tmp"), path.with_name(path.name + ".old")
     shutil.rmtree(tmp, ignore_errors=True)
     tmp.mkdir(parents=True)
     try:
         save_bank(bank, tmp / "bank.tsv")
-        meta = {
-            "version": CHECKPOINT_VERSION,
-            "step": step,
-            "w_cap": policy.w_cap,
-            "problem_ids": list(policy.problem_ids),
-        }
         (tmp / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
         np.save(tmp / "policy_logits.npy", policy.logits)
         buffer.save(tmp / "buffer.expbuf")
@@ -264,17 +256,11 @@ def checkpoint(
         shutil.rmtree(tmp, ignore_errors=True)  # left only by a write that raised
 
 
-def _read_meta(path: Path) -> tuple[object, int, list[str], int]:
+def _read_meta(path: Path) -> dict:
     meta = json.loads(path.read_text())
-    version, step, ids, w_cap = meta["version"], meta["step"], meta["problem_ids"], meta["w_cap"]
-    if type(step) is not int or step < 0 or type(w_cap) is not int or w_cap < 1:
-        raise ValueError(f"step must be an int >= 0 and w_cap an int >= 1, got {step!r} and {w_cap!r}")
-    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-        raise TypeError("problem_ids must be a list of strings")
-    repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
-    if repeated:
-        raise ValueError(f"problem_ids repeat {', '.join(repeated)}")
-    return version, step, ids, w_cap
+    if not isinstance(meta["problem_ids"], list):  # a string would pass as a list of its characters
+        raise TypeError("problem_ids must be a list")
+    return {key: meta[key] for key in ("version", "step", "w_cap", "problem_ids")}
 
 
 def _id_mismatch(name: str, ids: Iterable[str], policy_ids: Iterable[str]) -> str:
@@ -287,15 +273,34 @@ def _id_mismatch(name: str, ids: Iterable[str], policy_ids: Iterable[str]) -> st
     return f"{name} does not match the policy's problem ids: {diff or 'order or count differs'}"
 
 
-def resume(
-    path: str | Path,
-) -> tuple[TabularPolicy, ExperienceBuffer, tuple[ProblemSpec, ...], int]:
+def _check_state(meta: dict, logits: np.ndarray, buffer: ExperienceBuffer, bank: Sequence[ProblemSpec]) -> None:
+    """The check ``checkpoint`` makes before it writes a state and ``resume``
+    after it reads one: meta.json's ``step`` (an int >= 0), ``w_cap`` (an int
+    >= 1) and ``problem_ids`` (``check_ids``) raise ValueError; logits not of
+    its shape or not finite, and other bank or buffer ids, InvariantViolation."""
+    step, w_cap, ids = meta["step"], meta["w_cap"], list(check_ids(meta["problem_ids"]))
+    if type(step) is not int or step < 0 or type(w_cap) is not int or w_cap < 1:
+        raise ValueError(f"step must be an int >= 0 and w_cap an int >= 1, got {step!r} and {w_cap!r}")
+    shape = (len(ids), w_cap + 1, N_ACTIONS)
+    if logits.shape != shape:
+        raise InvariantViolation(f"policy_logits.npy has shape {logits.shape}; meta.json implies {shape}")
+    if not np.isfinite(logits).all():
+        raise InvariantViolation("logits are not finite")
+    bank_ids = [p.id for p in bank]
+    if bank_ids != ids:
+        raise InvariantViolation(_id_mismatch("bank.tsv", bank_ids, ids))
+    if set(buffer.entries()) != set(ids):
+        raise InvariantViolation(_id_mismatch("buffer.expbuf", buffer.entries(), ids))
+
+
+def resume(path: str | Path) -> tuple[TabularPolicy, ExperienceBuffer, tuple[ProblemSpec, ...], int]:
     """Load a checkpoint written by ``checkpoint``; bit-exact round trip.
 
     A checkpoint directory that does not exist, or one of another version,
     raises ValueError; a missing or unparseable file inside an existing
-    directory raises OSError; files that contradict each other, or
-    non-finite logits, raise InvariantViolation.
+    directory, meta.json fields that ``_check_state`` refuses included,
+    raises OSError; files that contradict each other, or non-finite logits,
+    raise InvariantViolation.
     """
     path = Path(path)
     if not path.is_dir():
@@ -309,18 +314,16 @@ def resume(
             # missing one is.
             raise OSError(f"unreadable checkpoint file {path / name}: {e!r}") from None
 
-    version, step, ids, w_cap = read("meta.json", _read_meta)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version mismatch: {version}")
+    meta = read("meta.json", _read_meta)
+    if meta["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint version mismatch: {meta['version']}")
     logits = read("policy_logits.npy", lambda p: np.load(p).astype(float))
     buffer = read("buffer.expbuf", ExperienceBuffer.load)
     bank = read("bank.tsv", load_bank)
-    shape = (len(ids), w_cap + 1, N_ACTIONS)
-    if logits.shape != shape:
-        raise InvariantViolation(f"policy_logits.npy has shape {logits.shape}; meta.json implies {shape}")
-    bank_ids = [p.id for p in bank]
-    if bank_ids != ids:
-        raise InvariantViolation(_id_mismatch("bank.tsv", bank_ids, ids))
-    if set(buffer.entries()) != set(ids):
-        raise InvariantViolation(_id_mismatch("buffer.expbuf", buffer.entries(), ids))
-    return TabularPolicy(ids, w_cap, logits), buffer, bank, step
+    try:
+        _check_state(meta, logits, buffer, bank)
+    except InvariantViolation:
+        raise
+    except ValueError as e:  # a meta.json field
+        raise OSError(f"unreadable checkpoint file {path / 'meta.json'}: {e!r}") from None
+    return TabularPolicy(meta["problem_ids"], meta["w_cap"], logits), buffer, bank, meta["step"]

@@ -48,9 +48,9 @@ class TestInit:
         # .expbuf stores one id<TAB>value record per line: the first three
         # would be written as bytes that loads refuses, and the last two
         # would load back as another id ('a', '3')
-        with pytest.raises(ValueError, match="not a str free of tabs and line breaks"):
+        with pytest.raises(ValueError, match="not a non-empty str free of tabs and line breaks"):
             ExperienceBuffer({pid: 3}, 10)
-        with pytest.raises(ValueError, match="not a str free of tabs and line breaks"):
+        with pytest.raises(ValueError, match="not a non-empty str free of tabs and line breaks"):
             ExperienceBuffer.init(["ok", pid], 10)
 
     def test_empty_ids_rejected(self):
@@ -204,6 +204,11 @@ class TestSerialization:
     def test_duplicate_keys(self):
         with pytest.raises(BufferFormatError, match="duplicate"):
             ExperienceBuffer.loads(b"EXPBUF v1 l_max=10\np1\t3\np1\t4\n")
+
+    def test_no_entries(self):
+        # the constructor's id rule refuses a buffer of no problems
+        with pytest.raises(ValueError, match="there are no problem ids"):
+            ExperienceBuffer.loads(b"EXPBUF v1 l_max=10\n")
 
     def test_value_out_of_range(self):
         with pytest.raises(BufferFormatError):

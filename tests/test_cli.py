@@ -70,6 +70,7 @@ BAD_CHECKPOINTS = {
         lambda ck: edit_meta(ck, problem_ids=5), EXIT_IO, "unreadable checkpoint file .*meta.json"
     ),
     "meta-repeated-id": (repeat_first_problem, EXIT_IO, "unreadable checkpoint file .*meta.json.*repeat p000"),
+    "meta-no-ids": (lambda ck: edit_meta(ck, problem_ids=[]), EXIT_IO, "unreadable checkpoint file .*meta.json"),
 }
 # steps.jsonl contents that `conciserl replay` must refuse with exit 3.
 BAD_STEPS_JSONL = [

@@ -1,21 +1,27 @@
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conciserl.cli import EXIT_CONFIG, main
+from conciserl.buffer import ExperienceBuffer
+from conciserl.cli import EXIT_CONFIG, EXIT_IO, main
 from conciserl.core import (
     ConfigError,
     ProblemSpec,
     Rollout,
     RolloutBatch,
     RunConfig,
+    check_ids,
     load_config,
     save_config,
 )
+from conciserl.env import TabularPolicy, initial_policy
+from conciserl.trainer import checkpoint
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
 INT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "int"]
@@ -56,12 +62,74 @@ class TestProblemSpec:
     @pytest.mark.parametrize("bad_id", ["a\tb", "a\u2028b", "a\x1cb"], ids=["tab", "line-separator", "file-separator"])
     def test_id_the_checkpoint_files_cannot_store(self, bad_id):
         # bank.tsv and .expbuf are tab-separated lines read with splitlines()
-        with pytest.raises(ValueError, match="tab or a line break"):
+        with pytest.raises(ValueError, match="not a non-empty str free of tabs and line breaks"):
             ProblemSpec(bad_id, 1, "A")
 
     def test_round_trip(self):
         p = ProblemSpec("q1", 3, "B")
         assert ProblemSpec(**p.to_dict()) == p
+
+
+# Ids that bank.tsv, meta.json and .expbuf, which store ids in tab-separated
+# lines read with splitlines(), cannot hold.
+BAD_IDS = {
+    "empty": "",
+    "tab": "a\tb",
+    "newline": "a\nb",
+    "carriage-return": "a\r",
+    "line-separator": "\u2028a",
+    "file-separator": "a\x1cb",
+    "int": 3,
+    "none": None,
+}
+# Lists of ids that no record may hold: each bad id beside a good one, a
+# repeat, and no id at all.
+BAD_ID_LISTS = {**{name: ["p0", pid] for name, pid in BAD_IDS.items()}, "repeat": ["p0", "p1", "p0"], "no-ids": []}
+CHECK_IDS_MESSAGE = "there are no problem ids|is not a non-empty str free of tabs and line breaks|problem ids repeat"
+# Every record of problem ids, built from a list of them.
+ID_HOLDERS = {
+    "ProblemSpec": lambda ids: [ProblemSpec(pid, 1, "A") for pid in ids],
+    "ExperienceBuffer": lambda ids: ExperienceBuffer(dict.fromkeys(ids, 3), 10),
+    "ExperienceBuffer.init": lambda ids: ExperienceBuffer.init(ids, 10),
+    "TabularPolicy": lambda ids: TabularPolicy(ids, 2),
+    "initial_policy": lambda ids: initial_policy(ids, 2, -1.0),
+}
+# A ProblemSpec holds one id, and a dict no repeat: the lists they cannot express.
+INEXPRESSIBLE = {("ProblemSpec", "repeat"), ("ProblemSpec", "no-ids"), ("ExperienceBuffer", "repeat")}
+
+
+class TestCheckIds:
+    def test_returns_the_ids_as_a_tuple(self):
+        assert check_ids(iter(["p 1", "é", "#"])) == ("p 1", "é", "#")
+
+    def test_names_each_repeat_once_in_order(self):
+        with pytest.raises(ValueError, match="^problem ids repeat a, b$"):
+            check_ids(["b", "a", "c", "b", "a", "a"])
+
+    @pytest.mark.parametrize(
+        "holder, ids",
+        [
+            pytest.param(ID_HOLDERS[holder], ids, id=f"{holder}-{name}")
+            for holder in ID_HOLDERS
+            for name, ids in BAD_ID_LISTS.items()
+            if (holder, name) not in INEXPRESSIBLE
+        ],
+    )
+    def test_every_holder_refuses_the_same_ids(self, holder, ids):
+        with pytest.raises(ValueError, match=CHECK_IDS_MESSAGE):
+            holder(ids)
+
+    @pytest.mark.parametrize("ids", BAD_ID_LISTS.values(), ids=BAD_ID_LISTS)
+    def test_eval_refuses_them_in_meta_json(self, tmp_path, capsys, ids):
+        ck = tmp_path / "ck"
+        bank = [ProblemSpec("p0", 1, "A"), ProblemSpec("p1", 2, "B")]
+        checkpoint(initial_policy(["p0", "p1"], 2), ExperienceBuffer.init(["p0", "p1"], 8), 1, ck, bank)
+        meta = json.loads((ck / "meta.json").read_text())
+        (ck / "meta.json").write_text(json.dumps({**meta, "problem_ids": ids}))
+        assert main(["eval", "--checkpoint", str(ck), "--n-samples", "2", "--k", "1"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert re.search(f"unreadable checkpoint file .*meta.json: ValueError.*({CHECK_IDS_MESSAGE})", err), err
+        assert not (ck / "eval.json").exists()
 
 
 class TestRollout:

@@ -1,10 +1,13 @@
 import json
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conciserl import cli, trainer
 from conciserl.buffer import ExperienceBuffer
@@ -93,6 +96,87 @@ SMALL = dict(group_size=4, steps=5, l_max=64, w_cap=5, n_problems=4, d_min=1, d_
 
 def small_config(**overrides):
     return RunConfig(**{**SMALL, **overrides})
+
+
+def rename_first(ids):
+    return ["zzz", *list(ids)[1:]]
+
+
+def with_ids(policy, ids):
+    return TabularPolicy(ids, policy.w_cap, policy.logits)
+
+
+def non_finite(policy, value):
+    """``policy`` with one logit set to ``value``, as a blown-up step leaves it."""
+    policy = policy.copy()
+    policy.logits[0, 0, 0] = value
+    return policy
+
+
+# States that `checkpoint` refuses, as `resume` would: each edit of a run's
+# result gives the `checkpoint` arguments it changes, then the error and its
+# message.
+REFUSED_STATES = {
+    "policy-ids": (
+        lambda r: {"policy": with_ids(r.policy, rename_first(r.policy.problem_ids))},
+        InvariantViolation,
+        "bank.tsv does not match the policy's problem ids: missing zzz; unknown p000",
+    ),
+    "policy-order": (
+        lambda r: {"policy": with_ids(r.policy, r.policy.problem_ids[::-1])},
+        InvariantViolation,
+        "bank.tsv does not match the policy's problem ids: order or count differs",
+    ),
+    "buffer-ids": (
+        lambda r: {"buffer": ExperienceBuffer.init(rename_first(r.policy.problem_ids), r.buffer.l_max)},
+        InvariantViolation,
+        "buffer.expbuf does not match the policy's problem ids: missing p000; unknown zzz",
+    ),
+    "bank-ids": (
+        lambda r: {"bank": r.bank[1:]},
+        InvariantViolation,
+        "bank.tsv does not match the policy's problem ids: missing p000",
+    ),
+    "step-negative": (lambda r: {"step": -1}, ValueError, "step must be an int >= 0"),
+    "step-bool": (lambda r: {"step": True}, ValueError, "step must be an int >= 0"),
+    "step-float": (lambda r: {"step": 2.5}, ValueError, "step must be an int >= 0"),
+    "logits-nan": (lambda r: {"policy": non_finite(r.policy, np.nan)}, InvariantViolation, "logits are not finite"),
+    "logits-inf": (lambda r: {"policy": non_finite(r.policy, -np.inf)}, InvariantViolation, "logits are not finite"),
+}
+
+# Problem ids from small alphabets, so that repeats are common: ANY_ID also
+# draws empty ids, tabs, line breaks and spaces.
+GOOD_ID = st.text(alphabet=["p", " ", "é"], min_size=1, max_size=2)
+ANY_ID = st.text(alphabet=["p", " ", "é", "\t", "\n", "\u2028"], max_size=2)
+
+
+def mostly(valid, faulty):
+    """Draws from ``valid`` four times in five, from ``faulty`` otherwise."""
+    return st.integers(0, 4).flatmap(lambda i: faulty if i == 4 else valid)
+
+
+@st.composite
+def training_states(draw):
+    """The parts of a small (policy, buffer, step, bank), each valid four
+    times in five, so that a constructor or `checkpoint` often refuses the
+    whole and often does not."""
+    ids = draw(mostly(st.lists(GOOD_ID, min_size=1, max_size=4, unique=True), st.lists(ANY_ID, max_size=4)))
+    w_cap = draw(mostly(st.integers(1, 4), st.just(0)))
+    size = len(ids) * (w_cap + 1) * 4
+    logits = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size))
+    buffer_ids = draw(mostly(st.just(ids), st.just(rename_first(ids)) | st.lists(ANY_ID, max_size=4)))
+    bank_ids = draw(mostly(st.just(ids), st.sampled_from([ids[::-1], ids[1:]])))
+    l_max = draw(st.integers(1, 8))
+    return dict(
+        ids=ids,
+        w_cap=w_cap,
+        logits=np.array(logits).reshape(len(ids), w_cap + 1, 4),
+        poison=draw(mostly(st.none(), st.sampled_from([np.nan, np.inf, -np.inf]))),
+        entries={pid: draw(st.integers(1, l_max)) for pid in buffer_ids},
+        l_max=l_max,
+        step=draw(mostly(st.integers(0, 2**40), st.integers(-2, -1) | st.booleans() | st.floats(-1, 3))),
+        bank=[(pid, draw(st.integers(1, 4)), draw(st.sampled_from("AB"))) for pid in bank_ids],
+    )
 
 
 class TestSampleBatch:
@@ -438,6 +522,50 @@ class TestCheckpointResume:
         monkeypatch.undo()
         assert [p.name for p in tmp_path.iterdir()] == ["ck"]
         assert resume(ck)[3] == 1
+
+    @pytest.mark.parametrize("name", REFUSED_STATES)
+    def test_refuses_what_resume_refuses_before_writing(self, tmp_path, name):
+        edit, error, message = REFUSED_STATES[name]
+        result = run(small_config(steps=1))
+        state = {"policy": result.policy, "buffer": result.buffer, "step": 1, "bank": result.bank}
+        refused = {**state, **edit(result)}
+        with pytest.raises(error, match=message):
+            checkpoint(path=tmp_path / "new", **refused)
+        assert list(tmp_path.iterdir()) == []
+
+        old = tmp_path / "old"
+        checkpoint(path=old, **state)
+        files = {p.name: p.read_bytes() for p in old.iterdir()}
+        with pytest.raises(error, match=message):
+            checkpoint(path=old, **refused)
+        assert [p.name for p in tmp_path.iterdir()] == ["old"]
+        assert {p.name: p.read_bytes() for p in old.iterdir()} == files
+
+    @settings(max_examples=50, deadline=None)
+    @given(training_states())
+    def test_what_checkpoint_writes_resume_returns(self, state):
+        # Either a constructor or checkpoint refuses the state, or resume
+        # returns it whole, the logits bit for bit.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ck"
+            try:
+                bank = tuple(ProblemSpec(*spec) for spec in state["bank"])
+                policy = TabularPolicy(state["ids"], state["w_cap"], state["logits"])
+                if state["poison"] is not None:
+                    policy.logits.flat[-1] = state["poison"]
+                buffer = ExperienceBuffer(state["entries"], state["l_max"])
+                checkpoint(policy, buffer, state["step"], path, bank)
+            except ValueError:  # InvariantViolation included
+                assert list(Path(tmp).iterdir()) == []
+                return
+            got_policy, got_buffer, got_bank, got_step = resume(path)
+        assert got_policy.problem_ids == tuple(state["ids"])
+        assert got_policy.w_cap == state["w_cap"]
+        assert got_policy.logits.dtype == policy.logits.dtype
+        assert got_policy.logits.tobytes() == policy.logits.tobytes()
+        assert got_buffer == buffer
+        assert got_bank == bank
+        assert type(got_step) is int and got_step == state["step"]
 
     def test_version_mismatch(self, tmp_path):
         cfg = small_config(steps=1)
