@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .core import ADVANTAGE_MODES, InvariantViolation, RunConfig, load_config, save_config
+from .core import ADVANTAGE_MODES, InvariantViolation, RunConfig, load_config
 from .env import sample_batch
 from .trainer import read_step_log, resume, run
 
@@ -56,41 +55,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--results", type=Path, required=True)
     p_metrics.add_argument("--vanilla", required=True, help="name of the baseline method")
 
-    p_replay = sub.add_parser("replay", help="emit plot curves from a steps.jsonl log")
+    p_replay = sub.add_parser("replay", help="emit plot curves from a run's step log")
     p_replay.add_argument("--steps-jsonl", type=Path, required=True, dest="steps_jsonl")
     p_replay.add_argument("--out-dir", type=Path, dest="out_dir")
     return parser
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = load_config(args.config) if args.config else RunConfig()
-    overrides = {
-        k: getattr(args, k)
-        for k in ("seed", "steps", "alpha", "r_pen", "advantage_mode", "group_size")
-        if getattr(args, k) is not None
-    }
-    config = dataclasses.replace(config, **overrides)
-    found = [n for n in ("config.txt", "steps.jsonl", "summary.json", "checkpoints") if (args.out / n).exists()]
-    if found:
-        raise ValueError(f"{args.out} already holds a run ({', '.join(found)}); train into a new or empty directory")
-    args.out.mkdir(parents=True, exist_ok=True)
-    save_config(config, args.out / "config.txt")
-    result = run(config, out_dir=args.out)
-    logs = result.logs
-    summary = {
-        "steps": config.steps,
-        "initial_accuracy": logs[0].batch_accuracy if logs else None,
-        "final_accuracy": logs[-1].batch_accuracy if logs else None,
-        "initial_mean_length": logs[0].batch_mean_length if logs else None,
-        "final_mean_length": logs[-1].batch_mean_length if logs else None,
-        "compression_ratio": (
-            1.0 - logs[-1].batch_mean_length / logs[0].batch_mean_length if logs else None
-        ),
-        "final_buffer_mean": result.buffer.stats(),
-        "solved_count": result.buffer.solved_count(),
-        "n_problems": len(result.bank),
-    }
-    (args.out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    flags = ("seed", "steps", "alpha", "r_pen", "advantage_mode", "group_size")
+    overrides = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    run(load_config(args.config, **overrides) if args.config else RunConfig(**overrides), out_dir=args.out)
     return EXIT_OK
 
 

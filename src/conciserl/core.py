@@ -37,14 +37,18 @@ class InvariantViolation(ValueError):
 
 def check_ids(ids: Iterable[Any]) -> tuple[str, ...]:
     """``ids`` as a tuple, or ValueError: bank.tsv, meta.json and .expbuf
-    store ids in tab-separated lines, so there must be at least one, none may
-    repeat, and each must be a non-empty str free of tabs and line breaks."""
+    store ids in tab-separated UTF-8 lines, so there must be at least one,
+    none may repeat, and each must be a non-empty str free of tabs and line
+    breaks that UTF-8 can encode (no lone surrogate such as ``"\\ud800"``)."""
     ids = tuple(ids)
     if not ids:
         raise ValueError("there are no problem ids")
     for pid in ids:  # splitlines() drops "" and splits at every line break
-        if not isinstance(pid, str) or "\t" in pid or pid.splitlines() != [pid]:
-            raise ValueError(f"problem id {pid!r} is not a non-empty str free of tabs and line breaks")
+        utf8 = isinstance(pid, str) and pid.encode("utf-8", "replace").decode() == pid  # no lone surrogate
+        if not utf8 or "\t" in pid or pid.splitlines() != [pid]:
+            raise ValueError(
+                f"problem id {pid!r} is not a non-empty str free of tabs and line breaks and encodable as UTF-8"
+            )
     if len(set(ids)) != len(ids):
         raise ValueError(f"problem ids repeat {', '.join(sorted({pid for pid in ids if ids.count(pid) > 1}))}")
     return ids
@@ -302,13 +306,14 @@ def _coerce(name: str, raw: str) -> Any:
     return raw
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, **overrides: Any) -> RunConfig:
     """Load a RunConfig from a flat ``key = value`` text file.
 
     Blank lines and ``#`` comments are ignored; unknown and repeated keys
-    are an error.
+    are an error. ``overrides`` replace the file's values before the config
+    is validated, so a flag may mend a value the file gets wrong.
     """
-    overrides: dict[str, Any] = {}
+    values: dict[str, Any] = {}
     errors: list[str] = []
     seen: set[str] = set()
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -329,12 +334,12 @@ def load_config(path: str | Path) -> RunConfig:
             continue
         seen.add(key)
         try:
-            overrides[key] = _coerce(key, raw)
+            values[key] = _coerce(key, raw)
         except ValueError:
             errors.append(f"bad value for {key}: {raw!r}")
     if errors:
         raise ConfigError(errors)
-    return RunConfig(**overrides)
+    return RunConfig(**{**values, **overrides})
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:

@@ -16,6 +16,7 @@ import math
 import os
 import shutil
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -24,7 +25,7 @@ import numpy as np
 
 from .advantage import count_advantage, std_advantage
 from .buffer import ExperienceBuffer
-from .core import InvariantViolation, ProblemSpec, RunConfig, check_ids
+from .core import InvariantViolation, ProblemSpec, RunConfig, check_ids, save_config
 from .env import (
     N_ACTIONS,
     TabularPolicy,
@@ -38,6 +39,8 @@ from .objective import surrogate
 from .rewards import shape_group
 
 CHECKPOINT_VERSION = 1
+# The files of a run directory that ``run`` writes, and refuses to find there.
+RUN_FILES = ("config.txt", "steps.jsonl", "summary.json", "checkpoints")
 
 
 @dataclass(frozen=True)
@@ -179,12 +182,18 @@ def run(
 ) -> RunResult:
     """Execute ``config.steps`` training steps from a fresh policy.
 
-    When ``out_dir`` is given, writes ``steps.jsonl`` (one StepLog per line)
-    and periodic checkpoints under ``checkpoints/step_<n>/``. A step that
-    leaves the logits non-finite stops the run with InvariantViolation after
-    its log line and before any checkpoint of it; a step whose gradient is
-    not finite stops it before either.
+    When ``out_dir`` is given, a directory that already holds any of
+    ``RUN_FILES`` raises ValueError before anything is written. Otherwise the
+    run writes ``config.txt``, ``steps.jsonl`` (one StepLog per line, flushed
+    before each checkpoint), checkpoints under ``checkpoints/step_<n>/`` and,
+    after the last step, ``summary.json``. A step that leaves the logits
+    non-finite stops the run with InvariantViolation after its log line and
+    before any checkpoint of it; a step whose gradient is not finite stops it
+    before either.
     """
+    out_path = None if out_dir is None else Path(out_dir)
+    if found := [name for name in RUN_FILES if out_path is not None and (out_path / name).exists()]:
+        raise ValueError(f"{out_path} already holds a run ({', '.join(found)}); train into a new or empty directory")
     if bank is None:
         bank = make_problem_bank(config.n_problems, (config.d_min, config.d_max), config.seed)
     else:
@@ -196,14 +205,11 @@ def run(
     policy = initial_policy(ids, config.w_cap, config.init_answer_logit)
     buffer = ExperienceBuffer.init(ids, config.l_max)
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    log_file = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        log_file = (out_path / "steps.jsonl").open("w")
-
+        save_config(config, out_path / "config.txt")
     logs: list[StepLog] = []
-    try:
+    with nullcontext() if out_path is None else (out_path / "steps.jsonl").open("w") as log_file:
         for step in range(1, config.steps + 1):
             policy, buffer, log = train_step(policy, buffer, bank, config, step)
             logs.append(log)
@@ -211,11 +217,23 @@ def run(
                 log_file.write(json.dumps(log.to_dict()) + "\n")
             if not np.isfinite(policy.logits).all():
                 raise InvariantViolation(f"logits are not finite after step {step}")
-            if out_path is not None and step % config.checkpoint_every == 0:
+            if log_file is not None and step % config.checkpoint_every == 0:
+                log_file.flush()  # so that no checkpoint is ahead of the log on disk
                 checkpoint(policy, buffer, step, out_path / "checkpoints" / f"step_{step:05d}", bank)
-    finally:
-        if log_file is not None:
-            log_file.close()
+    if out_path is not None:
+        first, last = (logs[0], logs[-1]) if logs else (None, None)
+        summary = {
+            "steps": config.steps,
+            "initial_accuracy": first and first.batch_accuracy,
+            "final_accuracy": last and last.batch_accuracy,
+            "initial_mean_length": first and first.batch_mean_length,
+            "final_mean_length": last and last.batch_mean_length,
+            "compression_ratio": last and 1.0 - last.batch_mean_length / first.batch_mean_length,
+            "final_buffer_mean": buffer.stats(),
+            "solved_count": buffer.solved_count(),
+            "n_problems": len(bank),
+        }
+        (out_path / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return RunResult(logs=logs, policy=policy, buffer=buffer, bank=bank)
 
 

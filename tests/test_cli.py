@@ -155,6 +155,15 @@ class TestTrain:
         out = quick_train(tmp_path, extra=["--steps", "2"])
         assert len((out / "steps.jsonl").read_text().splitlines()) == 2
 
+    def test_flag_overrides_the_file_before_validation(self, tmp_path, capsys):
+        # the flag mends the file's group_size; without it the file's value
+        # is refused
+        cfg = write_config(tmp_path, "group_size = 1\nsteps = 1\nl_max = 64\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--group-size", "4"]) == EXIT_OK
+        assert load_config(tmp_path / "o" / "config.txt").group_size == 4
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "p")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: group_size must be >= 2\n"
+
     def test_bad_config_value(self, tmp_path):
         cfg = write_config(tmp_path, "r_pen = 1.0\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -79,6 +79,7 @@ BAD_IDS = {
     "carriage-return": "a\r",
     "line-separator": "\u2028a",
     "file-separator": "a\x1cb",
+    "lone-surrogate": "p\ud800",  # UTF-8 cannot encode it
     "int": 3,
     "none": None,
 }

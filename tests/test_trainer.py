@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from conciserl import cli, trainer
 from conciserl.buffer import ExperienceBuffer
-from conciserl.core import InvariantViolation, ProblemSpec, RunConfig
+from conciserl.core import InvariantViolation, ProblemSpec, RunConfig, load_config
 from conciserl.env import Action, TabularPolicy, initial_policy, make_problem_bank
 from conciserl.trainer import (
     StepLog,
@@ -446,6 +448,52 @@ class TestRun:
         result = run(cfg)
         means = [log.mean_shortest_correct for log in result.logs]
         assert all(b <= a for a, b in zip(means, means[1:]))
+
+
+class TestRunDirectory:
+    """``run(out_dir=...)`` owns the run directory: it refuses one that
+    holds a run, and writes the config, the log, the checkpoints and the
+    summary that ``conciserl train`` writes."""
+
+    RUN_FILES = ("config.txt", "steps.jsonl", "summary.json", "checkpoints")  # in the order the message names them
+
+    @pytest.mark.parametrize("held", [*RUN_FILES, ", ".join(RUN_FILES)])
+    def test_refuses_a_directory_that_holds_a_run(self, tmp_path, held):
+        # a second run would truncate the first one's log and leave its
+        # checkpoints beside the new one's
+        run(small_config(steps=4, checkpoint_every=2), out_dir=tmp_path)
+        for path in tmp_path.iterdir():
+            if path.name not in held:
+                shutil.rmtree(path) if path.is_dir() else path.unlink()
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        message = f"{tmp_path} already holds a run ({held}); train into a new or empty directory"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(small_config(steps=2, seed=7), out_dir=tmp_path)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_writes_its_config(self, tmp_path):
+        config = small_config(steps=2, alpha=0.3, advantage_mode="std", init_answer_logit=-1.5)
+        run(config, out_dir=tmp_path)
+        assert load_config(tmp_path / "config.txt") == config
+
+    def test_writes_its_summary(self, tmp_path):
+        result = run(small_config(steps=4), out_dir=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["steps"] == 4 and summary["n_problems"] == len(result.bank)
+        assert summary["final_mean_length"] == result.logs[-1].batch_mean_length
+        assert summary["solved_count"] == result.buffer.solved_count()
+
+    def test_log_is_on_disk_at_each_checkpoint(self, tmp_path, monkeypatch):
+        # a run killed after checkpoint N leaves a log of at least N lines
+        lines_on_disk = []
+
+        def counted(policy, buffer, step, path, bank):
+            lines_on_disk.append(len((tmp_path / "steps.jsonl").read_text().splitlines()))
+            return checkpoint(policy, buffer, step, path, bank)
+
+        monkeypatch.setattr(trainer, "checkpoint", counted)
+        run(small_config(steps=6, checkpoint_every=2), out_dir=tmp_path)
+        assert lines_on_disk == [2, 4, 6]
 
 
 class TestCheckpointResume:
