@@ -463,8 +463,10 @@ class TestRunDirectory:
         # checkpoints beside the new one's
         run(small_config(steps=4, checkpoint_every=2), out_dir=tmp_path)
         for path in tmp_path.iterdir():
-            if path.name not in held:
-                shutil.rmtree(path) if path.is_dir() else path.unlink()
+            if path.is_dir() and path.name not in held:
+                shutil.rmtree(path)
+            elif path.name not in held:
+                path.unlink()
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         message = f"{tmp_path} already holds a run ({held}); train into a new or empty directory"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
