@@ -7,7 +7,7 @@ for a tabular softmax policy, a synthetic verifiable environment with an
 analytic minimal-length oracle, and the evaluation-metric suite.
 """
 
-from .advantage import AdvantageVector, advantage_gap, count_advantage, std_advantage
+from .advantage import advantage_gap, count_advantage, std_advantage
 from .buffer import ExperienceBuffer
 from .core import (
     ConfigError,
@@ -35,7 +35,6 @@ from .trainer import RunResult, StepLog, checkpoint, resume, run, train_step
 
 __all__ = [
     "Action",
-    "AdvantageVector",
     "ConfigError",
     "ExperienceBuffer",
     "InvariantViolation",

@@ -5,54 +5,46 @@ the group standard deviation, so gradient magnitude is strictly decreasing in
 the number of correct rollouts: hard problems get large correctness-driven
 updates, easy problems get small brevity-driven ones. The std-normalized
 variant is kept as an ablation baseline.
+
+Both work along the last axis of a ``(..., G)`` reward table: one group, or a
+step's ``(P, G)`` batch in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
+from numpy.typing import ArrayLike
 
 EPS_STD = 1e-8  # guards zero-variance groups in the std baseline
 
 
-@dataclass(frozen=True)
-class AdvantageVector:
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
-
-
-def count_advantage(
-    rewards: Sequence[float], correct_count: int, epsilon_adv: float
-) -> AdvantageVector:
-    """(r_i - mean) / (correct_count + eps), count clamped to 1 when zero."""
+def count_advantage(rewards: ArrayLike, correct_count: ArrayLike, epsilon_adv: float) -> np.ndarray:
+    """(r_i - mean) / (correct_count + eps) per group, a zero count clamped
+    to 1; ``correct_count`` holds one count per group (``rewards.shape[:-1]``)."""
     r = _rewards(rewards)
-    if correct_count < 0:
+    counts = np.asarray(correct_count)
+    if counts.shape != r.shape[:-1]:
+        raise ValueError(f"correct_count of shape {counts.shape} does not match {r.shape[:-1]} groups")
+    if (counts < 0).any():
         raise ValueError("correct_count must be >= 0")
     if epsilon_adv <= 0:
         raise ValueError("epsilon_adv must be > 0")
-    mu = np.add.reduce(r) / len(r)  # the bits of r.mean(), without its wrappers
-    denom = max(correct_count, 1) + epsilon_adv
-    return AdvantageVector(((r - mu) / denom).tolist())
+    mu = np.add.reduce(r, axis=-1, keepdims=True) / r.shape[-1]  # the bits of r.mean(), without its wrappers
+    return (r - mu) / (np.maximum(counts, 1) + epsilon_adv)[..., None]
 
 
-def std_advantage(rewards: Sequence[float]) -> AdvantageVector:
-    """(r_i - mean) / (population std + EPS_STD); the GRPO baseline."""
+def std_advantage(rewards: ArrayLike) -> np.ndarray:
+    """(r_i - mean) / (population std + EPS_STD) per group; the GRPO baseline."""
     r = _rewards(rewards)
-    mu = float(r.mean())
-    denom = float(r.std()) + EPS_STD
-    return AdvantageVector(((r - mu) / denom).tolist())
+    return (r - r.mean(axis=-1, keepdims=True)) / (r.std(axis=-1, keepdims=True) + EPS_STD)
 
 
-def _rewards(rewards: Sequence[float]) -> np.ndarray:
-    """One group's rewards as a float array: at least two, each in [0, 1]
-    (a NaN is not)."""
+def _rewards(rewards: ArrayLike) -> np.ndarray:
+    """A reward table as a float array: groups of at least two along the last
+    axis, every value in [0, 1] (a NaN is not)."""
     r = np.asarray(rewards, dtype=float)
-    if r.ndim != 1 or len(r) < 2:
-        raise ValueError("need a group of at least 2 rewards")
+    if r.ndim == 0 or r.shape[-1] < 2:
+        raise ValueError("need groups of at least 2 rewards")
     # min() and max() propagate a NaN, which fails both comparisons.
     if not (r.min() >= 0.0 and r.max() <= 1.0):
         raise ValueError("rewards must lie in [0, 1]")
@@ -71,4 +63,3 @@ def advantage_gap(r_pen: float, correct_count: int, epsilon_adv: float) -> float
     if epsilon_adv <= 0:
         raise ValueError("epsilon_adv must be > 0")
     return (1.0 - r_pen) / (correct_count + epsilon_adv)
-

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .advantage import count_advantage, std_advantage
+from . import advantage
 from .buffer import ExperienceBuffer
 from .core import InvariantViolation, ProblemSpec, RunConfig, check_ids, save_config
 from .env import (
@@ -134,12 +134,11 @@ def train_step(
     shaped = shape_group(batch, buffer, config.alpha, config.r_pen)
     rewards = np.array([s.value for s in shaped]).reshape(correct.shape)  # (P, G)
     clock.append(time.perf_counter())
+    # Through the module: bench/'s tracer reads per-group results from trainer.count_advantage.
     if config.advantage_mode == "count":
-        correct_counts = np.count_nonzero(correct, axis=1).tolist()
-        advs = [count_advantage(r, c, config.epsilon_adv) for r, c in zip(rewards, correct_counts)]
+        advantages = advantage.count_advantage(rewards, np.count_nonzero(correct, axis=1), config.epsilon_adv)
     else:
-        advs = [std_advantage(r) for r in rewards]
-    advantages = np.array([a.values for a in advs])
+        advantages = advantage.std_advantage(rewards)
     clock.append(time.perf_counter())
     objective_value, grad = surrogate(batch, advantages, policy, config.eps_low, config.eps_high)
     if not np.isfinite(grad).all():
@@ -198,9 +197,8 @@ def run(
         bank = make_problem_bank(config.n_problems, (config.d_min, config.d_max), config.seed)
     else:
         bank = tuple(bank)
-    for p in bank:
-        if p.difficulty > config.w_cap:
-            raise ValueError(f"problem {p.id!r} difficulty {p.difficulty} exceeds w_cap {config.w_cap}")
+    if too_hard := _too_hard(bank, config.w_cap):
+        raise ValueError(too_hard)
     ids = [p.id for p in bank]
     policy = initial_policy(ids, config.w_cap, config.init_answer_logit)
     buffer = ExperienceBuffer.init(ids, config.l_max)
@@ -291,11 +289,18 @@ def _id_mismatch(name: str, ids: Iterable[str], policy_ids: Iterable[str]) -> st
     return f"{name} does not match the policy's problem ids: {diff or 'order or count differs'}"
 
 
+def _too_hard(bank: Iterable[ProblemSpec], w_cap: int) -> str:
+    """The first problem of ``bank`` harder than ``w_cap`` allows, or "" (a policy has no state past it)."""
+    hard = [p for p in bank if p.difficulty > w_cap]
+    return f"problem {hard[0].id!r} difficulty {hard[0].difficulty} exceeds w_cap {w_cap}" if hard else ""
+
+
 def _check_state(meta: dict, logits: np.ndarray, buffer: ExperienceBuffer, bank: Sequence[ProblemSpec]) -> None:
     """The check ``checkpoint`` makes before it writes a state and ``resume``
     after it reads one: meta.json's ``step`` (an int >= 0), ``w_cap`` (an int
     >= 1) and ``problem_ids`` (``check_ids``) raise ValueError; logits not of
-    its shape or not finite, and other bank or buffer ids, InvariantViolation."""
+    its shape or not finite, other bank or buffer ids, and a bank problem
+    harder than ``w_cap`` (``_too_hard``), InvariantViolation."""
     step, w_cap, ids = meta["step"], meta["w_cap"], list(check_ids(meta["problem_ids"]))
     if type(step) is not int or step < 0 or type(w_cap) is not int or w_cap < 1:
         raise ValueError(f"step must be an int >= 0 and w_cap an int >= 1, got {step!r} and {w_cap!r}")
@@ -307,6 +312,8 @@ def _check_state(meta: dict, logits: np.ndarray, buffer: ExperienceBuffer, bank:
     bank_ids = [p.id for p in bank]
     if bank_ids != ids:
         raise InvariantViolation(_id_mismatch("bank.tsv", bank_ids, ids))
+    if too_hard := _too_hard(bank, w_cap):
+        raise InvariantViolation(f"bank.tsv: {too_hard}")
     if set(buffer.entries()) != set(ids):
         raise InvariantViolation(_id_mismatch("buffer.expbuf", buffer.entries(), ids))
 
@@ -327,9 +334,11 @@ def resume(path: str | Path) -> tuple[TabularPolicy, ExperienceBuffer, tuple[Pro
     def read(name: str, load: Callable):
         try:
             return load(path / name)
-        except (ValueError, KeyError, TypeError, EOFError) as e:
+        except OSError:
+            raise
+        except Exception as e:
             # A file that exists but cannot be parsed is an I/O fault, as a
-            # missing one is.
+            # missing one is, whatever its parser raises.
             raise OSError(f"unreadable checkpoint file {path / name}: {e!r}") from None
 
     meta = read("meta.json", _read_meta)

@@ -126,7 +126,7 @@ def test_05_advantage_gap_identity():
         rng.shuffle(rewards)
         cc = sum(1 for r in rewards if r > 0)
         adv = count_advantage(rewards, cc, eps)
-        gap = adv.values[rewards.index(1.0)] - adv.values[rewards.index(r_pen)]
+        gap = adv[rewards.index(1.0)] - adv[rewards.index(r_pen)]
         expected = advantage_gap(r_pen, cc, eps)
         ok &= abs(gap - expected) <= 1e-12 * abs(expected)
     report("5 (advantage-gap identity)", ok)

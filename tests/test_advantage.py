@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conciserl.advantage import advantage_gap, count_advantage, std_advantage
+from conciserl.advantage import EPS_STD, advantage_gap, count_advantage, std_advantage
 from conciserl.core import RolloutBatch
 from conciserl.env import Action, TabularPolicy
 from conciserl.objective import surrogate
@@ -27,18 +27,18 @@ def token_advantages(values, lengths):
 class TestCountAdvantage:
     def test_hand_example(self):
         adv = count_advantage([1, 1, 0.5, 0], correct_count=3, epsilon_adv=1e-6)
-        assert list(adv.values) == pytest.approx([0.125, 0.125, -0.0416667, -0.2083333], abs=1e-6)
+        assert list(adv) == pytest.approx([0.125, 0.125, -0.0416667, -0.2083333], abs=1e-6)
 
     def test_zero_group(self):
         adv = count_advantage([0.0] * 4, correct_count=0, epsilon_adv=1e-6)
-        assert all(v == 0 for v in adv.values)
+        assert all(v == 0 for v in adv)
         # a zero count is clamped to 1 in the denominator
         clamped = count_advantage([1.0, 0.0], correct_count=0, epsilon_adv=1e-6)
-        assert clamped.values[0] == pytest.approx(0.5 / (1 + 1e-6))
+        assert clamped[0] == pytest.approx(0.5 / (1 + 1e-6))
 
     def test_all_correct_identical(self):
         adv = count_advantage([1.0] * 8, correct_count=8, epsilon_adv=1e-6)
-        assert all(v == 0 for v in adv.values)
+        assert all(v == 0 for v in adv)
 
     def test_group_too_small(self):
         with pytest.raises(ValueError):
@@ -63,14 +63,14 @@ class TestCountAdvantage:
             rewards = rng.choice([0.0, 0.5, 1.0], size=g)
             cc = int((rewards > 0).sum())
             adv = count_advantage(rewards, cc, 1e-6)
-            assert abs(sum(adv.values) * (max(cc, 1) + 1e-6)) < 1e-9
+            assert abs(sum(adv) * (max(cc, 1) + 1e-6)) < 1e-9
 
     def test_magnitude_strictly_decreasing_in_count(self):
         rewards = [1, 1, 0.5, 0]
         prev = None
         for cc in range(1, 9):
             adv = count_advantage(rewards, cc, 1e-6)
-            mag = max(abs(v) for v in adv.values)
+            mag = max(abs(v) for v in adv)
             if prev is not None:
                 assert mag < prev
             prev = mag
@@ -79,7 +79,7 @@ class TestCountAdvantage:
 class TestStdAdvantage:
     def test_two_point_group(self):
         adv = std_advantage([1, 0])
-        assert list(adv.values) == pytest.approx([1.0, -1.0], abs=1e-6)
+        assert list(adv) == pytest.approx([1.0, -1.0], abs=1e-6)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1.5, -0.5])
     def test_reward_outside_unit_interval_rejected(self, bad):
@@ -88,13 +88,13 @@ class TestStdAdvantage:
 
     def test_identical_rewards_guarded(self):
         adv = std_advantage([0.5] * 5)
-        assert all(v == 0 for v in adv.values)
+        assert all(v == 0 for v in adv)
 
     def test_matches_recomputation(self):
         rewards = np.array([1, 1, 0.5, 0])
         adv = std_advantage(rewards)
         expected = (rewards - rewards.mean()) / (rewards.std() + 1e-8)
-        assert list(adv.values) == pytest.approx(list(expected))
+        assert list(adv) == pytest.approx(list(expected))
 
     def test_sign_agreement_with_count_mode(self):
         rng = np.random.default_rng(9)
@@ -104,7 +104,77 @@ class TestStdAdvantage:
             cc = int((rewards > 0).sum())
             a = count_advantage(rewards, cc, 1e-6)
             b = std_advantage(rewards)
-            assert all(np.sign(x) == np.sign(y) for x, y in zip(a.values, b.values))
+            assert all(np.sign(x) == np.sign(y) for x, y in zip(a, b))
+
+
+TABLE_GROUP_SIZES = (2, 3, 8, 16, 17)
+
+
+def random_tables(seed, n=1500):
+    """``n`` (rewards, correct counts) tables of 1 to 24 groups, G cycling
+    through TABLE_GROUP_SIZES: tier rewards (repeats and all-equal groups
+    are common) on odd draws, uniform ones on even draws, and counts from 0
+    to G."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        g = TABLE_GROUP_SIZES[i % len(TABLE_GROUP_SIZES)]
+        p = int(rng.integers(1, 25))
+        rewards = rng.choice([0.0, rng.uniform(0, 1), 1.0], size=(p, g)) if i % 2 else rng.random((p, g))
+        yield rewards, rng.integers(0, g + 1, size=p)
+
+
+class TestTable:
+    """A ``(P, G)`` reward table in one call, as the training step makes it."""
+
+    def test_count_table_equals_its_rows_bit_for_bit(self):
+        for rewards, counts in random_tables(11):
+            table = count_advantage(rewards, counts, 1e-6)
+            rows = [count_advantage(r, c, 1e-6) for r, c in zip(rewards, counts.tolist())]
+            # one group's float order: its sum over G, then a Python-int denominator
+            scalar = [(r - np.add.reduce(r) / len(r)) / (max(c, 1) + 1e-6) for r, c in zip(rewards, counts.tolist())]
+            assert table.shape == rewards.shape
+            assert table.tobytes() == np.stack(rows).tobytes() == np.stack(scalar).tobytes()
+
+    def test_std_table_equals_its_rows_bit_for_bit(self):
+        for rewards, _ in random_tables(12):
+            table = std_advantage(rewards)
+            rows = [std_advantage(r) for r in rewards]
+            scalar = [(r - float(r.mean())) / (float(r.std()) + EPS_STD) for r in rewards]
+            assert table.shape == rewards.shape
+            assert table.tobytes() == np.stack(rows).tobytes() == np.stack(scalar).tobytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.5, -0.5])
+    def test_one_bad_reward_anywhere_rejected(self, bad):
+        for cell in [(0, 0), (1, 2), (2, 3)]:
+            table = np.full((3, 4), 0.5)
+            table[cell] = bad
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                count_advantage(table, [1, 2, 3], 1e-6)
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                std_advantage(table)
+
+    def test_groups_of_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            count_advantage(np.ones((3, 1)), [1, 1, 1], 1e-6)
+        with pytest.raises(ValueError, match="at least 2"):
+            std_advantage(np.ones((3, 1)))
+        with pytest.raises(ValueError, match="at least 2"):
+            std_advantage(0.5)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            count_advantage(np.full((3, 4), 0.5), [1, -1, 0], 1e-6)
+
+    def test_one_count_per_group(self):
+        with pytest.raises(ValueError, match="does not match"):
+            count_advantage(np.full((3, 4), 0.5), [1, 2], 1e-6)
+        with pytest.raises(ValueError, match="does not match"):
+            count_advantage([1.0, 0.0], [1], 1e-6)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-6])
+    def test_non_positive_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon_adv"):
+            count_advantage(np.full((3, 4), 0.5), [1, 2, 3], eps)
 
 
 class TestAdvantageGap:
@@ -135,7 +205,7 @@ class TestAdvantageGap:
             adv = count_advantage(rewards, cc, eps)
             i_con = rewards.index(1.0)
             i_ver = rewards.index(r_pen)
-            gap = adv.values[i_con] - adv.values[i_ver]
+            gap = adv[i_con] - adv[i_ver]
             expected = advantage_gap(r_pen, cc, eps)
             assert gap == pytest.approx(expected, rel=1e-12)
 

@@ -49,6 +49,23 @@ def zero_w_cap(ck):
     np.save(ck / "policy_logits.npy", np.load(ck / "policy_logits.npy")[:, :1])
 
 
+def unclosed_shape(ck):
+    # the .npy header loses the parenthesis that closes its shape (a space
+    # keeps the data where it was), which numpy's header parser reports as
+    # a tokenize.TokenError
+    path = ck / "policy_logits.npy"
+    data = path.read_bytes()
+    assert data.count(b"), }") == 1
+    path.write_bytes(data.replace(b"), }", b" , }"))
+
+
+def too_hard_first_problem(ck):
+    # difficulty 99 under the run's w_cap of 10: the policy has no state for it
+    bank = ck / "bank.tsv"
+    lines = bank.read_text().splitlines(keepends=True)
+    bank.write_text("p000\t99\tB\n" + "".join(lines[1:]))
+
+
 # Checkpoint edits that `conciserl eval` must refuse: (edit, exit code, stderr pattern).
 BAD_CHECKPOINTS = {
     "logits-nan": (nan_logits, EXIT_INVARIANT, "invariant violation: logits are not finite"),
@@ -61,6 +78,12 @@ BAD_CHECKPOINTS = {
         lambda ck: np.save(ck / "policy_logits.npy", np.full((4, 11, 4), "x")),
         EXIT_IO,
         "unreadable checkpoint file .*policy_logits.npy",
+    ),
+    "logits-header-unclosed": (unclosed_shape, EXIT_IO, "unreadable checkpoint file .*policy_logits.npy"),
+    "bank-too-hard": (
+        too_hard_first_problem,
+        EXIT_INVARIANT,
+        "invariant violation: bank.tsv: problem 'p000' difficulty 99 exceeds w_cap 10",
     ),
     "meta-w_cap": (lambda ck: edit_meta(ck, w_cap="x"), EXIT_IO, "unreadable checkpoint file .*meta.json"),
     "meta-w_cap-0": (zero_w_cap, EXIT_IO, "unreadable checkpoint file .*meta.json"),

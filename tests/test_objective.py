@@ -60,9 +60,9 @@ def random_groups(rng, n_problems=2, group_size=4, w_cap=4, mode="count", policy
         groups.append(group_of(group_rollouts, logp[behavior.problem_index(group_rollouts[0].problem_id)]))
         rewards = [1.0 if r.correct else 0.0 for r in group_rollouts]
         if mode == "count":
-            advs.append(count_advantage(rewards, sum(r.correct for r in group_rollouts), 1e-6).values)
+            advs.append(count_advantage(rewards, sum(r.correct for r in group_rollouts), 1e-6))
         else:
-            advs.append(std_advantage(rewards).values)
+            advs.append(std_advantage(rewards))
     return stack(groups), np.array(advs), behavior
 
 
@@ -198,7 +198,7 @@ class TestTokenBatch:
         behavior = policy.log_probs()
         behavior[0, states, actions] = old
         batch = RolloutBatch(["p"], counts, behavior, [[True, False]], [[False, False]])
-        adv = count_advantage([1.0, 0.0], 1, 1e-6).values
+        adv = count_advantage([1.0, 0.0], 1, 1e-6)
         per_token = tokens(policy, (0, states, actions, old, [adv[0]] * 3 + [adv[1]] * 2))
         value, grad = surrogate(batch, [adv], policy, EPS_LOW, EPS_HIGH)
         ref_value, ref_grad = surrogate(*per_token, policy, EPS_LOW, EPS_HIGH)
@@ -285,9 +285,9 @@ class TestFlatten:
             rewards = [[1.0 if r.correct else 0.0 for r in rs] for rs in rollouts]
             if seed % 2:
                 correct_counts = batch.correct.sum(axis=1).tolist()
-                advs = [count_advantage(rw, c, 1e-6).values for rw, c in zip(rewards, correct_counts)]
+                advs = [count_advantage(rw, c, 1e-6) for rw, c in zip(rewards, correct_counts)]
             else:
-                advs = [std_advantage(rw).values for rw in rewards]
+                advs = [std_advantage(rw) for rw in rewards]
             policy = behavior.copy()
             policy.logits = policy.logits + rng.normal(0, 0.5, size=policy.logits.shape)
             assert_equals_token_oracle(batch, advs, policy)
@@ -309,7 +309,7 @@ class TestFlatten:
             batch = sample_batch(behavior, bank, int(rng.integers(2, 9)), 48, (seed,))
             mode = count_advantage if seed % 2 else (lambda r, c, e: std_advantage(r))
             group_size = batch.correct.shape[1]
-            advs = [mode(rng.random(group_size), c, 1e-6).values for c in batch.correct.sum(axis=1).tolist()]
+            advs = [mode(rng.random(group_size), c, 1e-6) for c in batch.correct.sum(axis=1).tolist()]
             policy = behavior.copy()
             policy.logits = policy.logits + rng.normal(0, 0.5, size=policy.logits.shape)
             assert_equals_token_oracle(batch, advs, policy)
@@ -401,7 +401,7 @@ def training_batch(config, seed, bank=None):
     batch = sample_batch(policy, bank, config.group_size, config.l_max, (seed, 1))
     buffer = ExperienceBuffer.init(ids, config.l_max)
     advs = [
-        count_advantage([s.value for s in shape_group(g, buffer, config.alpha, config.r_pen)], c, 1e-6).values
+        count_advantage([s.value for s in shape_group(g, buffer, config.alpha, config.r_pen)], c, 1e-6)
         for g, c in zip(batch, batch.correct.sum(axis=1).tolist())
     ]
     return batch, np.array(advs), policy

@@ -139,6 +139,11 @@ REFUSED_STATES = {
         InvariantViolation,
         "bank.tsv does not match the policy's problem ids: missing p000",
     ),
+    "bank-too-hard": (
+        lambda r: {"bank": (ProblemSpec("p000", r.policy.w_cap + 1, "A"), *r.bank[1:])},
+        InvariantViolation,
+        "bank.tsv: problem 'p000' difficulty 6 exceeds w_cap 5",
+    ),
     "step-negative": (lambda r: {"step": -1}, ValueError, "step must be an int >= 0"),
     "step-bool": (lambda r: {"step": True}, ValueError, "step must be an int >= 0"),
     "step-float": (lambda r: {"step": 2.5}, ValueError, "step must be an int >= 0"),
