@@ -343,7 +343,8 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     ``w_cap``; any other token exits it. A run of state-keeping tokens
     therefore ends at the first uniform outside ``[cum[w, 0], cum[w, 1])``
     (``[0, cum[w, 1])`` at ``w_cap``), which one numpy pass finds for every
-    live rollout at once. Each rollout draws the PCG64 stream its seed words
+    live rollout at once; the uniforms a rollout has read are NaN, which no
+    comparison passes. Each rollout draws the PCG64 stream its seed words
     seed: numpy computes every rollout's first chunk of doubles at once
     (``_first_chunk``), and only the rollouts still live after it get a
     generator, which ``_generators`` starts where that chunk ended; they draw
@@ -353,7 +354,10 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
 
     The walk keeps one number per (rollout, state): ``left``, the token at
     which the rollout left the state, which is its answer in its last state,
-    or ``l_max`` if it was truncated there. The count table follows: each
+    or ``l_max`` if it was truncated there. A rollout goes on into the next
+    chunk exactly when its current state's ``left`` is at or past the chunk's
+    end: it met the sentinel that closes every chunk, or its last token was a
+    WORK exit into a state it has not left. The count table follows: each
     state before the last holds the FILLERs between the tokens that entered
     and left it, then one WORK; the last holds that gap, less the WORK tokens
     the walk counts at ``w_cap``, those WORK tokens and the answer.
@@ -375,9 +379,7 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     rows = np.arange(n)
     offset, width = 0, min(_FIRST_CHUNK, l_max)
     while rows.size:
-        # The rollouts still in this chunk: their states, their uniforms and
-        # the column of their last exit.
-        r, s, ur, cursor = rows, state[rows], np.empty((rows.size, width + 1)), None
+        r, s, ur = rows, state[rows], np.empty((rows.size, width + 1))  # the chunk's rollouts, states, uniforms
         ur[:, width] = 2.0  # a sentinel that exits every state
         if offset:
             for out, row in zip(ur[:, :width], rows.tolist()):
@@ -385,19 +387,14 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
         else:
             ur[:, :width], pcg_hi, pcg_lo = _first_chunk(words, width)
         columns = np.arange(width + 1)
-        spilled = []  # rollouts that go on into the next chunk
         while r.size:
             lo_r = lo[s]
             exits = (ur < lo_r[:, None]) | (ur >= hi[s][:, None])
-            if cursor is not None:
-                exits &= columns > cursor[:, None]
             j = exits.argmax(axis=1)
             cap = lo_r < 0
             if cap.any():
                 rc = r[cap]
                 kept = (ur[cap] < cap_edge[rc][:, None]) & (columns < j[cap][:, None])
-                if cursor is not None:
-                    kept &= columns > cursor[cap][:, None]
                 cap_work[rc] += kept.sum(axis=1)
             u = exit_u[r] = ur[np.arange(r.size), j]
             # at the sentinel, offset + width: l_max once the last chunk is spent
@@ -405,11 +402,10 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
             work = u < lo_r
             s += work
             state[r] = s
-            after = j + work  # the column after the exit, or past the chunk
-            spilled.append(r[after >= width])
-            more = work & (after < width)
-            r, s, ur, cursor = r[more], s[more], ur[more], j[more]
-        rows = np.concatenate(spilled) if offset + width < l_max else rows[:0]
+            more = work & (j + 1 < width)
+            r, s, ur = r[more], s[more], ur[more]
+            np.copyto(ur, np.nan, where=columns <= j[more][:, None])
+        rows = rows[left[state[rows]] >= offset + width] if offset + width < l_max else rows[:0]
         if not offset:
             rngs = dict(zip(rows.tolist(), _generators(words[rows], pcg_hi[rows], pcg_lo[rows])))
         offset += width

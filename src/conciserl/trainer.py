@@ -32,6 +32,7 @@ from .env import (
     initial_policy,
     load_bank,
     make_problem_bank,
+    min_correct_length,
     sample_batch,
     save_bank,
 )
@@ -43,7 +44,7 @@ CHECKPOINT_VERSION = 1
 RUN_FILES = ("config.txt", "steps.jsonl", "summary.json", "checkpoints")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepLog:
     step: int
     batch_mean_length: float
@@ -299,8 +300,8 @@ def _check_state(meta: dict, logits: np.ndarray, buffer: ExperienceBuffer, bank:
     """The check ``checkpoint`` makes before it writes a state and ``resume``
     after it reads one: meta.json's ``step`` (an int >= 0), ``w_cap`` (an int
     >= 1) and ``problem_ids`` (``check_ids``) raise ValueError; logits not of
-    its shape or not finite, other bank or buffer ids, and a bank problem
-    harder than ``w_cap`` (``_too_hard``), InvariantViolation."""
+    its shape or not finite, other bank or buffer ids, a problem past ``w_cap``
+    and a solved buffer entry below ``min_correct_length``, InvariantViolation."""
     step, w_cap, ids = meta["step"], meta["w_cap"], list(check_ids(meta["problem_ids"]))
     if type(step) is not int or step < 0 or type(w_cap) is not int or w_cap < 1:
         raise ValueError(f"step must be an int >= 0 and w_cap an int >= 1, got {step!r} and {w_cap!r}")
@@ -316,6 +317,9 @@ def _check_state(meta: dict, logits: np.ndarray, buffer: ExperienceBuffer, bank:
         raise InvariantViolation(f"bank.tsv: {too_hard}")
     if set(buffer.entries()) != set(ids):
         raise InvariantViolation(_id_mismatch("buffer.expbuf", buffer.entries(), ids))
+    for p in bank:
+        if (entry := buffer.entry(p.id)) < min(floor := min_correct_length(p), buffer.l_max):
+            raise InvariantViolation(f"buffer.expbuf: problem {p.id!r} entry {entry} is below its floor {floor}")
 
 
 def resume(path: str | Path) -> tuple[TabularPolicy, ExperienceBuffer, tuple[ProblemSpec, ...], int]:

@@ -66,6 +66,13 @@ def too_hard_first_problem(ck):
     bank.write_text("p000\t99\tB\n" + "".join(lines[1:]))
 
 
+def below_floor_entry(ck):
+    # p003 has difficulty 4, so no correct rollout is shorter than 5 tokens
+    path = ck / "buffer.expbuf"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join("p003\t1\n" if line.startswith("p003\t") else line for line in lines))
+
+
 # Checkpoint edits that `conciserl eval` must refuse: (edit, exit code, stderr pattern).
 BAD_CHECKPOINTS = {
     "logits-nan": (nan_logits, EXIT_INVARIANT, "invariant violation: logits are not finite"),
@@ -84,6 +91,11 @@ BAD_CHECKPOINTS = {
         too_hard_first_problem,
         EXIT_INVARIANT,
         "invariant violation: bank.tsv: problem 'p000' difficulty 99 exceeds w_cap 10",
+    ),
+    "buffer-below-floor": (
+        below_floor_entry,
+        EXIT_INVARIANT,
+        "invariant violation: buffer.expbuf: problem 'p003' entry 1 is below its floor 5",
     ),
     "meta-w_cap": (lambda ck: edit_meta(ck, w_cap="x"), EXIT_IO, "unreadable checkpoint file .*meta.json"),
     "meta-w_cap-0": (zero_w_cap, EXIT_IO, "unreadable checkpoint file .*meta.json"),

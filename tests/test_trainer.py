@@ -144,6 +144,11 @@ REFUSED_STATES = {
         InvariantViolation,
         "bank.tsv: problem 'p000' difficulty 6 exceeds w_cap 5",
     ),
+    "buffer-below-floor": (
+        lambda r: {"buffer": ExperienceBuffer({**r.buffer.entries(), "p003": 1}, r.buffer.l_max)},
+        InvariantViolation,
+        "buffer.expbuf: problem 'p003' entry 1 is below its floor 5",
+    ),
     "step-negative": (lambda r: {"step": -1}, ValueError, "step must be an int >= 0"),
     "step-bool": (lambda r: {"step": True}, ValueError, "step must be an int >= 0"),
     "step-float": (lambda r: {"step": 2.5}, ValueError, "step must be an int >= 0"),
@@ -529,6 +534,14 @@ class TestCheckpointResume:
             train_step(policy, buffer, bank, cfg, s)
         assert np.array_equal(policy.logits, continuous.policy.logits)
         assert buffer == continuous.buffer
+
+    def test_unsolved_entries_may_sit_below_the_floor(self, tmp_path):
+        # at l_max = 2 no rollout of p001..p003 fits their floors of 3..5:
+        # their entries stay at l_max, which checkpoint and resume accept
+        result = run(small_config(steps=2, l_max=2))
+        assert [result.buffer.entry(p) for p in ("p001", "p002", "p003")] == [2, 2, 2]
+        checkpoint(result.policy, result.buffer, 2, tmp_path / "ck", result.bank)
+        assert resume(tmp_path / "ck")[1] == result.buffer
 
     def test_checkpoint_same_path_again(self, tmp_path):
         result = run(small_config(steps=2))
