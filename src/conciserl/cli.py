@@ -137,11 +137,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
             writer.writerow(["step", field])
             writer.writerows([s["step"], s[field]] for s in steps)
 
-    violations = [
-        f"mean_shortest_correct increased between steps {prev['step']} and {cur['step']}"
-        for prev, cur in zip(steps, steps[1:])
-        if cur["mean_shortest_correct"] > prev["mean_shortest_correct"]
-    ]
+    # The buffer only decreases: its mean never rises, and no entry returns to l_max.
+    violations = []
+    for prev, cur in zip(steps, steps[1:]):
+        between = f"between steps {prev['step']} and {cur['step']}"
+        if cur["mean_shortest_correct"] > prev["mean_shortest_correct"]:
+            violations.append(f"mean_shortest_correct increased {between}")
+        if cur["solved_count"] < prev["solved_count"]:
+            violations.append(f"solved_count fell {between}")
     if violations:
         raise InvariantViolation("; ".join(violations))
     return EXIT_OK

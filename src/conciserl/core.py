@@ -133,7 +133,8 @@ class RolloutBatch:
     ``behavior_logp[p]`` is problem p's table of log-probabilities (nats)
     under the policy that sampled the batch, constants rather than functions
     of the current parameters. ``lengths`` is derived from the table. The
-    arrays are checked and frozen on construction, and a record compares
+    ids (``check_ids``, so no problem repeats) and the arrays are checked,
+    and the arrays frozen, on construction, and a record compares
     equal only to itself. ``batch[p]``, also by iteration, is problem p's
     group: a one-problem record viewing the checked arrays.
     """
@@ -165,6 +166,7 @@ class RolloutBatch:
             raise ValueError(f"{len(self.problem_ids)} problem ids for {len(counts)} problems")
         if 0 in counts.shape[:2]:
             raise ValueError("a rollout batch must contain at least one rollout of at least one problem")
+        check_ids(self.problem_ids)
         if not self.correct.shape == self.truncated.shape == counts.shape[:2]:
             raise ValueError("counts, correct and truncated must have one entry per rollout")
         if (counts < 0).any():
@@ -283,8 +285,6 @@ class RunConfig:
             errors.append("n_problems must be >= 1")
         if not 1 <= self.d_min <= self.d_max:
             errors.append("1 <= d_min <= d_max required")
-        if self.d_max > self.w_cap:
-            errors.append("d_max must be <= w_cap")
         if self.checkpoint_every < 1:
             errors.append("checkpoint_every must be >= 1")
         if errors:

@@ -438,16 +438,7 @@ def make_problem_bank(
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     span = d_max - d_min + 1
-    bank = []
-    for i in range(count):
-        bank.append(
-            ProblemSpec(
-                id=f"p{i:03d}",
-                difficulty=d_min + i % span,
-                correct_answer=ANSWERS[int(rng.integers(2))],
-            )
-        )
-    return tuple(bank)
+    return tuple(ProblemSpec(f"p{i:03d}", d_min + i % span, ANSWERS[int(rng.integers(2))]) for i in range(count))
 
 
 def save_bank(bank: Iterable[ProblemSpec], path: str | Path) -> None:

@@ -32,8 +32,7 @@ def surrogate(
     ``advantages[p, i]`` is rollout i of problem p's advantage, and applies
     to every one of its tokens. At an exact tie between the two min branches
     the unclipped branch's gradient is used (ties are measure-zero under
-    sampling). A problem may appear in more than one row of the batch; its
-    gradient rows are summed in batch order.
+    sampling).
     """
     if not (0 < eps_low < eps_high):
         raise ValueError("need 0 < eps_low < eps_high")
@@ -59,5 +58,5 @@ def surrogate(
     weight = (counts * np.where(unclipped_val <= clipped_val, unclipped_val, 0.0)).sum(axis=1)
     weight /= (n * len(batch))[:, None, None]
     grad = np.zeros_like(policy.logits)
-    np.add.at(grad, index, weight - np.exp(logp[index]) * weight.sum(axis=-1, keepdims=True))
+    grad[index] += weight - np.exp(logp[index]) * weight.sum(axis=-1, keepdims=True)
     return total / len(batch), grad

@@ -72,8 +72,8 @@ class StepLog:
 
 
 def read_step_log(path: str | Path) -> list[dict]:
-    """The ``step``, ``batch_mean_length`` and ``mean_shortest_correct`` of
-    each record of a ``steps.jsonl``.
+    """The ``step``, ``batch_mean_length``, ``mean_shortest_correct`` and
+    ``solved_count`` of each record of a ``steps.jsonl``.
 
     A file that is not UTF-8 lines of JSON objects holding these fields as
     finite numbers raises OSError, as a missing one does: a NaN would pass
@@ -82,7 +82,8 @@ def read_step_log(path: str | Path) -> list[dict]:
     data = Path(path).read_bytes()
     try:
         records = [json.loads(line) for line in data.decode("utf-8").splitlines() if line.strip()]
-        steps = [{k: r[k] for k in ("step", "batch_mean_length", "mean_shortest_correct")} for r in records]
+        fields = ("step", "batch_mean_length", "mean_shortest_correct", "solved_count")
+        steps = [{k: r[k] for k in fields} for r in records]
         for s in steps:
             for k, v in s.items():
                 if type(v) not in (int, float) or not math.isfinite(v):
@@ -182,8 +183,8 @@ def run(
 ) -> RunResult:
     """Execute ``config.steps`` training steps from a fresh policy.
 
-    When ``out_dir`` is given, a directory that already holds any of
-    ``RUN_FILES`` raises ValueError before anything is written. Otherwise the
+    A bank that ``_untrainable`` refuses, or an ``out_dir`` that holds any of
+    ``RUN_FILES``, raises ValueError before anything is written. Otherwise the
     run writes ``config.txt``, ``steps.jsonl`` (one StepLog per line, flushed
     before each checkpoint), checkpoints under ``checkpoints/step_<n>/`` and,
     after the last step, ``summary.json``. A step that leaves the logits
@@ -198,8 +199,8 @@ def run(
         bank = make_problem_bank(config.n_problems, (config.d_min, config.d_max), config.seed)
     else:
         bank = tuple(bank)
-    if too_hard := _too_hard(bank, config.w_cap):
-        raise ValueError(too_hard)
+    if untrainable := _untrainable(bank, config.w_cap, config.l_max):
+        raise ValueError(untrainable)
     ids = [p.id for p in bank]
     policy = initial_policy(ids, config.w_cap, config.init_answer_logit)
     buffer = ExperienceBuffer.init(ids, config.l_max)
@@ -290,18 +291,24 @@ def _id_mismatch(name: str, ids: Iterable[str], policy_ids: Iterable[str]) -> st
     return f"{name} does not match the policy's problem ids: {diff or 'order or count differs'}"
 
 
-def _too_hard(bank: Iterable[ProblemSpec], w_cap: int) -> str:
-    """The first problem of ``bank`` harder than ``w_cap`` allows, or "" (a policy has no state past it)."""
-    hard = [p for p in bank if p.difficulty > w_cap]
-    return f"problem {hard[0].id!r} difficulty {hard[0].difficulty} exceeds w_cap {w_cap}" if hard else ""
+def _untrainable(bank: Iterable[ProblemSpec], w_cap: int, l_max: int) -> str:
+    """The first problem of ``bank`` a run cannot train on, or "": one past ``w_cap`` (a policy has no
+    state there), or one whose ``min_correct_length`` exceeds ``l_max`` (it could never be correct)."""
+    for p in bank:
+        if p.difficulty > w_cap:
+            return f"problem {p.id!r} difficulty {p.difficulty} exceeds w_cap {w_cap}"
+        if (floor := min_correct_length(p)) > l_max:
+            return f"problem {p.id!r} needs {floor} tokens, more than l_max {l_max}"
+    return ""
 
 
 def _check_state(meta: dict, logits: np.ndarray, buffer: ExperienceBuffer, bank: Sequence[ProblemSpec]) -> None:
     """The check ``checkpoint`` makes before it writes a state and ``resume``
     after it reads one: meta.json's ``step`` (an int >= 0), ``w_cap`` (an int
     >= 1) and ``problem_ids`` (``check_ids``) raise ValueError; logits not of
-    its shape or not finite, other bank or buffer ids, a problem past ``w_cap``
-    and a solved buffer entry below ``min_correct_length``, InvariantViolation."""
+    its shape or not finite, other bank or buffer ids, a bank ``_untrainable``
+    refuses at the buffer's ``l_max`` and an entry below ``min_correct_length``,
+    InvariantViolation."""
     step, w_cap, ids = meta["step"], meta["w_cap"], list(check_ids(meta["problem_ids"]))
     if type(step) is not int or step < 0 or type(w_cap) is not int or w_cap < 1:
         raise ValueError(f"step must be an int >= 0 and w_cap an int >= 1, got {step!r} and {w_cap!r}")
@@ -313,12 +320,12 @@ def _check_state(meta: dict, logits: np.ndarray, buffer: ExperienceBuffer, bank:
     bank_ids = [p.id for p in bank]
     if bank_ids != ids:
         raise InvariantViolation(_id_mismatch("bank.tsv", bank_ids, ids))
-    if too_hard := _too_hard(bank, w_cap):
-        raise InvariantViolation(f"bank.tsv: {too_hard}")
+    if untrainable := _untrainable(bank, w_cap, buffer.l_max):
+        raise InvariantViolation(f"bank.tsv: {untrainable}")
     if set(buffer.entries()) != set(ids):
         raise InvariantViolation(_id_mismatch("buffer.expbuf", buffer.entries(), ids))
     for p in bank:
-        if (entry := buffer.entry(p.id)) < min(floor := min_correct_length(p), buffer.l_max):
+        if (entry := buffer.entry(p.id)) < (floor := min_correct_length(p)):
             raise InvariantViolation(f"buffer.expbuf: problem {p.id!r} entry {entry} is below its floor {floor}")
 
 

@@ -66,6 +66,12 @@ def too_hard_first_problem(ck):
     bank.write_text("p000\t99\tB\n" + "".join(lines[1:]))
 
 
+def bank_past_l_max(ck):
+    # at l_max 3, p002 (difficulty 3) needs a 4-token response: no group of
+    # it could hold a correct rollout, though every entry sits at l_max
+    ExperienceBuffer(dict.fromkeys(["p000", "p001", "p002", "p003"], 3), 3).save(ck / "buffer.expbuf")
+
+
 def below_floor_entry(ck):
     # p003 has difficulty 4, so no correct rollout is shorter than 5 tokens
     path = ck / "buffer.expbuf"
@@ -92,6 +98,11 @@ BAD_CHECKPOINTS = {
         EXIT_INVARIANT,
         "invariant violation: bank.tsv: problem 'p000' difficulty 99 exceeds w_cap 10",
     ),
+    "bank-past-l_max": (
+        bank_past_l_max,
+        EXIT_INVARIANT,
+        "invariant violation: bank.tsv: problem 'p002' needs 4 tokens, more than l_max 3",
+    ),
     "buffer-below-floor": (
         below_floor_entry,
         EXIT_INVARIANT,
@@ -112,14 +123,16 @@ BAD_STEPS_JSONL = [
     b"{not json\n",
     b"[1, 2]\n",
     b'{"step": 1}\n',
-    b'{"step": 1, "batch_mean_length": 5.0, "mean_shortest_correct": "x"}\n',
+    b'{"step": 1, "batch_mean_length": 5.0, "mean_shortest_correct": "x", "solved_count": 0}\n',
     b'{"step": 1\xff}\n',
     # NaN passes every comparison replay makes; booleans are not numbers
-    b'{"step": 1, "batch_mean_length": 5.0, "mean_shortest_correct": 3}\n'
-    b'{"step": 2, "batch_mean_length": 5.0, "mean_shortest_correct": NaN}\n'
-    b'{"step": 3, "batch_mean_length": 5.0, "mean_shortest_correct": 9}\n',
-    b'{"step": 1, "batch_mean_length": Infinity, "mean_shortest_correct": 3}\n',
-    b'{"step": true, "batch_mean_length": 5.0, "mean_shortest_correct": 3}\n',
+    b'{"step": 1, "batch_mean_length": 5.0, "mean_shortest_correct": 3, "solved_count": 0}\n'
+    b'{"step": 2, "batch_mean_length": 5.0, "mean_shortest_correct": NaN, "solved_count": 0}\n'
+    b'{"step": 3, "batch_mean_length": 5.0, "mean_shortest_correct": 9, "solved_count": 0}\n',
+    b'{"step": 1, "batch_mean_length": Infinity, "mean_shortest_correct": 3, "solved_count": 0}\n',
+    b'{"step": true, "batch_mean_length": 5.0, "mean_shortest_correct": 3, "solved_count": 0}\n',
+    b'{"step": 1, "batch_mean_length": 5.0, "mean_shortest_correct": 3}\n',
+    b'{"step": 1, "batch_mean_length": 5.0, "mean_shortest_correct": 3, "solved_count": NaN}\n',
 ]
 SHORT_ROW_CSV = b"name,accuracy,mean_tokens\nV,50\n"
 NON_FINITE_ROW_CSV = b"name,accuracy,mean_tokens\nV,60,90\nvan/a,50,nan\n"
@@ -215,6 +228,14 @@ class TestTrain:
         cfg = write_config(tmp_path, "steps = 2\n")
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--r-pen", "1.5"])
         assert code == EXIT_CONFIG
+
+    def test_bank_past_w_cap_writes_nothing(self, tmp_path, capsys):
+        # d_max 11 under the default w_cap 10: the bank's p010 has no policy
+        # state, so the run is refused before its directory exists
+        cfg = write_config(tmp_path, "d_max = 11\nsteps = 1\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "w_cap" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = write_bytes(tmp_path / "run.cfg", NOT_UTF8_CONFIG)
@@ -434,11 +455,12 @@ class TestMetrics:
 
 
 class TestReplay:
-    def write_steps(self, tmp_path, values):
+    def write_steps(self, tmp_path, values, solved=None):
         path = tmp_path / "steps.jsonl"
+        solved = solved or [0] * len(values)
         lines = [
-            json.dumps({"step": i + 1, "batch_mean_length": 10.0, "mean_shortest_correct": v})
-            for i, v in enumerate(values)
+            json.dumps({"step": i + 1, "batch_mean_length": 10.0, "mean_shortest_correct": v, "solved_count": n})
+            for i, (v, n) in enumerate(zip(values, solved))
         ]
         path.write_text("\n".join(lines) + "\n")
         return path
@@ -455,6 +477,12 @@ class TestReplay:
         path = self.write_steps(tmp_path, [100.0, 80.0, 95.0])
         assert main(["replay", "--steps-jsonl", str(path)]) == EXIT_INVARIANT
         assert "steps 2 and 3" in capsys.readouterr().err
+
+    def test_solved_count_falling(self, tmp_path, capsys):
+        # an entry that has left l_max never returns, even while the mean falls
+        path = self.write_steps(tmp_path, [100.0, 90.0, 80.0], solved=[2, 3, 2])
+        assert main(["replay", "--steps-jsonl", str(path)]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == "invariant violation: solved_count fell between steps 2 and 3\n"
 
     def test_missing_file(self, tmp_path):
         assert main(["replay", "--steps-jsonl", str(tmp_path / "nope.jsonl")]) == EXIT_IO

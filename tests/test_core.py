@@ -94,9 +94,18 @@ ID_HOLDERS = {
     "ExperienceBuffer.init": lambda ids: ExperienceBuffer.init(ids, 10),
     "TabularPolicy": lambda ids: TabularPolicy(ids, 2),
     "initial_policy": lambda ids: initial_policy(ids, 2, -1.0),
+    "RolloutBatch": lambda ids: RolloutBatch(
+        ids, np.ones((len(ids), 1, 2, 4)), np.zeros((len(ids), 2, 4)), np.zeros((len(ids), 1)), np.zeros((len(ids), 1))
+    ),
 }
-# A ProblemSpec holds one id, and a dict no repeat: the lists they cannot express.
-INEXPRESSIBLE = {("ProblemSpec", "repeat"), ("ProblemSpec", "no-ids"), ("ExperienceBuffer", "repeat")}
+# A ProblemSpec holds one id, and a dict no repeat: the lists they cannot
+# express. A batch of no problems is refused as empty, before its ids.
+INEXPRESSIBLE = {
+    ("ProblemSpec", "repeat"),
+    ("ProblemSpec", "no-ids"),
+    ("ExperienceBuffer", "repeat"),
+    ("RolloutBatch", "no-ids"),
+}
 
 
 class TestCheckIds:

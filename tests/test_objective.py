@@ -295,17 +295,16 @@ class TestFlatten:
             clip_active += int(np.sum((ratio < 1 - EPS_LOW) | (ratio > 1 + EPS_HIGH)))
         assert clip_active > 0
 
-    def test_repeated_problems_and_active_clip_equal_reference(self):
-        # stale-behavior batches in which some problems appear twice: each
-        # gradient cell sums the terms of every group of its problem
+    def test_stale_behavior_and_active_clip_equal_reference(self):
+        # batches scored away from the policy that sampled them, their
+        # problems in another order than the policy's rows
         clip_active = 0
         for seed in range(30):
             rng = np.random.default_rng(600 + seed)
-            ids = tuple(f"p{i}" for i in range(3))
+            ids = tuple(f"p{i}" for i in range(5))
             behavior = random_policy(rng, ids, w_cap=3)
             unique = [ProblemSpec(pid, int(rng.integers(1, 4)), "AB"[i % 2]) for i, pid in enumerate(ids)]
-            bank = [unique[int(i)] for i in rng.integers(0, 3, size=5)]
-            assert len({p.id for p in bank}) < len(bank)
+            bank = [unique[int(i)] for i in rng.permutation(len(ids))]
             batch = sample_batch(behavior, bank, int(rng.integers(2, 9)), 48, (seed,))
             mode = count_advantage if seed % 2 else (lambda r, c, e: std_advantage(r))
             group_size = batch.correct.shape[1]
@@ -355,15 +354,16 @@ class TestSurrogate:
 
     def test_count_tables_equal_token_oracle(self):
         # hand-built tables, not sampled ones: rollouts of up to thousands of
-        # tokens in any cells, batches that repeat problems, behavior tables
-        # far enough from the policy that the clip acts on both sides
+        # tokens in any cells, batches of any of the policy's problems in any
+        # order, behavior tables far enough from the policy that the clip acts
+        # on both sides
         clipped = {"low": 0, "high": 0}
         for seed in range(40):
             rng = np.random.default_rng(650 + seed)
-            ids = tuple(f"p{i}" for i in range(3))
+            ids = tuple(f"p{i}" for i in range(6))
             policy = random_policy(rng, ids, w_cap=int(rng.integers(1, 6)))
             logp = policy.log_probs()
-            index = rng.integers(0, len(ids), size=int(rng.integers(1, 7)))
+            index = rng.choice(len(ids), size=int(rng.integers(1, 7)), replace=False)
             size = (len(index), int(rng.integers(1, 9)))
             counts = rng.integers(0, 3, size=(*size, *logp.shape[1:])) * rng.integers(1, 800, size=(*size, 1, 1))
             counts[:, :, 0, Action.ANSWER_A] += 1
@@ -391,12 +391,12 @@ class TestSurrogate:
         assert val == pytest.approx((1.0 + -1.0) / 2)
 
 
-def training_batch(config, seed, bank=None):
+def training_batch(config, seed):
     """A batch as ``train_step`` samples it at step 1 of a run of
     ``config``, with its count advantages, and the policy it was sampled
     from."""
-    bank = make_problem_bank(config.n_problems, (config.d_min, config.d_max), seed) if bank is None else bank
-    ids = list(dict.fromkeys(p.id for p in bank))
+    bank = make_problem_bank(config.n_problems, (config.d_min, config.d_max), seed)
+    ids = [p.id for p in bank]
     policy = initial_policy(ids, config.w_cap, config.init_answer_logit)
     batch = sample_batch(policy, bank, config.group_size, config.l_max, (seed, 1))
     buffer = ExperienceBuffer.init(ids, config.l_max)
@@ -415,17 +415,11 @@ def cli_defaults_batch(seed):
     return training_batch(RunConfig(init_answer_logit=-6.0), seed)
 
 
-def repeated_problem_batch(seed):
-    unique = make_problem_bank(3, (1, 10), seed)
-    bank = [unique[i] for i in (0, 1, 0, 2, 1, 0)]
-    return training_batch(RunConfig(group_size=8, l_max=1024), seed, bank)
-
-
 class TestWholeBatch:
     """The whole-batch surrogate against the loop over groups it replaced:
     the gradient bit for bit, the objective to rtol 1e-12."""
 
-    @pytest.mark.parametrize("make", [desk_batch, cli_defaults_batch, repeated_problem_batch])
+    @pytest.mark.parametrize("make", [desk_batch, cli_defaults_batch])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_equals_group_loop(self, make, seed):
         batch, advs, behavior = make(seed)

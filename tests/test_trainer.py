@@ -144,6 +144,11 @@ REFUSED_STATES = {
         InvariantViolation,
         "bank.tsv: problem 'p000' difficulty 6 exceeds w_cap 5",
     ),
+    "bank-past-l_max": (
+        lambda r: {"buffer": ExperienceBuffer(dict.fromkeys(r.policy.problem_ids, 3), 3)},
+        InvariantViolation,
+        "bank.tsv: problem 'p002' needs 4 tokens, more than l_max 3",
+    ),
     "buffer-below-floor": (
         lambda r: {"buffer": ExperienceBuffer({**r.buffer.entries(), "p003": 1}, r.buffer.l_max)},
         InvariantViolation,
@@ -178,16 +183,24 @@ def training_states(draw):
     logits = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size))
     buffer_ids = draw(mostly(st.just(ids), st.just(rename_first(ids)) | st.lists(ANY_ID, max_size=4)))
     bank_ids = draw(mostly(st.just(ids), st.sampled_from([ids[::-1], ids[1:]])))
-    l_max = draw(st.integers(1, 8))
+    # A valid bank fits w_cap, a valid l_max its floors (difficulty + 1), and
+    # a valid entry lies between its problem's floor and l_max.
+    difficulty = mostly(st.integers(1, max(w_cap, 1)), st.integers(1, 4))
+    bank = [(pid, draw(difficulty), draw(st.sampled_from("AB"))) for pid in bank_ids]
+    floors = {pid: difficulty + 1 for pid, difficulty, _ in bank}
+    l_max = draw(mostly(st.integers(max(floors.values(), default=1), 8), st.integers(1, 8)))
     return dict(
         ids=ids,
         w_cap=w_cap,
         logits=np.array(logits).reshape(len(ids), w_cap + 1, 4),
         poison=draw(mostly(st.none(), st.sampled_from([np.nan, np.inf, -np.inf]))),
-        entries={pid: draw(st.integers(1, l_max)) for pid in buffer_ids},
+        entries={
+            pid: draw(mostly(st.integers(min(floors.get(pid, 1), l_max), l_max), st.integers(1, l_max)))
+            for pid in buffer_ids
+        },
         l_max=l_max,
         step=draw(mostly(st.integers(0, 2**40), st.integers(-2, -1) | st.booleans() | st.floats(-1, 3))),
-        bank=[(pid, draw(st.integers(1, 4)), draw(st.sampled_from("AB"))) for pid in bank_ids],
+        bank=bank,
     )
 
 
@@ -389,6 +402,19 @@ class TestRun:
         with pytest.raises(ValueError, match="w_cap"):
             run(small_config(steps=1), bank=bank)
 
+    def test_bank_past_l_max_rejected_before_writing(self, tmp_path):
+        # at l_max 2 no rollout of p001 (difficulty 2) fits its 3 tokens, so
+        # every group of it would be incorrect, with zero advantages
+        with pytest.raises(ValueError, match="^problem 'p001' needs 3 tokens, more than l_max 2$"):
+            run(small_config(steps=2, l_max=2), out_dir=tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    def test_supplied_bank_is_the_one_checked(self):
+        # the bank-shape fields describe only a generated bank: the default
+        # d_max of 10 exceeds w_cap 5, but the supplied bank fits it
+        result = run(RunConfig(group_size=4, steps=1, l_max=64, w_cap=5), bank=make_problem_bank(4, (1, 4), 0))
+        assert len(result.logs) == 1 and result.policy.w_cap == 5
+
     def test_writes_logs_and_checkpoints(self, tmp_path):
         cfg = small_config(steps=4, checkpoint_every=2)
         run(cfg, out_dir=tmp_path)
@@ -534,14 +560,6 @@ class TestCheckpointResume:
             train_step(policy, buffer, bank, cfg, s)
         assert np.array_equal(policy.logits, continuous.policy.logits)
         assert buffer == continuous.buffer
-
-    def test_unsolved_entries_may_sit_below_the_floor(self, tmp_path):
-        # at l_max = 2 no rollout of p001..p003 fits their floors of 3..5:
-        # their entries stay at l_max, which checkpoint and resume accept
-        result = run(small_config(steps=2, l_max=2))
-        assert [result.buffer.entry(p) for p in ("p001", "p002", "p003")] == [2, 2, 2]
-        checkpoint(result.policy, result.buffer, 2, tmp_path / "ck", result.bank)
-        assert resume(tmp_path / "ck")[1] == result.buffer
 
     def test_checkpoint_same_path_again(self, tmp_path):
         result = run(small_config(steps=2))
