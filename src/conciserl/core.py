@@ -133,10 +133,10 @@ class RolloutBatch:
     ``behavior_logp[p]`` is problem p's table of log-probabilities (nats)
     under the policy that sampled the batch, constants rather than functions
     of the current parameters. ``lengths`` is derived from the table. The
-    ids (``check_ids``, so no problem repeats) and the arrays are checked,
-    and the arrays frozen, on construction, and a record compares
-    equal only to itself. ``batch[p]``, also by iteration, is problem p's
-    group: a one-problem record viewing the checked arrays.
+    ids (``check_ids``: no problem repeats) and arrays are checked on
+    construction, the arrays frozen, and a record compares equal only to
+    itself. ``batch[p]``, also by iteration, is problem p's group: a
+    one-problem record viewing the checked arrays.
     """
 
     problem_ids: tuple[str, ...]
