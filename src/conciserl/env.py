@@ -307,7 +307,11 @@ def sample_batch(
     rollout's stream and walk do not depend on the rollouts it shares a
     block with. Within a block, a chunk of uniforms holds at most
     ``_CHUNK_UNIFORMS`` across the live rollouts (never narrower than
-    ``_FIRST_CHUNK``).
+    ``_FIRST_CHUNK``). The block's first chunk is walked from a cursor per
+    rollout, so a rollout that leaves its state at its next uniform costs no
+    scan of its row, as nearly every token of a converged policy does; the
+    later chunks, which only rollouts that keep their state for long reach,
+    are scanned whole on every pass.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -343,8 +347,24 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     ``w_cap``; any other token exits it. A run of state-keeping tokens
     therefore ends at the first uniform outside ``[cum[w, 0], cum[w, 1])``
     (``[0, cum[w, 1])`` at ``w_cap``), which one numpy pass finds for every
-    live rollout at once; the uniforms a rollout has read are NaN, which no
-    comparison passes. Each rollout draws the PCG64 stream its seed words
+    live rollout at once, in one of two forms:
+
+    - The first chunk, where every rollout starts and where a converged one
+      ends, is read from a per-rollout cursor, its first unread column. A
+      pass reads the uniform at each cursor, and a rollout it moves out of
+      its state is settled with ``(rows,)``-sized operations; only a rollout
+      it keeps in its state scans its row, under a ``columns >= cursor``
+      mask that also bounds the WORK tokens counted at ``w_cap``. So a
+      rollout that exits at nearly every token, as a converged one does,
+      costs no scan of its row.
+    - A generator's chunk is scanned whole on every pass, and the uniforms a
+      rollout has read are set to NaN, which no comparison passes. A rollout
+      reaches such a chunk by keeping its state for many tokens, at
+      ``w_cap`` often for hundreds, and then its first pass is often its
+      only one: a cursor would buy nothing there and cost a mask per pass.
+
+    Each pass calls ``ndarray.nonzero`` once, and each scan of whole rows
+    ``ndarray.argmax`` once. Each rollout draws the PCG64 stream its seed words
     seed: numpy computes every rollout's first chunk of doubles at once
     (``_first_chunk``), and only the rollouts still live after it get a
     generator, which ``_generators`` starts where that chunk ended; they draw
@@ -357,7 +377,8 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     or ``l_max`` if it was truncated there. A rollout goes on into the next
     chunk exactly when its current state's ``left`` is at or past the chunk's
     end: it met the sentinel that closes every chunk, or its last token was a
-    WORK exit into a state it has not left. The count table follows: each
+    WORK exit into a state it has not left (in a generator's chunk; in the
+    first chunk, one more pass reads the sentinel). The count table follows: each
     state before the last holds the FILLERs between the tokens that entered
     and left it, then one WORK; the last holds that gap, less the WORK tokens
     the walk counts at ``w_cap``, those WORK tokens and the answer.
@@ -387,24 +408,42 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
         else:
             ur[:, :width], pcg_hi, pcg_lo = _first_chunk(words, width)
         columns = np.arange(width + 1)
+        j = np.zeros(rows.size, dtype=np.intp)  # the first chunk's cursors: each rollout's first unread column
         while r.size:
-            lo_r = lo[s]
-            exits = (ur < lo_r[:, None]) | (ur >= hi[s][:, None])
-            j = exits.argmax(axis=1)
-            cap = lo_r < 0
-            if cap.any():
-                rc = r[cap]
-                kept = (ur[cap] < cap_edge[rc][:, None]) & (columns < j[cap][:, None])
-                cap_work[rc] += kept.sum(axis=1)
-            u = exit_u[r] = ur[np.arange(r.size), j]
+            lo_r, hi_r = lo[s], hi[s]
+            if offset:  # a generator's chunk: every row scanned whole, its read uniforms NaN
+                j = ((ur < lo_r[:, None]) | (ur >= hi_r[:, None])).argmax(axis=1)
+                capped = (lo_r < 0).nonzero()[0]
+                if capped.size:
+                    rc = r[capped]
+                    kept = (ur[capped] < cap_edge[rc][:, None]) & (columns < j[capped][:, None])
+                    cap_work[rc] += kept.sum(axis=1)
+                u = ur[np.arange(r.size), j]
+            else:  # the first chunk: the uniform at each cursor; the rows it keeps in their state scan from it
+                u = ur[r, j]  # (ur's rows are the block's rollouts)
+                keep = ((u >= lo_r) & (u < hi_r)).nonzero()[0]
+                if keep.size:
+                    rk, unread = r[keep], columns >= j[keep][:, None]
+                    lo_k, row = lo_r[keep], ur[rk]
+                    jk = j[keep] = (((row < lo_k[:, None]) | (row >= hi_r[keep][:, None])) & unread).argmax(axis=1)
+                    cap = lo_k < 0
+                    if cap.any():
+                        rc = rk[cap]
+                        kept = (row[cap] < cap_edge[rc][:, None]) & unread[cap] & (columns < jk[cap][:, None])
+                        cap_work[rc] += kept.sum(axis=1)
+                    u[keep] = row[np.arange(keep.size), jk]
+            exit_u[r] = u
             # at the sentinel, offset + width: l_max once the last chunk is spent
             left[s] = offset + j
             work = u < lo_r
             s += work
             state[r] = s
-            more = work & (j + 1 < width)
-            r, s, ur = r[more], s[more], ur[more]
-            np.copyto(ur, np.nan, where=columns <= j[more][:, None])
+            if offset:
+                more = work & (j + 1 < width)
+                r, s, ur = r[more], s[more], ur[more]
+                np.copyto(ur, np.nan, where=columns <= j[more][:, None])
+            else:
+                r, s, j = r[work], s[work], j[work] + 1
         rows = rows[left[state[rows]] >= offset + width] if offset + width < l_max else rows[:0]
         if not offset:
             rngs = dict(zip(rows.tolist(), _generators(words[rows], pcg_hi[rows], pcg_lo[rows])))
