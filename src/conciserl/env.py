@@ -364,11 +364,12 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
       only one: a cursor would buy nothing there and cost a mask per pass.
 
     Each pass calls ``ndarray.nonzero`` once, and each scan of whole rows
-    ``ndarray.argmax`` once. Each rollout draws the PCG64 stream its seed words
-    seed: numpy computes every rollout's first chunk of doubles at once
-    (``_first_chunk``), and only the rollouts still live after it get a
-    generator, which ``_generators`` starts where that chunk ended; they draw
-    their further uniforms in chunks that double up to the chunk budget.
+    ``ndarray.argmax`` once (``tests/test_budgets.py`` counts both). Each
+    rollout draws the PCG64 stream its seed words seed: numpy computes every
+    rollout's first chunk of doubles at once (``_first_chunk``), and only the
+    rollouts still live after it get a generator, which ``_generators`` starts
+    where that chunk ended; they draw their further uniforms in chunks that
+    double up to the chunk budget.
     PCG64 yields the same doubles whatever the chunk sizes, so a rollout
     consumes exactly the uniforms a token-by-token loop would.
 
@@ -378,10 +379,11 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     chunk exactly when its current state's ``left`` is at or past the chunk's
     end: it met the sentinel that closes every chunk, or its last token was a
     WORK exit into a state it has not left (in a generator's chunk; in the
-    first chunk, one more pass reads the sentinel). The count table follows: each
-    state before the last holds the FILLERs between the tokens that entered
-    and left it, then one WORK; the last holds that gap, less the WORK tokens
-    the walk counts at ``w_cap``, those WORK tokens and the answer.
+    first chunk, one more pass reads the sentinel). The count table follows:
+    each state before the last holds the FILLERs between the tokens that
+    entered and left it, then one WORK; the last holds that gap, less the
+    WORK tokens the walk counts at ``w_cap``, those WORK tokens and the
+    answer.
     """
     n_states = cum.shape[1]
     n = len(problems)

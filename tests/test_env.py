@@ -18,6 +18,7 @@ from conciserl.env import (
     save_bank,
 )
 from tests import reference
+from tests.test_budgets import package_calls
 from tests.reference import (
     answer_letter,
     columns,
@@ -419,6 +420,142 @@ class TestSampleGroup:
             saturated += int(got.counts[:, :, w_cap, Action.WORK].sum())
             truncated += int(got.truncated.sum())
         assert saturated > 0 and truncated > 0
+
+
+def state_logits(probs):
+    """Logits whose softmax is ``probs`` (rows of WORK, FILLER, ANSWER_A,
+    ANSWER_B probabilities); a zero probability gets -1000, whose exp is
+    exactly 0."""
+    probs = np.asarray(probs, dtype=float)
+    return np.where(probs > 0, np.log(np.where(probs > 0, probs, 1.0)), -1000.0)
+
+
+def one_problem_policy(probs, difficulty=1, answer="A"):
+    """A one-problem bank and a policy with the ``(w_cap + 1, 4)`` state
+    probabilities ``probs``."""
+    return TabularPolicy(("q",), len(probs) - 1, state_logits(probs)[None]), [ProblemSpec("q", difficulty, answer)]
+
+
+def uniforms(key, group_size, n):
+    """The first ``n`` uniforms of each rollout of problem 0, as the walk
+    and the reference read them."""
+    return np.array([np.random.default_rng((*key, 0, r)).random(n) for r in range(group_size)])
+
+
+WORK_ONLY, FILLER_ONLY, ANSWER_ONLY = [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]
+
+
+class TestFirstChunkCursor:
+    """The first chunk is walked from a cursor per rollout: a pass reads the
+    uniform under each cursor and scans from it only the rows that uniform
+    keeps in their state. Hand-built policies force each case where a
+    cursor, its mask or the sentinel decides the walk, and the walk must
+    still equal the token-by-token reference."""
+
+    def test_filler_run_after_the_cursor_below_w_cap(self):
+        # state 0 always works, so state 1 is entered at column 1: a
+        # rollout whose uniform there is a FILLER scans from its cursor,
+        # past a column 0 that would exit state 1
+        policy, bank = one_problem_policy(
+            [WORK_ONLY, [0.4, 0.6, 0, 0], [0.3, 0.3, 0.2, 0.2], [0.3, 0.3, 0.2, 0.2], [0.3, 0.3, 0.2, 0.2]]
+        )
+        u = uniforms((5,), 64, 2)
+        assert ((u[:, 0] < 0.4) & (u[:, 1] >= 0.4)).sum() > 5
+        batch = assert_walk_equals_reference(policy, bank, 64, 40, (5,))
+        assert batch.counts[0, :, 1, Action.FILLER].sum() > 0
+
+    def test_filler_run_after_the_cursor_at_w_cap(self):
+        # two certain WORK tokens reach w_cap at column 2; a rollout kept
+        # there counts the WORK tokens of its run from its cursor on, not
+        # the read columns 0 and 1 that lie below the w_cap WORK edge
+        policy, bank = one_problem_policy([WORK_ONLY, WORK_ONLY, [0.4, 0.4, 0.1, 0.1]], difficulty=2)
+        u = uniforms((6,), 64, 3)
+        assert (((u[:, 0] < 0.4) | (u[:, 1] < 0.4)) & (u[:, 2] < 0.8)).sum() > 5
+        batch = assert_walk_equals_reference(policy, bank, 64, 40, (6,))
+        assert batch.counts[0, :, 2, Action.WORK].sum() > 0
+
+    @pytest.mark.parametrize("l_max", [16, 17, 40])
+    def test_work_exit_on_the_last_column(self, l_max):
+        # sixteen certain WORK tokens leave state 15 on column 15; one more
+        # pass reads only the sentinel: the rollout is truncated at l_max 16,
+        # and otherwise answers on the first column of the next chunk
+        w_cap = 16
+        policy, bank = one_problem_policy([WORK_ONLY] * w_cap + [ANSWER_ONLY], difficulty=w_cap)
+        batch = assert_walk_equals_reference(policy, bank, 3, l_max, (7,))
+        assert batch.lengths.tolist() == [[16 if l_max == 16 else 17] * 3]
+        assert batch.truncated.all() == (l_max == 16) and batch.correct.all() == (l_max > 16)
+
+    @pytest.mark.parametrize("l_max", [1, 15, 16, 17])
+    def test_first_chunk_edges(self, l_max):
+        # l_max 1, 15 and 16 end in the first chunk, 17 in a one-wide
+        # generator's chunk; w_cap 3 is reached often and the answers are
+        # rare enough that many rollouts run to l_max
+        probs = [[0.55, 0.37, 0.04, 0.04]] * 4
+        policy, bank = one_problem_policy(probs, difficulty=2)
+        batch = assert_walk_equals_reference(policy, bank, 128, l_max, (8, l_max))
+        assert batch.truncated.any() and not batch.truncated.all()
+
+    def test_every_rollout_exits_at_its_cursor(self):
+        # no FILLER mass and no WORK at w_cap: every uniform leaves its state,
+        # so no pass scans a row
+        probs = [[0.6, 0, 0.2, 0.2]] * 5 + [[0, 0, 0.5, 0.5]]
+        policy, bank = one_problem_policy(probs, difficulty=3)
+        batch, _, passes, scans = package_calls(assert_walk_equals_reference, policy, bank, 64, 40, (9,))
+        assert not batch.counts[..., Action.FILLER].any() and not batch.counts[0, :, -1, Action.WORK].any()
+        assert passes > 1 and scans == 0
+
+    def test_no_rollout_exits_at_its_cursor(self):
+        # each state's WORK edge sits just below the uniform that enters it:
+        # every uniform a cursor reads is a FILLER, and every exit is found
+        # by a scan from the cursor, past read columns that would exit the
+        # state; answers have no mass, so every rollout runs to l_max
+        key, l_max, w_cap = (10,), 16, 16
+        bank, logits = [], []
+        for p in range(8):
+            u = np.random.default_rng((*key, p, 0)).random(l_max)
+            edge, column = np.full(w_cap + 1, 0.5), 0
+            for w in range(w_cap + 1):
+                edge[w] = u[column] * (1 - 1e-6)
+                later = np.flatnonzero(u[column + 1 :] < edge[w])
+                if not later.size:
+                    break
+                column += later[0] + 2
+                if column >= l_max:
+                    break
+            logits.append(state_logits(np.stack([edge, 1 - edge, 0 * edge, 0 * edge], axis=1)))
+            bank.append(ProblemSpec(f"q{p}", 1, "A"))
+        policy = TabularPolicy([p.id for p in bank], w_cap, np.array(logits))
+        batch = assert_walk_equals_reference(policy, bank, 1, l_max, key)
+        logp = policy.log_probs()
+        works = 0
+        for p, problem in enumerate(bank):
+            actions = sample_rollout(logp[p], problem, np.random.default_rng((*key, p, 0)), l_max).actions
+            assert actions[0] == Action.FILLER
+            assert all(b == Action.FILLER for a, b in zip(actions, actions[1:]) if a == Action.WORK)
+            works += actions.count(Action.WORK)
+        assert works > 8 and batch.truncated.all()
+
+    @pytest.mark.parametrize("filler", [0.5, 0.0])
+    @pytest.mark.parametrize("column", [0, 5, 15, 20])
+    def test_uniform_on_the_work_edge(self, filler, column):
+        # a uniform equal to a state's WORK edge cum[w, 0] is no WORK token:
+        # the state keeps it as a FILLER, or, with no FILLER mass, answers.
+        # The states before `column` always work, so the uniform is read at
+        # that column, in the first chunk (a cursor) or a generator's chunk.
+        for seed in range(100):
+            u = np.random.default_rng((seed, 0, 0)).random(column + 1)[column]
+            rest = 1.0 - u
+            edge = [u, rest * filler, rest * (1 - filler) / 2, rest * (1 - filler) / 2]
+            policy, bank = one_problem_policy([WORK_ONLY] * column + [edge] + [ANSWER_ONLY] * 2, max(column, 1))
+            if np.exp(policy.log_probs())[0, column, Action.WORK] == u:
+                break
+        else:
+            pytest.fail("no seed puts a uniform exactly on the WORK edge")
+        batch = assert_walk_equals_reference(policy, bank, 1, 40, (seed,))
+        if filler:
+            assert batch.counts[0, 0, column, Action.FILLER] > 0
+        else:
+            assert batch.lengths.tolist() == [[column + 1]] and not batch.truncated.any()
 
 
 def assert_seed_words_are_default_rngs(key, problems, rollouts):
