@@ -13,7 +13,6 @@ from .core import (
     ConfigError,
     InvariantViolation,
     ProblemSpec,
-    Rollout,
     RolloutBatch,
     RunConfig,
     load_config,
@@ -40,7 +39,6 @@ __all__ = [
     "InvariantViolation",
     "ProblemSpec",
     "RewardTier",
-    "Rollout",
     "RolloutBatch",
     "RunConfig",
     "RunResult",

@@ -70,13 +70,13 @@ class ExperienceBuffer:
         group with no correct rollouts leaves the buffer unchanged. Unknown
         problem ids are a wiring bug and raise KeyError.
         """
-        if group.problem_id not in self._entries:
-            raise KeyError(f"unknown problem id {group.problem_id!r}")
+        pid = group.problem_id
+        if pid not in self._entries:
+            raise KeyError(f"unknown problem id {pid!r}")
         correct_lengths = group.lengths[group.correct]
         if not len(correct_lengths):
             return
-        old = self._entries[group.problem_id]
-        self._entries[group.problem_id] = min(old, int(correct_lengths.min()))
+        self._entries[pid] = min(self._entries[pid], int(correct_lengths.min()))
 
     def threshold(self, problem_id: str, alpha: float) -> float:
         """Compression threshold: shortest-correct-so-far times (1 + alpha)."""

@@ -1,7 +1,8 @@
 """Shared domain types and the run configuration.
 
-All types here are immutable value objects; they validate their own
-invariants on construction and are safe to copy across threads.
+All types here are immutable value objects, safe to copy across threads;
+all but the test reference's ``Rollout`` validate their own invariants on
+construction.
 """
 
 from __future__ import annotations
@@ -80,12 +81,13 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class Rollout:
-    """One sampled trajectory under a behavior-policy snapshot, as a scalar
-    record.
+    """One sampled trajectory as a scalar record, unchecked: the trace of
+    ``tests/reference.py``'s token-by-token sampler.
 
     The library samples, shapes and trains on ``RolloutBatch`` count tables
-    and builds no ``Rollout``; the record is the unit of the scalar reference
-    sampler the tests check ``env.sample_batch`` against.
+    and builds no ``Rollout``; the reference checks a trace when it turns
+    it into a ``RolloutBatch``. The record stays in ``core`` only because
+    ``bench/tracer.py`` reads the name ``core.Rollout``.
     ``behavior_logps`` are the log-probabilities (nats) of each emitted token
     under the policy that sampled it.
     """
@@ -96,29 +98,6 @@ class Rollout:
     length: int
     correct: bool
     truncated: bool
-
-    def __post_init__(self) -> None:
-        # tuple() of a tuple is the tuple itself: the sampler's output is
-        # kept as it is, other sequences are frozen.
-        object.__setattr__(self, "actions", tuple(self.actions))
-        object.__setattr__(self, "behavior_logps", tuple(self.behavior_logps))
-        if self.length < 1:
-            raise ValueError("rollout length must be >= 1")
-        if self.length != len(self.actions) or self.length != len(self.behavior_logps):
-            raise ValueError(
-                f"length {self.length} does not match actions ({len(self.actions)}) "
-                f"/ behavior_logps ({len(self.behavior_logps)})"
-            )
-        if self.truncated and self.correct:
-            raise ValueError("a truncated rollout cannot be correct")
-        # sum() and max() run in C: the sum is non-finite when an entry is,
-        # the max exceeds the slack when an entry does. The loop only names
-        # the bad entry (and clears a sum that merely overflowed).
-        logps = self.behavior_logps
-        if not (math.isfinite(sum(logps)) and max(logps) <= _LOGP_TOL):
-            for lp in logps:
-                if not math.isfinite(lp) or lp > _LOGP_TOL:
-                    raise ValueError(f"behavior log-probabilities must be finite and <= 0, got {lp}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -136,7 +136,8 @@ def train_step(
     shaped = shape_group(batch, buffer, config.alpha, config.r_pen)
     rewards = np.array([s.value for s in shaped]).reshape(correct.shape)  # (P, G)
     clock.append(time.perf_counter())
-    # Through the module: bench/'s tracer reads per-group results from trainer.count_advantage.
+    # Not imported by name: bench/'s tracer would wrap a trainer.count_advantage
+    # and read its result's `.values`, which an ndarray lacks, failing every traced run.
     if config.advantage_mode == "count":
         advantages = advantage.count_advantage(rewards, np.count_nonzero(correct, axis=1), config.epsilon_adv)
     else:

@@ -52,7 +52,7 @@ def verify(problem: ProblemSpec, rollout: Rollout) -> bool:
 def replay_states(actions: Sequence[int], w_cap: int) -> np.ndarray:
     """Work-counter state before each token, replayed through the trace.
 
-    The one-trace reference for the states ``trainer.sample_batch`` records
+    The one-trace reference for the states ``env.sample_batch`` records
     while sampling. Raises on infeasible traces (tokens after an answer).
     """
     states = np.empty(len(actions), dtype=np.intp)
@@ -132,6 +132,7 @@ def group_of(rollouts: Sequence[Rollout], logp_rows: np.ndarray) -> RolloutBatch
     w_cap = len(logp_rows) - 1
     counts = np.zeros((1, len(rollouts), w_cap + 1, N_ACTIONS), dtype=np.int32)
     for i, r in enumerate(rollouts):
+        assert r.length == len(r.actions)
         states = replay_states(r.actions, w_cap)
         assert np.array_equal(logp_rows[states, list(r.actions)], r.behavior_logps)
         np.add.at(counts[0, i], (states, list(r.actions)), 1)
@@ -186,7 +187,7 @@ def sample_group(
     ``default_rng((*key, r))`` in chunks of 64 uniforms, each token taking
     the first action whose cumulative probability exceeds its uniform, and
     counts it in the cell of the state it is sampled in. The per-token
-    reference for ``trainer.sample_batch``'s whole-batch walk.
+    reference for ``env.sample_batch``'s whole-batch walk.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")

@@ -13,7 +13,6 @@ from conciserl.cli import EXIT_CONFIG, EXIT_IO, main
 from conciserl.core import (
     ConfigError,
     ProblemSpec,
-    Rollout,
     RolloutBatch,
     RunConfig,
     check_ids,
@@ -25,18 +24,6 @@ from conciserl.trainer import checkpoint
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
 INT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "int"]
-
-
-def make_rollout(length=3, correct=True, truncated=False, problem_id="p1"):
-    actions = [0] * (length - 1) + [2]
-    return Rollout(
-        problem_id=problem_id,
-        actions=tuple(actions),
-        behavior_logps=tuple([-1.0] * length),
-        length=length,
-        correct=correct,
-        truncated=truncated,
-    )
 
 
 class TestProblemSpec:
@@ -140,31 +127,6 @@ class TestCheckIds:
         err = capsys.readouterr().err
         assert re.search(f"unreadable checkpoint file .*meta.json: ValueError.*({CHECK_IDS_MESSAGE})", err), err
         assert not (ck / "eval.json").exists()
-
-
-class TestRollout:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Rollout("p", (0, 2), (-1.0,), 2, False, False)
-
-    def test_truncated_cannot_be_correct(self):
-        with pytest.raises(ValueError):
-            Rollout("p", (0,), (-1.0,), 1, True, True)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5], ids=["nan", "inf", "-inf", "0.5"])
-    def test_positive_logp_rejected(self, bad):
-        # a bad entry past the first token is found and reported
-        with pytest.raises(ValueError, match=f"finite and <= 0, got {bad}"):
-            Rollout("p", (0, 1, 2), (-1.0, bad, -0.5), 3, False, False)
-
-    def test_slack_above_zero_accepted(self):
-        # log-softmax may land a hair above 0 in floating point
-        assert Rollout("p", (1, 2), (-0.5, 1e-12), 2, False, False).behavior_logps == (-0.5, 1e-12)
-
-    def test_sequences_frozen_to_tuples(self):
-        r = Rollout("p1", [0, 2], [-1.0, -1.0], 2, True, False)
-        assert r.actions == (0, 2) and r.behavior_logps == (-1.0, -1.0)
-        assert r == make_rollout(length=2) and hash(r) == hash(make_rollout(length=2))
 
 
 @st.composite

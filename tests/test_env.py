@@ -271,7 +271,7 @@ def assert_walk_equals_reference(policy, bank, group_size, l_max, key):
 
 
 class TestSampleGroup:
-    """Sampling groups: the whole-batch walk behind ``trainer.sample_batch``
+    """Sampling groups: the whole-batch walk of ``env.sample_batch``
     draws the same uniforms and counts the same actions in the same states
     as the token-by-token reference ``tests.reference.sample_group``, which
     restates the scalar sampler."""

@@ -1,5 +1,5 @@
 import conciserl
-from conciserl import cli, env, trainer
+from conciserl import cli, core, env, trainer
 
 
 def test_every_export_resolves_once():
@@ -15,3 +15,10 @@ def test_one_sampler():
     assert conciserl.sample_batch is env.sample_batch
     assert trainer.sample_batch is env.sample_batch
     assert cli.sample_batch is env.sample_batch
+
+
+def test_rollout_is_an_unchecked_trace_record():
+    # the test reference's trace record: no checks and no export, since the
+    # library never builds one
+    assert "Rollout" not in conciserl.__all__ and not hasattr(conciserl, "Rollout")
+    assert "__post_init__" not in vars(core.Rollout)

@@ -176,7 +176,7 @@ class TestTokenBatch:
         with pytest.raises(ValueError, match="do not match behavior_logp"):
             RolloutBatch(["p"], np.ones((1, 1, 3, 4)), np.full((1, 2, 4), -1.0), [[False]], [[False]])
 
-    def test_offsets_must_cover_tokens(self):
+    def test_lengths_are_the_tables_token_counts(self):
         # a rollout's length is its table's token count, not a second record
         counts = np.zeros((1, 2, 3, 4))
         counts[0, 0, :, Action.WORK], counts[0, 0, 2, Action.ANSWER_A], counts[0, 1, 0, Action.ANSWER_B] = 1, 1, 1
