@@ -140,7 +140,6 @@ def _constants(values: Sequence[int]) -> tuple[np.ndarray, ...]:
 _POWERS = [pow(_PCG_MULT, k, 1 << 128) for k in range(_FIRST_CHUNK + 2)]
 _STREAM_POWERS = _constants(_POWERS[2:])
 _STREAM_SUMS = _constants([sum(_POWERS[:k]) % (1 << 128) for k in range(2, _FIRST_CHUNK + 2)])
-_INVERSE_MULT = _constants([pow(_PCG_MULT, -1, 1 << 128)])
 
 
 def _mul128(hi: np.ndarray, lo: np.ndarray, const: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -164,34 +163,29 @@ def _mul128(hi: np.ndarray, lo: np.ndarray, const: tuple[np.ndarray, ...]) -> tu
     return carry, np.multiply(lo, c_lo, out=t)
 
 
-def _increment(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64's odd increment ``(w2:w3 << 1) | 1`` of each row of seed words."""
-    w2, w3 = words[:, 2], words[:, 3]
-    return (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
-
-
-def _first_chunk(words: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.random.Generator(PCG64(seed))``'s first ``width`` doubles, for
-    each row of seed words from ``_seed_words``, with the high and low words
-    of each stream's state after the last of them; ``width`` is at most
-    ``_FIRST_CHUNK``.
+def _first_chunk(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.random.Generator(PCG64(seed))``'s first ``_FIRST_CHUNK`` doubles
+    for each row of seed words from ``_seed_words``, with the seed words of
+    a PCG64 that goes on with each stream after them.
 
     Every state comes straight from the seed words (see ``_PCG_MULT``), and
     its double is PCG64's XSL-RR output (``hi ^ lo`` rotated right by
     ``hi >> 58``) shifted to 53 bits and scaled by 2^-53. The arithmetic
-    runs in place, so at most five ``(rows, width)`` uint64 arrays are live
-    at once.
+    runs in place, so at most five ``(rows, _FIRST_CHUNK)`` uint64 arrays
+    are live at once. Seeding steps the LCG once from ``init + inc``, so an
+    ``init`` of the next-to-last state less ``inc`` lands on the last one.
     """
-    inc_hi, inc_lo = _increment(words)
+    w2, w3 = words[:, 2], words[:, 3]
+    inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
     x_lo = words[:, 1] + inc_lo
     x_hi = words[:, 0] + inc_hi + (x_lo < inc_lo)
-    cols = slice(0, width)
-    hi, lo = _mul128(x_hi[:, None], x_lo[:, None], [c[cols] for c in _STREAM_POWERS])
-    b_hi, b_lo = _mul128(inc_hi[:, None], inc_lo[:, None], [c[cols] for c in _STREAM_SUMS])
+    hi, lo = _mul128(x_hi[:, None], x_lo[:, None], _STREAM_POWERS)
+    b_hi, b_lo = _mul128(inc_hi[:, None], inc_lo[:, None], _STREAM_SUMS)
     lo += b_lo
     hi += b_hi
     hi += lo < b_lo
-    end = hi[:, -1].copy(), lo[:, -1].copy()
+    before_hi, before_lo = hi[:, -2], lo[:, -2]
+    seeds = np.stack([before_hi - inc_hi - (before_lo < inc_lo), before_lo - inc_lo, w2, w3], axis=1)
     x, rot = np.bitwise_xor(hi, lo, out=lo), np.right_shift(hi, 58, out=hi)
     shift = np.subtract(64, rot, out=b_hi)
     shift &= 63
@@ -199,7 +193,7 @@ def _first_chunk(words: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray,
     x >>= rot
     x |= shift
     x >>= 11
-    return x * 2.0**-53, *end
+    return x * 2.0**-53, seeds
 
 
 class _SeedState(ISeedSequence):
@@ -210,20 +204,6 @@ class _SeedState(ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
-
-
-def _generators(words: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> list[np.random.Generator]:
-    """One generator per row of seed words, going on from that stream's
-    state ``hi:lo``.
-
-    Seeding is affine, so seed words with ``init' = M^-1·(hi:lo - inc) -
-    inc`` and the row's increment words make PCG64's seeding land on
-    ``hi:lo``, and the generator draws what the stream draws next.
-    """
-    inc_hi, inc_lo = _increment(words)
-    hi, lo = _mul128(hi - inc_hi - (lo < inc_lo), lo - inc_lo, _INVERSE_MULT)
-    seeds = np.stack([hi - inc_hi - (lo < inc_lo), lo - inc_lo, words[:, 2], words[:, 3]], axis=1)
-    return [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in seeds]
 
 
 def _hash_constants(const: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,11 +287,14 @@ def sample_batch(
     rollout's stream and walk do not depend on the rollouts it shares a
     block with. Within a block, a chunk of uniforms holds at most
     ``_CHUNK_UNIFORMS`` across the live rollouts (never narrower than
-    ``_FIRST_CHUNK``). The block's first chunk is walked from a cursor per
-    rollout, so a rollout that leaves its state at its next uniform costs no
-    scan of its row, as nearly every token of a converged policy does; the
-    later chunks, which only rollouts that keep their state for long reach,
-    are scanned whole on every pass.
+    ``_FIRST_CHUNK``). The block's first chunk is computed in numpy for all
+    its rollouts at once, with the seed words that go on with each stream
+    (``_first_chunk``); only a rollout that outlives it gets a generator,
+    seeded with its words. That chunk is walked from a cursor per rollout,
+    so a rollout that leaves its state at its next uniform costs no scan of
+    its row, as nearly every token of a converged policy does; the later
+    chunks, which only rollouts that keep their state for long reach, are
+    scanned whole on every pass.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -366,10 +349,11 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     Each pass calls ``ndarray.nonzero`` once, and each scan of whole rows
     ``ndarray.argmax`` once (``tests/test_budgets.py`` counts both). Each
     rollout draws the PCG64 stream its seed words seed: numpy computes every
-    rollout's first chunk of doubles at once (``_first_chunk``), and only the
-    rollouts still live after it get a generator, which ``_generators`` starts
-    where that chunk ended; they draw their further uniforms in chunks that
-    double up to the chunk budget.
+    rollout's first ``_FIRST_CHUNK`` doubles at once (``_first_chunk``), of
+    which the walk reads ``min(_FIRST_CHUNK, l_max)``, and only the rollouts
+    still live after a full first chunk get a generator, seeded with the
+    words ``_first_chunk`` returns for the state where that chunk ended; they
+    draw their further uniforms in chunks that double up to the chunk budget.
     PCG64 yields the same doubles whatever the chunk sizes, so a rollout
     consumes exactly the uniforms a token-by-token loop would.
 
@@ -408,7 +392,8 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
             for out, row in zip(ur[:, :width], rows.tolist()):
                 rngs[row].random(out=out)
         else:
-            ur[:, :width], pcg_hi, pcg_lo = _first_chunk(words, width)
+            doubles, seeds = _first_chunk(words)
+            ur[:, :width] = doubles[:, :width]
         columns = np.arange(width + 1)
         j = np.zeros(rows.size, dtype=np.intp)  # the first chunk's cursors: each rollout's first unread column
         while r.size:
@@ -448,7 +433,7 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
                 r, s, j = r[work], s[work], j[work] + 1
         rows = rows[left[state[rows]] >= offset + width] if offset + width < l_max else rows[:0]
         if not offset:
-            rngs = dict(zip(rows.tolist(), _generators(words[rows], pcg_hi[rows], pcg_lo[rows])))
+            rngs = {row: np.random.Generator(np.random.PCG64(_SeedState(seeds[row]))) for row in rows.tolist()}
         offset += width
         width = min(2 * width, l_max - offset, max(_FIRST_CHUNK, _CHUNK_UNIFORMS // max(rows.size, 1)))
 

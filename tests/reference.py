@@ -5,7 +5,8 @@ recompute, the objective works on whole count tables, and the eval metrics
 on (problem, sample) arrays. They restate the sampler, the task rules and
 the clipped term one token or one trace at a time, the objective and its
 gradient one token at a time and one group at a time, and majority@k and
-length CV one problem at a time over per-sample answers.
+length CV one problem at a time over per-sample answers; ``outcome_law``
+gives the exact law the sampler draws from, without sampling.
 """
 
 from __future__ import annotations
@@ -232,6 +233,41 @@ def sample_group(
         truncated.append(not answered)
         correct.append(answered and a == want and work >= d)
     return RolloutBatch((problem.id,), counts[None], logp[None], [correct], [truncated])
+
+
+def outcome_law(logp: np.ndarray, problem: ProblemSpec, l_max: int) -> np.ndarray:
+    """The exact law of one episode of ``problem`` under its
+    ``(w_cap + 1, N_ACTIONS)`` log-prob rows ``logp``, sampling nothing: an
+    ``(l_max, 3)`` array whose row n - 1 holds the probabilities that the
+    episode ends after n tokens with a right answer, with a wrong one, or
+    truncated (at n = l_max only).
+
+    FillerCount is an absorbing Markov chain, and this is its token-by-token
+    dynamic program: the mass of the running episodes by WORK count, capped
+    at ``max(w_cap, difficulty)`` so that the count still says whether an
+    answer is right, and moved one token at a time. The policy reads state
+    ``min(count, w_cap)``; FILLER keeps the count, WORK raises it and an
+    answer ends the episode.
+    """
+    d = problem.difficulty
+    top = max(len(logp) - 1, d)
+    right = Action.ANSWER_A if problem.correct_answer == "A" else Action.ANSWER_B
+    wrong = Action.ANSWER_A + Action.ANSWER_B - right
+    probs = np.exp(logp)[:, [Action.WORK, Action.FILLER, right, wrong]].tolist()
+    rows = probs + probs[-1:] * (top + 1 - len(probs))  # by WORK count: those of its state
+    law = []
+    mass = [1.0] + [0.0] * top  # the running episodes' mass by WORK count
+    for _ in range(l_max):
+        ends, running = [0.0, 0.0, 0.0], [0.0] * (top + 1)
+        for work, (m, (p_work, p_filler, p_right, p_wrong)) in enumerate(zip(mass, rows)):
+            ends[0 if work >= d else 1] += m * p_right
+            ends[1] += m * p_wrong
+            running[work] += m * p_filler
+            running[min(work + 1, top)] += m * p_work
+        law.append(ends)
+        mass = running
+    law[-1][2] = sum(mass)
+    return np.array(law)
 
 
 def sample_batch(

@@ -485,11 +485,12 @@ class TestFirstChunkCursor:
         assert batch.lengths.tolist() == [[16 if l_max == 16 else 17] * 3]
         assert batch.truncated.all() == (l_max == 16) and batch.correct.all() == (l_max > 16)
 
-    @pytest.mark.parametrize("l_max", [1, 15, 16, 17])
+    @pytest.mark.parametrize("l_max", [1, 2, 15, 16, 17])
     def test_first_chunk_edges(self, l_max):
-        # l_max 1, 15 and 16 end in the first chunk, 17 in a one-wide
-        # generator's chunk; w_cap 3 is reached often and the answers are
-        # rare enough that many rollouts run to l_max
+        # l_max 1, 2, 15 and 16 end in the first chunk, of which the walk
+        # reads only the first l_max columns, 17 in a one-wide generator's
+        # chunk; w_cap 3 is reached often and the answers are rare enough
+        # that many rollouts run to l_max
         probs = [[0.55, 0.37, 0.04, 0.04]] * 4
         policy, bank = one_problem_policy(probs, difficulty=2)
         batch = assert_walk_equals_reference(policy, bank, 128, l_max, (8, l_max))
@@ -615,17 +616,19 @@ class TestGenerators:
             env._seed_words(key, np.arange(2), np.arange(2))
 
 
-def assert_first_chunk_continues_default_rng(key, pairs, width, later=(1, 1, 14, 32, 64)):
-    """``_first_chunk`` draws each stream's first ``width`` doubles, and the
-    generators ``_generators`` starts from its end state go on with the next
-    ones: one at a time, then in chunks whose edges fall at other offsets."""
+def assert_first_chunk_continues_default_rng(key, pairs, later=(1, 1, 14, 32, 64)):
+    """``_first_chunk`` draws each stream's first ``_FIRST_CHUNK`` doubles,
+    and a PCG64 seeded with the words it returns for a stream has that
+    stream's state after them and goes on with the next ones: one at a time,
+    then in chunks whose edges fall at other offsets."""
     problems, rollouts = (np.array(c) for c in zip(*pairs))
-    words = env._seed_words(key, problems, rollouts)
-    first, hi, lo = env._first_chunk(words, width)
+    width = env._FIRST_CHUNK
+    first, seeds = env._first_chunk(env._seed_words(key, problems, rollouts))
     streams = [np.random.default_rng((*key, p, r)).random(width + sum(later)) for p, r in pairs]
-    assert first.shape == (len(pairs), width)
+    assert first.shape == (len(pairs), width) and seeds.shape == (len(pairs), 4)
     assert np.array_equal(first, np.array(streams)[:, :width])
-    for gen, stream, (p, r) in zip(env._generators(words, hi, lo), streams, pairs):
+    for row, stream, (p, r) in zip(seeds, streams, pairs):
+        gen = np.random.Generator(np.random.PCG64(env._SeedState(row)))
         ref = np.random.default_rng((*key, p, r))
         ref.random(width)
         assert gen.bit_generator.state == ref.bit_generator.state
@@ -634,14 +637,14 @@ def assert_first_chunk_continues_default_rng(key, pairs, width, later=(1, 1, 14,
 
 class TestFirstChunk:
     """Every rollout's first chunk is PCG64 computed in numpy for the whole
-    block, and only rollouts that outlive it get a generator: its doubles
-    and those generators must be ``default_rng((*key, p, r))``'s stream,
-    bit for bit, at every offset."""
+    block, and only rollouts that outlive it get a generator, seeded with
+    the words ``_first_chunk`` returns: its doubles and those generators
+    must be ``default_rng((*key, p, r))``'s stream, bit for bit, at every
+    offset."""
 
-    @pytest.mark.parametrize("width", [1, 15, env._FIRST_CHUNK])
-    def test_equals_default_rng(self, width):
+    def test_equals_default_rng(self):
         for key in STREAM_KEYS:
-            assert_first_chunk_continues_default_rng(key, STREAM_PAIRS, width)
+            assert_first_chunk_continues_default_rng(key, STREAM_PAIRS)
 
     def test_rotation_by_zero(self):
         # a state whose top six bits are 0 rotates its output by 0, where the
@@ -656,16 +659,15 @@ class TestFirstChunk:
                     pairs.append((0, r))
                     break
         assert len(pairs) > 20
-        assert_first_chunk_continues_default_rng((0,), pairs, env._FIRST_CHUNK)
+        assert_first_chunk_continues_default_rng((0,), pairs)
 
     @settings(max_examples=100, deadline=None)
     @given(
         key=RNG_KEYS,
         pairs=st.lists(ROLLOUT_PAIRS, min_size=1, max_size=8),
-        width=st.integers(1, env._FIRST_CHUNK),
     )
-    def test_equals_default_rng_property(self, key, pairs, width):
-        assert_first_chunk_continues_default_rng(tuple(key), pairs, width, later=(1, 1, 7, 31))
+    def test_equals_default_rng_property(self, key, pairs):
+        assert_first_chunk_continues_default_rng(tuple(key), pairs, later=(1, 1, 7, 31))
 
     @staticmethod
     def count_generators(monkeypatch):
