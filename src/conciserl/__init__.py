@@ -8,7 +8,7 @@ analytic minimal-length oracle, and the evaluation-metric suite.
 """
 
 from .advantage import advantage_gap, count_advantage, std_advantage
-from .buffer import ExperienceBuffer
+from .buffer import ExperienceBuffer, Group
 from .core import (
     ConfigError,
     InvariantViolation,
@@ -36,6 +36,7 @@ __all__ = [
     "Action",
     "ConfigError",
     "ExperienceBuffer",
+    "Group",
     "InvariantViolation",
     "ProblemSpec",
     "RewardTier",

@@ -12,9 +12,11 @@ followed by one ``problem_id<TAB>min_correct_len`` record per line.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .core import RolloutBatch, check_ids
+import numpy as np
+
+from .core import check_ids
 
 _MAGIC = "EXPBUF"
 _VERSION = "v1"
@@ -22,6 +24,15 @@ _VERSION = "v1"
 
 class BufferFormatError(ValueError):
     """Malformed or inconsistent .expbuf data."""
+
+
+class Group(NamedTuple):
+    """What the fold reads of one problem's G rollouts, such as row p of a
+    ``RolloutBatch``: its id and its ``(G,)`` rows."""
+
+    problem_id: str
+    lengths: np.ndarray  # (G,) tokens per rollout
+    correct: np.ndarray  # (G,) bool; update reads 0/1 integers as flags, not as indices
 
 
 class ExperienceBuffer:
@@ -63,20 +74,22 @@ class ExperienceBuffer:
     def entries(self) -> dict[str, int]:
         return dict(self._entries)
 
-    def update(self, group: RolloutBatch) -> None:
-        """Fold one problem's group, such as ``batch[p]``, into the running minimum.
+    def update(self, group: Group) -> None:
+        """Fold one problem's group into the running minimum.
 
         The entry becomes min(old, shortest correct length in the group); a
         group with no correct rollouts leaves the buffer unchanged. Unknown
-        problem ids are a wiring bug and raise KeyError.
+        problem ids raise KeyError, and a correct length below 1 ValueError.
         """
         pid = group.problem_id
         if pid not in self._entries:
             raise KeyError(f"unknown problem id {pid!r}")
-        correct_lengths = group.lengths[group.correct]
+        correct_lengths = group.lengths[group.correct.astype(bool, copy=False)]
         if not len(correct_lengths):
             return
-        self._entries[pid] = min(self._entries[pid], int(correct_lengths.min()))
+        if (shortest := int(correct_lengths.min())) < 1:
+            raise ValueError(f"problem {pid!r} has a correct rollout of length {shortest}")
+        self._entries[pid] = min(self._entries[pid], shortest)
 
     def threshold(self, problem_id: str, alpha: float) -> float:
         """Compression threshold: shortest-correct-so-far times (1 + alpha)."""

@@ -1,9 +1,10 @@
 """Command-line entry point: train, eval, metrics, replay.
 
 Exit codes, set by ``main`` alone: 0 success; 2 usage or config error
-(ValueError); 3 a file that is missing or cannot be parsed (OSError); 4 input
-data that contradicts itself or an invariant (InvariantViolation). All outputs
-are plain JSON/JSONL/CSV so any plotting stack can consume them.
+(ValueError, or MemoryError for a config whose tables cannot be allocated);
+3 a file that is missing or cannot be parsed (OSError); 4 input data that
+contradicts itself or an invariant (InvariantViolation). All outputs are
+plain JSON/JSONL/CSV so any plotting stack can consume them.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,7 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -114,8 +114,7 @@ class RolloutBatch:
     of the current parameters. ``lengths`` is derived from the table. The
     ids (``check_ids``: no problem repeats) and arrays are checked on
     construction, the arrays frozen, and a record compares equal only to
-    itself. ``batch[p]``, also by iteration, is problem p's group: a
-    one-problem record viewing the checked arrays.
+    itself.
     """
 
     problem_ids: tuple[str, ...]
@@ -164,23 +163,6 @@ class RolloutBatch:
 
     def __len__(self) -> int:
         return len(self.problem_ids)
-
-    def __getitem__(self, p: int) -> "RolloutBatch":
-        """Problem p's group, without checking again what was checked."""
-        p = range(len(self))[p]  # an IndexError past either end
-        group = object.__new__(RolloutBatch)
-        vars(group).update({name: value[p : p + 1] for name, value in vars(self).items()})
-        return group
-
-    def __iter__(self) -> Iterator["RolloutBatch"]:
-        return map(self.__getitem__, range(len(self)))
-
-    @property
-    def problem_id(self) -> str:
-        """The problem of a one-problem record, such as ``batch[p]``."""
-        if len(self) != 1:
-            raise ValueError(f"a record of {len(self)} problems has no single problem_id")
-        return self.problem_ids[0]
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ class TabularPolicy:
         return TabularPolicy(self.problem_ids, self.w_cap, self.logits.copy())
 
     def ascend(self, grad: np.ndarray, learning_rate: float) -> None:
-        """One in-place gradient ascent step."""
+        """One gradient ascent step, binding a new array to ``logits``."""
         if grad.shape != self.logits.shape:
             raise ValueError("gradient shape mismatch")
         self.logits = self.logits + learning_rate * grad

@@ -55,7 +55,7 @@ def shape(length: int, correct: bool, threshold: float, r_pen: float) -> ShapedR
 def shape_group(
     batch: RolloutBatch, buffer: ExperienceBuffer, alpha: float, r_pen: float
 ) -> list[ShapedReward]:
-    """Shape every rollout of a batch, or of a group such as ``batch[p]``, as
+    """Shape every rollout of a batch, or of a one-problem record, as
     ``shape`` would, in one ``np.where`` over ``(P, G)`` against each
     problem's threshold: one flat list in ``(p, i)`` order. Pass the buffer
     from before the batch's update, so no rollout tightens its own threshold."""

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import advantage
-from .buffer import ExperienceBuffer
+from .buffer import ExperienceBuffer, Group
 from .core import InvariantViolation, ProblemSpec, RunConfig, check_ids, save_config
 from .env import (
     N_ACTIONS,
@@ -119,7 +119,8 @@ def train_step(
     config: RunConfig,
     step: int,
 ) -> tuple[TabularPolicy, ExperienceBuffer, StepLog]:
-    """One full training step; mutates policy and buffer in place.
+    """One full training step: the buffer's entries change in place, and
+    the policy's logits are replaced by a new array.
 
     ``step`` seeds the per-(step, problem, rollout) rng streams. The batch is
     sampled from ``policy`` itself: the record keeps the log-prob table it
@@ -147,8 +148,8 @@ def train_step(
     if not np.isfinite(grad).all():
         raise InvariantViolation(f"gradient is not finite at step {step}")
     clock.append(time.perf_counter())
-    for g in batch:
-        buffer.update(g)
+    for group in map(Group, batch.problem_ids, batch.lengths, correct):
+        buffer.update(group)
     policy.ascend(grad, config.learning_rate)
     clock.append(time.perf_counter())
 
@@ -356,7 +357,8 @@ def resume(path: str | Path) -> tuple[TabularPolicy, ExperienceBuffer, tuple[Pro
     meta = read("meta.json", _read_meta)
     if meta["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version mismatch: {meta['version']}")
-    logits = read("policy_logits.npy", lambda p: np.load(p).astype(float))
+    # same_kind: complex or string logits are refused, not cast with a warning or parsed
+    logits = read("policy_logits.npy", lambda p: np.load(p).astype(float, casting="same_kind"))
     buffer = read("buffer.expbuf", ExperienceBuffer.load)
     bank = read("bank.tsv", load_bank)
     try:

@@ -349,11 +349,11 @@ def group_loop_surrogate(batch, advantages, policy, eps_low, eps_high):
     probs = np.exp(logp)
     grad = np.zeros_like(policy.logits)
     total = 0.0
-    for group, a in zip(batch, np.asarray(advantages)):
-        p = policy.problem_index(group.problem_id)
-        counts = group.counts[0]
-        n = int(group.lengths.sum())
-        ratio = np.exp(logp[p] - group.behavior_logp[0])
+    for row, a in enumerate(np.asarray(advantages)):
+        p = policy.problem_index(batch.problem_ids[row])
+        counts = batch.counts[row]
+        n = int(batch.lengths[row].sum())
+        ratio = np.exp(logp[p] - batch.behavior_logp[row])
         adv = a[:, None, None]
         unclipped_val = ratio * adv
         clipped_val = np.clip(ratio, 1.0 - eps_low, 1.0 + eps_high) * adv

@@ -29,8 +29,8 @@ from tests.reference import columns, sample_batch
 PACKAGE = str(Path(conciserl.__file__).parent)
 DESK = dict(group_size=8, l_max=1024, steps=30)  # 20 problems, a checkpoint every 10 steps
 # Mean calls per training step of a 30-step desk run, by advantage mode
-# (measured: count 431.9, std 408.3).
-STEP_BUDGET = {"count": 475, "std": 449}
+# (measured: count 329.9, std 306.3).
+STEP_BUDGET = {"count": 362, "std": 336}
 # Mean walk passes per training step of that run (measured: count 24.1, std 53.8).
 STEP_PASS_BUDGET = {"count": 26.5, "std": 59.1}
 # Calls of one `conciserl eval --n-samples 256 --k 1,4` on that run's last

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from conciserl.buffer import BufferFormatError, ExperienceBuffer
+from conciserl.buffer import BufferFormatError, ExperienceBuffer, Group
 from conciserl.core import RolloutBatch
 from conciserl.env import Action
 from tests.reference import stack
 
 
 def group(problem_id, specs):
+    """One problem's group of rollouts, one per (length, correct) spec."""
+    return Group(problem_id, np.array([n for n, _ in specs]), np.array([c for _, c in specs]))
+
+
+def record(problem_id, specs):
     """A one-problem record of rollouts of WORK tokens in state 0 ending in
     ANSWER_A, one per (length, correct) spec."""
     counts = np.zeros((1, len(specs), 1, 4), dtype=np.int32)
@@ -75,6 +80,19 @@ class TestUpdate:
         buf.update(group("q", [(300, True)]))
         assert buf.entry("q") == 150
 
+    def test_correct_flags_given_as_integers(self):
+        # 0/1 flags fold as flags, not as the indices of rollouts 0 and 1
+        buf = ExperienceBuffer({"q": 100}, 100)
+        buf.update(Group("q", np.array([5, 7]), np.array([0, 1])))
+        assert buf.entry("q") == 7
+
+    def test_correct_length_below_one_is_error(self):
+        # the entry would fall to 0, which .expbuf refuses to load
+        buf = ExperienceBuffer({"q": 100}, 100)
+        with pytest.raises(ValueError, match="correct rollout of length 0"):
+            buf.update(group("q", [(7, True), (0, True)]))
+        assert buf.entry("q") == 100
+
     def test_unknown_problem_is_error(self):
         buf = ExperienceBuffer.init({"q"}, 100)
         with pytest.raises(KeyError):
@@ -89,11 +107,11 @@ class TestUpdate:
         # a group is one row of a batch; a record of several problems is not
         # one group
         buf = ExperienceBuffer({"q": 500, "r": 700}, 16384)
-        batch = stack([group("q", [(100, True), (90, False)]), group("r", [(300, True), (200, True)])])
-        with pytest.raises(ValueError, match="2 problems"):
+        batch = stack([record("q", [(100, True), (90, False)]), record("r", [(300, True), (200, True)])])
+        with pytest.raises(AttributeError, match="problem_id"):
             buf.update(batch)
         assert buf.entries() == {"q": 500, "r": 700}
-        for g in batch:
+        for g in map(Group, batch.problem_ids, batch.lengths, batch.correct):
             buf.update(g)
         assert buf.entries() == {"q": 100, "r": 200}
 

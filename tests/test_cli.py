@@ -93,6 +93,17 @@ BAD_CHECKPOINTS = {
         "unreadable checkpoint file .*policy_logits.npy",
     ),
     "logits-header-unclosed": (unclosed_shape, EXIT_IO, "unreadable checkpoint file .*policy_logits.npy"),
+    # the real logits as complex numbers, and as strings that would parse as floats
+    "logits-complex": (
+        lambda ck: np.save(ck / "policy_logits.npy", np.load(ck / "policy_logits.npy") + 0j),
+        EXIT_IO,
+        "unreadable checkpoint file .*policy_logits.npy",
+    ),
+    "logits-strings": (
+        lambda ck: np.save(ck / "policy_logits.npy", np.load(ck / "policy_logits.npy").astype(str)),
+        EXIT_IO,
+        "unreadable checkpoint file .*policy_logits.npy",
+    ),
     "bank-too-hard": (
         too_hard_first_problem,
         EXIT_INVARIANT,
@@ -138,6 +149,10 @@ SHORT_ROW_CSV = b"name,accuracy,mean_tokens\nV,50\n"
 NON_FINITE_ROW_CSV = b"name,accuracy,mean_tokens\nV,60,90\nvan/a,50,nan\n"
 DUPLICATE_ROW_CSV = b"name,accuracy,mean_tokens\nV,60,90\nours/a,60,1e300\nours/a,70,100\n"
 NOT_UTF8_CONFIG = b"steps = 2\n# \xff\n"
+# A policy table of 20 x (10^12 + 1) x 4 float64s, 582 TiB: more than the 128 TiB
+# a 64-bit Linux process maps by default, so the allocation fails at once
+# without touching memory.
+HUGE_CONFIG = b"w_cap = 1000000000000\nsteps = 1\n"
 
 
 def write_config(tmp_path, text):
@@ -235,6 +250,12 @@ class TestTrain:
         cfg = write_config(tmp_path, "d_max = 11\nsteps = 1\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "w_cap" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_tables_too_large_to_allocate(self, tmp_path, capsys):
+        cfg = write_bytes(tmp_path / "run.cfg", HUGE_CONFIG)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
         assert not (tmp_path / "o").exists()
 
     def test_config_not_utf8(self, tmp_path, capsys):
@@ -577,15 +598,22 @@ MALFORMED_INPUTS = {
     "train-config-not-utf8": lambda t: [
         "train", "--config", write_bytes(t / "run.cfg", NOT_UTF8_CONFIG), "--out", str(t / "o")
     ],
+    "train-tables-too-large": lambda t: [
+        "train", "--config", write_bytes(t / "run.cfg", HUGE_CONFIG), "--out", str(t / "o")
+    ],
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_INPUTS)
 def test_entry_point_exits_cleanly(tmp_path, case):
-    # the real entry point, sys.exit(main()), in a fresh interpreter
+    # the real entry point, sys.exit(main()), in a fresh interpreter with the
+    # warning filters a user gets: an inherited PYTHONWARNINGS=error would turn
+    # a warning the program lets through into an exit 3, and PYTHONDEVMODE
+    # would change which warnings show
     argv = MALFORMED_INPUTS[case](tmp_path)
     src = str(Path(conciserl.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "conciserl.cli", *argv], capture_output=True, text=True, env=env, timeout=120
     )

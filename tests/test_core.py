@@ -161,23 +161,6 @@ def one_rollout(logp_row):
     return RolloutBatch(["p"], [[[[0, 1, 0, 0], [0, 0, 1, 0]]]], logp, [[False]], [[False]])
 
 
-def three_problems():
-    """A valid 3 x 2 record whose rows differ in every array."""
-    counts = np.zeros((3, 2, 2, 4), dtype=np.int32)
-    counts[:, :, 0, 1] = [[1, 2], [3, 4], [5, 6]]
-    counts[:, :, 1, 2] = 1
-    logp = -np.arange(1.0, 25.0).reshape(3, 2, 4)
-    correct = [[True, False], [False, False], [False, True]]
-    truncated = [[False, True], [False, False], [True, False]]
-    return RolloutBatch(("a", "b", "c"), counts, logp, correct, truncated)
-
-
-def rows(batch):
-    """A record's problem ids and every array, as plain lists of its rows."""
-    arrays = [getattr(batch, f.name).tolist() for f in dataclasses.fields(batch) if f.name != "problem_ids"]
-    return list(zip(batch.problem_ids, *arrays))
-
-
 class TestRolloutBatch:
     def test_columns_frozen_to_arrays(self):
         counts = [[[[2, 0, 1, 0], [0, 0, 0, 0]], [[0, 0, 0, 1], [0, 0, 0, 0]]]]
@@ -266,40 +249,6 @@ class TestRolloutBatch:
     def test_problem_ids_one_per_row(self, ids):
         with pytest.raises(ValueError, match=f"{len(ids)} problem ids for 1 problems"):
             RolloutBatch(ids, [[[[0, 1, 0, 0], [0, 0, 1, 0]]]], np.zeros((1, 2, 4)), [[False]], [[False]])
-
-    def test_groups_are_its_rows(self):
-        batch = three_problems()
-        assert len(batch) == 3
-        want = rows(batch)
-        for p, group in enumerate(batch):
-            assert rows(group) == [want[p]] == rows(batch[p])
-            assert group.problem_id == batch.problem_ids[p]
-        assert rows(batch[-1]) == [want[-1]] and rows(batch[-3]) == [want[0]]
-
-    @pytest.mark.parametrize("p", [3, -4])
-    def test_group_past_either_end(self, p):
-        with pytest.raises(IndexError):
-            three_problems()[p]
-
-    def test_groups_view_the_checked_arrays(self, monkeypatch):
-        # a group is neither checked again nor copied, and cannot be written
-        batch = three_problems()
-        checks = []
-        monkeypatch.setattr(RolloutBatch, "__post_init__", lambda self: checks.append(self))
-        groups = list(batch)
-        assert checks == []
-        for p, group in enumerate(groups):
-            for name in ("counts", "behavior_logp", "correct", "truncated", "lengths"):
-                array = getattr(group, name)
-                assert np.shares_memory(array, getattr(batch, name)) and array.shape[0] == 1
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0
-
-    def test_problem_id_needs_one_problem(self):
-        batch = three_problems()
-        with pytest.raises(ValueError, match="a record of 3 problems has no single problem_id"):
-            batch.problem_id
-        assert one_rollout([-1.0, -1.0]).problem_id == "p"
 
 
 class TestValidateConfig:

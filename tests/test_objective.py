@@ -400,11 +400,9 @@ def training_batch(config, seed):
     policy = initial_policy(ids, config.w_cap, config.init_answer_logit)
     batch = sample_batch(policy, bank, config.group_size, config.l_max, (seed, 1))
     buffer = ExperienceBuffer.init(ids, config.l_max)
-    advs = [
-        count_advantage([s.value for s in shape_group(g, buffer, config.alpha, config.r_pen)], c, 1e-6)
-        for g, c in zip(batch, batch.correct.sum(axis=1).tolist())
-    ]
-    return batch, np.array(advs), policy
+    rewards = [s.value for s in shape_group(batch, buffer, config.alpha, config.r_pen)]
+    advs = count_advantage(np.reshape(rewards, batch.correct.shape), batch.correct.sum(axis=1), 1e-6)
+    return batch, advs, policy
 
 
 def desk_batch(seed):

@@ -9,7 +9,7 @@ from conciserl.core import RunConfig
 from conciserl.env import initial_policy, make_problem_bank, sample_batch
 from conciserl.rewards import RewardTier, ShapedReward, shape, shape_group
 from tests.reference import stack
-from tests.test_buffer import group
+from tests.test_buffer import record
 
 
 class TestShape:
@@ -89,24 +89,24 @@ class TestShape:
 class TestShapeGroup:
     def test_hand_example(self):
         buf = ExperienceBuffer({"q": 100}, 16384)
-        g = group("q", [(100, True), (200, True), (50, False), (110, True)])
+        g = record("q", [(100, True), (200, True), (50, False), (110, True)])
         values = [s.value for s in shape_group(g, buf, alpha=0.1, r_pen=0.5)]
         assert values == [1.0, 0.5, 0.0, 1.0]
 
     def test_all_incorrect(self):
         buf = ExperienceBuffer({"q": 100}, 16384)
-        g = group("q", [(n, False) for n in (10, 20, 30)])
+        g = record("q", [(n, False) for n in (10, 20, 30)])
         assert [s.value for s in shape_group(g, buf, 0.1, 0.5)] == [0.0, 0.0, 0.0]
 
     def test_unsolved_problem_has_generous_threshold(self):
         l_max = 16384
         buf = ExperienceBuffer.init({"q"}, l_max)
-        g = group("q", [(l_max, True)])
+        g = record("q", [(l_max, True)])
         assert shape_group(g, buf, 0.1, 0.5)[0].value == 1.0
 
     def test_unknown_problem(self):
         buf = ExperienceBuffer.init({"q"}, 100)
-        g = group("zz", [(10, True)])
+        g = record("zz", [(10, True)])
         with pytest.raises(KeyError):
             shape_group(g, buf, 0.1, 0.5)
 
@@ -114,22 +114,22 @@ class TestShapeGroup:
         # each group of a batch is shaped against its own problem's threshold,
         # and the batch call is the per-group calls, concatenated
         buf = ExperienceBuffer({"q": 100, "r": 10}, 16384)
-        batch = stack([group("q", [(100, True), (50, False)]), group("r", [(100, True), (11, True)])])
-        per_group = [[s.value for s in shape_group(g, buf, 0.1, 0.5)] for g in batch]
+        groups = [record("q", [(100, True), (50, False)]), record("r", [(100, True), (11, True)])]
+        per_group = [[s.value for s in shape_group(g, buf, 0.1, 0.5)] for g in groups]
         assert per_group == [[1.0, 0.0], [0.5, 1.0]]
-        assert shape_group(batch, buf, 0.1, 0.5) == [s for g in batch for s in shape_group(g, buf, 0.1, 0.5)]
+        assert shape_group(stack(groups), buf, 0.1, 0.5) == [s for g in groups for s in shape_group(g, buf, 0.1, 0.5)]
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_threshold_not_finite_rejected(self, alpha):
         buf = ExperienceBuffer({"q": 100}, 16384)
         with pytest.raises(ValueError, match="threshold"):
-            shape_group(group("q", [(10, True)]), buf, alpha, 0.5)
+            shape_group(record("q", [(10, True)]), buf, alpha, 0.5)
 
     def test_r_pen_out_of_range(self):
         buf = ExperienceBuffer({"q": 100}, 16384)
         for r_pen in (-0.1, 1.0, float("nan")):
             with pytest.raises(ValueError, match="r_pen"):
-                shape_group(group("q", [(10, False)]), buf, 0.1, r_pen)
+                shape_group(record("q", [(10, False)]), buf, 0.1, r_pen)
 
 
 def assert_shapes_as_scalar(batch, buffer, alpha, r_pen):
@@ -155,11 +155,11 @@ class TestWholeBatchEqualsScalar:
         batch = stack(
             [
                 # lengths below, exactly at and above 10 * 1.1 = 11.0
-                group("at", [(11, True), (10, True), (12, True), (11, False)]),
+                record("at", [(11, True), (10, True), (12, True), (11, False)]),
                 # unsolved: the threshold is l_max * 1.1, above any length
-                group("unsolved", [(l_max, True), (l_max, False), (1, True), (33, True)]),
-                group("wrong", [(n, False) for n in (1, 3, 4, 60)]),
-                group("low", [(1, True), (2, True), (1, False), (5, True)]),
+                record("unsolved", [(l_max, True), (l_max, False), (1, True), (33, True)]),
+                record("wrong", [(n, False) for n in (1, 3, 4, 60)]),
+                record("low", [(1, True), (2, True), (1, False), (5, True)]),
             ]
         )
         tiers = [s.tier for s in assert_shapes_as_scalar(batch, buf, 0.1, r_pen)]
@@ -189,6 +189,6 @@ class TestWholeBatchEqualsScalar:
 
     def test_unknown_problem_raises_key_error(self):
         buf = ExperienceBuffer({"q": 100}, 16384)
-        batch = stack([group("q", [(10, True)]), group("zz", [(10, True)])])
+        batch = stack([record("q", [(10, True)]), record("zz", [(10, True)])])
         with pytest.raises(KeyError, match="zz"):
             shape_group(batch, buf, 0.1, 0.5)

@@ -280,8 +280,7 @@ class TestSampleBatchMemory:
             logits[i, : p.difficulty, Action.WORK] = 8.0
             logits[i, p.difficulty :, Action.ANSWER_A if p.correct_answer == "A" else Action.ANSWER_B] = 8.0
         policy = TabularPolicy([p.id for p in self.BANK], 10, logits)
-        groups = sample_batch(policy, self.BANK, 256, 1024, (0,))
-        assert all(g.correct.all() for g in groups)
+        assert sample_batch(policy, self.BANK, 256, 1024, (0,)).correct.all()
         assert traced_peak_mb(lambda: sample_batch(policy, self.BANK, 256, 1024, (0,))) < 4.0
 
 
