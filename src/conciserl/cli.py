@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ EXIT_IO = 3
 EXIT_INVARIANT = 4
 
 
+@functools.cache  # built on the first call, not at import, and once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conciserl",

@@ -147,9 +147,9 @@ class RolloutBatch:
         check_ids(self.problem_ids)
         if not self.correct.shape == self.truncated.shape == counts.shape[:2]:
             raise ValueError("counts, correct and truncated must have one entry per rollout")
-        if (counts < 0).any():
+        if counts.min(initial=0) < 0:  # a table of no cells goes on to the length check
             raise ValueError("counts must be >= 0")
-        lengths = counts.sum(axis=(2, 3), dtype=np.intp)
+        lengths = np.einsum("pgwa->pg", counts, dtype=np.intp)
         lengths.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
         if lengths.min() < 1:

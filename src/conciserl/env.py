@@ -130,10 +130,10 @@ _MASK64 = (1 << 64) - 1
 
 
 def _constants(values: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """128-bit constants as uint64 arrays: their high words, their low words
-    and the low words' 32-bit halves."""
-    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
-    lo = np.array([v & _MASK64 for v in values], dtype=np.uint64)
+    """128-bit constants as ``(len(values), 1)`` uint64 columns: their high
+    words, their low words and the low words' 32-bit halves."""
+    hi = np.array([[v >> 64] for v in values], dtype=np.uint64)
+    lo = np.array([[v & _MASK64] for v in values], dtype=np.uint64)
     return hi, lo, lo & _MASK32, lo >> 32
 
 
@@ -170,21 +170,23 @@ def _first_chunk(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Every state comes straight from the seed words (see ``_PCG_MULT``), and
     its double is PCG64's XSL-RR output (``hi ^ lo`` rotated right by
-    ``hi >> 58``) shifted to 53 bits and scaled by 2^-53. The arithmetic
-    runs in place, so at most five ``(rows, _FIRST_CHUNK)`` uint64 arrays
-    are live at once. Seeding steps the LCG once from ``init + inc``, so an
-    ``init`` of the next-to-last state less ``inc`` lands on the last one.
+    ``hi >> 58``) shifted to 53 bits and scaled by 2^-53. The states are
+    ``(_FIRST_CHUNK, rows)`` arrays, one row per offset, so every ufunc runs
+    along the rollouts; the arithmetic runs in place, so at most five such
+    uint64 arrays are live at once, and the doubles are returned transposed,
+    ``(rows, _FIRST_CHUNK)``. Seeding steps the LCG once from ``init + inc``,
+    so an ``init`` of the next-to-last state less ``inc`` lands on the last one.
     """
     w2, w3 = words[:, 2], words[:, 3]
     inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
     x_lo = words[:, 1] + inc_lo
     x_hi = words[:, 0] + inc_hi + (x_lo < inc_lo)
-    hi, lo = _mul128(x_hi[:, None], x_lo[:, None], _STREAM_POWERS)
-    b_hi, b_lo = _mul128(inc_hi[:, None], inc_lo[:, None], _STREAM_SUMS)
+    hi, lo = _mul128(x_hi, x_lo, _STREAM_POWERS)
+    b_hi, b_lo = _mul128(inc_hi, inc_lo, _STREAM_SUMS)
     lo += b_lo
     hi += b_hi
     hi += lo < b_lo
-    before_hi, before_lo = hi[:, -2], lo[:, -2]
+    before_hi, before_lo = hi[-2], lo[-2]
     seeds = np.stack([before_hi - inc_hi - (before_lo < inc_lo), before_lo - inc_lo, w2, w3], axis=1)
     x, rot = np.bitwise_xor(hi, lo, out=lo), np.right_shift(hi, 58, out=hi)
     shift = np.subtract(64, rot, out=b_hi)
@@ -193,7 +195,7 @@ def _first_chunk(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x >>= rot
     x |= shift
     x >>= 11
-    return x * 2.0**-53, seeds
+    return (x * 2.0**-53).T, seeds
 
 
 class _SeedState(ISeedSequence):
@@ -288,13 +290,15 @@ def sample_batch(
     block with. Within a block, a chunk of uniforms holds at most
     ``_CHUNK_UNIFORMS`` across the live rollouts (never narrower than
     ``_FIRST_CHUNK``). The block's first chunk is computed in numpy for all
-    its rollouts at once, with the seed words that go on with each stream
+    its rollouts at once, column-major so that every ufunc runs along the
+    rollouts, with the seed words that go on with each stream
     (``_first_chunk``); only a rollout that outlives it gets a generator,
-    seeded with its words. That chunk is walked from a cursor per rollout,
-    so a rollout that leaves its state at its next uniform costs no scan of
-    its row, as nearly every token of a converged policy does; the later
-    chunks, which only rollouts that keep their state for long reach, are
-    scanned whole on every pass.
+    seeded with its words. That chunk is walked in lockstep, one column of
+    every live rollout a pass, so it takes at most ``_FIRST_CHUNK + 1``
+    passes of ``(rows,)``-sized operations and scans no row; a converged
+    policy's rollouts nearly all end in it. The later chunks, which only
+    rollouts that keep their state for long reach, are scanned whole on
+    every pass.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -321,33 +325,35 @@ def sample_batch(
 
 def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) -> tuple[np.ndarray, ...]:
     """Each rollout of a block, of problem ``problems[i]`` with seed words
-    ``words[i]`` (``_seed_words``), walked one state exit at a time under the
-    cumulative action probabilities ``cum[problems[i]]``: its count table,
+    ``words[i]`` (``_seed_words``), walked under the cumulative action
+    probabilities ``cum[problems[i]]``, one token at a time in its first
+    chunk and one state exit at a time after it: its count table,
     whether it answered within ``l_max``, its last action (the answer, if it
     answered) and its WORK count.
 
     In state w a FILLER token keeps the state, and so does a WORK token at
     ``w_cap``; any other token exits it. A run of state-keeping tokens
     therefore ends at the first uniform outside ``[cum[w, 0], cum[w, 1])``
-    (``[0, cum[w, 1])`` at ``w_cap``), which one numpy pass finds for every
-    live rollout at once, in one of two forms:
+    (``[0, cum[w, 1])`` at ``w_cap``). The walk takes numpy passes over
+    every live rollout at once, in one of two forms:
 
     - The first chunk, where every rollout starts and where a converged one
-      ends, is read from a per-rollout cursor, its first unread column. A
-      pass reads the uniform at each cursor, and a rollout it moves out of
-      its state is settled with ``(rows,)``-sized operations; only a rollout
-      it keeps in its state scans its row, under a ``columns >= cursor``
-      mask that also bounds the WORK tokens counted at ``w_cap``. So a
-      rollout that exits at nearly every token, as a converged one does,
-      costs no scan of its row.
+      ends, is walked in lockstep: pass t reads column t of every live
+      rollout and settles that token with ``(rows,)``-sized operations. A
+      WORK exit moves the rollout to its next state; a FILLER keeps it, as
+      does a WORK token at ``w_cap``, counted against a per-cell edge that
+      is -1 below ``w_cap``; an answer, or the sentinel column that closes
+      the chunk, finishes it. So the chunk takes at most
+      ``_FIRST_CHUNK + 1`` passes and scans no row.
     - A generator's chunk is scanned whole on every pass, and the uniforms a
       rollout has read are set to NaN, which no comparison passes. A rollout
       reaches such a chunk by keeping its state for many tokens, at
       ``w_cap`` often for hundreds, and then its first pass is often its
-      only one: a cursor would buy nothing there and cost a mask per pass.
+      only one, where a lockstep would take a pass per token.
 
-    Each pass calls ``ndarray.nonzero`` once, and each scan of whole rows
-    ``ndarray.argmax`` once (``tests/test_budgets.py`` counts both). Each
+    Each pass calls ``ndarray.nonzero`` once (in the first chunk, on the
+    rollouts it finishes), and each scan of whole rows ``ndarray.argmax``
+    once (``tests/test_budgets.py`` counts both). Each
     rollout draws the PCG64 stream its seed words seed: numpy computes every
     rollout's first ``_FIRST_CHUNK`` doubles at once (``_first_chunk``), of
     which the walk reads ``min(_FIRST_CHUNK, l_max)``, and only the rollouts
@@ -373,11 +379,12 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     n = len(problems)
     # Per flat (rollout, state) cell: a uniform below ``lo`` is a WORK exit
     # (never at w_cap), one at or above ``hi`` an answer. At w_cap, one below
-    # ``cap_edge`` is a WORK token, which keeps the state.
+    # ``edge`` is a WORK token, which keeps the state (``edge`` is -1 elsewhere).
     lo, hi = cum[problems, :, 0], cum[problems, :, 1].reshape(-1)
-    cap_edge = lo[:, -1].copy()
+    edge = np.full_like(lo, -1.0)
+    edge[:, -1] = lo[:, -1]
     lo[:, -1] = -1.0
-    lo = lo.reshape(-1)
+    lo, edge = lo.reshape(-1), edge.reshape(-1)
     first_state = np.arange(0, n * n_states, n_states)
     state = first_state.copy()
     left = np.full(n * n_states, l_max)
@@ -386,51 +393,45 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     rows = np.arange(n)
     offset, width = 0, min(_FIRST_CHUNK, l_max)
     while rows.size:
-        r, s, ur = rows, state[rows], np.empty((rows.size, width + 1))  # the chunk's rollouts, states, uniforms
-        ur[:, width] = 2.0  # a sentinel that exits every state
-        if offset:
+        if not offset:  # the first chunk in lockstep: pass t reads column t of every live rollout
+            doubles, seeds = _first_chunk(words)
+            first = np.full((width + 1, n), 2.0)  # and a sentinel column that exits every state
+            first[:width] = doubles.T[:width]
+            r, s = rows, state.copy()
+            for t, column in enumerate(first):
+                u = column[r]
+                cap_work[r] += u < edge[s]  # a WORK token at w_cap, which keeps the state
+                done = u >= hi[s]
+                left[s] = t  # rewritten at every pass up to the one that leaves s
+                s += u < lo[s]
+                fin = done.nonzero()[0]
+                state[r[fin]], exit_u[r[fin]] = s[fin], u[fin]
+                if fin.size == r.size:
+                    break
+                r, s = r[~done], s[~done]
+        else:  # a generator's chunk: every row scanned whole, its read uniforms NaN
+            r, s, ur = rows, state[rows], np.empty((rows.size, width + 1))  # the chunk's rollouts, states, uniforms
+            ur[:, width] = 2.0  # a sentinel that exits every state
             for out, row in zip(ur[:, :width], rows.tolist()):
                 rngs[row].random(out=out)
-        else:
-            doubles, seeds = _first_chunk(words)
-            ur[:, :width] = doubles[:, :width]
-        columns = np.arange(width + 1)
-        j = np.zeros(rows.size, dtype=np.intp)  # the first chunk's cursors: each rollout's first unread column
-        while r.size:
-            lo_r, hi_r = lo[s], hi[s]
-            if offset:  # a generator's chunk: every row scanned whole, its read uniforms NaN
+            columns = np.arange(width + 1)
+            while r.size:
+                lo_r, hi_r = lo[s], hi[s]
                 j = ((ur < lo_r[:, None]) | (ur >= hi_r[:, None])).argmax(axis=1)
                 capped = (lo_r < 0).nonzero()[0]
                 if capped.size:
-                    rc = r[capped]
-                    kept = (ur[capped] < cap_edge[rc][:, None]) & (columns < j[capped][:, None])
-                    cap_work[rc] += kept.sum(axis=1)
+                    kept = (ur[capped] < edge[s[capped]][:, None]) & (columns < j[capped][:, None])
+                    cap_work[r[capped]] += kept.sum(axis=1)
                 u = ur[np.arange(r.size), j]
-            else:  # the first chunk: the uniform at each cursor; the rows it keeps in their state scan from it
-                u = ur[r, j]  # (ur's rows are the block's rollouts)
-                keep = ((u >= lo_r) & (u < hi_r)).nonzero()[0]
-                if keep.size:
-                    rk, unread = r[keep], columns >= j[keep][:, None]
-                    lo_k, row = lo_r[keep], ur[rk]
-                    jk = j[keep] = (((row < lo_k[:, None]) | (row >= hi_r[keep][:, None])) & unread).argmax(axis=1)
-                    cap = lo_k < 0
-                    if cap.any():
-                        rc = rk[cap]
-                        kept = (row[cap] < cap_edge[rc][:, None]) & unread[cap] & (columns < jk[cap][:, None])
-                        cap_work[rc] += kept.sum(axis=1)
-                    u[keep] = row[np.arange(keep.size), jk]
-            exit_u[r] = u
-            # at the sentinel, offset + width: l_max once the last chunk is spent
-            left[s] = offset + j
-            work = u < lo_r
-            s += work
-            state[r] = s
-            if offset:
+                exit_u[r] = u
+                # at the sentinel, offset + width: l_max once the last chunk is spent
+                left[s] = offset + j
+                work = u < lo_r
+                s += work
+                state[r] = s
                 more = work & (j + 1 < width)
                 r, s, ur = r[more], s[more], ur[more]
                 np.copyto(ur, np.nan, where=columns <= j[more][:, None])
-            else:
-                r, s, j = r[work], s[work], j[work] + 1
         rows = rows[left[state[rows]] >= offset + width] if offset + width < l_max else rows[:0]
         if not offset:
             rngs = {row: np.random.Generator(np.random.PCG64(_SeedState(seeds[row]))) for row in rows.tolist()}

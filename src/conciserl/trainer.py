@@ -9,7 +9,6 @@ or chunks; ``env.sample_batch`` is also the sampler of ``eval``.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -68,7 +67,7 @@ class StepLog:
     wall_ms: float
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def read_step_log(path: str | Path) -> list[dict]:

@@ -5,13 +5,13 @@ source (``sys.setprofile`` "call" events, numpy's Python wrappers excluded).
 A pass budget caps the passes of the sampler's walk (``env._walk``'s
 ``ndarray.nonzero`` "c_call" events, one per pass of either form), and a
 scan budget its scans of whole rows (its ``ndarray.argmax`` events: one per
-first-chunk pass that has a rollout keeping its state, one per pass over a
-generator's chunk). Each holds on any host and numpy version. A budget is
-its measured value plus 10%, so per-group Python creeping back into the
-training step or the ``eval`` batch, a walk that takes more passes, or
-full-width scans coming back where the cursor settles rollouts, fails here
-on the first run. A change that raises one says why in CHANGES.md, as for
-any changed bound.
+pass over a generator's chunk; the first chunk, walked in lockstep one
+column a pass, scans none). Each holds on any host and numpy version. A
+budget is its measured value plus 10%, so per-group Python creeping back
+into the training step or the ``eval`` batch, a walk that takes more
+passes, or full-width scans coming back into the first chunk, fails here on
+the first run. A change that raises one says why in CHANGES.md, as for any
+changed bound.
 """
 
 import sys
@@ -31,15 +31,16 @@ DESK = dict(group_size=8, l_max=1024, steps=30)  # 20 problems, a checkpoint eve
 # Mean calls per training step of a 30-step desk run, by advantage mode
 # (measured: count 329.9, std 306.3).
 STEP_BUDGET = {"count": 362, "std": 336}
-# Mean walk passes per training step of that run (measured: count 24.1, std 53.8).
-STEP_PASS_BUDGET = {"count": 26.5, "std": 59.1}
+# Mean walk passes per training step of that run (measured: count 30.1, std 59.8).
+STEP_PASS_BUDGET = {"count": 33.1, "std": 65.7}
 # Calls of one `conciserl eval --n-samples 256 --k 1,4` on that run's last
 # checkpoint, eval_sweep's shape (measured: 4,886).
 EVAL_BUDGET = 5340
-# Walk passes of that eval (measured: 110).
-EVAL_PASS_BUDGET = 121
+# Walk passes and full-width scans of that eval (measured: 140 and 55).
+EVAL_PASS_BUDGET = 154
+EVAL_SCAN_BUDGET = 60
 # Full-width scans of the converged 20 x 256 batch of `converged_batch`
-# (measured: 0; the policy keeps no rollout in its state).
+# (measured: 0; every rollout ends within the first chunk, which scans no row).
 CONVERGED_SCAN_BUDGET = 0
 WALK = env._walk.__code__
 
@@ -100,13 +101,13 @@ def desk_run(request, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def eval_batch(desk_run):
-    """The package calls and walk passes of one 256-sample eval of the desk
-    run's last checkpoint."""
+    """The package calls, walk passes and full-width scans of one 256-sample
+    eval of the desk run's last checkpoint."""
     out_dir = desk_run[1]
     argv = ["eval", "--checkpoint", str(out_dir / "checkpoints" / "step_00030"), "--n-samples", "256", "--k", "1,4"]
-    code, calls, passes, _ = package_calls(cli.main, argv)
+    code, calls, passes, scans = package_calls(cli.main, argv)
     assert code == cli.EXIT_OK
-    return calls, passes
+    return calls, passes, scans
 
 
 def test_one_advantage_call_per_step(desk_run):
@@ -131,14 +132,20 @@ def test_walk_passes_per_training_step_within_budget(desk_run):
 
 @pytest.mark.parametrize("desk_run", ["count"], indirect=True)
 def test_calls_per_eval_batch_within_budget(eval_batch):
-    calls, _ = eval_batch
+    calls, _, _ = eval_batch
     assert calls <= EVAL_BUDGET, f"{calls} calls for one eval batch; the budget is {EVAL_BUDGET}"
 
 
 @pytest.mark.parametrize("desk_run", ["count"], indirect=True)
 def test_walk_passes_per_eval_batch_within_budget(eval_batch):
-    _, passes = eval_batch
+    _, passes, _ = eval_batch
     assert 0 < passes <= EVAL_PASS_BUDGET, f"{passes} walk passes for one eval batch; the budget is {EVAL_PASS_BUDGET}"
+
+
+@pytest.mark.parametrize("desk_run", ["count"], indirect=True)
+def test_full_width_scans_per_eval_batch_within_budget(eval_batch):
+    _, _, scans = eval_batch
+    assert scans <= EVAL_SCAN_BUDGET, f"{scans} full-width scans for one eval batch; the budget is {EVAL_SCAN_BUDGET}"
 
 
 def certain_policy(ids, w_cap, actions):
@@ -154,11 +161,10 @@ def certain_policy(ids, w_cap, actions):
 def test_one_pass_and_one_scan_event_each():
     # Three problems whose walks are known token by token, in one block:
     # "a" works 3 times and answers, "b" fills until l_max truncates it and
-    # "c" works 18 times and answers. First chunk, 17 passes: at pass 1 "b"
-    # keeps its state and scans to the sentinel (scan 1), "a" answers at
-    # pass 4, and "c" works through columns 0-15 and reads the sentinel at
-    # pass 17. The generator's 24-wide chunk, 3 passes and 3 scans: "b"
-    # fills to its sentinel, "c" works twice and answers.
+    # "c" works 18 times and answers. First chunk, 17 lockstep passes and no
+    # scan: "a" answers at pass 4, and "b" and "c" read columns 0-15 and
+    # the sentinel at pass 17. The generator's 24-wide chunk, 3 passes and
+    # 3 scans: "b" fills to its sentinel, "c" works twice and answers.
     w_cap, l_max = 20, 40
     states = np.arange(w_cap + 1)
     actions = [
@@ -171,7 +177,7 @@ def test_one_pass_and_one_scan_event_each():
     batch, _, passes, scans = package_calls(env.sample_batch, policy, bank, 2, l_max, (0,))
     assert columns(batch) == columns(sample_batch(policy, bank, 2, l_max, (0,)))
     assert batch.lengths.tolist() == [[4, 4], [40, 40], [19, 19]]
-    assert (passes, scans) == (17 + 3, 1 + 3)
+    assert (passes, scans) == (17 + 3, 0 + 3)
 
 
 def converged_batch():

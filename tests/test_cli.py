@@ -569,6 +569,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["bogus"])
 
+    def test_built_once_per_process(self):
+        assert conciserl.cli._build_parser() is conciserl.cli._build_parser()
+
+    def test_a_flag_lasts_one_call(self, tmp_path):
+        # the one parser parses every argv afresh: a train without --seed
+        # after one with it trains with the config's own seed
+        cfg = write_config(tmp_path, "seed = 3\nsteps = 1\ngroup_size = 2\nl_max = 64\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "a"), "--seed", "5"]) == EXIT_OK
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert [load_config(tmp_path / run / "config.txt").seed for run in "ab"] == [5, 3]
+
+    def test_failed_calls_leave_it_whole(self, tmp_path):
+        # a usage error and a refused --k, then a good eval of the same
+        # checkpoint
+        ck = quick_train(tmp_path) / "checkpoints" / "step_00004"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--checkpoint", str(ck), "--n-samples", "x"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert main(["eval", "--checkpoint", str(ck), "--k", "x"]) == EXIT_CONFIG
+        assert main(["eval", "--checkpoint", str(ck), "--n-samples", "4", "--k", "1,2"]) == EXIT_OK
+        report = json.loads((ck / "eval.json").read_text())
+        assert report["n_samples"] == 4 and set(report["majority_at_k"]) == {"1", "2"}
+
 
 def eval_argv(tmp_path, edit):
     ck = quick_train(tmp_path) / "checkpoints" / "step_00004"

@@ -172,6 +172,14 @@ class TestRolloutBatch:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
+    def test_lengths_are_the_cell_sums(self):
+        # summed in intp: these rollouts run past int32
+        counts = np.random.default_rng(12).integers(1, 2**30, size=(3, 5, 7, 4), dtype=np.int32)
+        flags = np.zeros((3, 5), dtype=bool)
+        b = RolloutBatch(["a", "b", "c"], counts, np.full((3, 7, 4), -1.0), flags, flags)
+        assert b.lengths.dtype == np.intp and b.lengths.max() > 2**31
+        assert np.array_equal(b.lengths, counts.sum(axis=(2, 3)))
+
     @settings(deadline=None)
     @given(batch_columns())
     def test_valid_columns_accepted(self, cols):

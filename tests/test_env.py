@@ -446,16 +446,18 @@ WORK_ONLY, FILLER_ONLY, ANSWER_ONLY = [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]
 
 
 class TestFirstChunkCursor:
-    """The first chunk is walked from a cursor per rollout: a pass reads the
-    uniform under each cursor and scans from it only the rows that uniform
-    keeps in their state. Hand-built policies force each case where a
-    cursor, its mask or the sentinel decides the walk, and the walk must
-    still equal the token-by-token reference."""
+    """The first chunk is walked in lockstep: pass t reads column t of every
+    live rollout, whether that uniform keeps the rollout in its state,
+    moves it on or finishes it. Hand-built policies force each case where
+    the column a rollout stands at, the WORK tokens counted at ``w_cap`` or
+    the sentinel decides the walk, and the walk must still equal the
+    token-by-token reference. The class and its tests keep the names they
+    had under the per-rollout cursor walk, so that their ids stay stable."""
 
     def test_filler_run_after_the_cursor_below_w_cap(self):
         # state 0 always works, so state 1 is entered at column 1: a
-        # rollout whose uniform there is a FILLER scans from its cursor,
-        # past a column 0 that would exit state 1
+        # rollout whose uniform there is a FILLER stays in state 1 for the
+        # next pass, though its column 0 would exit state 1
         policy, bank = one_problem_policy(
             [WORK_ONLY, [0.4, 0.6, 0, 0], [0.3, 0.3, 0.2, 0.2], [0.3, 0.3, 0.2, 0.2], [0.3, 0.3, 0.2, 0.2]]
         )
@@ -466,13 +468,24 @@ class TestFirstChunkCursor:
 
     def test_filler_run_after_the_cursor_at_w_cap(self):
         # two certain WORK tokens reach w_cap at column 2; a rollout kept
-        # there counts the WORK tokens of its run from its cursor on, not
-        # the read columns 0 and 1 that lie below the w_cap WORK edge
+        # there counts the WORK tokens of its run from column 2 on, not the
+        # columns 0 and 1 that lie below the w_cap WORK edge
         policy, bank = one_problem_policy([WORK_ONLY, WORK_ONLY, [0.4, 0.4, 0.1, 0.1]], difficulty=2)
         u = uniforms((6,), 64, 3)
         assert (((u[:, 0] < 0.4) | (u[:, 1] < 0.4)) & (u[:, 2] < 0.8)).sum() > 5
         batch = assert_walk_equals_reference(policy, bank, 64, 40, (6,))
         assert batch.counts[0, :, 2, Action.WORK].sum() > 0
+
+    def test_work_and_filler_at_w_cap_then_an_answer(self):
+        # three certain WORK tokens reach w_cap at column 3, where WORK and
+        # FILLER tokens both keep the state: many rollouts take both there
+        # and answer within the first chunk, each w_cap WORK token counted
+        # at the pass that reads it
+        policy, bank = one_problem_policy([WORK_ONLY] * 3 + [[0.35, 0.35, 0.15, 0.15]], difficulty=3)
+        batch = assert_walk_equals_reference(policy, bank, 64, 40, (11,))
+        at_cap = batch.counts[0, :, 3]
+        both = (at_cap[:, Action.WORK] > 0) & (at_cap[:, Action.FILLER] > 0) & ~batch.truncated[0]
+        assert (both & (batch.lengths[0] <= env._FIRST_CHUNK)).sum() > 5
 
     @pytest.mark.parametrize("l_max", [16, 17, 40])
     def test_work_exit_on_the_last_column(self, l_max):
@@ -498,7 +511,7 @@ class TestFirstChunkCursor:
 
     def test_every_rollout_exits_at_its_cursor(self):
         # no FILLER mass and no WORK at w_cap: every uniform leaves its state,
-        # so no pass scans a row
+        # and no pass scans a row
         probs = [[0.6, 0, 0.2, 0.2]] * 5 + [[0, 0, 0.5, 0.5]]
         policy, bank = one_problem_policy(probs, difficulty=3)
         batch, _, passes, scans = package_calls(assert_walk_equals_reference, policy, bank, 64, 40, (9,))
@@ -507,9 +520,9 @@ class TestFirstChunkCursor:
 
     def test_no_rollout_exits_at_its_cursor(self):
         # each state's WORK edge sits just below the uniform that enters it:
-        # every uniform a cursor reads is a FILLER, and every exit is found
-        # by a scan from the cursor, past read columns that would exit the
-        # state; answers have no mass, so every rollout runs to l_max
+        # every state's first uniform is a FILLER, and its exit comes later,
+        # past columns read in earlier states that would exit it; answers
+        # have no mass, so every rollout runs to l_max
         key, l_max, w_cap = (10,), 16, 16
         bank, logits = [], []
         for p in range(8):
@@ -542,7 +555,8 @@ class TestFirstChunkCursor:
         # a uniform equal to a state's WORK edge cum[w, 0] is no WORK token:
         # the state keeps it as a FILLER, or, with no FILLER mass, answers.
         # The states before `column` always work, so the uniform is read at
-        # that column, in the first chunk (a cursor) or a generator's chunk.
+        # that column, in the first chunk (by a lockstep pass) or a
+        # generator's chunk.
         for seed in range(100):
             u = np.random.default_rng((seed, 0, 0)).random(column + 1)[column]
             rest = 1.0 - u

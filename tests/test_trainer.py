@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shutil
@@ -334,6 +335,15 @@ class TestTrainStep:
         assert min(phases) > 0
         assert sum(phases) <= log.wall_ms
         assert StepLog(**log.to_dict()) == log
+
+    def test_log_dict_is_the_dataclass_dict(self):
+        # to_dict reads the slots in field order: the line run writes to
+        # steps.jsonl is dataclasses.asdict's, key order included
+        cfg = small_config()
+        bank = make_problem_bank(cfg.n_problems, (cfg.d_min, cfg.d_max), cfg.seed)
+        buffer = ExperienceBuffer.init([p.id for p in bank], cfg.l_max)
+        _, _, log = train_step(initial_policy([p.id for p in bank], cfg.w_cap), buffer, bank, cfg, step=1)
+        assert json.dumps(log.to_dict()) == json.dumps(dataclasses.asdict(log))
 
     @pytest.mark.parametrize("r_pen", [0.5, 0.0])
     def test_tier_counts_match_shape_group(self, monkeypatch, r_pen):
