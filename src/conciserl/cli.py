@@ -65,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    flags = ("seed", "steps", "alpha", "r_pen", "advantage_mode", "group_size")
-    overrides = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    # every train flag but --config and --out names a RunConfig field
+    overrides = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__ and v is not None}
     run(load_config(args.config, **overrides) if args.config else RunConfig(**overrides), out_dir=args.out)
     return EXIT_OK
 

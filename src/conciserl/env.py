@@ -172,10 +172,10 @@ def _first_chunk(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its double is PCG64's XSL-RR output (``hi ^ lo`` rotated right by
     ``hi >> 58``) shifted to 53 bits and scaled by 2^-53. The states are
     ``(_FIRST_CHUNK, rows)`` arrays, one row per offset, so every ufunc runs
-    along the rollouts; the arithmetic runs in place, so at most five such
-    uint64 arrays are live at once, and the doubles are returned transposed,
-    ``(rows, _FIRST_CHUNK)``. Seeding steps the LCG once from ``init + inc``,
-    so an ``init`` of the next-to-last state less ``inc`` lands on the last one.
+    along the rollouts, and the doubles are returned in that shape; the
+    arithmetic runs in place, so at most five such uint64 arrays are live at
+    once. Seeding steps the LCG once from ``init + inc``, so an ``init`` of
+    the next-to-last state less ``inc`` lands on the last one.
     """
     w2, w3 = words[:, 2], words[:, 3]
     inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
@@ -195,7 +195,7 @@ def _first_chunk(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x >>= rot
     x |= shift
     x >>= 11
-    return (x * 2.0**-53).T, seeds
+    return x * 2.0**-53, seeds
 
 
 class _SeedState(ISeedSequence):
@@ -282,23 +282,12 @@ def sample_batch(
     convention. Training keys by (seed, step), ``eval`` by (seed,); a
     negative key element is a ValueError.
 
-    One vectorized seed hash gives the seed words of every rollout of the
-    batch (``_seed_words``). The rollouts, problem by problem, are then
-    walked in consecutive blocks of at most ``_BLOCK_ROLLOUTS`` (``_walk``)
-    at any ``l_max``; block edges need not fall between groups, as a
-    rollout's stream and walk do not depend on the rollouts it shares a
-    block with. Within a block, a chunk of uniforms holds at most
-    ``_CHUNK_UNIFORMS`` across the live rollouts (never narrower than
-    ``_FIRST_CHUNK``). The block's first chunk is computed in numpy for all
-    its rollouts at once, column-major so that every ufunc runs along the
-    rollouts, with the seed words that go on with each stream
-    (``_first_chunk``); only a rollout that outlives it gets a generator,
-    seeded with its words. That chunk is walked in lockstep, one column of
-    every live rollout a pass, so it takes at most ``_FIRST_CHUNK + 1``
-    passes of ``(rows,)``-sized operations and scans no row; a converged
-    policy's rollouts nearly all end in it. The later chunks, which only
-    rollouts that keep their state for long reach, are scanned whole on
-    every pass.
+    One seed hash gives every rollout's seed words (``_seed_words``), and the
+    rollouts, problem by problem, are walked in consecutive blocks of at most
+    ``_BLOCK_ROLLOUTS``, each stream read in chunks (``_walk`` holds the
+    mechanism). Neither moves a number: a rollout's walk does not depend on
+    the rollouts it shares a block with, nor its uniforms on the chunks they
+    are drawn in.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -326,54 +315,44 @@ def sample_batch(
 def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) -> tuple[np.ndarray, ...]:
     """Each rollout of a block, of problem ``problems[i]`` with seed words
     ``words[i]`` (``_seed_words``), walked under the cumulative action
-    probabilities ``cum[problems[i]]``, one token at a time in its first
-    chunk and one state exit at a time after it: its count table,
-    whether it answered within ``l_max``, its last action (the answer, if it
-    answered) and its WORK count.
+    probabilities ``cum[problems[i]]``: its count table, whether it answered
+    within ``l_max``, its last action (the answer, if it answered) and its
+    WORK count.
 
     In state w a FILLER token keeps the state, and so does a WORK token at
     ``w_cap``; any other token exits it. A run of state-keeping tokens
     therefore ends at the first uniform outside ``[cum[w, 0], cum[w, 1])``
-    (``[0, cum[w, 1])`` at ``w_cap``). The walk takes numpy passes over
-    every live rollout at once, in one of two forms:
+    (``[0, cum[w, 1])`` at ``w_cap``). Both stages count the WORK tokens at
+    ``w_cap`` against a per-cell ``edge`` that is -1 below ``w_cap``, so no
+    rollout needs picking out. The walk keeps one number per (rollout,
+    state): ``left``, the token at which the rollout left the state, which
+    is its answer in its last state, or ``l_max`` if it was truncated there.
 
-    - The first chunk, where every rollout starts and where a converged one
-      ends, is walked in lockstep: pass t reads column t of every live
-      rollout and settles that token with ``(rows,)``-sized operations. A
-      WORK exit moves the rollout to its next state; a FILLER keeps it, as
-      does a WORK token at ``w_cap``, counted against a per-cell edge that
-      is -1 below ``w_cap``; an answer, or the sentinel column that closes
-      the chunk, finishes it. So the chunk takes at most
-      ``_FIRST_CHUNK + 1`` passes and scans no row.
-    - A generator's chunk is scanned whole on every pass, and the uniforms a
-      rollout has read are set to NaN, which no comparison passes. A rollout
-      reaches such a chunk by keeping its state for many tokens, at
-      ``w_cap`` often for hundreds, and then its first pass is often its
-      only one, where a lockstep would take a pass per token.
+    The opening stage walks the first chunk, where every rollout starts and
+    a converged one ends, in lockstep: numpy computes every rollout's first
+    ``_FIRST_CHUNK`` doubles at once (``_first_chunk``), and pass t settles
+    column t of every live rollout, then the sentinel column that exits
+    every state, with ``(rows,)``-sized operations. So it takes at most
+    ``_FIRST_CHUNK + 1`` passes and scans no row. The rollouts that meet
+    the sentinel short of ``l_max`` go on, each with a generator seeded
+    with the words ``_first_chunk`` returns for the state where its chunk
+    ended. The generator stage draws their uniforms in chunks that double
+    up to the chunk budget, and a pass scans each rollout's chunk whole,
+    the uniforms it has read set to NaN, which no comparison passes: a
+    rollout gets here by keeping its state for many tokens, at ``w_cap``
+    often for hundreds, and its first pass is then often its only one,
+    where a lockstep would take a pass per token. A rollout goes on into the
+    next chunk when its current state's ``left`` is at or past the chunk's
+    end: it met the sentinel, or its last token was a WORK exit into a state
+    it has not left. PCG64 yields the same doubles whatever the chunk sizes,
+    so a rollout consumes exactly the uniforms a token-by-token loop would.
+    A lockstep pass calls ``ndarray.nonzero`` once and a generator pass
+    ``ndarray.argmax`` once (``tests/test_budgets.py`` counts both).
 
-    Each pass calls ``ndarray.nonzero`` once (in the first chunk, on the
-    rollouts it finishes), and each scan of whole rows ``ndarray.argmax``
-    once (``tests/test_budgets.py`` counts both). Each
-    rollout draws the PCG64 stream its seed words seed: numpy computes every
-    rollout's first ``_FIRST_CHUNK`` doubles at once (``_first_chunk``), of
-    which the walk reads ``min(_FIRST_CHUNK, l_max)``, and only the rollouts
-    still live after a full first chunk get a generator, seeded with the
-    words ``_first_chunk`` returns for the state where that chunk ended; they
-    draw their further uniforms in chunks that double up to the chunk budget.
-    PCG64 yields the same doubles whatever the chunk sizes, so a rollout
-    consumes exactly the uniforms a token-by-token loop would.
-
-    The walk keeps one number per (rollout, state): ``left``, the token at
-    which the rollout left the state, which is its answer in its last state,
-    or ``l_max`` if it was truncated there. A rollout goes on into the next
-    chunk exactly when its current state's ``left`` is at or past the chunk's
-    end: it met the sentinel that closes every chunk, or its last token was a
-    WORK exit into a state it has not left (in a generator's chunk; in the
-    first chunk, one more pass reads the sentinel). The count table follows:
-    each state before the last holds the FILLERs between the tokens that
-    entered and left it, then one WORK; the last holds that gap, less the
-    WORK tokens the walk counts at ``w_cap``, those WORK tokens and the
-    answer.
+    The count table follows from ``left``: each state before the last holds
+    the FILLERs between the tokens that entered and left it, then one WORK;
+    the last holds that gap, less the WORK tokens counted at ``w_cap``,
+    those WORK tokens and the answer.
     """
     n_states = cum.shape[1]
     n = len(problems)
@@ -390,53 +369,57 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     left = np.full(n * n_states, l_max)
     exit_u = np.empty(n)  # the uniform of its latest exit, its answer's once it has one
     cap_work = np.zeros(n, dtype=np.intp)  # WORK tokens at w_cap
-    rows = np.arange(n)
-    offset, width = 0, min(_FIRST_CHUNK, l_max)
+
+    # The opening stage: the first chunk in lockstep, pass t reads column t of every live rollout.
+    width = min(_FIRST_CHUNK, l_max)
+    doubles, seeds = _first_chunk(words)
+    first = np.full((width + 1, n), 2.0)  # and a sentinel column that exits every state
+    first[:width] = doubles[:width]
+    r, s = np.arange(n), state.copy()
+    for t, column in enumerate(first):
+        u = column[r]
+        cap_work[r] += u < edge[s]  # a WORK token at w_cap, which keeps the state
+        done = u >= hi[s]
+        left[s] = t  # rewritten at every pass up to the one that leaves s
+        s += u < lo[s]
+        fin = done.nonzero()[0]
+        state[r[fin]], exit_u[r[fin]] = s[fin], u[fin]
+        if fin.size == r.size:
+            break
+        r, s = r[~done], s[~done]
+
+    # The hand-off: a generator for each rollout that goes on, seeded where its first chunk ended.
+    offset = width
+    rows = np.arange(n)[left[state] >= offset] if offset < l_max else np.arange(0)
+    rngs = {row: np.random.Generator(np.random.PCG64(_SeedState(seeds[row]))) for row in rows.tolist()}
+    # The generator stage: each chunk scanned whole on every pass, its read uniforms NaN.
     while rows.size:
-        if not offset:  # the first chunk in lockstep: pass t reads column t of every live rollout
-            doubles, seeds = _first_chunk(words)
-            first = np.full((width + 1, n), 2.0)  # and a sentinel column that exits every state
-            first[:width] = doubles.T[:width]
-            r, s = rows, state.copy()
-            for t, column in enumerate(first):
-                u = column[r]
-                cap_work[r] += u < edge[s]  # a WORK token at w_cap, which keeps the state
-                done = u >= hi[s]
-                left[s] = t  # rewritten at every pass up to the one that leaves s
-                s += u < lo[s]
-                fin = done.nonzero()[0]
-                state[r[fin]], exit_u[r[fin]] = s[fin], u[fin]
-                if fin.size == r.size:
-                    break
-                r, s = r[~done], s[~done]
-        else:  # a generator's chunk: every row scanned whole, its read uniforms NaN
-            r, s, ur = rows, state[rows], np.empty((rows.size, width + 1))  # the chunk's rollouts, states, uniforms
-            ur[:, width] = 2.0  # a sentinel that exits every state
-            for out, row in zip(ur[:, :width], rows.tolist()):
-                rngs[row].random(out=out)
-            columns = np.arange(width + 1)
-            while r.size:
-                lo_r, hi_r = lo[s], hi[s]
-                j = ((ur < lo_r[:, None]) | (ur >= hi_r[:, None])).argmax(axis=1)
-                capped = (lo_r < 0).nonzero()[0]
-                if capped.size:
-                    kept = (ur[capped] < edge[s[capped]][:, None]) & (columns < j[capped][:, None])
-                    cap_work[r[capped]] += kept.sum(axis=1)
-                u = ur[np.arange(r.size), j]
-                exit_u[r] = u
-                # at the sentinel, offset + width: l_max once the last chunk is spent
-                left[s] = offset + j
-                work = u < lo_r
-                s += work
-                state[r] = s
-                more = work & (j + 1 < width)
-                r, s, ur = r[more], s[more], ur[more]
-                np.copyto(ur, np.nan, where=columns <= j[more][:, None])
-        rows = rows[left[state[rows]] >= offset + width] if offset + width < l_max else rows[:0]
-        if not offset:
-            rngs = {row: np.random.Generator(np.random.PCG64(_SeedState(seeds[row]))) for row in rows.tolist()}
+        width = min(2 * width, l_max - offset, max(_FIRST_CHUNK, _CHUNK_UNIFORMS // rows.size))
+        r, s, ur = rows, state[rows], np.empty((rows.size, width + 1))  # the chunk's rollouts, states, uniforms
+        ur[:, width] = 2.0  # a sentinel that exits every state
+        for out, row in zip(ur[:, :width], rows.tolist()):
+            rngs[row].random(out=out)
+        columns = np.arange(width + 1)
+        while r.size:
+            lo_r, hi_r = lo[s], hi[s]
+            j = ((ur < lo_r[:, None]) | (ur >= hi_r[:, None])).argmax(axis=1)
+            # WORK tokens at w_cap before the exit. ``columns <= j`` would count
+            # the same: the exit uniform is never below ``edge``, which is -1
+            # below w_cap, and at w_cap only an answer (>= hi >= edge) or the
+            # 2.0 sentinel exits.
+            cap_work[r] += ((ur < edge[s][:, None]) & (columns < j[:, None])).sum(axis=1)
+            u = ur[np.arange(r.size), j]
+            exit_u[r] = u
+            # at the sentinel, offset + width: l_max once the last chunk is spent
+            left[s] = offset + j
+            work = u < lo_r
+            s += work
+            state[r] = s
+            more = work & (j + 1 < width)
+            r, s, ur = r[more], s[more], ur[more]
+            np.copyto(ur, np.nan, where=columns <= j[more][:, None])
         offset += width
-        width = min(2 * width, l_max - offset, max(_FIRST_CHUNK, _CHUNK_UNIFORMS // max(rows.size, 1)))
+        rows = rows[left[state[rows]] >= offset] if offset < l_max else rows[:0]
 
     level = state - first_state  # each rollout's last state, at its flat cell ``state``
     answered = left[state] < l_max

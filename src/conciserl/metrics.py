@@ -166,23 +166,25 @@ def load_results_csv(path: str | Path) -> list[BenchResult]:
     """Benchmark results CSV with header ``name,accuracy,mean_tokens``."""
     with Path(path).open(newline="") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames != ["name", "accuracy", "mean_tokens"]:
-            raise ValueError(
-                f"expected header name,accuracy,mean_tokens, got {reader.fieldnames}"
-            )
-        results = []
-        seen = set()
-        for row in reader:
-            try:
-                if None in row or None in row.values():
-                    raise ValueError("expected 3 cells")
-                key = split_method_benchmark(row["name"])
-                if key in seen:
-                    raise ValueError(f"duplicate row for {row['name']!r}")
-                seen.add(key)
-                results.append(BenchResult(row["name"], float(row["accuracy"]), float(row["mean_tokens"])))
-            except ValueError as e:
-                raise ValueError(f"line {reader.line_num}: {e}") from None
+        try:
+            if reader.fieldnames != ["name", "accuracy", "mean_tokens"]:
+                raise ValueError(f"expected header name,accuracy,mean_tokens, got {reader.fieldnames}")
+            results = []
+            seen = set()
+            for row in reader:
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError("expected 3 cells")
+                    key = split_method_benchmark(row["name"])
+                    if key in seen:
+                        raise ValueError(f"duplicate row for {row['name']!r}")
+                    seen.add(key)
+                    results.append(BenchResult(row["name"], float(row["accuracy"]), float(row["mean_tokens"])))
+                except ValueError as e:
+                    raise ValueError(f"line {reader.line_num}: {e}") from None
+        except csv.Error as e:  # e.g. a field past csv.field_size_limit(), in the header or a row
+            # DictReader updates its line_num after a row is read, its reader before
+            raise ValueError(f"line {reader.reader.line_num}: {e}") from None
         return results
 
 

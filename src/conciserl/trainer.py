@@ -41,6 +41,7 @@ from .rewards import shape_group
 CHECKPOINT_VERSION = 1
 # The files of a run directory that ``run`` writes, and refuses to find there.
 RUN_FILES = ("config.txt", "steps.jsonl", "summary.json", "checkpoints")
+_UNREADABLE = "unreadable checkpoint file {path}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +71,18 @@ class StepLog:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
+def _parse(path: Path, load: Callable, fault: str):
+    """``load(path)``. A file that exists but cannot be parsed is an I/O
+    fault, as a missing one is, whatever its parser raises: OSError
+    ``"<fault>: <the error>"``, ``fault`` formatted with ``path``."""
+    try:
+        return load(path)
+    except OSError:
+        raise
+    except Exception as e:
+        raise OSError(f"{fault.format(path=path)}: {e!r}") from None
+
+
 def read_step_log(path: str | Path) -> list[dict]:
     """The ``step``, ``batch_mean_length``, ``mean_shortest_correct`` and
     ``solved_count`` of each record of a ``steps.jsonl``.
@@ -78,17 +91,17 @@ def read_step_log(path: str | Path) -> list[dict]:
     finite numbers raises OSError, as a missing one does: a NaN would pass
     every comparison ``replay`` makes, and a boolean is not a number.
     """
-    data = Path(path).read_bytes()
-    try:
-        records = [json.loads(line) for line in data.decode("utf-8").splitlines() if line.strip()]
-        fields = ("step", "batch_mean_length", "mean_shortest_correct", "solved_count")
-        steps = [{k: r[k] for k in fields} for r in records]
-        for s in steps:
-            for k, v in s.items():
-                if type(v) not in (int, float) or not math.isfinite(v):
-                    raise ValueError(f"{k} is not a finite number: {v!r}")
-    except (ValueError, KeyError, TypeError) as e:
-        raise OSError(f"malformed steps.jsonl: {e!r}") from None
+    return _parse(Path(path), _load_steps, "malformed steps.jsonl")
+
+
+def _load_steps(path: Path) -> list[dict]:
+    records = [json.loads(line) for line in path.read_bytes().decode("utf-8").splitlines() if line.strip()]
+    fields = ("step", "batch_mean_length", "mean_shortest_correct", "solved_count")
+    steps = [{k: r[k] for k in fields} for r in records]
+    for s in steps:
+        for k, v in s.items():
+            if type(v) not in (int, float) or not math.isfinite(v):
+                raise ValueError(f"{k} is not a finite number: {v!r}")
     return steps
 
 
@@ -343,27 +356,17 @@ def resume(path: str | Path) -> tuple[TabularPolicy, ExperienceBuffer, tuple[Pro
     if not path.is_dir():
         raise ValueError(f"corrupt checkpoint at {path}: no such directory")
 
-    def read(name: str, load: Callable):
-        try:
-            return load(path / name)
-        except OSError:
-            raise
-        except Exception as e:
-            # A file that exists but cannot be parsed is an I/O fault, as a
-            # missing one is, whatever its parser raises.
-            raise OSError(f"unreadable checkpoint file {path / name}: {e!r}") from None
-
-    meta = read("meta.json", _read_meta)
+    meta = _parse(path / "meta.json", _read_meta, _UNREADABLE)
     if meta["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version mismatch: {meta['version']}")
     # same_kind: complex or string logits are refused, not cast with a warning or parsed
-    logits = read("policy_logits.npy", lambda p: np.load(p).astype(float, casting="same_kind"))
-    buffer = read("buffer.expbuf", ExperienceBuffer.load)
-    bank = read("bank.tsv", load_bank)
+    logits = _parse(path / "policy_logits.npy", lambda p: np.load(p).astype(float, casting="same_kind"), _UNREADABLE)
+    buffer = _parse(path / "buffer.expbuf", ExperienceBuffer.load, _UNREADABLE)
+    bank = _parse(path / "bank.tsv", load_bank, _UNREADABLE)
     try:
         _check_state(meta, logits, buffer, bank)
     except InvariantViolation:
         raise
     except ValueError as e:  # a meta.json field
-        raise OSError(f"unreadable checkpoint file {path / 'meta.json'}: {e!r}") from None
+        raise OSError(f"{_UNREADABLE.format(path=path / 'meta.json')}: {e!r}") from None
     return TabularPolicy(meta["problem_ids"], meta["w_cap"], logits), buffer, bank, meta["step"]

@@ -3,10 +3,10 @@
 A call budget caps the Python function calls made in ``conciserl``'s own
 source (``sys.setprofile`` "call" events, numpy's Python wrappers excluded).
 A pass budget caps the passes of the sampler's walk (``env._walk``'s
-``ndarray.nonzero`` "c_call" events, one per pass of either form), and a
-scan budget its scans of whole rows (its ``ndarray.argmax`` events: one per
-pass over a generator's chunk; the first chunk, walked in lockstep one
-column a pass, scans none). Each holds on any host and numpy version. A
+"c_call" events of ``ndarray.nonzero``, one per lockstep pass over the first
+chunk, and of ``ndarray.argmax``, one per pass over a generator's chunk),
+and a scan budget its scans of whole rows (its ``ndarray.argmax`` events;
+the first chunk, walked in lockstep one column a pass, scans none). Each holds on any host and numpy version. A
 budget is its measured value plus 10%, so per-group Python creeping back
 into the training step or the ``eval`` batch, a walk that takes more
 passes, or full-width scans coming back into the first chunk, fails here on
@@ -57,7 +57,7 @@ def package_calls(fn, *args, **kwargs):
             calls += 1
         elif event == "c_call" and frame.f_code is WALK:
             name = getattr(arg, "__name__", None)
-            passes += name == "nonzero"
+            passes += name in ("nonzero", "argmax")
             scans += name == "argmax"
 
     previous = sys.getprofile()

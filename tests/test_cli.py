@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import conciserl
 from conciserl.buffer import ExperienceBuffer
-from conciserl.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
+from conciserl.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, _build_parser, main
 from conciserl.core import ProblemSpec, Rollout, RolloutBatch, RunConfig, load_config
 from conciserl.env import TabularPolicy
 from conciserl.trainer import resume, run, sample_batch, train_step
@@ -144,10 +145,16 @@ BAD_STEPS_JSONL = [
     b'{"step": true, "batch_mean_length": 5.0, "mean_shortest_correct": 3, "solved_count": 0}\n',
     b'{"step": 1, "batch_mean_length": 5.0, "mean_shortest_correct": 3}\n',
     b'{"step": 1, "batch_mean_length": 5.0, "mean_shortest_correct": 3, "solved_count": NaN}\n',
+    # nested past the recursion limit: the parser raises RecursionError
+    b"[" * 100_000 + b"]" * 100_000 + b"\n",
 ]
 SHORT_ROW_CSV = b"name,accuracy,mean_tokens\nV,50\n"
 NON_FINITE_ROW_CSV = b"name,accuracy,mean_tokens\nV,60,90\nvan/a,50,nan\n"
 DUPLICATE_ROW_CSV = b"name,accuracy,mean_tokens\nV,60,90\nours/a,60,1e300\nours/a,70,100\n"
+# One field one character past csv.field_size_limit()'s default, 131,072.
+LONG_FIELD = b"9" * 131_073
+LONG_HEADER_CSV = b"name,accuracy," + LONG_FIELD + b"\nV,60,90\n"
+LONG_ROW_CSV = b"name,accuracy,mean_tokens\nV,60," + LONG_FIELD + b"\n"
 NOT_UTF8_CONFIG = b"steps = 2\n# \xff\n"
 # A policy table of 20 x (10^12 + 1) x 4 float64s, 582 TiB: more than the 128 TiB
 # a 64-bit Linux process maps by default, so the allocation fails at once
@@ -213,6 +220,21 @@ class TestTrain:
         (tmp_path / "out").mkdir()
         assert main(["train", "--out", str(tmp_path / "out"), "--steps", "1", "--group-size", "2"]) == EXIT_OK
         assert (tmp_path / "out" / "summary.json").exists()
+
+    def test_every_flag_names_a_field_that_reaches_config_txt(self, tmp_path):
+        # train reads its overrides from the parsed flags by RunConfig field
+        # name, so a flag whose dest names no field would be dropped silently
+        values = {"seed": 5, "steps": 1, "alpha": 0.2, "r_pen": 0.25, "advantage_mode": "std", "group_size": 4}
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        actions = sub.choices["train"]._actions
+        flags = {a.dest: a.option_strings[0] for a in actions if a.dest not in ("help", "config", "out")}
+        assert flags.keys() == values.keys() and flags.keys() <= RunConfig.__dataclass_fields__.keys()
+        assert all(getattr(RunConfig(), k) != v for k, v in values.items())
+        cfg = write_config(tmp_path, "l_max = 64\nn_problems = 4\nd_max = 4\n")
+        argv = [arg for dest, flag in flags.items() for arg in (flag, str(values[dest]))]
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == EXIT_OK
+        config = load_config(tmp_path / "o" / "config.txt")
+        assert {k: getattr(config, k) for k in values} == values
 
     def test_cli_overrides_config(self, tmp_path):
         out = quick_train(tmp_path, extra=["--steps", "2"])
@@ -466,13 +488,21 @@ class TestMetrics:
 
     @pytest.mark.parametrize(
         "row",
-        [b"V,50", b"V,abc,1", b"V,50,1,9", b"V,50,nan", b"V,50,inf", b"V,70,100", b"V/,70,100"],
-        ids=["short", "non-numeric", "long", "nan-tokens", "inf-tokens", "duplicate", "duplicate-bare-name"],
+        [b"V,50", b"V,abc,1", b"V,50,1,9", b"V,50,nan", b"V,50,inf", b"V,70,100", b"V/,70,100", b"V,50," + LONG_FIELD],
+        ids=[
+            "short", "non-numeric", "long", "nan-tokens", "inf-tokens", "duplicate", "duplicate-bare-name",
+            "field-past-limit",
+        ],
     )
     def test_malformed_row_names_the_line(self, tmp_path, capsys, row):
         path = write_bytes(tmp_path / "results.csv", b"name,accuracy,mean_tokens\nV,60,90\n" + row + b"\n")
         assert main(["metrics", "--results", path, "--vanilla", "V"]) == EXIT_CONFIG
         assert "error: line 3: " in capsys.readouterr().err
+
+    def test_header_field_past_the_limit_names_line_1(self, tmp_path, capsys):
+        path = write_bytes(tmp_path / "results.csv", LONG_HEADER_CSV)
+        assert main(["metrics", "--results", path, "--vanilla", "V"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: line 1: field larger than field limit (131072)\n"
 
 
 class TestReplay:
@@ -614,6 +644,8 @@ MALFORMED_INPUTS = {
             ("short-row", SHORT_ROW_CSV),
             ("non-finite-tokens", NON_FINITE_ROW_CSV),
             ("duplicate-row", DUPLICATE_ROW_CSV),
+            ("long-header-field", LONG_HEADER_CSV),
+            ("long-row-field", LONG_ROW_CSV),
         )
     },
     "eval-negative-seed": lambda t: [*eval_argv(t, lambda ck: None), "--seed", "-1"],

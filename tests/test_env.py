@@ -639,8 +639,8 @@ def assert_first_chunk_continues_default_rng(key, pairs, later=(1, 1, 14, 32, 64
     width = env._FIRST_CHUNK
     first, seeds = env._first_chunk(env._seed_words(key, problems, rollouts))
     streams = [np.random.default_rng((*key, p, r)).random(width + sum(later)) for p, r in pairs]
-    assert first.shape == (len(pairs), width) and seeds.shape == (len(pairs), 4)
-    assert np.array_equal(first, np.array(streams)[:, :width])
+    assert first.shape == (width, len(pairs)) and seeds.shape == (len(pairs), 4)
+    assert np.array_equal(first, np.array(streams)[:, :width].T)
     for row, stream, (p, r) in zip(seeds, streams, pairs):
         gen = np.random.Generator(np.random.PCG64(env._SeedState(row)))
         ref = np.random.default_rng((*key, p, r))
