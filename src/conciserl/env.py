@@ -101,8 +101,9 @@ def min_correct_length(problem: ProblemSpec) -> int:
 
 
 # Width of each rollout's first chunk of uniforms, drawn for the whole block
-# in numpy (_first_chunk); every later chunk doubles, capped at the tokens
-# left before l_max and at the chunk budget.
+# in numpy (_first_chunk; a large block's second half only for the rollouts
+# still live there, see _walk); every later chunk doubles, capped at the
+# tokens left before l_max and at the chunk budget.
 _FIRST_CHUNK = 16
 # Rollouts are walked together in blocks of at most _BLOCK_ROLLOUTS, which
 # bounds the block's first chunk, the generators of its rollouts that outlive
@@ -129,12 +130,13 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64 = (1 << 64) - 1
 
 
-def _constants(values: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """128-bit constants as ``(len(values), 1)`` uint64 columns: their high
-    words, their low words and the low words' 32-bit halves."""
+def _constants(values: Sequence[int]) -> np.ndarray:
+    """128-bit constants as a ``(4, len(values), 1)`` uint64 array of
+    columns: their high words, their low words and the low words' 32-bit
+    halves. Slicing its second axis picks a window of the constants."""
     hi = np.array([[v >> 64] for v in values], dtype=np.uint64)
     lo = np.array([[v & _MASK64] for v in values], dtype=np.uint64)
-    return hi, lo, lo & _MASK32, lo >> 32
+    return np.stack([hi, lo, lo & _MASK32, lo >> 32])
 
 
 _POWERS = [pow(_PCG_MULT, k, 1 << 128) for k in range(_FIRST_CHUNK + 2)]
@@ -142,7 +144,7 @@ _STREAM_POWERS = _constants(_POWERS[2:])
 _STREAM_SUMS = _constants([sum(_POWERS[:k]) % (1 << 128) for k in range(2, _FIRST_CHUNK + 2)])
 
 
-def _mul128(hi: np.ndarray, lo: np.ndarray, const: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _mul128(hi: np.ndarray, lo: np.ndarray, const: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(hi:lo) · const mod 2^128`` on uint64 arrays, ``const`` from
     ``_constants``; the low words' 64x64-bit product is built from 32-bit
     halves, in place so that at most three products are live. Arrays only:
@@ -163,15 +165,19 @@ def _mul128(hi: np.ndarray, lo: np.ndarray, const: tuple[np.ndarray, ...]) -> tu
     return carry, np.multiply(lo, c_lo, out=t)
 
 
-def _first_chunk(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.random.Generator(PCG64(seed))``'s first ``_FIRST_CHUNK`` doubles
-    for each row of seed words from ``_seed_words``, with the seed words of
-    a PCG64 that goes on with each stream after them.
+def _first_chunk(words: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """``np.random.Generator(PCG64(seed))``'s doubles ``start`` to
+    ``stop - 1`` (offsets within the first ``_FIRST_CHUNK``) for each row of
+    seed words from ``_seed_words``, and, when ``stop`` is ``_FIRST_CHUNK``,
+    the seed words of a PCG64 that goes on with each stream after them
+    (None otherwise). ``_walk`` calls it once for the whole chunk, or for a
+    large block once for its first half and once more for the rows still
+    live at the second.
 
     Every state comes straight from the seed words (see ``_PCG_MULT``), and
     its double is PCG64's XSL-RR output (``hi ^ lo`` rotated right by
     ``hi >> 58``) shifted to 53 bits and scaled by 2^-53. The states are
-    ``(_FIRST_CHUNK, rows)`` arrays, one row per offset, so every ufunc runs
+    ``(stop - start, rows)`` arrays, one row per offset, so every ufunc runs
     along the rollouts, and the doubles are returned in that shape; the
     arithmetic runs in place, so at most five such uint64 arrays are live at
     once. Seeding steps the LCG once from ``init + inc``, so an ``init`` of
@@ -181,13 +187,15 @@ def _first_chunk(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
     x_lo = words[:, 1] + inc_lo
     x_hi = words[:, 0] + inc_hi + (x_lo < inc_lo)
-    hi, lo = _mul128(x_hi, x_lo, _STREAM_POWERS)
-    b_hi, b_lo = _mul128(inc_hi, inc_lo, _STREAM_SUMS)
+    hi, lo = _mul128(x_hi, x_lo, _STREAM_POWERS[:, start:stop])
+    b_hi, b_lo = _mul128(inc_hi, inc_lo, _STREAM_SUMS[:, start:stop])
     lo += b_lo
     hi += b_hi
     hi += lo < b_lo
-    before_hi, before_lo = hi[-2], lo[-2]
-    seeds = np.stack([before_hi - inc_hi - (before_lo < inc_lo), before_lo - inc_lo, w2, w3], axis=1)
+    seeds = None
+    if stop == _FIRST_CHUNK:
+        before_hi, before_lo = hi[-2], lo[-2]
+        seeds = np.stack([before_hi - inc_hi - (before_lo < inc_lo), before_lo - inc_lo, w2, w3], axis=1)
     x, rot = np.bitwise_xor(hi, lo, out=lo), np.right_shift(hi, 58, out=hi)
     shift = np.subtract(64, rot, out=b_hi)
     shift &= 63
@@ -329,25 +337,39 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     is its answer in its last state, or ``l_max`` if it was truncated there.
 
     The opening stage walks the first chunk, where every rollout starts and
-    a converged one ends, in lockstep: numpy computes every rollout's first
-    ``_FIRST_CHUNK`` doubles at once (``_first_chunk``), and pass t settles
-    column t of every live rollout, then the sentinel column that exits
-    every state, with ``(rows,)``-sized operations. So it takes at most
-    ``_FIRST_CHUNK + 1`` passes and scans no row. The rollouts that meet
-    the sentinel short of ``l_max`` go on, each with a generator seeded
-    with the words ``_first_chunk`` returns for the state where its chunk
-    ended. The generator stage draws their uniforms in chunks that double
-    up to the chunk budget, and a pass scans each rollout's chunk whole,
-    the uniforms it has read set to NaN, which no comparison passes: a
-    rollout gets here by keeping its state for many tokens, at ``w_cap``
-    often for hundreds, and its first pass is then often its only one,
-    where a lockstep would take a pass per token. A rollout goes on into the
-    next chunk when its current state's ``left`` is at or past the chunk's
-    end: it met the sentinel, or its last token was a WORK exit into a state
-    it has not left. PCG64 yields the same doubles whatever the chunk sizes,
-    so a rollout consumes exactly the uniforms a token-by-token loop would.
-    A lockstep pass calls ``ndarray.nonzero`` once and a generator pass
-    ``ndarray.argmax`` once (``tests/test_budgets.py`` counts both).
+    a converged one ends, in lockstep: numpy computes the rollouts' first
+    ``_FIRST_CHUNK`` doubles (``_first_chunk``), and pass t settles column t
+    of every live rollout, then the sentinel column that exits every state,
+    with ``(rows,)``-sized operations. So it takes at most
+    ``_FIRST_CHUNK + 1`` passes and scans no row. Each live rollout carries
+    its count of WORK tokens at ``w_cap``, written out when it finishes, and
+    the live rows are compacted only on passes where some finish.
+
+    A block of fewer than ``_BLOCK_ROLLOUTS // 2`` rollouts (a training
+    step's 160 or 320) computes all its columns in one ``_first_chunk``
+    call. A larger one (an eval batch's 1,024) is split: one call computes
+    the columns below ``_FIRST_CHUNK // 2`` for every rollout, and at that
+    pass a second computes the rest, and the hand-off's seed words, only
+    for the rollouts still live, the pass's rows ``r``, and scatters them
+    into those rows. A converged rollout ends by token d + 1 <= 11, so most
+    rows of an eval block never read those columns; on a small block the
+    second call's fixed cost outweighs the columns it saves.
+
+    The rollouts that meet the sentinel short of ``l_max`` go on, each with
+    a generator seeded with the words ``_first_chunk`` returns for the state
+    where its chunk ended. The generator stage draws their uniforms in
+    chunks that double up to the chunk budget, and a pass scans each
+    rollout's chunk whole, the uniforms it has read set to NaN, which no
+    comparison passes: a rollout gets here by keeping its state for many
+    tokens, at ``w_cap`` often for hundreds, and its first pass is then
+    often its only one, where a lockstep would take a pass per token. A
+    rollout goes on into the next chunk when its current state's ``left`` is
+    at or past the chunk's end: it met the sentinel, or its last token was a
+    WORK exit into a state it has not left. PCG64 yields the same doubles
+    whatever the chunk sizes, so a rollout consumes exactly the uniforms a
+    token-by-token loop would. A lockstep pass calls ``ndarray.nonzero``
+    once and a generator pass ``ndarray.argmax`` once
+    (``tests/test_budgets.py`` counts both).
 
     The count table follows from ``left``: each state before the last holds
     the FILLERs between the tokens that entered and left it, then one WORK;
@@ -368,25 +390,34 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     state = first_state.copy()
     left = np.full(n * n_states, l_max)
     exit_u = np.empty(n)  # the uniform of its latest exit, its answer's once it has one
-    cap_work = np.zeros(n, dtype=np.intp)  # WORK tokens at w_cap
+    cap_work = np.empty(n, dtype=np.intp)  # WORK tokens at w_cap, written as a rollout leaves the lockstep
 
     # The opening stage: the first chunk in lockstep, pass t reads column t of every live rollout.
     width = min(_FIRST_CHUNK, l_max)
-    doubles, seeds = _first_chunk(words)
-    first = np.full((width + 1, n), 2.0)  # and a sentinel column that exits every state
-    first[:width] = doubles[:width]
-    r, s = np.arange(n), state.copy()
+    head = _FIRST_CHUNK // 2 if n >= _BLOCK_ROLLOUTS // 2 else _FIRST_CHUNK  # the columns computed up front
+    doubles, seeds = _first_chunk(words, 0, head)
+    first = np.empty((width + 1, n))
+    first[: min(head, width)] = doubles[:width]
+    first[width] = 2.0  # a sentinel column that exits every state
+    r, s, cw = np.arange(n), state.copy(), np.zeros(n, dtype=np.intp)
     for t, column in enumerate(first):
+        if t == head < width:  # a split block: the later columns, and the seed words, of the live rollouts
+            seeds = np.empty_like(words)
+            doubles, seeds[r] = _first_chunk(words[r], head, _FIRST_CHUNK)
+            first[head:width, r] = doubles[: width - head]
         u = column[r]
-        cap_work[r] += u < edge[s]  # a WORK token at w_cap, which keeps the state
+        cw += u < edge[s]  # a WORK token at w_cap, which keeps the state
         done = u >= hi[s]
         left[s] = t  # rewritten at every pass up to the one that leaves s
         s += u < lo[s]
         fin = done.nonzero()[0]
-        state[r[fin]], exit_u[r[fin]] = s[fin], u[fin]
-        if fin.size == r.size:
-            break
-        r, s = r[~done], s[~done]
+        if fin.size:
+            rf = r[fin]
+            state[rf], exit_u[rf], cap_work[rf] = s[fin], u[fin], cw[fin]
+            if fin.size == r.size:
+                break
+            live = ~done
+            r, s, cw = r[live], s[live], cw[live]
 
     # The hand-off: a generator for each rollout that goes on, seeded where its first chunk ended.
     offset = width

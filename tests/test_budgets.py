@@ -6,7 +6,10 @@ A pass budget caps the passes of the sampler's walk (``env._walk``'s
 "c_call" events of ``ndarray.nonzero``, one per lockstep pass over the first
 chunk, and of ``ndarray.argmax``, one per pass over a generator's chunk),
 and a scan budget its scans of whole rows (its ``ndarray.argmax`` events;
-the first chunk, walked in lockstep one column a pass, scans none). Each holds on any host and numpy version. A
+the first chunk, walked in lockstep one column a pass, scans none). A
+doubles budget caps the first-chunk doubles ``env._first_chunk`` computes
+for a converged batch, most of whose rows never read the later columns.
+Each holds on any host and numpy version. A
 budget is its measured value plus 10%, so per-group Python creeping back
 into the training step or the ``eval`` batch, a walk that takes more
 passes, or full-width scans coming back into the first chunk, fails here on
@@ -42,6 +45,10 @@ EVAL_SCAN_BUDGET = 60
 # Full-width scans of the converged 20 x 256 batch of `converged_batch`
 # (measured: 0; every rollout ends within the first chunk, which scans no row).
 CONVERGED_SCAN_BUDGET = 0
+# First-chunk doubles that batch computes, rows x columns summed over
+# `env._first_chunk` calls (measured: 53,248; 81,920 when every block computed
+# all 16 columns of all its rows).
+CONVERGED_DOUBLES_BUDGET = 58572
 WALK = env._walk.__code__
 
 
@@ -196,3 +203,21 @@ def test_full_width_scans_of_a_converged_batch_within_budget():
     batch, _, passes, scans = package_calls(env.sample_batch, *converged_batch())
     assert batch.correct.all() and passes > 0
     assert scans <= CONVERGED_SCAN_BUDGET, f"{scans} full-width scans; the budget is {CONVERGED_SCAN_BUDGET}"
+
+
+def test_first_chunk_doubles_of_a_converged_batch_within_budget(monkeypatch):
+    # converged rollouts end by token d + 1 <= 11, so most rows of each
+    # 1,024-rollout block never read the first chunk's later columns
+    doubles = 0
+    first_chunk = env._first_chunk
+
+    def counted(*args):
+        nonlocal doubles
+        out = first_chunk(*args)
+        doubles += out[0].size
+        return out
+
+    monkeypatch.setattr(env, "_first_chunk", counted)
+    batch = env.sample_batch(*converged_batch())
+    assert batch.correct.all()
+    assert doubles <= CONVERGED_DOUBLES_BUDGET, f"{doubles} first-chunk doubles; the budget is {CONVERGED_DOUBLES_BUDGET}"

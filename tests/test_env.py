@@ -573,6 +573,68 @@ class TestFirstChunkCursor:
             assert batch.lengths.tolist() == [[column + 1]] and not batch.truncated.any()
 
 
+class TestSplitFirstChunk:
+    """A block of at least ``_BLOCK_ROLLOUTS // 2`` rollouts computes its
+    first chunk's columns below ``_FIRST_CHUNK // 2`` for every rollout and,
+    at that pass, the columns from there on only for the rollouts still
+    live, scattered into their rows; a smaller block computes every column
+    in one call. Either way the walk must equal the token-by-token
+    reference."""
+
+    @staticmethod
+    def first_chunk_calls(monkeypatch):
+        """The rows and the offsets of each ``_first_chunk`` call."""
+        calls = []
+        first_chunk = env._first_chunk
+
+        def spy(words, start, stop):
+            calls.append((len(words), start, stop))
+            return first_chunk(words, start, stop)
+
+        monkeypatch.setattr(env, "_first_chunk", spy)
+        return calls
+
+    @pytest.mark.parametrize("l_max", [8, 9, 15, 16, 17])
+    def test_scatter_edges(self, monkeypatch, l_max):
+        # one block of 3 x 200 rollouts, which splits: "seven" works 7 times
+        # and answers on column 7, the last one the first call computes;
+        # "eight" answers on column 8, the first one the second call
+        # scatters, so it is truncated at l_max 8; "mixed" exits on columns
+        # on both sides of the split and past the first chunk, so the
+        # second call covers a ragged subset of the block's rows
+        w_cap, group_size = 10, 200
+        seven = [WORK_ONLY] * 7 + [ANSWER_ONLY] * 4
+        eight = [WORK_ONLY] * 8 + [[0, 0, 0, 1]] * 3
+        mixed = [[0.55, 0.37, 0.04, 0.04]] * (w_cap + 1)
+        logits = np.array([state_logits(probs) for probs in (seven, eight, mixed)])
+        policy = TabularPolicy(("seven", "eight", "mixed"), w_cap, logits)
+        bank = [ProblemSpec("seven", 7, "A"), ProblemSpec("eight", 8, "B"), ProblemSpec("mixed", 2, "A")]
+        calls = self.first_chunk_calls(monkeypatch)
+        batch = assert_walk_equals_reference(policy, bank, group_size, l_max, (12, l_max))
+        n = 3 * group_size
+        assert n >= env._BLOCK_ROLLOUTS // 2
+        assert (batch.lengths[0] == 8).all() and batch.correct[0].all()
+        assert (batch.lengths[1] == min(9, l_max)).all() and batch.correct[1].all() == (l_max > 8)
+        mixed_lengths = batch.lengths[2]
+        assert (mixed_lengths < 8).any() and (mixed_lengths >= min(9, l_max)).any()
+        if l_max == 8:
+            assert calls == [(n, 0, 8)]
+        else:
+            assert calls == [(n, 0, 8), (int((batch.lengths > 8).sum()), 8, env._FIRST_CHUNK)]
+
+    @pytest.mark.parametrize("block_rollouts", [8, 64])
+    def test_split_blocks_equal_token_reference(self, monkeypatch, block_rollouts):
+        # random batches of at most 64 rollouts in blocks of at most 8 or
+        # 64, so that most blocks split, at every chunk edge
+        monkeypatch.setattr(env, "_BLOCK_ROLLOUTS", block_rollouts)
+        calls = self.first_chunk_calls(monkeypatch)
+        for i, l_max in enumerate(CHUNK_EDGE_L_MAX):
+            for seed in range(2):
+                policy, bank, group_size, key = random_batch_case(np.random.default_rng(9800 + 10 * i + seed), l_max)
+                assert_walk_equals_reference(policy, bank, group_size, l_max, key)
+        assert {(start, stop) for _, start, stop in calls} == {(0, 8), (8, 16), (0, 16)}
+
+
 def assert_seed_words_are_default_rngs(key, problems, rollouts):
     got = env._seed_words(key, np.asarray(problems), np.asarray(rollouts))
     want = [
@@ -631,16 +693,25 @@ class TestGenerators:
 
 
 def assert_first_chunk_continues_default_rng(key, pairs, later=(1, 1, 14, 32, 64)):
-    """``_first_chunk`` draws each stream's first ``_FIRST_CHUNK`` doubles,
-    and a PCG64 seeded with the words it returns for a stream has that
+    """``_first_chunk`` draws each stream's first ``_FIRST_CHUNK`` doubles in
+    one call, and the same doubles in two, one per half, as ``_walk`` draws a
+    large block's, the second on any subset of the rows; the seed words that
+    only a call ending at ``_FIRST_CHUNK`` returns are the same from both
+    calls that end there, and a PCG64 seeded with a stream's has that
     stream's state after them and goes on with the next ones: one at a time,
     then in chunks whose edges fall at other offsets."""
     problems, rollouts = (np.array(c) for c in zip(*pairs))
-    width = env._FIRST_CHUNK
-    first, seeds = env._first_chunk(env._seed_words(key, problems, rollouts))
-    streams = [np.random.default_rng((*key, p, r)).random(width + sum(later)) for p, r in pairs]
+    width, half = env._FIRST_CHUNK, env._FIRST_CHUNK // 2
+    words = env._seed_words(key, problems, rollouts)
+    first, seeds = env._first_chunk(words, 0, width)
+    head, no_seeds = env._first_chunk(words, 0, half)
+    subset = np.arange(len(pairs))[::-2]  # reversed, every other row
+    tail, tail_seeds = env._first_chunk(words[subset], half, width)
+    streams = np.array([np.random.default_rng((*key, p, r)).random(width + sum(later)) for p, r in pairs])
     assert first.shape == (width, len(pairs)) and seeds.shape == (len(pairs), 4)
-    assert np.array_equal(first, np.array(streams)[:, :width].T)
+    assert np.array_equal(first, streams[:, :width].T)
+    assert no_seeds is None and np.array_equal(head, streams[:, :half].T)
+    assert np.array_equal(tail, streams[subset, half:width].T) and np.array_equal(tail_seeds, seeds[subset])
     for row, stream, (p, r) in zip(seeds, streams, pairs):
         gen = np.random.Generator(np.random.PCG64(env._SeedState(row)))
         ref = np.random.default_rng((*key, p, r))
@@ -651,8 +722,9 @@ def assert_first_chunk_continues_default_rng(key, pairs, later=(1, 1, 14, 32, 64
 
 class TestFirstChunk:
     """Every rollout's first chunk is PCG64 computed in numpy for the whole
-    block, and only rollouts that outlive it get a generator, seeded with
-    the words ``_first_chunk`` returns: its doubles and those generators
+    block (a large block's second half for the rollouts still live there),
+    and only rollouts that outlive it get a generator, seeded with the words
+    ``_first_chunk`` returns: its doubles and those generators
     must be ``default_rng((*key, p, r))``'s stream, bit for bit, at every
     offset."""
 
