@@ -612,7 +612,6 @@ class TestSplitFirstChunk:
         calls = self.first_chunk_calls(monkeypatch)
         batch = assert_walk_equals_reference(policy, bank, group_size, l_max, (12, l_max))
         n = 3 * group_size
-        assert n >= env._BLOCK_ROLLOUTS // 2
         assert (batch.lengths[0] == 8).all() and batch.correct[0].all()
         assert (batch.lengths[1] == min(9, l_max)).all() and batch.correct[1].all() == (l_max > 8)
         mixed_lengths = batch.lengths[2]
