@@ -100,16 +100,16 @@ def min_correct_length(problem: ProblemSpec) -> int:
     return problem.difficulty + 1
 
 
-# Width of each rollout's first chunk of uniforms, drawn for the whole block
-# in numpy (_first_chunk; a large block's second half only for the rollouts
+# Width of each rollout's first chunk of uniforms, drawn for the whole batch
+# in numpy (_first_chunk; a large batch's second half only for the rollouts
 # still live there, see _walk); every later chunk doubles, capped at the
 # tokens left before l_max and at the chunk budget.
 _FIRST_CHUNK = 16
-# Rollouts are walked together in blocks of at most _BLOCK_ROLLOUTS, which
-# bounds the block's first chunk, the generators of its rollouts that outlive
-# that chunk and its per-(rollout, state) tables. A chunk holds at most
-# _CHUNK_UNIFORMS uniforms over the block's live rows (but never narrows below
-# _FIRST_CHUNK), which bounds the uniforms and the per-pass masks at any l_max.
+# A batch is walked whole; _BLOCK_ROLLOUTS bounds only the rows of each
+# _first_chunk call and the generators alive at once (_walk). A chunk holds at
+# most _CHUNK_UNIFORMS uniforms over a slice's live rows (but never narrows
+# below _FIRST_CHUNK), which bounds the uniforms and the per-pass masks at any
+# l_max.
 _BLOCK_ROLLOUTS = 1024
 _CHUNK_UNIFORMS = 1 << 14
 
@@ -170,9 +170,9 @@ def _first_chunk(words: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, 
     ``stop - 1`` (offsets within the first ``_FIRST_CHUNK``) for each row of
     seed words from ``_seed_words``, and, when ``stop`` is ``_FIRST_CHUNK``,
     the seed words of a PCG64 that goes on with each stream after them
-    (None otherwise). ``_walk`` calls it once for the whole chunk, or for a
-    large block once for its first half and once more for the rows still
-    live at the second.
+    (None otherwise). ``_walk`` computes the whole chunk with it, or for a
+    large batch its first half and then the second for the rows still live
+    there, ``_BLOCK_ROLLOUTS`` rows a call (``_columns``).
 
     Every state comes straight from the seed words (see ``_PCG_MULT``), and
     its double is PCG64's XSL-RR output (``hi ^ lo`` rotated right by
@@ -204,6 +204,23 @@ def _first_chunk(words: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, 
     x |= shift
     x >>= 11
     return x * 2.0**-53, seeds
+
+
+def _columns(words: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_first_chunk(words, start, stop)``, one call per ``_BLOCK_ROLLOUTS``
+    rows, its doubles gathered in one ``(stop - start, rows)`` table; rows
+    that fit in one call keep its arrays (a table allocated under the call's
+    temporaries made the heap trim and fault in again at each step)."""
+    if len(words) <= _BLOCK_ROLLOUTS:
+        return _first_chunk(words, start, stop)
+    table = np.empty((stop - start, len(words)))
+    seeds = np.empty_like(words) if stop == _FIRST_CHUNK else None
+    for b in range(0, len(words), _BLOCK_ROLLOUTS):
+        rows = slice(b, b + _BLOCK_ROLLOUTS)
+        table[:, rows], part = _first_chunk(words[rows], start, stop)
+        if seeds is not None:
+            seeds[rows] = part
+    return table, seeds
 
 
 class _SeedState(ISeedSequence):
@@ -290,12 +307,12 @@ def sample_batch(
     convention. Training keys by (seed, step), ``eval`` by (seed,); a
     negative key element is a ValueError.
 
-    One seed hash gives every rollout's seed words (``_seed_words``), and the
-    rollouts, problem by problem, are walked in consecutive blocks of at most
-    ``_BLOCK_ROLLOUTS``, each stream read in chunks (``_walk`` holds the
-    mechanism). Neither moves a number: a rollout's walk does not depend on
-    the rollouts it shares a block with, nor its uniforms on the chunks they
-    are drawn in.
+    One seed hash gives every rollout's seed words (``_seed_words``), and one
+    walk, problem by problem, takes the whole batch, each stream read in
+    chunks (``_walk`` holds the mechanism; ``_BLOCK_ROLLOUTS`` bounds only
+    its first-chunk calls and its live generators). Neither moves a number:
+    a rollout's walk does not depend on the rollouts it is walked with, nor
+    its uniforms on the chunks they are drawn in.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -305,15 +322,26 @@ def sample_batch(
     cum = np.exp(logp).cumsum(axis=-1)
     n_problems, n_states = logp.shape[:2]
     problems, rollouts = np.divmod(np.arange(n_problems * group_size), group_size)
-    words = _seed_words(key, problems, rollouts)
-    counts = np.empty((len(problems), n_states, N_ACTIONS), dtype=np.int32)
-    answered, last, work = (np.empty(len(problems), dtype=t) for t in (bool, np.intp, np.intp))
-    for first in range(0, len(problems), _BLOCK_ROLLOUTS):
-        b = slice(first, first + _BLOCK_ROLLOUTS)
-        counts[b], answered[b], last[b], work[b] = _walk(cum, problems[b], words[b], l_max)
+    left, state, exit_u, cap_work = _walk(cum, problems, _seed_words(key, problems, rollouts), l_max)
+    # The count table, over the flat cells so that each operation runs along the whole table, once the
+    # walk's arrays are gone: each state before the last holds the FILLERs between the tokens that entered
+    # and left it, then one WORK; the last that gap less the w_cap WORK tokens, those and the answer.
+    first_state = np.arange(0, left.size, n_states)
+    level = state - first_state  # each rollout's last state, at its flat cell ``state``
+    answered = left[state] < l_max
+    last = Action.ANSWER_A + (exit_u >= cum[problems, level, 2])  # the answer, if answered
+    counts = np.zeros((left.size, N_ACTIONS), dtype=np.int32)
+    work, fill = counts[:, Action.WORK], counts[:, Action.FILLER]
+    np.subtract(left[1:], left[:-1], out=fill[1:], casting="unsafe")
+    fill[first_state] = left[first_state] + 1
+    fill -= 1  # the tokens between entering and leaving each state
+    fill_last = fill[state] - cap_work
+    np.less(left, l_max, out=work)  # a state left before l_max, but the last, was left by a WORK token
+    fill *= work  # none past the last state
+    fill[state], work[state], counts[state, last] = fill_last, cap_work, answered
     difficulty = np.array([problem.difficulty for problem in bank])
     answer = np.array([_ANSWER_FOR_LETTER[problem.correct_answer] for problem in bank])
-    correct = answered & (last == answer[problems]) & (work >= difficulty[problems])
+    correct = answered & (last == answer[problems]) & (level + cap_work >= difficulty[problems])
     shape = (n_problems, group_size)
     counts = counts.reshape(*shape, n_states, N_ACTIONS)
     correct, truncated = correct.reshape(shape), ~answered.reshape(shape)
@@ -321,11 +349,11 @@ def sample_batch(
 
 
 def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) -> tuple[np.ndarray, ...]:
-    """Each rollout of a block, of problem ``problems[i]`` with seed words
+    """Each rollout of a batch, of problem ``problems[i]`` with seed words
     ``words[i]`` (``_seed_words``), walked under the cumulative action
-    probabilities ``cum[problems[i]]``: its count table, whether it answered
-    within ``l_max``, its last action (the answer, if it answered) and its
-    WORK count.
+    probabilities ``cum[problems[i]]``: ``left`` (below), its last flat
+    (rollout, state) cell, the uniform of its last exit (its answer's, if it
+    answered) and its count of WORK tokens at ``w_cap``.
 
     In state w a FILLER token keeps the state, and so does a WORK token at
     ``w_cap``; any other token exits it. A run of state-keeping tokens
@@ -337,57 +365,47 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     is its answer in its last state, or ``l_max`` if it was truncated there.
 
     The opening stage walks the first chunk, where every rollout starts and
-    a converged one ends, in lockstep: numpy computes the rollouts' first
-    ``_FIRST_CHUNK`` doubles (``_first_chunk``), and pass t settles column t
-    of every live rollout, then the sentinel column that exits every state,
-    with ``(rows,)``-sized operations. So it takes at most
-    ``_FIRST_CHUNK + 1`` passes and scans no row. Each live rollout carries
-    its count of WORK tokens at ``w_cap``, written out when it finishes, and
-    the live rows are compacted only on passes where some finish.
+    a converged one ends, in one lockstep over the whole batch: pass t
+    settles column t of every live rollout (``_columns``), then the sentinel
+    column that exits every state, with ``(rows,)``-sized operations, so it
+    takes at most ``_FIRST_CHUNK + 1`` passes and scans no row. Each live
+    rollout carries its count of WORK tokens at ``w_cap``, and the live rows
+    are written out and compacted only on passes where some finish.
 
-    A block of fewer than ``_BLOCK_ROLLOUTS // 2`` rollouts (a training
-    step's 160 or 320) computes all its columns in one ``_first_chunk``
-    call. A larger one (an eval batch's 1,024) is split: one call computes
-    the columns below ``_FIRST_CHUNK // 2`` for every rollout, and at that
-    pass a second computes the rest, and the hand-off's seed words, only
-    for the rollouts still live, the pass's rows ``r``, and scatters them
-    into those rows. A converged rollout ends by token d + 1 <= 11, so most
-    rows of an eval block never read those columns; on a small block the
-    second call's fixed cost outweighs the columns it saves.
+    A batch of fewer than ``_BLOCK_ROLLOUTS // 2`` rollouts (a training
+    step's 160 or 320) computes all its columns up front. A larger one (an
+    eval batch's 5,120) is split: the columns below ``_FIRST_CHUNK // 2``
+    for every rollout, and at that pass the rest, and the hand-off's seed
+    words, only for the rollouts still live, in a table over them alone. A
+    converged rollout ends by token d + 1 <= 11, so most rows of an eval
+    batch never read those columns; on a small batch the second call's
+    fixed cost outweighs the columns it saves.
 
-    The rollouts that meet the sentinel short of ``l_max`` go on, each with
-    a generator seeded with the words ``_first_chunk`` returns for the state
-    where its chunk ended. The generator stage draws their uniforms in
-    chunks that double up to the chunk budget, and a pass scans each
-    rollout's chunk whole, the uniforms it has read set to NaN, which no
-    comparison passes: a rollout gets here by keeping its state for many
-    tokens, at ``w_cap`` often for hundreds, and its first pass is then
-    often its only one, where a lockstep would take a pass per token. A
-    rollout goes on into the next chunk when its current state's ``left`` is
-    at or past the chunk's end: it met the sentinel, or its last token was a
-    WORK exit into a state it has not left. PCG64 yields the same doubles
-    whatever the chunk sizes, so a rollout consumes exactly the uniforms a
-    token-by-token loop would. A lockstep pass calls ``ndarray.nonzero``
-    once and a generator pass ``ndarray.argmax`` once
-    (``tests/test_budgets.py`` counts both).
-
-    The count table follows from ``left``: each state before the last holds
-    the FILLERs between the tokens that entered and left it, then one WORK;
-    the last holds that gap, less the WORK tokens counted at ``w_cap``,
-    those WORK tokens and the answer.
+    The rollouts that meet the sentinel short of ``l_max`` go on, a slice of
+    at most ``_BLOCK_ROLLOUTS`` at a time, each with a generator seeded with
+    the words ``_first_chunk`` returns for the state where its chunk ended.
+    The generator stage draws their uniforms in chunks that double up to the
+    chunk budget, and a pass scans each rollout's chunk whole, the uniforms
+    it has read set to NaN, which no comparison passes: a rollout gets here
+    by keeping its state for many tokens, at ``w_cap`` often for hundreds,
+    and its first pass is then often its only one, where a lockstep would
+    take a pass per token. A rollout goes on into the next chunk when its
+    current state's ``left`` is at or past the chunk's end: it met the
+    sentinel, or its last token was a WORK exit into a state it has not
+    left. PCG64 yields the same doubles whatever the chunk sizes, so a
+    rollout consumes exactly the uniforms a token-by-token loop would. A
+    lockstep pass calls ``ndarray.nonzero`` once and a generator pass
+    ``ndarray.argmax`` once (``tests/test_budgets.py`` counts both).
     """
     n_states = cum.shape[1]
     n = len(problems)
-    # Per flat (rollout, state) cell: a uniform below ``lo`` is a WORK exit
+    # Per flat (problem, state) cell: a uniform below ``lo`` is a WORK exit
     # (never at w_cap), one at or above ``hi`` an answer. At w_cap, one below
     # ``edge`` is a WORK token, which keeps the state (``edge`` is -1 elsewhere).
-    lo, hi = cum[problems, :, 0], cum[problems, :, 1].reshape(-1)
-    edge = np.full_like(lo, -1.0)
-    edge[:, -1] = lo[:, -1]
-    lo[:, -1] = -1.0
+    lo, hi, edge = cum[..., 0].copy(), cum[..., 1].reshape(-1), np.full(cum.shape[:2], -1.0)
+    edge[:, -1], lo[:, -1] = cum[:, -1, 0], -1.0
     lo, edge = lo.reshape(-1), edge.reshape(-1)
-    first_state = np.arange(0, n * n_states, n_states)
-    state = first_state.copy()
+    state = np.arange(0, n * n_states, n_states)  # each rollout's flat (rollout, state) cell, its first one here
     left = np.full(n * n_states, l_max)
     exit_u = np.empty(n)  # the uniform of its latest exit, its answer's once it has one
     cap_work = np.empty(n, dtype=np.intp)  # WORK tokens at w_cap, written as a rollout leaves the lockstep
@@ -395,76 +413,68 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     # The opening stage: the first chunk in lockstep, pass t reads column t of every live rollout.
     width = min(_FIRST_CHUNK, l_max)
     head = _FIRST_CHUNK // 2 if n >= _BLOCK_ROLLOUTS // 2 else _FIRST_CHUNK  # the columns computed up front
-    doubles, seeds = _first_chunk(words, 0, head)
-    first = np.empty((width + 1, n))
-    first[: min(head, width)] = doubles[:width]
-    first[width] = 2.0  # a sentinel column that exits every state
-    r, s, cw = np.arange(n), state.copy(), np.zeros(n, dtype=np.intp)
-    for t, column in enumerate(first):
-        if t == head < width:  # a split block: the later columns, and the seed words, of the live rollouts
-            seeds = np.empty_like(words)
-            doubles, seeds[r] = _first_chunk(words[r], head, _FIRST_CHUNK)
-            first[head:width, r] = doubles[: width - head]
-        u = column[r]
-        cw += u < edge[s]  # a WORK token at w_cap, which keeps the state
-        done = u >= hi[s]
+    table, seeds = _columns(words, 0, head)
+    ids, base = np.arange(n), 0  # the rollout of each of ``table``'s columns, and the column of its row 0
+    # the live rollouts' columns of ``table``, their (rollout, state) and (problem, state) cells, WORK at w_cap
+    k, s, c, cw = ids, state.copy(), problems * n_states, np.zeros(n, dtype=np.intp)
+    for t in range(width + 1):
+        if t == head < width:  # a split batch: the later columns, and the seed words, of the live rollouts
+            ids, base, k = ids[k], head, np.arange(k.size)
+            table, seeds = _columns(words[ids], head, _FIRST_CHUNK)
+        u = table[t - base][k] if t < width else np.full(k.size, 2.0)  # a sentinel that exits every state
+        cw += u < edge[c]  # a WORK token at w_cap, which keeps the state
+        live = u < hi[c]
         left[s] = t  # rewritten at every pass up to the one that leaves s
-        s += u < lo[s]
-        fin = done.nonzero()[0]
-        if fin.size:
-            rf = r[fin]
-            state[rf], exit_u[rf], cap_work[rf] = s[fin], u[fin], cw[fin]
-            if fin.size == r.size:
+        work = u < lo[c]
+        s += work
+        c += work
+        keep = live.nonzero()[0]
+        if keep.size < k.size:  # some finish: all are written out, and the rest rewritten when they finish
+            rows = ids[k]
+            state[rows], exit_u[rows], cap_work[rows] = s, u, cw
+            if not keep.size:
                 break
-            live = ~done
-            r, s, cw = r[live], s[live], cw[live]
+            k, s, c, cw = k[keep], s[keep], c[keep], cw[keep]
 
-    # The hand-off: a generator for each rollout that goes on, seeded where its first chunk ended.
-    offset = width
-    rows = np.arange(n)[left[state] >= offset] if offset < l_max else np.arange(0)
-    rngs = {row: np.random.Generator(np.random.PCG64(_SeedState(seeds[row]))) for row in rows.tolist()}
-    # The generator stage: each chunk scanned whole on every pass, its read uniforms NaN.
-    while rows.size:
-        width = min(2 * width, l_max - offset, max(_FIRST_CHUNK, _CHUNK_UNIFORMS // rows.size))
-        r, s, ur = rows, state[rows], np.empty((rows.size, width + 1))  # the chunk's rollouts, states, uniforms
-        ur[:, width] = 2.0  # a sentinel that exits every state
-        for out, row in zip(ur[:, :width], rows.tolist()):
-            rngs[row].random(out=out)
-        columns = np.arange(width + 1)
-        while r.size:
-            lo_r, hi_r = lo[s], hi[s]
-            j = ((ur < lo_r[:, None]) | (ur >= hi_r[:, None])).argmax(axis=1)
-            # WORK tokens at w_cap before the exit. ``columns <= j`` would count
-            # the same: the exit uniform is never below ``edge``, which is -1
-            # below w_cap, and at w_cap only an answer (>= hi >= edge) or the
-            # 2.0 sentinel exits.
-            cap_work[r] += ((ur < edge[s][:, None]) & (columns < j[:, None])).sum(axis=1)
-            u = ur[np.arange(r.size), j]
-            exit_u[r] = u
-            # at the sentinel, offset + width: l_max once the last chunk is spent
-            left[s] = offset + j
-            work = u < lo_r
-            s += work
-            state[r] = s
-            more = work & (j + 1 < width)
-            r, s, ur = r[more], s[more], ur[more]
-            np.copyto(ur, np.nan, where=columns <= j[more][:, None])
-        offset += width
-        rows = rows[left[state[rows]] >= offset] if offset < l_max else rows[:0]
+    # The hand-off: the rollouts that go on, a slice at a time, each seeded where its first chunk ended.
+    go, table = k if t == width < l_max else k[:0], None  # their columns of ``table``, rows of ``seeds``
+    for b in range(0, go.size, _BLOCK_ROLLOUTS):
+        rows, part = ids[go[b : b + _BLOCK_ROLLOUTS]], seeds[go[b : b + _BLOCK_ROLLOUTS]]
+        rngs = {row: np.random.Generator(np.random.PCG64(_SeedState(w))) for row, w in zip(rows.tolist(), part)}
+        # The generator stage: each chunk scanned whole on every pass, its read uniforms NaN.
+        offset = chunk = width
+        while rows.size:
+            chunk = min(2 * chunk, l_max - offset, max(_FIRST_CHUNK, _CHUNK_UNIFORMS // rows.size))
+            r, s, ur = rows, state[rows], np.empty((rows.size, chunk + 1))  # the chunk's rollouts, states, uniforms
+            c = s + (problems[r] - r) * n_states
+            ur[:, chunk] = 2.0  # a sentinel that exits every state
+            for out, row in zip(ur[:, :chunk], rows.tolist()):
+                rngs[row].random(out=out)
+            columns = np.arange(chunk + 1)
+            while r.size:
+                lo_r, hi_r = lo[c], hi[c]
+                j = ((ur < lo_r[:, None]) | (ur >= hi_r[:, None])).argmax(axis=1)
+                # WORK tokens at w_cap before the exit. ``columns <= j`` would count
+                # the same: the exit uniform is never below ``edge``, which is -1
+                # below w_cap, and at w_cap only an answer (>= hi >= edge) or the
+                # 2.0 sentinel exits.
+                cap_work[r] += ((ur < edge[c][:, None]) & (columns < j[:, None])).sum(axis=1)
+                u = ur[np.arange(r.size), j]
+                exit_u[r] = u
+                # at the sentinel, offset + chunk: l_max once the last chunk is spent
+                left[s] = offset + j
+                work = u < lo_r
+                s += work
+                c += work
+                state[r] = s
+                more = work & (j + 1 < chunk)
+                r, s, c, ur = r[more], s[more], c[more], ur[more]
+                np.copyto(ur, np.nan, where=columns <= j[more][:, None])
+            offset += chunk
+            rows = rows[left[state[rows]] >= offset] if offset < l_max else rows[:0]
+        del rngs  # before the next slice's are built
 
-    level = state - first_state  # each rollout's last state, at its flat cell ``state``
-    answered = left[state] < l_max
-    last = Action.ANSWER_A + (exit_u >= cum[problems, level, 2])  # the answer, if answered
-    columns = np.arange(n_states)
-    counts = np.zeros((n, n_states, N_ACTIONS), dtype=np.int32)
-    counts[..., Action.WORK] = columns < level[:, None]
-    gap = np.diff(left.reshape(n, n_states), prepend=-1) - 1  # the tokens between entering and leaving
-    counts[..., Action.FILLER] = np.where(columns <= level[:, None], gap, 0)
-    cells = counts.reshape(-1, N_ACTIONS)
-    cells[state, Action.FILLER] -= cap_work
-    cells[state, Action.WORK] = cap_work
-    cells[state, last] = answered
-    return counts, answered, last, level + cap_work
+    return left, state, exit_u, cap_work
 
 
 def make_problem_bank(

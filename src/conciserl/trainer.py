@@ -3,8 +3,8 @@
 Rewards are shaped against the buffer state from before the current batch's
 update, then the buffer folds in the batch, and a single gradient-ascent step
 is taken on the clipped surrogate. Rollout rng streams are keyed by (seed,
-step, problem, rollout), so they do not depend on how the sampler cuts blocks
-or chunks; ``env.sample_batch`` is also the sampler of ``eval``.
+step, problem, rollout), so they do not depend on how the sampler slices a
+batch or cuts chunks; ``env.sample_batch`` is also the sampler of ``eval``.
 """
 
 from __future__ import annotations

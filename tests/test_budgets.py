@@ -39,15 +39,20 @@ STEP_PASS_BUDGET = {"count": 33.1, "std": 65.7}
 # Calls of one `conciserl eval --n-samples 256 --k 1,4` on that run's last
 # checkpoint, eval_sweep's shape (measured: 4,886).
 EVAL_BUDGET = 5340
-# Walk passes and full-width scans of that eval (measured: 140 and 55).
-EVAL_PASS_BUDGET = 154
-EVAL_SCAN_BUDGET = 60
-# Full-width scans of the converged 20 x 256 batch of `converged_batch`
-# (measured: 0; every rollout ends within the first chunk, which scans no row).
+# Walk passes and full-width scans of that eval (measured: 61 and 44; 140
+# and 55 when each 1,024-rollout block took its own lockstep and generator
+# stage).
+EVAL_PASS_BUDGET = 67
+EVAL_SCAN_BUDGET = 48
+# Walk passes of the converged 20 x 256 batch of `converged_batch` (measured:
+# 11, one lockstep over the whole batch; 43 with a lockstep per block).
+CONVERGED_PASS_BUDGET = 12
+# Full-width scans of that batch (measured: 0; every rollout ends within the
+# first chunk, which scans no row).
 CONVERGED_SCAN_BUDGET = 0
 # First-chunk doubles that batch computes, rows x columns summed over
-# `env._first_chunk` calls (measured: 53,248; 81,920 when every block computed
-# all 16 columns of all its rows).
+# `env._first_chunk` calls (measured: 53,248; 81,920 when all 16 columns were
+# computed for every row).
 CONVERGED_DOUBLES_BUDGET = 58572
 WALK = env._walk.__code__
 
@@ -166,7 +171,7 @@ def certain_policy(ids, w_cap, actions):
 
 
 def test_one_pass_and_one_scan_event_each():
-    # Three problems whose walks are known token by token, in one block:
+    # Three problems whose walks are known token by token, in one batch:
     # "a" works 3 times and answers, "b" fills until l_max truncates it and
     # "c" works 18 times and answers. First chunk, 17 lockstep passes and no
     # scan: "a" answers at pass 4, and "b" and "c" read columns 0-15 and
@@ -199,6 +204,12 @@ def converged_batch():
     return TabularPolicy([p.id for p in bank], 10, logits), bank, 256, 1024, (0,)
 
 
+def test_walk_passes_of_a_converged_batch_within_budget():
+    batch, _, passes, _ = package_calls(env.sample_batch, *converged_batch())
+    assert batch.correct.all()
+    assert 0 < passes <= CONVERGED_PASS_BUDGET, f"{passes} walk passes; the budget is {CONVERGED_PASS_BUDGET}"
+
+
 def test_full_width_scans_of_a_converged_batch_within_budget():
     batch, _, passes, scans = package_calls(env.sample_batch, *converged_batch())
     assert batch.correct.all() and passes > 0
@@ -206,8 +217,8 @@ def test_full_width_scans_of_a_converged_batch_within_budget():
 
 
 def test_first_chunk_doubles_of_a_converged_batch_within_budget(monkeypatch):
-    # converged rollouts end by token d + 1 <= 11, so most rows of each
-    # 1,024-rollout block never read the first chunk's later columns
+    # converged rollouts end by token d + 1 <= 11, so most rows of the
+    # batch never read the first chunk's later columns
     doubles = 0
     first_chunk = env._first_chunk
 

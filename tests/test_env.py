@@ -300,7 +300,8 @@ class TestSampleGroup:
             assert_walk_equals_reference(policy, bank, group_size, 130, key)
 
     def test_group_larger_than_a_block(self):
-        # a group of more than _BLOCK_ROLLOUTS rollouts spans several blocks
+        # a group of more than _BLOCK_ROLLOUTS rollouts spans several
+        # first-chunk calls and generator slices
         rng = np.random.default_rng(9600)
         policy, bank, _, key = random_batch_case(rng, 40)
         batch = assert_walk_equals_reference(policy, bank, env._BLOCK_ROLLOUTS + 44, 40, key)
@@ -323,28 +324,40 @@ class TestSampleGroup:
     @pytest.mark.parametrize("l_max", [1, 16384])
     @pytest.mark.parametrize("group_size", [16, 64])
     def test_blocks_are_cut_by_rollout_count_alone(self, monkeypatch, l_max, group_size):
-        # whatever l_max, the batch is walked in ceil(P·G / _BLOCK_ROLLOUTS)
-        # consecutive blocks of at most _BLOCK_ROLLOUTS rollouts, each with
-        # its rows of the batch's seed words
-        blocks = []
-        walk = env._walk
+        # whatever l_max, the batch is one walk over all its rollouts and
+        # seed words, and its first chunk is computed in calls of at most
+        # _BLOCK_ROLLOUTS rows, the rows in (p, r) order: the columns every
+        # rollout reads in ceil(P·G / _BLOCK_ROLLOUTS) consecutive slices,
+        # and a split batch's later columns for an ordered subset of them
+        walks, chunks = [], []
+        walk, first_chunk = env._walk, env._first_chunk
 
-        def spy(cum, problems, words, l_max):
-            blocks.append((problems, words))
+        def walk_spy(cum, problems, words, l_max):
+            walks.append((problems, words))
             return walk(cum, problems, words, l_max)
 
-        monkeypatch.setattr(env, "_walk", spy)
+        def chunk_spy(words, start, stop):
+            chunks.append((words, start))
+            return first_chunk(words, start, stop)
+
+        monkeypatch.setattr(env, "_walk", walk_spy)
+        monkeypatch.setattr(env, "_first_chunk", chunk_spy)
         bank = make_problem_bank(20, (1, 10), 0)
         sample_batch(initial_policy([p.id for p in bank], 10), bank, group_size, l_max, (0, 1))
-        assert len(blocks) == -(-20 * group_size // env._BLOCK_ROLLOUTS)
-        assert max(len(problems) for problems, _ in blocks) <= env._BLOCK_ROLLOUTS
         problems, rollouts = np.divmod(np.arange(20 * group_size), group_size)
-        assert np.array_equal(np.concatenate([p for p, _ in blocks]), problems)
-        assert np.array_equal(np.concatenate([w for _, w in blocks]), env._seed_words((0, 1), problems, rollouts))
+        words = env._seed_words((0, 1), problems, rollouts)
+        assert len(walks) == 1
+        assert np.array_equal(walks[0][0], problems) and np.array_equal(walks[0][1], words)
+        assert max(len(w) for w, _ in chunks) <= env._BLOCK_ROLLOUTS
+        row_of = {row.tobytes(): i for i, row in enumerate(words)}
+        rows = {start: [row_of[row.tobytes()] for w, s in chunks if s == start for row in w] for _, start in chunks}
+        assert rows.pop(0) == list(range(len(words)))
+        assert all(later == sorted(set(later)) for later in rows.values())
+        assert sum(start == 0 for _, start in chunks) == -(-20 * group_size // env._BLOCK_ROLLOUTS)
 
     def test_seeds_hashed_once_per_batch(self, monkeypatch):
-        # an eval batch of 20 x 256 rollouts spans several blocks, which
-        # share one hash of the batch's seed words
+        # an eval batch of 20 x 256 rollouts spans several first-chunk
+        # calls, which share one hash of the batch's seed words
         calls = []
         seed_words = env._seed_words
 
@@ -574,12 +587,13 @@ class TestFirstChunkCursor:
 
 
 class TestSplitFirstChunk:
-    """A block of at least ``_BLOCK_ROLLOUTS // 2`` rollouts computes its
+    """A batch of at least ``_BLOCK_ROLLOUTS // 2`` rollouts computes its
     first chunk's columns below ``_FIRST_CHUNK // 2`` for every rollout and,
     at that pass, the columns from there on only for the rollouts still
-    live, scattered into their rows; a smaller block computes every column
-    in one call. Either way the walk must equal the token-by-token
-    reference."""
+    live, in a table over those rollouts alone; a smaller batch computes
+    every column up front. Either way the walk must equal the
+    token-by-token reference. The class and its tests keep the names they
+    had when each block of a batch was walked on its own."""
 
     @staticmethod
     def first_chunk_calls(monkeypatch):
@@ -596,12 +610,12 @@ class TestSplitFirstChunk:
 
     @pytest.mark.parametrize("l_max", [8, 9, 15, 16, 17])
     def test_scatter_edges(self, monkeypatch, l_max):
-        # one block of 3 x 200 rollouts, which splits: "seven" works 7 times
+        # a batch of 3 x 200 rollouts, which splits: "seven" works 7 times
         # and answers on column 7, the last one the first call computes;
         # "eight" answers on column 8, the first one the second call
-        # scatters, so it is truncated at l_max 8; "mixed" exits on columns
+        # computes, so it is truncated at l_max 8; "mixed" exits on columns
         # on both sides of the split and past the first chunk, so the
-        # second call covers a ragged subset of the block's rows
+        # second call covers a ragged subset of the batch's rows
         w_cap, group_size = 10, 200
         seven = [WORK_ONLY] * 7 + [ANSWER_ONLY] * 4
         eight = [WORK_ONLY] * 8 + [[0, 0, 0, 1]] * 3
@@ -623,15 +637,26 @@ class TestSplitFirstChunk:
 
     @pytest.mark.parametrize("block_rollouts", [8, 64])
     def test_split_blocks_equal_token_reference(self, monkeypatch, block_rollouts):
-        # random batches of at most 64 rollouts in blocks of at most 8 or
-        # 64, so that most blocks split, at every chunk edge
+        # random batches of at most 64 rollouts, whose first chunks are
+        # computed at most 8 or 64 rows a call and split from 4 or 32
+        # rollouts on, so that most batches split and many take several
+        # calls a window, at every chunk edge; each batch's calls are
+        # checked against its own size
         monkeypatch.setattr(env, "_BLOCK_ROLLOUTS", block_rollouts)
         calls = self.first_chunk_calls(monkeypatch)
+        windows = set()
         for i, l_max in enumerate(CHUNK_EDGE_L_MAX):
             for seed in range(2):
                 policy, bank, group_size, key = random_batch_case(np.random.default_rng(9800 + 10 * i + seed), l_max)
+                calls.clear()
                 assert_walk_equals_reference(policy, bank, group_size, l_max, key)
-        assert {(start, stop) for _, start, stop in calls} == {(0, 8), (8, 16), (0, 16)}
+                n = len(bank) * group_size
+                split = n >= block_rollouts // 2
+                assert max(rows for rows, _, _ in calls) <= block_rollouts
+                assert sum(start == 0 for _, start, _ in calls) == -(-n // block_rollouts)
+                assert {stop for _, start, stop in calls if start == 0} == {8 if split else 16}
+                windows |= {(start, stop) for _, start, stop in calls}
+        assert {(0, 8), (8, 16)} <= windows <= {(0, 8), (8, 16), (0, 16)}
 
 
 def assert_seed_words_are_default_rngs(key, problems, rollouts):
@@ -661,7 +686,7 @@ ROLLOUT_PAIRS = st.tuples(*[st.one_of(st.sampled_from([0, 2**32 - 1]), st.intege
 
 
 class TestGenerators:
-    """``env._seed_words`` hashes a block's seeds in one vectorized pass;
+    """``env._seed_words`` hashes a batch's seeds in one vectorized pass;
     each per-rollout ``(p, r)`` row must hold exactly the PCG64 seed words
     of ``default_rng((*key, p, r))``: its SeedSequence's
     ``generate_state(4, np.uint64)``."""
@@ -694,7 +719,7 @@ class TestGenerators:
 def assert_first_chunk_continues_default_rng(key, pairs, later=(1, 1, 14, 32, 64)):
     """``_first_chunk`` draws each stream's first ``_FIRST_CHUNK`` doubles in
     one call, and the same doubles in two, one per half, as ``_walk`` draws a
-    large block's, the second on any subset of the rows; the seed words that
+    large batch's, the second on any subset of the rows; the seed words that
     only a call ending at ``_FIRST_CHUNK`` returns are the same from both
     calls that end there, and a PCG64 seeded with a stream's has that
     stream's state after them and goes on with the next ones: one at a time,
@@ -721,7 +746,7 @@ def assert_first_chunk_continues_default_rng(key, pairs, later=(1, 1, 14, 32, 64
 
 class TestFirstChunk:
     """Every rollout's first chunk is PCG64 computed in numpy for the whole
-    block (a large block's second half for the rollouts still live there),
+    batch (a large batch's second half for the rollouts still live there),
     and only rollouts that outlive it get a generator, seeded with the words
     ``_first_chunk`` returns: its doubles and those generators
     must be ``default_rng((*key, p, r))``'s stream, bit for bit, at every
@@ -790,8 +815,8 @@ class TestFirstChunk:
         assert built == []
 
     def test_one_generator_per_rollout_longer_than_the_first_chunk(self, monkeypatch):
-        # 20 x 64 rollouts (two blocks), some answering within 16 tokens and
-        # some after
+        # 20 x 64 rollouts (two generator slices), some answering within 16
+        # tokens and some after
         built = self.count_generators(monkeypatch)
         policy = initial_policy([p.id for p in self.BANK], 10, answer_logit=-2.5)
         lengths = sample_batch(policy, self.BANK, 64, 1024, (3, 2)).lengths.ravel()

@@ -258,12 +258,15 @@ class TestSampleBatch:
 
 
 class TestSampleBatchMemory:
-    """The sampler's blocks and chunks bound what it keeps live: a block's
-    first chunk, generators and count table grow with its rollouts, a chunk
-    with its live rows times its width. Walking the 5,120-rollout eval batch
-    as one block peaked at about 12 MB traced, and chunks that double with
-    no budget took the long batch to about 1.4 MB; both fail here, and so
-    does the long batch's 1.06 MB under the float64 bincount table build."""
+    """The sampler's slices and chunks bound what it keeps live: a batch is
+    walked whole, but its first chunk is computed, and its generators are
+    alive, at most ``_BLOCK_ROLLOUTS`` rollouts at a time, and a chunk grows
+    with its live rows times its width. An older walk that took the
+    5,120-rollout eval batch as one block peaked at about 12 MB traced,
+    keeping every generator of the initial-policy eval batch alive at once
+    peaks at 3.4 MB, and chunks that double with no budget took the long
+    batch to about 1.4 MB; all fail here, and so does the long batch's
+    1.06 MB under the float64 bincount table build."""
 
     BANK = make_problem_bank(20, (1, 10), 0)
 
@@ -282,7 +285,17 @@ class TestSampleBatchMemory:
             logits[i, p.difficulty :, Action.ANSWER_A if p.correct_answer == "A" else Action.ANSWER_B] = 8.0
         policy = TabularPolicy([p.id for p in self.BANK], 10, logits)
         assert sample_batch(policy, self.BANK, 256, 1024, (0,)).correct.all()
-        assert traced_peak_mb(lambda: sample_batch(policy, self.BANK, 256, 1024, (0,))) < 4.0
+        # measured 1.99 MB (2.40 when each 1,024-rollout block was walked on its own)
+        assert traced_peak_mb(lambda: sample_batch(policy, self.BANK, 256, 1024, (0,))) < 2.19
+
+    def test_initial_policy_eval_batch(self):
+        # an eval batch of 20 x 256 rollouts from an initial policy, 2,313
+        # of which outlive the first chunk and get a generator: measured
+        # 2.38 MB (2.78 when each 1,024-rollout block was walked on its own)
+        policy = initial_policy([p.id for p in self.BANK], 10, answer_logit=-3)
+        lengths = sample_batch(policy, self.BANK, 256, 1024, (0,)).lengths
+        assert (lengths > 16).sum() > 2 * 1024
+        assert traced_peak_mb(lambda: sample_batch(policy, self.BANK, 256, 1024, (0,))) < 2.62
 
 
 class TestTrainStep:
