@@ -100,16 +100,16 @@ def min_correct_length(problem: ProblemSpec) -> int:
     return problem.difficulty + 1
 
 
-# Width of each rollout's first chunk of uniforms, drawn for the whole batch
-# in numpy (_first_chunk; a large batch's second half only for the rollouts
-# still live there, see _walk); every later chunk doubles, capped at the
-# tokens left before l_max and at the chunk budget.
+# Width of each rollout's first chunk of uniforms: a small batch draws it for
+# every rollout, in numpy, up front (_first_chunk), a large one one PCG64 step
+# a lockstep pass for the rollouts still live (_step; see _walk); every later
+# chunk doubles, capped at the tokens left before l_max and at the chunk budget.
 _FIRST_CHUNK = 16
-# A batch is walked whole; _BLOCK_ROLLOUTS bounds only the rows of each
-# _first_chunk call and the generators alive at once (_walk). A chunk holds at
-# most _CHUNK_UNIFORMS uniforms over a slice's live rows (but never narrows
-# below _FIRST_CHUNK), which bounds the uniforms and the per-pass masks at any
-# l_max.
+# A batch is walked whole; one of at least _BLOCK_ROLLOUTS // 2 rollouts steps
+# its streams a pass, and _BLOCK_ROLLOUTS bounds only the generators alive at
+# once (_walk). A chunk holds at most _CHUNK_UNIFORMS uniforms over a slice's
+# live rows (but never narrows below _FIRST_CHUNK), which bounds the uniforms
+# and the per-pass masks at any l_max.
 _BLOCK_ROLLOUTS = 1024
 _CHUNK_UNIFORMS = 1 << 14
 
@@ -133,7 +133,7 @@ _MASK64 = (1 << 64) - 1
 def _constants(values: Sequence[int]) -> np.ndarray:
     """128-bit constants as a ``(4, len(values), 1)`` uint64 array of
     columns: their high words, their low words and the low words' 32-bit
-    halves. Slicing its second axis picks a window of the constants."""
+    halves."""
     hi = np.array([[v >> 64] for v in values], dtype=np.uint64)
     lo = np.array([[v & _MASK64] for v in values], dtype=np.uint64)
     return np.stack([hi, lo, lo & _MASK32, lo >> 32])
@@ -142,6 +142,7 @@ def _constants(values: Sequence[int]) -> np.ndarray:
 _POWERS = [pow(_PCG_MULT, k, 1 << 128) for k in range(_FIRST_CHUNK + 2)]
 _STREAM_POWERS = _constants(_POWERS[2:])
 _STREAM_SUMS = _constants([sum(_POWERS[:k]) % (1 << 128) for k in range(2, _FIRST_CHUNK + 2)])
+_STEP = _constants([_PCG_MULT])[:, 0]  # M alone, as (4, 1): one step of a (rows,) state
 
 
 def _mul128(hi: np.ndarray, lo: np.ndarray, const: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,62 +166,64 @@ def _mul128(hi: np.ndarray, lo: np.ndarray, const: np.ndarray) -> tuple[np.ndarr
     return carry, np.multiply(lo, c_lo, out=t)
 
 
-def _first_chunk(words: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """``np.random.Generator(PCG64(seed))``'s doubles ``start`` to
-    ``stop - 1`` (offsets within the first ``_FIRST_CHUNK``) for each row of
-    seed words from ``_seed_words``, and, when ``stop`` is ``_FIRST_CHUNK``,
-    the seed words of a PCG64 that goes on with each stream after them
-    (None otherwise). ``_walk`` computes the whole chunk with it, or for a
-    large batch its first half and then the second for the rows still live
-    there, ``_BLOCK_ROLLOUTS`` rows a call (``_columns``).
-
-    Every state comes straight from the seed words (see ``_PCG_MULT``), and
-    its double is PCG64's XSL-RR output (``hi ^ lo`` rotated right by
-    ``hi >> 58``) shifted to 53 bits and scaled by 2^-53. The states are
-    ``(stop - start, rows)`` arrays, one row per offset, so every ufunc runs
-    along the rollouts, and the doubles are returned in that shape; the
-    arithmetic runs in place, so at most five such uint64 arrays are live at
-    once. Seeding steps the LCG once from ``init + inc``, so an ``init`` of
-    the next-to-last state less ``inc`` lands on the last one.
-    """
+def _seeded(words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each row of seed words as PCG64 seeding reads them: ``init + inc``
+    and the increment ``inc``, as high and low uint64 words."""
     w2, w3 = words[:, 2], words[:, 3]
     inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
     x_lo = words[:, 1] + inc_lo
-    x_hi = words[:, 0] + inc_hi + (x_lo < inc_lo)
-    hi, lo = _mul128(x_hi, x_lo, _STREAM_POWERS[:, start:stop])
-    b_hi, b_lo = _mul128(inc_hi, inc_lo, _STREAM_SUMS[:, start:stop])
-    lo += b_lo
-    hi += b_hi
-    hi += lo < b_lo
-    seeds = None
-    if stop == _FIRST_CHUNK:
-        before_hi, before_lo = hi[-2], lo[-2]
-        seeds = np.stack([before_hi - inc_hi - (before_lo < inc_lo), before_lo - inc_lo, w2, w3], axis=1)
-    x, rot = np.bitwise_xor(hi, lo, out=lo), np.right_shift(hi, 58, out=hi)
-    shift = np.subtract(64, rot, out=b_hi)
+    return words[:, 0] + inc_hi + (x_lo < inc_lo), x_lo, inc_hi, inc_lo
+
+
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LCG step, ``M·(hi:lo) + inc``, as new arrays."""
+    hi, lo = _mul128(hi, lo, _STEP)
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+    return hi, lo
+
+
+def _double(x: np.ndarray, rot: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """The doubles of states whose ``hi ^ lo`` is ``x`` and ``hi >> 58`` is
+    ``rot``: PCG64's XSL-RR output (``x`` rotated right by ``rot``) shifted
+    to 53 bits and scaled by 2^-53. Overwrites ``x``, and ``shift`` if given."""
+    shift = np.subtract(64, rot, out=shift)
     shift &= 63
     shift = np.left_shift(x, shift, out=shift)
     x >>= rot
     x |= shift
     x >>= 11
-    return x * 2.0**-53, seeds
+    return x * 2.0**-53
 
 
-def _columns(words: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """``_first_chunk(words, start, stop)``, one call per ``_BLOCK_ROLLOUTS``
-    rows, its doubles gathered in one ``(stop - start, rows)`` table; rows
-    that fit in one call keep its arrays (a table allocated under the call's
-    temporaries made the heap trim and fault in again at each step)."""
-    if len(words) <= _BLOCK_ROLLOUTS:
-        return _first_chunk(words, start, stop)
-    table = np.empty((stop - start, len(words)))
-    seeds = np.empty_like(words) if stop == _FIRST_CHUNK else None
-    for b in range(0, len(words), _BLOCK_ROLLOUTS):
-        rows = slice(b, b + _BLOCK_ROLLOUTS)
-        table[:, rows], part = _first_chunk(words[rows], start, stop)
-        if seeds is not None:
-            seeds[rows] = part
-    return table, seeds
+def _seeds(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Seed words ``(s - inc, w2, w3)`` whose PCG64 goes on with each stream
+    after the double of state ``s = hi:lo``'s successor: seeding steps the
+    LCG once from ``init + inc``, landing on that successor."""
+    return np.stack([hi - inc_hi - (lo < inc_lo), lo - inc_lo, words[:, 2], words[:, 3]], axis=1)
+
+
+def _first_chunk(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.random.Generator(PCG64(seed))``'s first ``_FIRST_CHUNK`` doubles
+    for each row of seed words from ``_seed_words``, and the seed words of a
+    PCG64 that goes on with each stream after them; ``_walk`` computes a
+    small batch's first chunk with it.
+
+    Every state comes straight from the seed words (see ``_PCG_MULT``). The
+    states are ``(_FIRST_CHUNK, rows)`` arrays, one row per offset, so every
+    ufunc runs along the rollouts, and the doubles are returned in that
+    shape; the arithmetic runs in place, so at most five such uint64 arrays
+    are live at once. The seed words come from the next-to-last state.
+    """
+    x_hi, x_lo, inc_hi, inc_lo = _seeded(words)
+    hi, lo = _mul128(x_hi, x_lo, _STREAM_POWERS)
+    b_hi, b_lo = _mul128(inc_hi, inc_lo, _STREAM_SUMS)
+    lo += b_lo
+    hi += b_hi
+    hi += lo < b_lo
+    seeds = _seeds(hi[-2], lo[-2], inc_hi, inc_lo, words)
+    return _double(np.bitwise_xor(hi, lo, out=lo), np.right_shift(hi, 58, out=hi), b_hi), seeds
 
 
 class _SeedState(ISeedSequence):
@@ -309,8 +312,9 @@ def sample_batch(
 
     One seed hash gives every rollout's seed words (``_seed_words``), and one
     walk, problem by problem, takes the whole batch, each stream read in
-    chunks (``_walk`` holds the mechanism; ``_BLOCK_ROLLOUTS`` bounds only
-    its first-chunk calls and its live generators). Neither moves a number:
+    chunks (``_walk`` holds the mechanism; the batch's size picks how its
+    first chunk is drawn, and ``_BLOCK_ROLLOUTS`` bounds only its live
+    generators). Neither moves a number:
     a rollout's walk does not depend on the rollouts it is walked with, nor
     its uniforms on the chunks they are drawn in.
     """
@@ -366,24 +370,26 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
 
     The opening stage walks the first chunk, where every rollout starts and
     a converged one ends, in one lockstep over the whole batch: pass t
-    settles column t of every live rollout (``_columns``), then the sentinel
+    settles column t of every live rollout, then the sentinel
     column that exits every state, with ``(rows,)``-sized operations, so it
     takes at most ``_FIRST_CHUNK + 1`` passes and scans no row. Each live
     rollout carries its count of WORK tokens at ``w_cap``, and the live rows
     are written out and compacted only on passes where some finish.
 
     A batch of fewer than ``_BLOCK_ROLLOUTS // 2`` rollouts (a training
-    step's 160 or 320) computes all its columns up front. A larger one (an
-    eval batch's 5,120) is split: the columns below ``_FIRST_CHUNK // 2``
-    for every rollout, and at that pass the rest, and the hand-off's seed
-    words, only for the rollouts still live, in a table over them alone. A
-    converged rollout ends by token d + 1 <= 11, so most rows of an eval
-    batch never read those columns; on a small batch the second call's
-    fixed cost outweighs the columns it saves.
+    step's 160 or 320) computes its whole first chunk up front
+    (``_first_chunk``). A larger one (an eval batch's 5,120) computes no
+    table: the lockstep carries each live rollout's PCG64 state and
+    increment, compacted with its other arrays, and pass t steps the state
+    once (``_step``) for column t's double; at pass 15 the hand-off's seed
+    words are taken from the state before that step (``_seeds``), for the
+    rollouts live then. A converged rollout ends by token d + 1 <= 11, so
+    most rows of an eval batch never draw the later columns; on a small
+    batch the per-pass steps cost more than the columns they save.
 
     The rollouts that meet the sentinel short of ``l_max`` go on, a slice of
     at most ``_BLOCK_ROLLOUTS`` at a time, each with a generator seeded with
-    the words ``_first_chunk`` returns for the state where its chunk ended.
+    the words taken for the state where its chunk ended.
     The generator stage draws their uniforms in chunks that double up to the
     chunk budget, and a pass scans each rollout's chunk whole, the uniforms
     it has read set to NaN, which no comparison passes: a rollout gets here
@@ -410,18 +416,24 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
     exit_u = np.empty(n)  # the uniform of its latest exit, its answer's once it has one
     cap_work = np.empty(n, dtype=np.intp)  # WORK tokens at w_cap, written as a rollout leaves the lockstep
 
-    # The opening stage: the first chunk in lockstep, pass t reads column t of every live rollout.
+    # The opening stage: the first chunk in lockstep, pass t reads column t of every live rollout, from a table of
+    # the whole chunk (a small batch) or by stepping each live rollout's PCG64 state once (a large one).
     width = min(_FIRST_CHUNK, l_max)
-    head = _FIRST_CHUNK // 2 if n >= _BLOCK_ROLLOUTS // 2 else _FIRST_CHUNK  # the columns computed up front
-    table, seeds = _columns(words, 0, head)
-    ids, base = np.arange(n), 0  # the rollout of each of ``table``'s columns, and the column of its row 0
-    # the live rollouts' columns of ``table``, their (rollout, state) and (problem, state) cells, WORK at w_cap
-    k, s, c, cw = ids, state.copy(), problems * n_states, np.zeros(n, dtype=np.intp)
+    table, seeds = _first_chunk(words) if n < _BLOCK_ROLLOUTS // 2 else (None, None)
+    if table is None:  # each live rollout's PCG64 state, seeding's step taken, and its increment
+        pcg = [*_seeded(words)]
+        pcg[:2] = _step(*pcg)
+    # the live rollouts, their (rollout, state) and (problem, state) cells, and their WORK tokens at w_cap
+    k, s, c, cw = np.arange(n), state.copy(), problems * n_states, np.zeros(n, dtype=np.intp)
     for t in range(width + 1):
-        if t == head < width:  # a split batch: the later columns, and the seed words, of the live rollouts
-            ids, base, k = ids[k], head, np.arange(k.size)
-            table, seeds = _columns(words[ids], head, _FIRST_CHUNK)
-        u = table[t - base][k] if t < width else np.full(k.size, 2.0)  # a sentinel that exits every state
+        if t == width:
+            u = np.full(k.size, 2.0)  # a sentinel that exits every state
+        elif table is not None:
+            u = table[t][k]
+        else:  # pass 15 takes the hand-off's seed words from the state before its step
+            seeds = _seeds(*pcg, words[k]) if t == _FIRST_CHUNK - 1 else seeds
+            pcg[:2] = _step(*pcg)
+            u = _double(pcg[0] ^ pcg[1], pcg[0] >> 58)
         cw += u < edge[c]  # a WORK token at w_cap, which keeps the state
         live = u < hi[c]
         left[s] = t  # rewritten at every pass up to the one that leaves s
@@ -430,16 +442,18 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
         c += work
         keep = live.nonzero()[0]
         if keep.size < k.size:  # some finish: all are written out, and the rest rewritten when they finish
-            rows = ids[k]
-            state[rows], exit_u[rows], cap_work[rows] = s, u, cw
+            state[k], exit_u[k], cap_work[k] = s, u, cw
             if not keep.size:
                 break
             k, s, c, cw = k[keep], s[keep], c[keep], cw[keep]
+            if table is None:
+                pcg, seeds = [a[keep] for a in pcg], None if seeds is None else seeds[keep]
 
     # The hand-off: the rollouts that go on, a slice at a time, each seeded where its first chunk ended.
-    go, table = k if t == width < l_max else k[:0], None  # their columns of ``table``, rows of ``seeds``
+    go = k if t == width < l_max else k[:0]
+    seeds, table, pcg = seeds if table is None else seeds[go], None, None  # seed words per rollout of ``go``
     for b in range(0, go.size, _BLOCK_ROLLOUTS):
-        rows, part = ids[go[b : b + _BLOCK_ROLLOUTS]], seeds[go[b : b + _BLOCK_ROLLOUTS]]
+        rows, part = go[b : b + _BLOCK_ROLLOUTS], seeds[b : b + _BLOCK_ROLLOUTS]
         rngs = {row: np.random.Generator(np.random.PCG64(_SeedState(w))) for row, w in zip(rows.tolist(), part)}
         # The generator stage: each chunk scanned whole on every pass, its read uniforms NaN.
         offset = chunk = width

@@ -7,8 +7,9 @@ A pass budget caps the passes of the sampler's walk (``env._walk``'s
 chunk, and of ``ndarray.argmax``, one per pass over a generator's chunk),
 and a scan budget its scans of whole rows (its ``ndarray.argmax`` events;
 the first chunk, walked in lockstep one column a pass, scans none). A
-doubles budget caps the first-chunk doubles ``env._first_chunk`` computes
-for a converged batch, most of whose rows never read the later columns.
+doubles budget caps the first-chunk doubles a converged batch computes
+(``env._double``'s outputs, up front in ``env._first_chunk`` or a step a
+lockstep pass), most of whose rows never read the later columns.
 Each holds on any host and numpy version. A
 budget is its measured value plus 10%, so per-group Python creeping back
 into the training step or the ``eval`` batch, a walk that takes more
@@ -32,12 +33,13 @@ from tests.reference import columns, sample_batch
 PACKAGE = str(Path(conciserl.__file__).parent)
 DESK = dict(group_size=8, l_max=1024, steps=30)  # 20 problems, a checkpoint every 10 steps
 # Mean calls per training step of a 30-step desk run, by advantage mode
-# (measured: count 329.9, std 306.3).
+# (measured: count 328.9, std 305.3).
 STEP_BUDGET = {"count": 362, "std": 336}
 # Mean walk passes per training step of that run (measured: count 30.1, std 59.8).
 STEP_PASS_BUDGET = {"count": 33.1, "std": 65.7}
 # Calls of one `conciserl eval --n-samples 256 --k 1,4` on that run's last
-# checkpoint, eval_sweep's shape (measured: 4,886).
+# checkpoint, eval_sweep's shape (measured: 4,929; 4,890 with a first-chunk
+# table, before each lockstep pass made a `_step` and a `_double` call).
 EVAL_BUDGET = 5340
 # Walk passes and full-width scans of that eval (measured: 61 and 44; 140
 # and 55 when each 1,024-rollout block took its own lockstep and generator
@@ -50,10 +52,11 @@ CONVERGED_PASS_BUDGET = 12
 # Full-width scans of that batch (measured: 0; every rollout ends within the
 # first chunk, which scans no row).
 CONVERGED_SCAN_BUDGET = 0
-# First-chunk doubles that batch computes, rows x columns summed over
-# `env._first_chunk` calls (measured: 53,248; 81,920 when all 16 columns were
+# First-chunk doubles that batch computes, up front or a step a pass
+# (measured: 33,280, one per live rollout a pass; 53,248 with columns 8-15
+# computed for the rollouts live at pass 8, 81,920 with all 16 columns
 # computed for every row).
-CONVERGED_DOUBLES_BUDGET = 58572
+CONVERGED_DOUBLES_BUDGET = 36608
 WALK = env._walk.__code__
 
 
@@ -217,18 +220,20 @@ def test_full_width_scans_of_a_converged_batch_within_budget():
 
 
 def test_first_chunk_doubles_of_a_converged_batch_within_budget(monkeypatch):
-    # converged rollouts end by token d + 1 <= 11, so most rows of the
-    # batch never read the first chunk's later columns
+    # converged rollouts end by token d + 1 <= 11, so a batch that steps its
+    # live rollouts' streams a pass draws few of the first chunk's later
+    # columns; every first-chunk double, up front or stepped, is one
+    # `env._double` output
     doubles = 0
-    first_chunk = env._first_chunk
+    double = env._double
 
     def counted(*args):
         nonlocal doubles
-        out = first_chunk(*args)
-        doubles += out[0].size
+        out = double(*args)
+        doubles += out.size
         return out
 
-    monkeypatch.setattr(env, "_first_chunk", counted)
+    monkeypatch.setattr(env, "_double", counted)
     batch = env.sample_batch(*converged_batch())
     assert batch.correct.all()
     assert doubles <= CONVERGED_DOUBLES_BUDGET, f"{doubles} first-chunk doubles; the budget is {CONVERGED_DOUBLES_BUDGET}"

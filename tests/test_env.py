@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -270,6 +271,39 @@ def assert_walk_equals_reference(policy, bank, group_size, l_max, key):
     return got
 
 
+def first_chunk_draws(monkeypatch):
+    """Records how ``_walk`` draws first chunks: the seed words of each
+    ``_first_chunk`` call (``tables``), the rows of each PCG64 step
+    (``steps``: seeding's, then one a lockstep pass) and the seed words the
+    hand-off's stepped seed words were taken for (``seeds``)."""
+    drawn = SimpleNamespace(tables=[], steps=[], seeds=[])
+    first_chunk, step, seeds = env._first_chunk, env._step, env._seeds
+
+    def first_chunk_spy(words):
+        drawn.tables.append(words)
+        return first_chunk(words)
+
+    def step_spy(hi, *rest):
+        drawn.steps.append(len(hi))
+        return step(hi, *rest)
+
+    def seeds_spy(*args):
+        drawn.seeds.append(args[-1])
+        return seeds(*args)
+
+    monkeypatch.setattr(env, "_first_chunk", first_chunk_spy)
+    monkeypatch.setattr(env, "_step", step_spy)
+    monkeypatch.setattr(env, "_seeds", seeds_spy)
+    return drawn
+
+
+def stepped_rows(lengths, width):
+    """The rows a large batch of rollouts of these lengths steps: all of
+    them at seeding, then at each lockstep pass t below ``width`` those
+    live there, the rollouts longer than t, while any is."""
+    return [len(lengths)] + [m for t in range(width) if (m := int((lengths > t).sum()))]
+
+
 class TestSampleGroup:
     """Sampling groups: the whole-batch walk of ``env.sample_batch``
     draws the same uniforms and counts the same actions in the same states
@@ -325,35 +359,41 @@ class TestSampleGroup:
     @pytest.mark.parametrize("group_size", [16, 64])
     def test_blocks_are_cut_by_rollout_count_alone(self, monkeypatch, l_max, group_size):
         # whatever l_max, the batch is one walk over all its rollouts and
-        # seed words, and its first chunk is computed in calls of at most
-        # _BLOCK_ROLLOUTS rows, the rows in (p, r) order: the columns every
-        # rollout reads in ceil(P·G / _BLOCK_ROLLOUTS) consecutive slices,
-        # and a split batch's later columns for an ordered subset of them
-        walks, chunks = [], []
-        walk, first_chunk = env._walk, env._first_chunk
+        # seed words, and its rollout count alone picks how its first chunk
+        # is drawn: 320 rollouts in one _first_chunk call over every row in
+        # (p, r) order and no per-pass step, 1,280 in no call but a step of
+        # every row, and then of the live rows, at each pass, the hand-off's
+        # seed words taken for the rollouts live at pass 15, in (p, r) order;
+        # some of them answer only after the first chunk
+        walks = []
+        walk = env._walk
 
         def walk_spy(cum, problems, words, l_max):
             walks.append((problems, words))
             return walk(cum, problems, words, l_max)
 
-        def chunk_spy(words, start, stop):
-            chunks.append((words, start))
-            return first_chunk(words, start, stop)
-
         monkeypatch.setattr(env, "_walk", walk_spy)
-        monkeypatch.setattr(env, "_first_chunk", chunk_spy)
+        drawn = first_chunk_draws(monkeypatch)
         bank = make_problem_bank(20, (1, 10), 0)
-        sample_batch(initial_policy([p.id for p in bank], 10), bank, group_size, l_max, (0, 1))
+        policy = initial_policy([p.id for p in bank], 10, answer_logit=-2.5)
+        batch = sample_batch(policy, bank, group_size, l_max, (0, 1))
         problems, rollouts = np.divmod(np.arange(20 * group_size), group_size)
         words = env._seed_words((0, 1), problems, rollouts)
         assert len(walks) == 1
         assert np.array_equal(walks[0][0], problems) and np.array_equal(walks[0][1], words)
-        assert max(len(w) for w, _ in chunks) <= env._BLOCK_ROLLOUTS
-        row_of = {row.tobytes(): i for i, row in enumerate(words)}
-        rows = {start: [row_of[row.tobytes()] for w, s in chunks if s == start for row in w] for _, start in chunks}
-        assert rows.pop(0) == list(range(len(words)))
-        assert all(later == sorted(set(later)) for later in rows.values())
-        assert sum(start == 0 for _, start in chunks) == -(-20 * group_size // env._BLOCK_ROLLOUTS)
+        lengths = batch.lengths.ravel()
+        if len(words) < env._BLOCK_ROLLOUTS // 2:
+            assert len(drawn.tables) == 1 and np.array_equal(drawn.tables[0], words) and drawn.steps == []
+            return
+        width = min(env._FIRST_CHUNK, l_max)
+        assert drawn.tables == [] and drawn.steps == stepped_rows(lengths, width)
+        if l_max < env._FIRST_CHUNK:
+            assert drawn.seeds == []
+        else:
+            assert (lengths > env._FIRST_CHUNK).any()
+            row_of = {row.tobytes(): i for i, row in enumerate(words)}
+            (seeded,) = drawn.seeds
+            assert [row_of[row.tobytes()] for row in seeded] == np.flatnonzero(lengths > 15).tolist()
 
     def test_seeds_hashed_once_per_batch(self, monkeypatch):
         # an eval batch of 20 x 256 rollouts spans several first-chunk
@@ -587,35 +627,22 @@ class TestFirstChunkCursor:
 
 
 class TestSplitFirstChunk:
-    """A batch of at least ``_BLOCK_ROLLOUTS // 2`` rollouts computes its
-    first chunk's columns below ``_FIRST_CHUNK // 2`` for every rollout and,
-    at that pass, the columns from there on only for the rollouts still
-    live, in a table over those rollouts alone; a smaller batch computes
-    every column up front. Either way the walk must equal the
-    token-by-token reference. The class and its tests keep the names they
-    had when each block of a batch was walked on its own."""
-
-    @staticmethod
-    def first_chunk_calls(monkeypatch):
-        """The rows and the offsets of each ``_first_chunk`` call."""
-        calls = []
-        first_chunk = env._first_chunk
-
-        def spy(words, start, stop):
-            calls.append((len(words), start, stop))
-            return first_chunk(words, start, stop)
-
-        monkeypatch.setattr(env, "_first_chunk", spy)
-        return calls
+    """A batch of at least ``_BLOCK_ROLLOUTS // 2`` rollouts computes no
+    first-chunk table: each live rollout's PCG64 state is stepped once a
+    lockstep pass, and the hand-off's seed words are taken at pass 15 for
+    the rollouts live there; a smaller batch computes its whole first chunk
+    in one ``_first_chunk`` call up front and steps nothing. Either way the
+    walk must equal the token-by-token reference. The class and its tests
+    keep the names they had when a large batch's first chunk was computed
+    in two windows, so that their ids stay stable."""
 
     @pytest.mark.parametrize("l_max", [8, 9, 15, 16, 17])
     def test_scatter_edges(self, monkeypatch, l_max):
-        # a batch of 3 x 200 rollouts, which splits: "seven" works 7 times
-        # and answers on column 7, the last one the first call computes;
-        # "eight" answers on column 8, the first one the second call
-        # computes, so it is truncated at l_max 8; "mixed" exits on columns
-        # on both sides of the split and past the first chunk, so the
-        # second call covers a ragged subset of the batch's rows
+        # a batch of 3 x 200 rollouts, which steps its streams: "seven"
+        # works 7 times and answers on column 7, "eight" answers on column 8,
+        # so it is truncated at l_max 8; "mixed" exits on columns on both
+        # sides of those and past the first chunk, so the live rows thin out
+        # raggedly from pass to pass and some go on with the pass-15 seed words
         w_cap, group_size = 10, 200
         seven = [WORK_ONLY] * 7 + [ANSWER_ONLY] * 4
         eight = [WORK_ONLY] * 8 + [[0, 0, 0, 1]] * 3
@@ -623,40 +650,41 @@ class TestSplitFirstChunk:
         logits = np.array([state_logits(probs) for probs in (seven, eight, mixed)])
         policy = TabularPolicy(("seven", "eight", "mixed"), w_cap, logits)
         bank = [ProblemSpec("seven", 7, "A"), ProblemSpec("eight", 8, "B"), ProblemSpec("mixed", 2, "A")]
-        calls = self.first_chunk_calls(monkeypatch)
+        drawn = first_chunk_draws(monkeypatch)
         batch = assert_walk_equals_reference(policy, bank, group_size, l_max, (12, l_max))
-        n = 3 * group_size
         assert (batch.lengths[0] == 8).all() and batch.correct[0].all()
         assert (batch.lengths[1] == min(9, l_max)).all() and batch.correct[1].all() == (l_max > 8)
         mixed_lengths = batch.lengths[2]
         assert (mixed_lengths < 8).any() and (mixed_lengths >= min(9, l_max)).any()
-        if l_max == 8:
-            assert calls == [(n, 0, 8)]
-        else:
-            assert calls == [(n, 0, 8), (int((batch.lengths > 8).sum()), 8, env._FIRST_CHUNK)]
+        assert (mixed_lengths > 16).any() == (l_max > 16)
+        assert drawn.tables == [] and drawn.steps == stepped_rows(batch.lengths.ravel(), min(env._FIRST_CHUNK, l_max))
+        assert len(drawn.seeds) == (l_max >= env._FIRST_CHUNK)
 
     @pytest.mark.parametrize("block_rollouts", [8, 64])
     def test_split_blocks_equal_token_reference(self, monkeypatch, block_rollouts):
-        # random batches of at most 64 rollouts, whose first chunks are
-        # computed at most 8 or 64 rows a call and split from 4 or 32
-        # rollouts on, so that most batches split and many take several
-        # calls a window, at every chunk edge; each batch's calls are
-        # checked against its own size
+        # random batches of at most 64 rollouts, which step their streams
+        # from 4 or 32 rollouts on and put their generators in slices of at
+        # most 8 or 64, at every chunk edge: at 8 every batch steps and many
+        # hand off in several slices, at 64 the batches below 32 rollouts
+        # each compute a table; each batch's draws are checked against its
+        # own size
         monkeypatch.setattr(env, "_BLOCK_ROLLOUTS", block_rollouts)
-        calls = self.first_chunk_calls(monkeypatch)
-        windows = set()
+        drawn = first_chunk_draws(monkeypatch)
+        kinds = set()
         for i, l_max in enumerate(CHUNK_EDGE_L_MAX):
             for seed in range(2):
                 policy, bank, group_size, key = random_batch_case(np.random.default_rng(9800 + 10 * i + seed), l_max)
-                calls.clear()
-                assert_walk_equals_reference(policy, bank, group_size, l_max, key)
-                n = len(bank) * group_size
-                split = n >= block_rollouts // 2
-                assert max(rows for rows, _, _ in calls) <= block_rollouts
-                assert sum(start == 0 for _, start, _ in calls) == -(-n // block_rollouts)
-                assert {stop for _, start, stop in calls if start == 0} == {8 if split else 16}
-                windows |= {(start, stop) for _, start, stop in calls}
-        assert {(0, 8), (8, 16)} <= windows <= {(0, 8), (8, 16), (0, 16)}
+                drawn.tables.clear(), drawn.steps.clear()
+                batch = assert_walk_equals_reference(policy, bank, group_size, l_max, key)
+                lengths = batch.lengths.ravel()
+                if len(lengths) >= block_rollouts // 2:
+                    assert drawn.tables == []
+                    assert drawn.steps == stepped_rows(lengths, min(env._FIRST_CHUNK, l_max))
+                    kinds.add("stepped, several slices" if (lengths > 16).sum() > block_rollouts else "stepped")
+                else:
+                    assert len(drawn.tables) == 1 and len(drawn.tables[0]) == len(lengths) and drawn.steps == []
+                    kinds.add("table")
+        assert kinds == ({"stepped", "stepped, several slices"} if block_rollouts == 8 else {"table", "stepped"})
 
 
 def assert_seed_words_are_default_rngs(key, problems, rollouts):
@@ -718,25 +746,29 @@ class TestGenerators:
 
 def assert_first_chunk_continues_default_rng(key, pairs, later=(1, 1, 14, 32, 64)):
     """``_first_chunk`` draws each stream's first ``_FIRST_CHUNK`` doubles in
-    one call, and the same doubles in two, one per half, as ``_walk`` draws a
-    large batch's, the second on any subset of the rows; the seed words that
-    only a call ending at ``_FIRST_CHUNK`` returns are the same from both
-    calls that end there, and a PCG64 seeded with a stream's has that
-    stream's state after them and goes on with the next ones: one at a time,
-    then in chunks whose edges fall at other offsets."""
+    one call, and ``_step`` draws the same doubles one a step, as ``_walk``
+    draws a large batch's, on any subset of the rows; the seed words
+    ``_first_chunk`` returns, and those ``_seeds`` takes before the last
+    step, are the same, and a PCG64 seeded with a stream's has that stream's
+    state after them and goes on with the next ones: one at a time, then in
+    chunks whose edges fall at other offsets."""
     problems, rollouts = (np.array(c) for c in zip(*pairs))
-    width, half = env._FIRST_CHUNK, env._FIRST_CHUNK // 2
+    width = env._FIRST_CHUNK
     words = env._seed_words(key, problems, rollouts)
-    first, seeds = env._first_chunk(words, 0, width)
-    head, no_seeds = env._first_chunk(words, 0, half)
+    first, seeds = env._first_chunk(words)
     subset = np.arange(len(pairs))[::-2]  # reversed, every other row
-    tail, tail_seeds = env._first_chunk(words[subset], half, width)
+    x_hi, x_lo, *inc = env._seeded(words[subset])
+    pcg, stepped = [*env._step(x_hi, x_lo, *inc), *inc], []
+    for t in range(width):
+        if t == width - 1:
+            stepped_seeds = env._seeds(*pcg, words[subset])
+        pcg[:2] = env._step(*pcg)
+        stepped.append(env._double(pcg[0] ^ pcg[1], pcg[0] >> 58))
     streams = np.array([np.random.default_rng((*key, p, r)).random(width + sum(later)) for p, r in pairs])
     assert first.shape == (width, len(pairs)) and seeds.shape == (len(pairs), 4)
     assert np.array_equal(first, streams[:, :width].T)
-    assert no_seeds is None and np.array_equal(head, streams[:, :half].T)
-    assert np.array_equal(tail, streams[subset, half:width].T) and np.array_equal(tail_seeds, seeds[subset])
-    for row, stream, (p, r) in zip(seeds, streams, pairs):
+    assert np.array_equal(stepped, streams[subset, :width].T) and np.array_equal(stepped_seeds, seeds[subset])
+    for row, stream, (p, r) in zip([*seeds, *stepped_seeds], [*streams, *streams[subset]], [*pairs, *(pairs[i] for i in subset)]):
         gen = np.random.Generator(np.random.PCG64(env._SeedState(row)))
         ref = np.random.default_rng((*key, p, r))
         ref.random(width)
@@ -745,12 +777,12 @@ def assert_first_chunk_continues_default_rng(key, pairs, later=(1, 1, 14, 32, 64
 
 
 class TestFirstChunk:
-    """Every rollout's first chunk is PCG64 computed in numpy for the whole
-    batch (a large batch's second half for the rollouts still live there),
-    and only rollouts that outlive it get a generator, seeded with the words
-    ``_first_chunk`` returns: its doubles and those generators
-    must be ``default_rng((*key, p, r))``'s stream, bit for bit, at every
-    offset."""
+    """Every rollout's first chunk is PCG64 computed in numpy, for the whole
+    batch up front or a step a pass for the rollouts still live, and only
+    rollouts that outlive it get a generator, seeded with the words
+    ``_first_chunk`` returns or ``_seeds`` takes: those doubles and
+    generators must be ``default_rng((*key, p, r))``'s stream, bit for bit,
+    at every offset."""
 
     def test_equals_default_rng(self):
         for key in STREAM_KEYS:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conciserl import cli, trainer
+from conciserl import cli, env, trainer
 from conciserl.buffer import ExperienceBuffer
 from conciserl.core import InvariantViolation, ProblemSpec, RunConfig, load_config
 from conciserl.env import Action, TabularPolicy, initial_policy, make_problem_bank
@@ -259,14 +259,18 @@ class TestSampleBatch:
 
 class TestSampleBatchMemory:
     """The sampler's slices and chunks bound what it keeps live: a batch is
-    walked whole, but its first chunk is computed, and its generators are
-    alive, at most ``_BLOCK_ROLLOUTS`` rollouts at a time, and a chunk grows
-    with its live rows times its width. An older walk that took the
-    5,120-rollout eval batch as one block peaked at about 12 MB traced,
-    keeping every generator of the initial-policy eval batch alive at once
-    peaks at 3.4 MB, and chunks that double with no budget took the long
-    batch to about 1.4 MB; all fail here, and so does the long batch's
-    1.06 MB under the float64 bincount table build."""
+    walked whole, but a large one keeps only its live rollouts' PCG64
+    states through the first chunk, its generators are alive at most
+    ``_BLOCK_ROLLOUTS`` rollouts at a time, and a chunk grows with its live
+    rows times its width. An older walk that took the 5,120-rollout eval
+    batch as one block peaked at about 12 MB traced, keeping every
+    generator of the initial-policy eval batch alive at once peaks at
+    3.4 MB, and chunks that double with no budget took the long batch to
+    about 1.4 MB; all fail here, and so do the long batch's 1.06 MB under
+    the float64 bincount table build and the converged batch's walk at
+    1.73 MB with a first-chunk table over its rollouts. A converged batch
+    peaks in the count table's build, after the walk, so its walk has its
+    own guard."""
 
     BANK = make_problem_bank(20, (1, 10), 0)
 
@@ -276,26 +280,40 @@ class TestSampleBatchMemory:
         peak = traced_peak_mb(lambda: sample_batch(policy, self.BANK, 16, 16384, (0, 1)))
         assert peak < 0.95
 
-    def test_converged_eval_batch(self):
-        # an eval batch of 20 x 256 rollouts from a policy that works up to
-        # the difficulty and then answers right, as a converged one does
+    def converged_policy(self):
+        # a policy that works up to the difficulty and then answers right,
+        # as a converged one does
         logits = np.full((20, 11, 4), -8.0)
         for i, p in enumerate(self.BANK):
             logits[i, : p.difficulty, Action.WORK] = 8.0
             logits[i, p.difficulty :, Action.ANSWER_A if p.correct_answer == "A" else Action.ANSWER_B] = 8.0
-        policy = TabularPolicy([p.id for p in self.BANK], 10, logits)
+        return TabularPolicy([p.id for p in self.BANK], 10, logits)
+
+    def test_converged_eval_batch(self):
+        # an eval batch of 20 x 256 rollouts of the converged policy
+        policy = self.converged_policy()
         assert sample_batch(policy, self.BANK, 256, 1024, (0,)).correct.all()
-        # measured 1.99 MB (2.40 when each 1,024-rollout block was walked on its own)
-        assert traced_peak_mb(lambda: sample_batch(policy, self.BANK, 256, 1024, (0,))) < 2.19
+        # measured 1.86 MB (1.99 with a first-chunk table over the rollouts
+        # live at pass 8, 2.40 when each 1,024-rollout block was walked on its own)
+        assert traced_peak_mb(lambda: sample_batch(policy, self.BANK, 256, 1024, (0,))) < 2.05
+
+    def test_converged_eval_walk(self):
+        # that batch's walk alone, its seed words hashed before: measured
+        # 1.21 MB (1.73 with a first-chunk table over the rollouts live at pass 8)
+        cum = np.exp(self.converged_policy().log_probs()).cumsum(axis=-1)
+        problems, rollouts = np.divmod(np.arange(20 * 256), 256)
+        words = env._seed_words((0,), problems, rollouts)
+        assert traced_peak_mb(lambda: env._walk(cum, problems, words, 1024)) < 1.33
 
     def test_initial_policy_eval_batch(self):
         # an eval batch of 20 x 256 rollouts from an initial policy, 2,313
         # of which outlive the first chunk and get a generator: measured
-        # 2.38 MB (2.78 when each 1,024-rollout block was walked on its own)
+        # 2.22 MB (2.38 with a first-chunk table over the rollouts live at
+        # pass 8, 2.78 when each 1,024-rollout block was walked on its own)
         policy = initial_policy([p.id for p in self.BANK], 10, answer_logit=-3)
         lengths = sample_batch(policy, self.BANK, 256, 1024, (0,)).lengths
         assert (lengths > 16).sum() > 2 * 1024
-        assert traced_peak_mb(lambda: sample_batch(policy, self.BANK, 256, 1024, (0,))) < 2.62
+        assert traced_peak_mb(lambda: sample_batch(policy, self.BANK, 256, 1024, (0,))) < 2.44
 
 
 class TestTrainStep:
