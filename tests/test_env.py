@@ -356,15 +356,15 @@ class TestSampleGroup:
         assert problems > 12  # some of the 12 banks hold several problems
 
     @pytest.mark.parametrize("l_max", [1, 16384])
-    @pytest.mark.parametrize("group_size", [16, 64])
+    @pytest.mark.parametrize("group_size", [8, 16, 64])
     def test_blocks_are_cut_by_rollout_count_alone(self, monkeypatch, l_max, group_size):
         # whatever l_max, the batch is one walk over all its rollouts and
         # seed words, and its rollout count alone picks how its first chunk
-        # is drawn: 320 rollouts in one _first_chunk call over every row in
-        # (p, r) order and no per-pass step, 1,280 in no call but a step of
-        # every row, and then of the live rows, at each pass, the hand-off's
-        # seed words taken for the rollouts live at pass 15, in (p, r) order;
-        # some of them answer only after the first chunk
+        # is drawn: 160 or 320 rollouts in one _first_chunk call over every
+        # row in (p, r) order and no per-pass step, 1,280 in no call but a
+        # step of every row, and then of the live rows, at each pass, the
+        # hand-off's seed words taken for the rollouts live at pass 15, in
+        # (p, r) order; some of them answer only after the first chunk
         walks = []
         walk = env._walk
 
@@ -638,23 +638,28 @@ class TestSplitFirstChunk:
 
     @pytest.mark.parametrize("l_max", [8, 9, 15, 16, 17])
     def test_scatter_edges(self, monkeypatch, l_max):
-        # a batch of 3 x 200 rollouts, which steps its streams: "seven"
+        # a batch of 4 x 200 rollouts, which steps its streams: "seven"
         # works 7 times and answers on column 7, "eight" answers on column 8,
-        # so it is truncated at l_max 8; "mixed" exits on columns on both
-        # sides of those and past the first chunk, so the live rows thin out
-        # raggedly from pass to pass and some go on with the pass-15 seed words
-        w_cap, group_size = 10, 200
-        seven = [WORK_ONLY] * 7 + [ANSWER_ONLY] * 4
-        eight = [WORK_ONLY] * 8 + [[0, 0, 0, 1]] * 3
+        # so it is truncated at l_max 8, and "fifteen" answers on column 15,
+        # the pass that takes the hand-off's seed words; "mixed" exits on
+        # columns on both sides of those and past the first chunk, so the
+        # live rows thin out raggedly from pass to pass and some go on with
+        # the seed words compacted past the rows that finish at pass 15
+        w_cap, group_size = 15, 200
+        seven = [WORK_ONLY] * 7 + [ANSWER_ONLY] * 9
+        eight = [WORK_ONLY] * 8 + [[0, 0, 0, 1]] * 8
+        fifteen = [WORK_ONLY] * 15 + [ANSWER_ONLY]
         mixed = [[0.55, 0.37, 0.04, 0.04]] * (w_cap + 1)
-        logits = np.array([state_logits(probs) for probs in (seven, eight, mixed)])
-        policy = TabularPolicy(("seven", "eight", "mixed"), w_cap, logits)
-        bank = [ProblemSpec("seven", 7, "A"), ProblemSpec("eight", 8, "B"), ProblemSpec("mixed", 2, "A")]
+        logits = np.array([state_logits(probs) for probs in (seven, eight, fifteen, mixed)])
+        policy = TabularPolicy(("seven", "eight", "fifteen", "mixed"), w_cap, logits)
+        bank = [ProblemSpec("seven", 7, "A"), ProblemSpec("eight", 8, "B"), ProblemSpec("fifteen", 15, "A")]
+        bank.append(ProblemSpec("mixed", 2, "A"))
         drawn = first_chunk_draws(monkeypatch)
         batch = assert_walk_equals_reference(policy, bank, group_size, l_max, (12, l_max))
         assert (batch.lengths[0] == 8).all() and batch.correct[0].all()
         assert (batch.lengths[1] == min(9, l_max)).all() and batch.correct[1].all() == (l_max > 8)
-        mixed_lengths = batch.lengths[2]
+        assert (batch.lengths[2] == min(16, l_max)).all() and batch.correct[2].all() == (l_max >= 16)
+        mixed_lengths = batch.lengths[3]
         assert (mixed_lengths < 8).any() and (mixed_lengths >= min(9, l_max)).any()
         assert (mixed_lengths > 16).any() == (l_max > 16)
         assert drawn.tables == [] and drawn.steps == stepped_rows(batch.lengths.ravel(), min(env._FIRST_CHUNK, l_max))
@@ -768,7 +773,8 @@ def assert_first_chunk_continues_default_rng(key, pairs, later=(1, 1, 14, 32, 64
     assert first.shape == (width, len(pairs)) and seeds.shape == (len(pairs), 4)
     assert np.array_equal(first, streams[:, :width].T)
     assert np.array_equal(stepped, streams[subset, :width].T) and np.array_equal(stepped_seeds, seeds[subset])
-    for row, stream, (p, r) in zip([*seeds, *stepped_seeds], [*streams, *streams[subset]], [*pairs, *(pairs[i] for i in subset)]):
+    all_pairs = [*pairs, *(pairs[i] for i in subset)]
+    for row, stream, (p, r) in zip([*seeds, *stepped_seeds], [*streams, *streams[subset]], all_pairs):
         gen = np.random.Generator(np.random.PCG64(env._SeedState(row)))
         ref = np.random.default_rng((*key, p, r))
         ref.random(width)
