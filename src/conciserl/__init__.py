@@ -26,6 +26,7 @@ from .env import (
     make_problem_bank,
     min_correct_length,
     sample_batch,
+    sample_outcomes,
     save_bank,
 )
 from .objective import surrogate
@@ -57,6 +58,7 @@ __all__ = [
     "resume",
     "run",
     "sample_batch",
+    "sample_outcomes",
     "save_bank",
     "save_config",
     "shape",

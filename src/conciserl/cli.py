@@ -20,7 +20,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .core import ADVANTAGE_MODES, InvariantViolation, RunConfig, load_config
-from .env import sample_batch
+from .env import sample_outcomes
 from .trainer import read_step_log, resume, run
 
 EXIT_OK = 0
@@ -80,8 +80,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not k_list or min(k_list) < 1 or max(k_list) > args.n_samples:
         raise ValueError("every k must satisfy 1 <= k <= n_samples")
 
-    batch = sample_batch(policy, bank, args.n_samples, buffer.l_max, (args.seed,))
-    correct, lengths = batch.correct, batch.lengths  # (problems, samples), bank order
+    # (problems, samples), bank order
+    correct, _, lengths = sample_outcomes(policy, bank, args.n_samples, buffer.l_max, (args.seed,))
     order = np.argsort([p.id for p in bank])  # majority@k draws problem by problem in id order
 
     pass1 = metrics_mod.accuracy(correct)

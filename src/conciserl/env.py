@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -292,15 +292,41 @@ def _seed_words(key: tuple[int, ...], problems: np.ndarray, rollouts: np.ndarray
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
+class Outcomes(NamedTuple):
+    """A batch's outcomes, all that ``eval`` scores: ``(P, G)`` arrays in bank order."""
+
+    correct: np.ndarray
+    truncated: np.ndarray
+    lengths: np.ndarray  # tokens per rollout
+
+
+def _sample(policy: TabularPolicy, bank: Sequence[ProblemSpec], group_size: int, l_max: int, key: tuple[int, ...]):
+    """A batch's walk (``sample_batch``) and what both products read of it:
+    the log-probs, ``left``, ``state`` and ``cap_work``, and per flat rollout
+    its last action (its answer, if it answered), ``answered`` and ``correct``."""
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
+    if group_size < 1:
+        raise ValueError("group_size must be >= 1")
+    logp = policy.log_probs()[[policy.problem_index(problem.id) for problem in bank]]
+    cum = np.exp(logp).cumsum(axis=-1)
+    n_problems, n_states = logp.shape[:2]
+    problems, rollouts = np.divmod(np.arange(n_problems * group_size), group_size)
+    left, state, exit_u, cap_work = _walk(cum, problems, _seed_words(key, problems, rollouts), l_max)
+    level = state - np.arange(0, left.size, n_states)  # each rollout's last state, at its flat cell ``state``
+    answered = left[state] < l_max
+    last = Action.ANSWER_A + (exit_u >= cum[problems, level, 2])  # the answer, if answered
+    difficulty = np.array([problem.difficulty for problem in bank])
+    answer = np.array([_ANSWER_FOR_LETTER[problem.correct_answer] for problem in bank])
+    correct = answered & (last == answer[problems]) & (level + cap_work >= difficulty[problems])
+    return logp, left, state, cap_work, last, answered, correct
+
+
 def sample_batch(
-    policy: TabularPolicy,
-    bank: Sequence[ProblemSpec],
-    group_size: int,
-    l_max: int,
-    key: tuple[int, ...],
+    policy: TabularPolicy, bank: Sequence[ProblemSpec], group_size: int, l_max: int, key: tuple[int, ...]
 ) -> RolloutBatch:
     """Sample ``group_size`` episodes of every problem of ``bank`` from the
-    (frozen) policy, as one record; the one sampler of training and ``eval``.
+    (frozen) policy, as training's record (``eval`` takes its outcomes alone).
 
     Rollout r of ``bank[p]`` draws one uniform per token from the stream of
     ``default_rng((*key, p, r))`` and takes the first action whose
@@ -314,26 +340,15 @@ def sample_batch(
     walk, problem by problem, takes the whole batch, each stream read in
     chunks (``_walk`` holds the mechanism; the batch's size picks how its
     first chunk is drawn, and ``_BLOCK_ROLLOUTS`` bounds only its live
-    generators). Neither moves a number:
-    a rollout's walk does not depend on the rollouts it is walked with, nor
-    its uniforms on the chunks they are drawn in.
+    generators), in ``_sample`` for this record and ``sample_outcomes``
+    alike. Neither moves a number: a rollout's walk does not depend on the
+    rollouts it is walked with, nor its uniforms on the chunks they are drawn in.
     """
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
-    logp = policy.log_probs()[[policy.problem_index(problem.id) for problem in bank]]
-    cum = np.exp(logp).cumsum(axis=-1)
-    n_problems, n_states = logp.shape[:2]
-    problems, rollouts = np.divmod(np.arange(n_problems * group_size), group_size)
-    left, state, exit_u, cap_work = _walk(cum, problems, _seed_words(key, problems, rollouts), l_max)
+    logp, left, state, cap_work, last, answered, correct = _sample(policy, bank, group_size, l_max, key)
     # The count table, over the flat cells so that each operation runs along the whole table, once the
     # walk's arrays are gone: each state before the last holds the FILLERs between the tokens that entered
     # and left it, then one WORK; the last that gap less the w_cap WORK tokens, those and the answer.
-    first_state = np.arange(0, left.size, n_states)
-    level = state - first_state  # each rollout's last state, at its flat cell ``state``
-    answered = left[state] < l_max
-    last = Action.ANSWER_A + (exit_u >= cum[problems, level, 2])  # the answer, if answered
+    first_state = np.arange(0, left.size, logp.shape[1])
     counts = np.zeros((left.size, N_ACTIONS), dtype=np.int32)
     work, fill = counts[:, Action.WORK], counts[:, Action.FILLER]
     np.subtract(left[1:], left[:-1], out=fill[1:], casting="unsafe")
@@ -343,13 +358,21 @@ def sample_batch(
     np.less(left, l_max, out=work)  # a state left before l_max, but the last, was left by a WORK token
     fill *= work  # none past the last state
     fill[state], work[state], counts[state, last] = fill_last, cap_work, answered
-    difficulty = np.array([problem.difficulty for problem in bank])
-    answer = np.array([_ANSWER_FOR_LETTER[problem.correct_answer] for problem in bank])
-    correct = answered & (last == answer[problems]) & (level + cap_work >= difficulty[problems])
-    shape = (n_problems, group_size)
-    counts = counts.reshape(*shape, n_states, N_ACTIONS)
-    correct, truncated = correct.reshape(shape), ~answered.reshape(shape)
-    return RolloutBatch(tuple(problem.id for problem in bank), counts, logp, correct, truncated)
+    shape = (len(bank), group_size)
+    counts = counts.reshape(*shape, *logp.shape[1:])
+    return RolloutBatch(tuple(p.id for p in bank), counts, logp, correct.reshape(shape), ~answered.reshape(shape))
+
+
+def sample_outcomes(
+    policy: TabularPolicy, bank: Sequence[ProblemSpec], group_size: int, l_max: int, key: tuple[int, ...]
+) -> Outcomes:
+    """``sample_batch``'s ``correct``, ``truncated`` and ``lengths`` from the same walk, with no count
+    table: a rollout's length is the token it left its last state at, plus its answer."""
+    _, left, state, _, _, answered, correct = _sample(policy, bank, group_size, l_max, key)
+    lengths = left[state] + answered
+    if not 1 <= lengths.min() <= lengths.max() <= l_max or (correct & ~answered).any():
+        raise ValueError("rollout lengths must be in [1, l_max], and a truncated rollout cannot be correct")
+    return Outcomes(*(a.reshape(len(bank), group_size) for a in (correct, ~answered, lengths)))
 
 
 def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) -> tuple[np.ndarray, ...]:

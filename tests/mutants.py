@@ -307,6 +307,45 @@ MUTANTS = [
         "and the going-on test reads the chunk's end as it reads l_max",
         equivalent=True,
     ),
+    # The walk's outcomes: eval's product, and the rule both products share.
+    Mutant(
+        "outcomes-length-without-answer",
+        ENV,
+        "    lengths = left[state] + answered\n",
+        "    lengths = left[state]\n",
+        "an answered rollout's length counts its answer token: the token it left its last state at, plus one",
+        (
+            f"{T_ENV}::TestSampleOutcomes::test_equals_sample_batch[initial-8x1]",
+            f"{T_TRAINER}::TestSameNumbersAsReferences::test_desk_run_and_eval",
+        ),
+    ),
+    Mutant(
+        "outcomes-answered-inclusive",
+        ENV,
+        "    answered = left[state] < l_max\n",
+        "    answered = left[state] <= l_max\n",
+        "a rollout whose last state is left at l_max was truncated there, not answered",
+        (
+            f"{T_ENV}::TestSampleOutcomes::test_equals_sample_batch[initial-8x1]",
+            f"{T_ENV}::TestSampleGroup::test_every_group_size",
+        ),
+    ),
+    Mutant(
+        "outcomes-truncated-is-answered",
+        ENV,
+        "for a in (correct, ~answered, lengths)",
+        "for a in (correct, answered, lengths)",
+        "eval's truncated flags are the record's: the rollouts that did not answer",
+        (f"{T_ENV}::TestSampleOutcomes::test_equals_sample_batch[initial-8x1]",),
+    ),
+    Mutant(
+        "outcomes-unchecked",
+        ENV,
+        "    if not 1 <= lengths.min() <= lengths.max() <= l_max or (correct & ~answered).any():\n",
+        "    if False:\n",
+        "eval's outcomes are checked as a record is: lengths in [1, l_max], no truncated rollout correct",
+        (f"{T_ENV}::TestSampleOutcomes::test_checks_the_lengths[-1]",),
+    ),
     # Training and its checks.
     Mutant(
         "fold-truncated-as-correct",

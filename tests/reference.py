@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from conciserl.core import ProblemSpec, Rollout, RolloutBatch
-from conciserl.env import N_ACTIONS, Action, TabularPolicy
+from conciserl.env import N_ACTIONS, Action, Outcomes, TabularPolicy
 
 
 def answer_letter(action: int) -> str:
@@ -284,6 +284,19 @@ def sample_batch(
         sample_group(logp[policy.problem_index(problem.id)], problem, (*key, p), group_size, l_max)
         for p, problem in enumerate(bank)
     ])
+
+
+def sample_outcomes(
+    policy: TabularPolicy,
+    bank: Sequence[ProblemSpec],
+    group_size: int,
+    l_max: int,
+    key: tuple[int, ...],
+) -> Outcomes:
+    """``env.sample_outcomes`` token by token: the ``correct``, ``truncated``
+    and ``lengths`` of ``sample_batch``'s record."""
+    batch = sample_batch(policy, bank, group_size, l_max, key)
+    return Outcomes(batch.correct, batch.truncated, batch.lengths)
 
 
 # The objective and its gradient one token at a time, each group given as a

@@ -33,13 +33,15 @@ from tests.reference import columns, sample_batch
 PACKAGE = str(Path(conciserl.__file__).parent)
 DESK = dict(group_size=8, l_max=1024, steps=30)  # 20 problems, a checkpoint every 10 steps
 # Mean calls per training step of a 30-step desk run, by advantage mode
-# (measured: count 328.9, std 305.3).
+# (measured: count 329.9, std 306.3; one more each since sample_batch calls
+# the walk through env._sample).
 STEP_BUDGET = {"count": 362, "std": 336}
 # Mean walk passes per training step of that run (measured: count 30.1, std 59.8).
 STEP_PASS_BUDGET = {"count": 33.1, "std": 65.7}
 # Calls of one `conciserl eval --n-samples 256 --k 1,4` on that run's last
-# checkpoint, eval_sweep's shape (measured: 4,929; 4,890 with a first-chunk
-# table, before each lockstep pass made a `_step` and a `_double` call).
+# checkpoint, eval_sweep's shape (measured: 4,911; 4,929 when eval sampled
+# through sample_batch and its record, 4,890 with a first-chunk table, before
+# each lockstep pass made a `_step` and a `_double` call).
 EVAL_BUDGET = 5340
 # Walk passes and full-width scans of that eval (measured: 61 and 44; 140
 # and 55 when each 1,024-rollout block took its own lockstep and generator

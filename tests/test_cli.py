@@ -571,8 +571,9 @@ def test_no_rollout_records_on_the_train_or_eval_path(tmp_path, monkeypatch):
 
 
 def test_one_record_check_per_batch(tmp_path, monkeypatch):
-    # a training step and an eval check their sampled batch once, not once
-    # per problem: the groups they shape and fold are views of it
+    # a training step checks its sampled batch once, not once per problem:
+    # the groups it shapes and folds are views of it; an eval builds no
+    # record at all, only the outcomes of one walk
     out = quick_train(tmp_path)
     ck = out / "checkpoints" / "step_00004"
     checked = []
@@ -586,8 +587,10 @@ def test_one_record_check_per_batch(tmp_path, monkeypatch):
     policy, buffer, bank, step = resume(ck)
     train_step(policy, buffer, bank, load_config(out / "config.txt"), step + 1)
     assert checked == [(4, 4)]
+    walked, sample = [], conciserl.env._sample
+    monkeypatch.setattr(conciserl.env, "_sample", lambda *args: walked.append(args[2]) or sample(*args))
     assert main(["eval", "--checkpoint", str(ck), "--n-samples", "8", "--k", "1,4"]) == EXIT_OK
-    assert checked == [(4, 4), (4, 8)]
+    assert checked == [(4, 4)] and walked == [8]
 
 
 class TestParser:

@@ -19,7 +19,7 @@ from conciserl.env import (
     save_bank,
 )
 from tests import reference
-from tests.test_budgets import package_calls
+from tests.test_budgets import converged_batch, package_calls
 from tests.reference import (
     answer_letter,
     columns,
@@ -861,6 +861,62 @@ class TestFirstChunk:
         longer = int((lengths > env._FIRST_CHUNK).sum())
         assert 0 < longer < len(lengths) and len(lengths) > env._BLOCK_ROLLOUTS
         assert len(built) == longer
+
+
+# (problems, group size): 8 to 5,120 rollouts, on both sides of the size rule
+# at _BLOCK_ROLLOUTS // 2 = 512 rollouts (500 draw a first-chunk table, 512 step).
+OUTCOME_SIZES = [(8, 1), (20, 8), (20, 25), (16, 32), (20, 256)]
+OUTCOME_L_MAX = [1, 15, env._FIRST_CHUNK, env._FIRST_CHUNK + 1, 16384]
+OUTCOME_KEYS = [(0,), (3, 1), (2**32 + 7, 2)]
+
+
+def outcome_policy(name):
+    """The initial, a converged and the CLI defaults' verbose initial policy
+    (``init_answer_logit=-6``) of a 20-problem bank, and the bank."""
+    converged, bank = converged_batch()[:2]
+    ids = [p.id for p in bank]
+    policies = {"initial": initial_policy(ids, 10), "converged": converged, "cli-defaults": initial_policy(ids, 10, -6)}
+    return policies[name], bank
+
+
+class TestSampleOutcomes:
+    """``sample_outcomes`` is ``sample_batch`` without its count table: the
+    same walk, so the same ``correct``, ``truncated`` and ``lengths``."""
+
+    @pytest.mark.parametrize("size", OUTCOME_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("name", ["initial", "converged", "cli-defaults"])
+    def test_equals_sample_batch(self, name, size):
+        policy, bank = outcome_policy(name)
+        n_problems, group_size = size
+        for l_max, key in itertools.product(OUTCOME_L_MAX, OUTCOME_KEYS):
+            args = (policy, bank[:n_problems], group_size, l_max, key)
+            batch, outcomes = sample_batch(*args), env.sample_outcomes(*args)
+            assert isinstance(outcomes, env.Outcomes)
+            for got, want in zip(outcomes, (batch.correct, batch.truncated, batch.lengths)):
+                assert got.shape == want.shape == size
+                assert np.array_equal(got, want), (l_max, key)
+
+    def test_bad_arguments(self):
+        policy = initial_policy(("q",), 2)
+        with pytest.raises(ValueError, match="l_max"):
+            env.sample_outcomes(policy, [ProblemSpec("q", 1, "A")], 2, 0, (0,))
+        with pytest.raises(ValueError, match="group_size"):
+            env.sample_outcomes(policy, [ProblemSpec("q", 1, "A")], 0, 8, (0,))
+
+    @pytest.mark.parametrize("answer_token", [-1, 9])
+    def test_checks_the_lengths(self, monkeypatch, answer_token):
+        # a walk whose first rollout leaves its last state at token -1
+        # (answered, length 0) or at 9, past l_max = 8 (length 9), fails the check
+        walk = env._walk
+
+        def broken(*args):
+            left, state, *rest = walk(*args)
+            left[state[0]] = answer_token
+            return left, state, *rest
+
+        monkeypatch.setattr(env, "_walk", broken)
+        with pytest.raises(ValueError, match=r"\[1, l_max\]"):
+            env.sample_outcomes(initial_policy(("q",), 2), [ProblemSpec("q", 1, "A")], 4, 8, (0,))
 
 
 class TestProblemBank:

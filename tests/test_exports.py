@@ -9,12 +9,13 @@ def test_every_export_resolves_once():
 
 
 def test_one_sampler():
-    # trainer and cli import the sampler rather than wrap it, so a patch of
-    # either module's name (as the tests and the bench tracer make) reaches
-    # every call that module makes
+    # trainer and cli import the sampler's two products rather than wrap
+    # them, so a patch of either module's name (as the tests and the bench
+    # tracer make) reaches every call that module makes
     assert conciserl.sample_batch is env.sample_batch
     assert trainer.sample_batch is env.sample_batch
-    assert cli.sample_batch is env.sample_batch
+    assert conciserl.sample_outcomes is env.sample_outcomes
+    assert cli.sample_outcomes is env.sample_outcomes
 
 
 def test_rollout_is_an_unchecked_trace_record():

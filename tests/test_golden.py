@@ -49,7 +49,7 @@ LONG_GOLDEN = (
 # --n-samples 64` on the step-30 checkpoint of the desk run at seed 0.
 EVAL_GOLDEN = "80ab343c4b5f11cb944f1b96992674e5b9d316db1aa6222b6cf2c823093ef186"
 # The same at --n-samples 256, eval_sweep's shape: 5,120 rollouts, which
-# the sampler walks in several blocks.
+# the sampler walks whole, in one walk.
 EVAL_SWEEP_GOLDEN = "a304d3ff83b2d27737941f1a353c601dd5827855df1009016373bf982288487d"
 
 
@@ -86,19 +86,19 @@ def eval_digest(checkpoint_dir, n_samples, tmp_path, monkeypatch):
     """sha256 of the (P, n) correct and lengths tables that ``conciserl eval``
     samples on the step-30 checkpoint in ``checkpoint_dir``."""
     sampled = []
-    sample_batch = cli.sample_batch
+    sample_outcomes = cli.sample_outcomes
 
     def recorded(*args):
-        sampled.append(sample_batch(*args))
+        sampled.append(sample_outcomes(*args))
         return sampled[-1]
 
-    monkeypatch.setattr(cli, "sample_batch", recorded)
+    monkeypatch.setattr(cli, "sample_outcomes", recorded)
     ckpt = checkpoint_dir / "checkpoints" / "step_00030"
     argv = ["eval", "--checkpoint", str(ckpt), "--n-samples", str(n_samples), "--out", str(tmp_path / "e.json")]
     assert cli.main(argv) == 0
-    (batch,) = sampled
-    correct = batch.correct
-    lengths = batch.lengths.astype("<i8")
+    (outcomes,) = sampled
+    correct = outcomes.correct
+    lengths = outcomes.lengths.astype("<i8")
     assert correct.shape == (20, n_samples)
     return hashlib.sha256(correct.tobytes() + lengths.tobytes()).hexdigest()
 

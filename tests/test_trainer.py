@@ -270,7 +270,7 @@ class TestSampleBatchMemory:
     the float64 bincount table build and the converged batch's walk at
     1.73 MB with a first-chunk table over its rollouts. A converged batch
     peaks in the count table's build, after the walk, so its walk has its
-    own guard."""
+    own guard, and so has ``eval``'s path, which builds no table."""
 
     BANK = make_problem_bank(20, (1, 10), 0)
 
@@ -293,9 +293,16 @@ class TestSampleBatchMemory:
         # an eval batch of 20 x 256 rollouts of the converged policy
         policy = self.converged_policy()
         assert sample_batch(policy, self.BANK, 256, 1024, (0,)).correct.all()
-        # measured 1.86 MB (1.99 with a first-chunk table over the rollouts
-        # live at pass 8, 2.40 when each 1,024-rollout block was walked on its own)
+        # measured 1.69 MB (1.86 with the walk's arrays live through the
+        # table's build, 1.99 with a first-chunk table over the rollouts live
+        # at pass 8, 2.40 when each 1,024-rollout block was walked on its own)
         assert traced_peak_mb(lambda: sample_batch(policy, self.BANK, 256, 1024, (0,))) < 2.05
+
+    def test_converged_eval_outcomes(self):
+        # that batch as ``eval`` samples it, with no count table: measured
+        # 1.47 MB (1.86 when eval sampled through sample_batch)
+        policy = self.converged_policy()
+        assert traced_peak_mb(lambda: env.sample_outcomes(policy, self.BANK, 256, 1024, (0,))) < 1.61
 
     def test_converged_eval_walk(self):
         # that batch's walk alone, its seed words hashed before: measured
@@ -785,7 +792,7 @@ class TestSameNumbersAsReferences:
     @staticmethod
     def use_references(monkeypatch):
         monkeypatch.setattr(trainer, "sample_batch", reference.sample_batch)
-        monkeypatch.setattr(cli, "sample_batch", reference.sample_batch)
+        monkeypatch.setattr(cli, "sample_outcomes", reference.sample_outcomes)
 
     def test_desk_run_and_eval(self, tmp_path, monkeypatch):
         config = RunConfig(group_size=8, l_max=1024, steps=20, seed=0)
