@@ -139,9 +139,10 @@ def _constants(values: Sequence[int]) -> np.ndarray:
     return np.stack([hi, lo, lo & _MASK32, lo >> 32])
 
 
-_POWERS = [pow(_PCG_MULT, k, 1 << 128) for k in range(_FIRST_CHUNK + 2)]
-_STREAM_POWERS = _constants(_POWERS[2:])
-_STREAM_SUMS = _constants([sum(_POWERS[:k]) % (1 << 128) for k in range(2, _FIRST_CHUNK + 2)])
+# Offsets k = 1 .. 33: _first_chunk draws up to 2 * _FIRST_CHUNK doubles (_walk's hand-off).
+_POWERS = [pow(_PCG_MULT, k, 1 << 128) for k in range(2 * _FIRST_CHUNK + 2)]
+_STREAM_POWERS = _constants(_POWERS[1:])
+_STREAM_SUMS = _constants([sum(_POWERS[:k]) % (1 << 128) for k in range(1, 2 * _FIRST_CHUNK + 2)])
 _STEP = _constants([_PCG_MULT])[:, 0]  # M alone, as (4, 1): one step of a (rows,) state
 
 
@@ -204,26 +205,28 @@ def _seeds(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarra
     return np.stack([hi - inc_hi - (lo < inc_lo), lo - inc_lo, words[:, 2], words[:, 3]], axis=1)
 
 
-def _first_chunk(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.random.Generator(PCG64(seed))``'s first ``_FIRST_CHUNK`` doubles
-    for each row of seed words from ``_seed_words``, and the seed words of a
-    PCG64 that goes on with each stream after them; ``_walk`` computes a
-    small batch's first chunk with it.
+def _first_chunk(words: np.ndarray, width: int = _FIRST_CHUNK) -> tuple[np.ndarray, np.ndarray]:
+    """``np.random.Generator(PCG64(seed))``'s first ``width`` doubles (1 to
+    ``2 * _FIRST_CHUNK``) for each row of seed words, and the seed words of
+    a PCG64 that goes on with each stream after them: in ``_walk``, a small
+    batch's first chunk, or a large one's first generator-stage chunk.
 
     Every state comes straight from the seed words (see ``_PCG_MULT``). The
-    states are ``(_FIRST_CHUNK, rows)`` arrays, one row per offset, so every
-    ufunc runs along the rollouts, and the doubles are returned in that
-    shape; the arithmetic runs in place, so at most five such uint64 arrays
-    are live at once. The seed words come from the next-to-last state.
+    states are ``(width, rows)`` arrays, one row per offset, so every ufunc
+    runs along the rollouts, and the doubles are returned in that shape;
+    the arithmetic runs in place, so at most five such uint64 arrays are
+    live at once. The seed words come from the next-to-last state, which at
+    width 1 is seeding's: its row is computed, and its double dropped.
     """
     x_hi, x_lo, inc_hi, inc_lo = _seeded(words)
-    hi, lo = _mul128(x_hi, x_lo, _STREAM_POWERS)
-    b_hi, b_lo = _mul128(inc_hi, inc_lo, _STREAM_SUMS)
+    offsets = slice(min(width - 1, 1), width + 1)  # k = 2 .. width + 1, or 1 .. 2 at width 1
+    hi, lo = _mul128(x_hi, x_lo, _STREAM_POWERS[:, offsets])
+    b_hi, b_lo = _mul128(inc_hi, inc_lo, _STREAM_SUMS[:, offsets])
     lo += b_lo
     hi += b_hi
     hi += lo < b_lo
     seeds = _seeds(hi[-2], lo[-2], inc_hi, inc_lo, words)
-    return _double(np.bitwise_xor(hi, lo, out=lo), np.right_shift(hi, 58, out=hi), b_hi), seeds
+    return _double(np.bitwise_xor(hi, lo, out=lo), np.right_shift(hi, 58, out=hi), b_hi)[-width:], seeds
 
 
 class _SeedState(ISeedSequence):
@@ -412,7 +415,9 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
 
     The rollouts that meet the sentinel short of ``l_max`` go on, a slice of
     at most ``_BLOCK_ROLLOUTS`` at a time, each with a generator seeded with
-    the words taken for the state where its chunk ended.
+    the words taken for the state where its chunk ended. A large batch's
+    slice first computes its first generator-stage chunk (``_first_chunk``)
+    and seeds generators only for the rollouts that outlive it.
     The generator stage draws their uniforms in chunks that double up to the
     chunk budget, and a pass scans each rollout's chunk whole, the uniforms
     it has read set to NaN, which no comparison passes: a rollout gets here
@@ -457,7 +462,8 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
             seeds = _seeds(*pcg, words[k]) if t == _FIRST_CHUNK - 1 else seeds
             pcg[:2] = _step(*pcg)
             u = _double(pcg[0] ^ pcg[1], pcg[0] >> 58)
-        cw += u < edge[c]  # a WORK token at w_cap, which keeps the state
+        if t >= n_states - 1:  # no rollout reaches w_cap before pass w_cap
+            cw += u < edge[c]  # a WORK token at w_cap, which keeps the state
         live = u < hi[c]
         left[s] = t  # rewritten at every pass up to the one that leaves s
         work = u < lo[c]
@@ -474,10 +480,9 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
 
     # The hand-off: the rollouts that go on, a slice at a time, each seeded where its first chunk ended.
     go = k if t == width < l_max else k[:0]
-    seeds, table, pcg = seeds if table is None else seeds[go], None, None  # seed words per rollout of ``go``
+    stepped, seeds, table, pcg = table is None, seeds if table is None else seeds[go], None, None
     for b in range(0, go.size, _BLOCK_ROLLOUTS):
-        rows, part = go[b : b + _BLOCK_ROLLOUTS], seeds[b : b + _BLOCK_ROLLOUTS]
-        rngs = {row: np.random.Generator(np.random.PCG64(_SeedState(w))) for row, w in zip(rows.tolist(), part)}
+        rows, part, rngs = go[b : b + _BLOCK_ROLLOUTS], seeds[b : b + _BLOCK_ROLLOUTS], None  # ``part``: seed words
         # The generator stage: each chunk scanned whole on every pass, its read uniforms NaN.
         offset = chunk = width
         while rows.size:
@@ -485,8 +490,15 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
             r, s, ur = rows, state[rows], np.empty((rows.size, chunk + 1))  # the chunk's rollouts, states, uniforms
             c = s + (problems[r] - r) * n_states
             ur[:, chunk] = 2.0  # a sentinel that exits every state
-            for out, row in zip(ur[:, :chunk], rows.tolist()):
-                rngs[row].random(out=out)
+            if stepped and offset == width:  # a large batch's slice: its first chunk in numpy, no generator yet
+                first, part = _first_chunk(part, chunk)
+                ur[:, :chunk] = first.T
+            else:
+                rngs = rngs or {
+                    row: np.random.Generator(np.random.PCG64(_SeedState(w))) for row, w in zip(rows.tolist(), part)
+                }
+                for out, row in zip(ur[:, :chunk], rows.tolist()):
+                    rngs[row].random(out=out)
             columns = np.arange(chunk + 1)
             while r.size:
                 lo_r, hi_r = lo[c], hi[c]
@@ -508,7 +520,8 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
                 r, s, c, ur = r[more], s[more], c[more], ur[more]
                 np.copyto(ur, np.nan, where=columns <= j[more][:, None])
             offset += chunk
-            rows = rows[left[state[rows]] >= offset] if offset < l_max else rows[:0]
+            going = (left[state[rows]] >= offset) & (offset < l_max)
+            rows, part = rows[going], part[going]
         del rngs  # before the next slice's are built
 
     return left, state, exit_u, cap_work

@@ -4,7 +4,7 @@ Rewards are shaped against the buffer state from before the current batch's
 update, then the buffer folds in the batch, and a single gradient-ascent step
 is taken on the clipped surrogate. Rollout rng streams are keyed by (seed,
 step, problem, rollout), so they do not depend on how the sampler slices a
-batch or cuts chunks; ``env.sample_batch`` is also the sampler of ``eval``.
+batch or cuts chunks; ``eval`` samples the same walk (``env.sample_outcomes``).
 """
 
 from __future__ import annotations

@@ -53,10 +53,11 @@ class Mutant(NamedTuple):
     equivalent: bool = False
 
 
-ENV, TRAINER, REWARDS, OBJECTIVE, CLI = (
-    f"src/conciserl/{m}.py" for m in ("env", "trainer", "rewards", "objective", "cli")
+ENV, TRAINER, REWARDS, OBJECTIVE, CLI, METRICS = (
+    f"src/conciserl/{m}.py" for m in ("env", "trainer", "rewards", "objective", "cli", "metrics")
 )
 T_ENV, T_BUDGETS, T_TRAINER = "tests/test_env.py", "tests/test_budgets.py", "tests/test_trainer.py"
+T_CHOOSE = "tests/test_metrics.py::TestChooseEqualsChoiceLoop"
 
 MUTANTS = [
     # The first chunk of a large batch, stepped a lockstep pass.
@@ -110,7 +111,11 @@ MUTANTS = [
         "if n < 0 else (None, None)",
         "a training step's 160 or 320 rollouts draw their chunk in one call: stepping them per pass measured "
         "0.70-0.95x, and no correctness test sees it",
-        (f"{T_ENV}::TestSampleGroup::test_blocks_are_cut_by_rollout_count_alone[16-1]",),
+        (
+            f"{T_ENV}::TestSampleGroup::test_blocks_are_cut_by_rollout_count_alone[16-1]",
+            f"{T_ENV}::TestSplitFirstChunk::test_split_blocks_equal_token_reference[64]",
+            f"{T_ENV}::TestFirstChunk::test_one_generator_per_rollout_longer_than_the_first_chunk",
+        ),
     ),
     Mutant(
         "size-rule-no-batch-steps",
@@ -210,10 +215,18 @@ MUTANTS = [
     Mutant(
         "lockstep-no-cap-work-count",
         ENV,
-        "        cw += u < edge[c]  # a WORK token at w_cap, which keeps the state\n",
-        "",
+        "            cw += u < edge[c]  # a WORK token at w_cap, which keeps the state\n",
+        "            pass\n",
         "WORK tokens at w_cap keep the state and must still be counted",
         (f"{T_ENV}::TestFirstChunkCursor::test_filler_run_after_the_cursor_at_w_cap",),
+    ),
+    Mutant(
+        "lockstep-cap-work-skipped-on-pass-w_cap",
+        ENV,
+        "if t >= n_states - 1:",
+        "if t > n_states - 1:",
+        "a rollout can reach w_cap on pass w_cap - 1 and make a WORK token there on pass w_cap itself",
+        (f"{T_ENV}::TestSplitFirstChunk::test_scatter_edges[16]",),
     ),
     Mutant(
         "lockstep-work-test-inclusive",
@@ -238,6 +251,38 @@ MUTANTS = [
         "cum[..., 1].reshape(-1), cum[..., 0].copy()",
         "below w_cap the edge is -1, so a WORK exit there is never counted as a w_cap WORK token",
         (f"{T_ENV}::TestSampleGroup::test_every_group_size",),
+    ),
+    # The hand-off: a stepped batch's first generator-stage chunk in numpy.
+    Mutant(
+        "handoff-seeds-from-the-last-state",
+        ENV,
+        "seeds = _seeds(hi[-2], lo[-2], inc_hi, inc_lo, words)",
+        "seeds = _seeds(hi[-1], lo[-1], inc_hi, inc_lo, words)",
+        "a PCG64 seeded from the state of a chunk's last double would skip the next one",
+        (
+            f"{T_ENV}::TestFirstChunk::test_every_handoff_width_equals_default_rng",
+            f"{T_ENV}::TestSplitFirstChunk::test_handoff_chunk_widths[49-512]",
+        ),
+    ),
+    Mutant(
+        "handoff-seeds-not-filtered",
+        ENV,
+        "rows, part = rows[going], part[going]",
+        "rows = rows[going]",
+        "the seed words a slice's chunk returns must be filtered with the rollouts that go on past it",
+        (f"{T_ENV}::TestSplitFirstChunk::test_handoff_chunk_widths[49-512]",),
+    ),
+    Mutant(
+        "handoff-chunk-for-every-batch",
+        ENV,
+        "if stepped and offset == width:",
+        "if offset == width:",
+        "a small batch seeds its generators at the hand-off, as before: drawing its chunk in numpy measured 0.93x "
+        "on a converged desk batch, and no correctness test sees it",
+        (
+            f"{T_ENV}::TestFirstChunk::test_one_generator_per_rollout_longer_than_the_first_chunk",
+            f"{T_ENV}::TestSampleGroup::test_blocks_are_cut_by_rollout_count_alone[8-16384]",
+        ),
     ),
     # The generator stage.
     Mutant(
@@ -345,6 +390,39 @@ MUTANTS = [
         "    if False:\n",
         "eval's outcomes are checked as a record is: lengths in [1, l_max], no truncated rollout correct",
         (f"{T_ENV}::TestSampleOutcomes::test_checks_the_lengths[-1]",),
+    ),
+    # majority@k's draws: numpy's Generator.choice, for every row at once.
+    Mutant(
+        "choose-floyd-collision-keeps-the-value",
+        METRICS,
+        "    for i in range(1, k):\n",
+        "    for i in range(1, 1):\n",
+        "Floyd's sample takes j where the drawn value was drawn already",
+        (f"{T_CHOOSE}::test_eval_sweep_shape[16]",),
+    ),
+    Mutant(
+        "choose-shuffle-skipped",
+        METRICS,
+        "zip(range(k - 1, 0, -1), value[k:] * rows + np.arange(rows))",
+        "zip(range(k - 1, 0, -1), value[k:0])",
+        "numpy shuffles Floyd's sample; the votes would not move, but eval's draws must be numpy's",
+        (f"{T_CHOOSE}::test_eval_sweep_shape[4]",),
+    ),
+    Mutant(
+        "choose-held-word-ignored",
+        METRICS,
+        'held, total = saved["has_uint32"], ',
+        "held, total = 0, ",
+        "a generator holding the high half of its last 64-bit output draws it as its next 32-bit word",
+        (f"{T_CHOOSE}::test_shapes[256-16-held]",),
+    ),
+    Mutant(
+        "choose-no-rejection-check",
+        METRICS,
+        "    if ((m & 0xFFFFFFFF) < (2**32 % bound)[:, None]).any():\n",
+        "    if False:\n",
+        "where Lemire's method rejects a word numpy draws another, so the table must take numpy's loop",
+        (f"{T_CHOOSE}::test_rejected_draw_takes_the_loop",),
     ),
     # Training and its checks.
     Mutant(

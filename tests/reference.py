@@ -409,6 +409,13 @@ def majority_at_k(
     return n_correct / len(samples), total_tokens
 
 
+def choose(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
+    """``rows`` draws of k of n indices without replacement, one
+    ``rng.choice`` call a row, as a ``(rows, k)`` array: the oracle for
+    ``metrics._choose``."""
+    return np.array([rng.choice(n, size=k, replace=False) for _ in range(rows)])
+
+
 def length_cv(lengths_per_problem: Mapping[str, Sequence[float]]) -> float:
     """``metrics.length_cv`` one problem at a time: the mean of each
     problem's population std / mean of response length."""

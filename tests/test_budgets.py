@@ -39,10 +39,10 @@ STEP_BUDGET = {"count": 362, "std": 336}
 # Mean walk passes per training step of that run (measured: count 30.1, std 59.8).
 STEP_PASS_BUDGET = {"count": 33.1, "std": 65.7}
 # Calls of one `conciserl eval --n-samples 256 --k 1,4` on that run's last
-# checkpoint, eval_sweep's shape (measured: 4,911; 4,929 when eval sampled
-# through sample_batch and its record, 4,890 with a first-chunk table, before
-# each lockstep pass made a `_step` and a `_double` call).
-EVAL_BUDGET = 5340
+# checkpoint, eval_sweep's shape (measured: 1,759; 4,911 when every rollout
+# that outlived the first chunk got a generator, two `_SeedState` calls each;
+# 4,929 when eval sampled through sample_batch and its record).
+EVAL_BUDGET = 1935
 # Walk passes and full-width scans of that eval (measured: 61 and 44; 140
 # and 55 when each 1,024-rollout block took its own lockstep and generator
 # stage).
@@ -59,6 +59,11 @@ CONVERGED_SCAN_BUDGET = 0
 # computed for the rollouts live at pass 8, 81,920 with all 16 columns
 # computed for every row).
 CONVERGED_DOUBLES_BUDGET = 36608
+# Generators seeded for eval_sweep's batch: 256 samples of each problem of
+# the 300-step seed-0 desk checkpoint, at eval seed 3 (measured: 0; 130, one
+# per rollout longer than the first chunk, before the hand-off drew a stepped
+# batch's first generator-stage chunk in numpy).
+EVAL_SWEEP_GENERATOR_BUDGET = 0
 WALK = env._walk.__code__
 
 
@@ -239,3 +244,24 @@ def test_first_chunk_doubles_of_a_converged_batch_within_budget(monkeypatch):
     batch = env.sample_batch(*converged_batch())
     assert batch.correct.all()
     assert doubles <= CONVERGED_DOUBLES_BUDGET, f"{doubles} first-chunk doubles; the budget is {CONVERGED_DOUBLES_BUDGET}"
+
+
+def test_generators_of_the_eval_sweep_batch_within_budget(monkeypatch, tmp_path):
+    # its 130 rollouts that outlive the first chunk all answer within the
+    # hand-off's first generator-stage chunk, which a stepped batch draws in
+    # numpy, so none is seeded a generator
+    trainer.run(RunConfig(group_size=8, l_max=1024, steps=300, checkpoint_every=300), out_dir=tmp_path)
+    policy, buffer, bank, _ = trainer.resume(tmp_path / "checkpoints" / "step_00300")
+    built = 0
+    seed_state = env._SeedState
+
+    class Counted(seed_state):
+        def __init__(self, words):
+            nonlocal built
+            built += 1
+            super().__init__(words)
+
+    monkeypatch.setattr(env, "_SeedState", Counted)
+    lengths = env.sample_outcomes(policy, bank, 256, buffer.l_max, (3,)).lengths
+    assert (lengths > env._FIRST_CHUNK).sum() == 130
+    assert built <= EVAL_SWEEP_GENERATOR_BUDGET, f"{built} generators; the budget is {EVAL_SWEEP_GENERATOR_BUDGET}"

@@ -273,15 +273,23 @@ def assert_walk_equals_reference(policy, bank, group_size, l_max, key):
 
 def first_chunk_draws(monkeypatch):
     """Records how ``_walk`` draws first chunks: the seed words of each
-    ``_first_chunk`` call (``tables``), the rows of each PCG64 step
-    (``steps``: seeding's, then one a lockstep pass) and the seed words the
-    hand-off's stepped seed words were taken for (``seeds``)."""
-    drawn = SimpleNamespace(tables=[], steps=[], seeds=[])
+    opening-stage ``_first_chunk(words)`` call (``tables``), the rows and
+    width of each hand-off ``_first_chunk(seeds, width)`` call (``chunks``),
+    the rows of each PCG64 step (``steps``: seeding's, then one a lockstep
+    pass) and the seed words the hand-off's stepped seed words were taken
+    for (``seeds``; not those ``_first_chunk`` takes)."""
+    drawn = SimpleNamespace(tables=[], chunks=[], steps=[], seeds=[])
     first_chunk, step, seeds = env._first_chunk, env._step, env._seeds
 
-    def first_chunk_spy(words):
-        drawn.tables.append(words)
-        return first_chunk(words)
+    def first_chunk_spy(words, *width):
+        if width:
+            drawn.chunks.append((len(words), *width))
+        else:
+            drawn.tables.append(words)
+        taken = len(drawn.seeds)
+        out = first_chunk(words, *width)
+        del drawn.seeds[taken:]
+        return out
 
     def step_spy(hi, *rest):
         drawn.steps.append(len(hi))
@@ -302,6 +310,23 @@ def stepped_rows(lengths, width):
     them at seeding, then at each lockstep pass t below ``width`` those
     live there, the rollouts longer than t, while any is."""
     return [len(lengths)] + [m for t in range(width) if (m := int((lengths > t).sum()))]
+
+
+def handoff_chunks(lengths, l_max):
+    """The hand-off ``_first_chunk`` calls of a stepped batch of rollouts of
+    these lengths, as ``(rows, width)``: one per slice of at most
+    ``_BLOCK_ROLLOUTS`` of the rollouts longer than the first chunk, as wide
+    as the slice's first generator-stage chunk; and the number of those
+    rollouts that outlive it, each of which gets a generator."""
+    longer = lengths[lengths > env._FIRST_CHUNK] if l_max > env._FIRST_CHUNK else lengths[:0]
+    chunks, generators = [], 0
+    for b in range(0, len(longer), env._BLOCK_ROLLOUTS):
+        part = longer[b : b + env._BLOCK_ROLLOUTS]
+        room = max(env._FIRST_CHUNK, env._CHUNK_UNIFORMS // len(part))
+        width = min(2 * env._FIRST_CHUNK, l_max - env._FIRST_CHUNK, room)
+        chunks.append((len(part), width))
+        generators += int((part > env._FIRST_CHUNK + width).sum())
+    return chunks, generators
 
 
 class TestSampleGroup:
@@ -364,7 +389,8 @@ class TestSampleGroup:
         # row in (p, r) order and no per-pass step, 1,280 in no call but a
         # step of every row, and then of the live rows, at each pass, the
         # hand-off's seed words taken for the rollouts live at pass 15, in
-        # (p, r) order; some of them answer only after the first chunk
+        # (p, r) order, and each hand-off slice's first chunk drawn in one
+        # more call; some of them answer only after the first chunk
         walks = []
         walk = env._walk
 
@@ -384,9 +410,11 @@ class TestSampleGroup:
         lengths = batch.lengths.ravel()
         if len(words) < env._BLOCK_ROLLOUTS // 2:
             assert len(drawn.tables) == 1 and np.array_equal(drawn.tables[0], words) and drawn.steps == []
+            assert drawn.chunks == []
             return
         width = min(env._FIRST_CHUNK, l_max)
         assert drawn.tables == [] and drawn.steps == stepped_rows(lengths, width)
+        assert drawn.chunks == handoff_chunks(lengths, l_max)[0]
         if l_max < env._FIRST_CHUNK:
             assert drawn.seeds == []
         else:
@@ -638,22 +666,25 @@ class TestSplitFirstChunk:
 
     @pytest.mark.parametrize("l_max", [8, 9, 15, 16, 17])
     def test_scatter_edges(self, monkeypatch, l_max):
-        # a batch of 4 x 200 rollouts, which steps its streams: "seven"
+        # a batch of 5 x 200 rollouts, which steps its streams: "seven"
         # works 7 times and answers on column 7, "eight" answers on column 8,
         # so it is truncated at l_max 8, and "fifteen" answers on column 15,
         # the pass that takes the hand-off's seed words; "mixed" exits on
         # columns on both sides of those and past the first chunk, so the
         # live rows thin out raggedly from pass to pass and some go on with
-        # the seed words compacted past the rows that finish at pass 15
+        # the seed words compacted past the rows that finish at pass 15;
+        # "capped" works on every token, reaching w_cap on column 15, so its
+        # first WORK token at w_cap falls on pass w_cap itself
         w_cap, group_size = 15, 200
         seven = [WORK_ONLY] * 7 + [ANSWER_ONLY] * 9
         eight = [WORK_ONLY] * 8 + [[0, 0, 0, 1]] * 8
         fifteen = [WORK_ONLY] * 15 + [ANSWER_ONLY]
         mixed = [[0.55, 0.37, 0.04, 0.04]] * (w_cap + 1)
-        logits = np.array([state_logits(probs) for probs in (seven, eight, fifteen, mixed)])
-        policy = TabularPolicy(("seven", "eight", "fifteen", "mixed"), w_cap, logits)
+        capped = [WORK_ONLY] * (w_cap + 1)
+        logits = np.array([state_logits(probs) for probs in (seven, eight, fifteen, mixed, capped)])
+        policy = TabularPolicy(("seven", "eight", "fifteen", "mixed", "capped"), w_cap, logits)
         bank = [ProblemSpec("seven", 7, "A"), ProblemSpec("eight", 8, "B"), ProblemSpec("fifteen", 15, "A")]
-        bank.append(ProblemSpec("mixed", 2, "A"))
+        bank += [ProblemSpec("mixed", 2, "A"), ProblemSpec("capped", 1, "A")]
         drawn = first_chunk_draws(monkeypatch)
         batch = assert_walk_equals_reference(policy, bank, group_size, l_max, (12, l_max))
         assert (batch.lengths[0] == 8).all() and batch.correct[0].all()
@@ -662,8 +693,10 @@ class TestSplitFirstChunk:
         mixed_lengths = batch.lengths[3]
         assert (mixed_lengths < 8).any() and (mixed_lengths >= min(9, l_max)).any()
         assert (mixed_lengths > 16).any() == (l_max > 16)
+        assert batch.truncated[4].all() and (batch.counts[4, :, w_cap, Action.WORK] == max(l_max - w_cap, 0)).all()
         assert drawn.tables == [] and drawn.steps == stepped_rows(batch.lengths.ravel(), min(env._FIRST_CHUNK, l_max))
         assert len(drawn.seeds) == (l_max >= env._FIRST_CHUNK)
+        assert drawn.chunks == handoff_chunks(batch.lengths.ravel(), l_max)[0]
 
     @pytest.mark.parametrize("block_rollouts", [8, 64])
     def test_split_blocks_equal_token_reference(self, monkeypatch, block_rollouts):
@@ -679,17 +712,37 @@ class TestSplitFirstChunk:
         for i, l_max in enumerate(CHUNK_EDGE_L_MAX):
             for seed in range(2):
                 policy, bank, group_size, key = random_batch_case(np.random.default_rng(9800 + 10 * i + seed), l_max)
-                drawn.tables.clear(), drawn.steps.clear()
+                drawn.tables.clear(), drawn.chunks.clear(), drawn.steps.clear()
                 batch = assert_walk_equals_reference(policy, bank, group_size, l_max, key)
                 lengths = batch.lengths.ravel()
                 if len(lengths) >= block_rollouts // 2:
                     assert drawn.tables == []
                     assert drawn.steps == stepped_rows(lengths, min(env._FIRST_CHUNK, l_max))
+                    assert drawn.chunks == handoff_chunks(lengths, l_max)[0]
                     kinds.add("stepped, several slices" if (lengths > 16).sum() > block_rollouts else "stepped")
                 else:
                     assert len(drawn.tables) == 1 and len(drawn.tables[0]) == len(lengths) and drawn.steps == []
+                    assert drawn.chunks == []
                     kinds.add("table")
         assert kinds == ({"stepped", "stepped, several slices"} if block_rollouts == 8 else {"table", "stepped"})
+
+    @pytest.mark.parametrize("group_size", [16, 160], ids=["512", "5120"])
+    @pytest.mark.parametrize("l_max", [17, 18, 48, 49])
+    def test_handoff_chunk_widths(self, monkeypatch, l_max, group_size):
+        # a stepped batch draws each hand-off slice's first chunk in numpy,
+        # 1 or 2 wide at l_max 17 and 18, 32 at 48 and 49 (16 for a full
+        # slice of 5,120 rollouts), and the rollouts that outlive it before
+        # l_max go on with a generator; 32 problems of an answer-averse
+        # policy, so that many go on and many finish in it
+        bank = make_problem_bank(32, (1, 10), 1)
+        policy = initial_policy([p.id for p in bank], 10, answer_logit=-3)
+        drawn = first_chunk_draws(monkeypatch)
+        batch = assert_walk_equals_reference(policy, bank, group_size, l_max, (4, l_max))
+        chunks, generators = handoff_chunks(batch.lengths.ravel(), l_max)
+        assert drawn.chunks == chunks and all(rows > 100 for rows, _ in chunks)
+        widths = {width for _, width in chunks}
+        assert widths == ({l_max - 16} if l_max < 48 else {32} if group_size == 16 else {16, 32})
+        assert (generators > 0) == (l_max == 49 or group_size == 160 and l_max == 48)
 
 
 def assert_seed_words_are_default_rngs(key, problems, rollouts):
@@ -817,6 +870,22 @@ class TestFirstChunk:
     def test_equals_default_rng_property(self, key, pairs):
         assert_first_chunk_continues_default_rng(tuple(key), pairs, later=(1, 1, 7, 31))
 
+    def test_every_handoff_width_equals_default_rng(self):
+        # the hand-off computes a stepped batch's first generator-stage chunk
+        # 1 to 32 doubles wide; at width 1 the seed words come from
+        # seeding's state
+        problems, rollouts = (np.array(c) for c in zip(*STREAM_PAIRS))
+        words = env._seed_words((5,), problems, rollouts)
+        for width in range(1, 2 * env._FIRST_CHUNK + 1):
+            first, seeds = env._first_chunk(words, width)
+            assert first.shape == (width, len(STREAM_PAIRS))
+            for column, row, (p, r) in zip(first.T, seeds, STREAM_PAIRS):
+                ref = np.random.default_rng((5, p, r))
+                assert np.array_equal(column, ref.random(width))
+                gen = np.random.Generator(np.random.PCG64(env._SeedState(row)))
+                assert gen.bit_generator.state == ref.bit_generator.state
+                assert np.array_equal(gen.random(3), ref.random(3))
+
     @staticmethod
     def count_generators(monkeypatch):
         built = []
@@ -853,14 +922,21 @@ class TestFirstChunk:
         assert built == []
 
     def test_one_generator_per_rollout_longer_than_the_first_chunk(self, monkeypatch):
-        # 20 x 64 rollouts (two generator slices), some answering within 16
-        # tokens and some after
+        # 20 x 8 rollouts, which draw their first chunk up front: a generator
+        # for each rollout longer than it. 20 x 64 rollouts, which step it
+        # (two hand-off slices): each slice's first generator-stage chunk is
+        # drawn in numpy too, and a generator built only for each rollout
+        # longer than that chunk
         built = self.count_generators(monkeypatch)
         policy = initial_policy([p.id for p in self.BANK], 10, answer_logit=-2.5)
+        lengths = sample_batch(policy, self.BANK, 8, 1024, (3, 2)).lengths.ravel()
+        assert len(lengths) < env._BLOCK_ROLLOUTS // 2 and len(built) == int((lengths > env._FIRST_CHUNK).sum()) > 0
+        built.clear()
+        policy = initial_policy([p.id for p in self.BANK], 10, answer_logit=-5)
         lengths = sample_batch(policy, self.BANK, 64, 1024, (3, 2)).lengths.ravel()
-        longer = int((lengths > env._FIRST_CHUNK).sum())
-        assert 0 < longer < len(lengths) and len(lengths) > env._BLOCK_ROLLOUTS
-        assert len(built) == longer
+        chunks, longer = handoff_chunks(lengths, 1024)
+        assert len(chunks) == 2 and len(lengths) > env._BLOCK_ROLLOUTS
+        assert 0 < longer < int((lengths > env._FIRST_CHUNK).sum()) and len(built) == longer
 
 
 # (problems, group size): 8 to 5,120 rollouts, on both sides of the size rule

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conciserl import metrics
 from conciserl.metrics import (
     BenchResult,
     TraceRecord,
@@ -167,6 +168,79 @@ class TestMajorityAtK:
         for k in (1, 3, 6):
             _, tokens = majority_at_k([[True] * 6], [[7] * 6], k, np.random.default_rng(0))
             assert tokens == 7 * k
+
+
+def held_generator(seed):
+    """``default_rng(seed)`` holding the high half of a 64-bit output for
+    its next 32-bit draw."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 5, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def assert_choose_is_the_choice_loop(make_rng, rows, n, k, numpy_branches=False):
+    """``metrics._choose`` draws what one ``rng.choice(n, k, replace=False)``
+    call a row draws, and leaves the generator as those calls leave it; where
+    numpy would take another branch it returns None and draws nothing."""
+    rng, oracle = make_rng(), make_rng()
+    got = metrics._choose(rng, rows, n, k)
+    if numpy_branches:
+        assert got is None and np.array_equal(rng.random(8), oracle.random(8))
+        return
+    want = reference.choose(oracle, rows, n, k)
+    assert got is not None and got.shape == (rows, k) and np.array_equal(got, want)
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    assert rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == oracle.integers(
+        0, 2**32, size=3, dtype=np.uint32).tolist()
+    assert rng.random() == oracle.random()
+
+
+CHOICE_SHAPES = [(n, k) for n in (1, 2, 16, 256, 10_000, 10_001) for k in sorted({1, 2, 16, n - 1, n}) if 1 <= k <= n]
+
+
+class TestChooseEqualsChoiceLoop:
+    """``majority_at_k`` draws every row's samples at once (``_choose``),
+    copying ``Generator.choice``'s Floyd sample, Lemire draws and shuffle
+    over PCG64's 32-bit words; its rows must be the per-row ``rng.choice``
+    loop's, bit for bit, and the generator must be left where that loop
+    leaves it."""
+
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
+    @pytest.mark.parametrize("n, k", CHOICE_SHAPES, ids=[f"{n}-{k}" for n, k in CHOICE_SHAPES])
+    def test_shapes(self, n, k, held):
+        # n > 10,000 takes numpy's tail shuffle when k > n // 50, and k == n
+        # draws no word for Floyd's first value: both keep numpy's loop
+        make = held_generator if held else np.random.default_rng
+        for seed in (0, 5) if n < 10_000 else (0,):
+            assert_choose_is_the_choice_loop(lambda: make(seed), 3, n, k, numpy_branches=n > 10_000 or k == n)
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_eval_sweep_shape(self, k):
+        # 20 problems x 256 samples, eval's generator for each k
+        for seed in range(4):
+            assert_choose_is_the_choice_loop(lambda: np.random.default_rng((seed, 1_000_003, k)), 20, 256, k)
+            assert_choose_is_the_choice_loop(lambda: held_generator(seed), 20, 256, k)
+
+    def test_rejected_draw_takes_the_loop(self):
+        # seed 741 is the first whose 20 rows of 16 of 10,000 draw a word
+        # that Lemire's method rejects (found once, by search): numpy draws
+        # again there, so the whole table takes numpy's loop
+        assert_choose_is_the_choice_loop(lambda: np.random.default_rng(741), 20, 10_000, 16, numpy_branches=True)
+        rng = np.random.default_rng(0)
+        correct, lengths = rng.random((20, 10_000)) < 0.5, rng.integers(1, 99, size=(20, 10_000))
+        order = np.arange(20)
+        samples, truth = reference.eval_votes([f"p{i:02d}" for i in order], correct, lengths, ["A"] * 20)
+        want = reference.majority_at_k(samples, truth, 16, np.random.default_rng(741))
+        assert majority_at_k(correct, lengths, 16, np.random.default_rng(741)) == want
+
+    def test_other_generators_take_the_loop(self):
+        make = lambda: np.random.Generator(np.random.MT19937(3))  # noqa: E731
+        assert_choose_is_the_choice_loop(make, 4, 16, 4, numpy_branches=True)
+        correct = np.random.default_rng(1).random((4, 16)) < 0.5
+        samples, truth = reference.eval_votes(list("abcd"), correct, np.ones((4, 16), int), ["A"] * 4)
+        assert majority_at_k(correct, np.ones((4, 16), int), 4, make()) == reference.majority_at_k(
+            samples, truth, 4, make())
 
 
 @st.composite
