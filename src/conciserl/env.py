@@ -521,7 +521,7 @@ def _walk(cum: np.ndarray, problems: np.ndarray, words: np.ndarray, l_max: int) 
                 np.copyto(ur, np.nan, where=columns <= j[more][:, None])
             offset += chunk
             going = (left[state[rows]] >= offset) & (offset < l_max)
-            rows, part = rows[going], part[going]
+            rows, part = rows[going], part[going] if rngs is None else part
         del rngs  # before the next slice's are built
 
     return left, state, exit_u, cap_work

@@ -267,8 +267,8 @@ MUTANTS = [
     Mutant(
         "handoff-seeds-not-filtered",
         ENV,
-        "rows, part = rows[going], part[going]",
-        "rows = rows[going]",
+        "rows, part = rows[going], part[going] if rngs is None else part",
+        "rows, part = rows[going], part",
         "the seed words a slice's chunk returns must be filtered with the rollouts that go on past it",
         (f"{T_ENV}::TestSplitFirstChunk::test_handoff_chunk_widths[49-512]",),
     ),
@@ -289,8 +289,8 @@ MUTANTS = [
         "generators-for-the-whole-batch",
         ENV,
         "    for b in range(0, go.size, _BLOCK_ROLLOUTS):\n"
-        "        rows, part = go[b : b + _BLOCK_ROLLOUTS], seeds[b : b + _BLOCK_ROLLOUTS]\n",
-        "    for b in range(0, go.size, go.size or 1):\n        rows, part = go, seeds\n",
+        "        rows, part, rngs = go[b : b + _BLOCK_ROLLOUTS], seeds[b : b + _BLOCK_ROLLOUTS], None",
+        "    for b in range(0, go.size, go.size or 1):\n        rows, part, rngs = go, seeds, None",
         "_BLOCK_ROLLOUTS bounds the generators alive at once; the same streams, but 3.4 MB traced",
         (f"{T_TRAINER}::TestSampleBatchMemory::test_initial_policy_eval_batch",),
     ),
@@ -338,8 +338,8 @@ MUTANTS = [
     Mutant(
         "generator-going-on-strict",
         ENV,
-        "rows[left[state[rows]] >= offset]",
-        "rows[left[state[rows]] > offset]",
+        "(left[state[rows]] >= offset)",
+        "(left[state[rows]] > offset)",
         "a rollout whose state's left is at the chunk's end goes on into the next chunk",
         (f"{T_ENV}::TestSampleGroup::test_every_group_size",),
     ),

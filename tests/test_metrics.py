@@ -229,13 +229,14 @@ class TestChooseEqualsChoiceLoop:
         assert_choose_is_the_choice_loop(lambda: np.random.default_rng(741), 20, 10_000, 16, numpy_branches=True)
         rng = np.random.default_rng(0)
         correct, lengths = rng.random((20, 10_000)) < 0.5, rng.integers(1, 99, size=(20, 10_000))
-        order = np.arange(20)
-        samples, truth = reference.eval_votes([f"p{i:02d}" for i in order], correct, lengths, ["A"] * 20)
+        samples, truth = reference.eval_votes([f"p{i:02d}" for i in range(20)], correct, lengths, ["A"] * 20)
         want = reference.majority_at_k(samples, truth, 16, np.random.default_rng(741))
         assert majority_at_k(correct, lengths, 16, np.random.default_rng(741)) == want
 
     def test_other_generators_take_the_loop(self):
-        make = lambda: np.random.Generator(np.random.MT19937(3))  # noqa: E731
+        def make():
+            return np.random.Generator(np.random.MT19937(3))
+
         assert_choose_is_the_choice_loop(make, 4, 16, 4, numpy_branches=True)
         correct = np.random.default_rng(1).random((4, 16)) < 0.5
         samples, truth = reference.eval_votes(list("abcd"), correct, np.ones((4, 16), int), ["A"] * 4)
