@@ -99,11 +99,11 @@ def majority_at_k(
 ) -> tuple[float, int]:
     """Majority-vote accuracy over k samples drawn per problem.
 
-    Each row of the (problems, samples) tables, in order, draws the k samples
-    ``rng.choice(samples, k, replace=False)`` would (``_choose``). Every
-    wrong sample casts the same wrong vote, so a row is right when at least
-    half of its k are (a tie goes to the right answer). Returns (accuracy in
-    [0, 1], total tokens drawn).
+    Each row of the (problems, samples) tables, in order, draws the set of k
+    samples ``rng.choice(samples, k, replace=False)`` would (``_choose``).
+    Every wrong sample casts the same wrong vote, so a row is right when at
+    least half of its k are (a tie goes to the right answer). Returns
+    (accuracy in [0, 1], total tokens drawn).
     """
     correct = np.asarray(correct, dtype=bool)
     lengths = np.asarray(lengths)
@@ -123,16 +123,17 @@ def majority_at_k(
 
 
 def _choose(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray | None:
-    """``rows`` successive ``rng.choice(n, k, replace=False)`` draws of a
-    PCG64 generator as one ``(rows, k)`` array, the generator left where they
-    leave it; None, drawing nothing, where numpy would take another branch
-    (another generator, n > 10,000, k == n) or reject a draw. numpy takes
-    Floyd's sample over j = n - k .. n - 1 (a value in [0, j], or j if it
-    was taken already), then swaps position i with one in [0, i] for
-    i = k - 1 .. 1. A value in [0, b) is Lemire's: the high half of a 32-bit
-    word times b, drawn again if the low half is below 2^32 mod b. A row
-    reads 2k - 1 words of PCG64's ``next_uint32``: each 64-bit output's low
-    half, then its high one, which the generator holds.
+    """The samples of ``rows`` successive ``rng.choice(n, k, replace=False)``
+    draws of a PCG64 generator, each row as a set, as one ``(rows, k)``
+    array, the generator left where they leave it; None, drawing nothing,
+    where numpy would take another branch (another generator, n > 10,000,
+    k == n) or reject a draw. numpy takes Floyd's sample over j = n - k ..
+    n - 1 (a value in [0, j], or j if it was taken already), then shuffles
+    it with k - 1 draws in [0, i] for i = k - 1 .. 1, which are drawn here
+    but not applied. A value in [0, b) is Lemire's: the high half of a
+    32-bit word times b, drawn again if the low half is below 2^32 mod b. A
+    row reads 2k - 1 words of PCG64's ``next_uint32``: each 64-bit output's
+    low half, then its high one, which the generator holds.
     """
     bits = rng.bit_generator
     if type(bits) is not np.random.PCG64 or n > 10_000 or k == n:
@@ -148,12 +149,9 @@ def _choose(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray |
     if ((m & 0xFFFFFFFF) < (2**32 % bound)[:, None]).any():
         bits.state = saved
         return None
-    value = (m >> 32).astype(np.intp, order="C")  # (2k - 1, rows): Floyd's values, then the swaps' positions
-    chosen, flat = value[:k], value[:k].ravel()
+    chosen = (m[:k] >> 32).astype(np.intp)  # (k, rows): Floyd's values
     for i in range(1, k):
         chosen[i][(chosen[:i] == chosen[i]).any(axis=0)] = n - k + i
-    for i, at in zip(range(k - 1, 0, -1), value[k:] * rows + np.arange(rows)):
-        flat[at], chosen[i] = chosen[i], flat[at]
     return chosen.T
 
 

@@ -22,9 +22,10 @@ checked on every run, and with ``--full`` its survival too: a killed
 It prints one line per mutant and exits 1 if a mutant's old text does not
 occur exactly once, a killer is missing or fails on the unmutated tree, or a
 mutant that is not equivalent survives. pytest does not collect this file
-(its name does not start with ``test_``); it is not a Tier-1 step. A change
-to ``src/`` runs it, and a test deletion that lets a mutant survive shows up
-here.
+(its name does not start with ``test_``); it is not a Tier-1 step, but the
+``mutants`` job of ``.github/workflows/tier1.yml`` runs it, killers only, on
+every push and pull request, so a test deletion that lets a mutant survive
+fails there.
 """
 
 from __future__ import annotations
@@ -401,11 +402,21 @@ MUTANTS = [
         (f"{T_CHOOSE}::test_eval_sweep_shape[16]",),
     ),
     Mutant(
-        "choose-shuffle-skipped",
+        "choose-swap-words-not-drawn",
         METRICS,
-        "zip(range(k - 1, 0, -1), value[k:] * rows + np.arange(rows))",
-        "zip(range(k - 1, 0, -1), value[k:0])",
-        "numpy shuffles Floyd's sample; the votes would not move, but eval's draws must be numpy's",
+        "rows * (2 * k - 1)",
+        "rows * k",
+        "numpy draws the shuffle's k - 1 words after Floyd's k although the set does not depend on them; "
+        "a row's words follow the row before's swap words, so at k > 1 the cut count breaks the table's shape",
+        (f"{T_CHOOSE}::test_eval_sweep_shape[4]",),
+    ),
+    Mutant(
+        "choose-held-word-not-left",
+        METRICS,
+        '"has_uint32": (total - held) % 2',
+        '"has_uint32": 0',
+        "an odd word count leaves the high half of the last 64-bit output held for the next 32-bit draw; only "
+        "the generator-state check sees it, since eval seeds a fresh generator for each k",
         (f"{T_CHOOSE}::test_eval_sweep_shape[4]",),
     ),
     Mutant(

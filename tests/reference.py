@@ -412,7 +412,7 @@ def majority_at_k(
 def choose(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
     """``rows`` draws of k of n indices without replacement, one
     ``rng.choice`` call a row, as a ``(rows, k)`` array: the oracle for
-    ``metrics._choose``."""
+    ``metrics._choose``, whose rows hold the same samples in any order."""
     return np.array([rng.choice(n, size=k, replace=False) for _ in range(rows)])
 
 

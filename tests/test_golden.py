@@ -3,10 +3,11 @@
 Each training step logs ``batch_digest``, a sha256 of the integers and
 booleans it sampled (the count table, ``correct`` and ``truncated``), so
 no float order can move it. The values below were recorded once and pin
-the streams of short desk runs, of the CLI defaults at a verbose start and
-of an ``eval`` sample: a sampler that cuts its work differently must give
-the same digests. A failing test here means the streams changed; that is
-a change of the training dynamics, never a reason to record new values.
+the streams of short desk runs, of the CLI defaults at a verbose start, of
+an ``eval`` sample and of the report ``eval`` writes: a sampler that cuts
+its work differently must give the same digests. A failing test here means
+the streams changed; that is a change of the training dynamics, never a
+reason to record new values.
 ``TestSameNumbersAsReferences`` checks the sampler against the
 token-by-token reference; this file checks it against itself.
 """
@@ -51,6 +52,9 @@ EVAL_GOLDEN = "80ab343c4b5f11cb944f1b96992674e5b9d316db1aa6222b6cf2c823093ef186"
 # The same at --n-samples 256, eval_sweep's shape: 5,120 rollouts, which
 # the sampler walks whole, in one walk.
 EVAL_SWEEP_GOLDEN = "a304d3ff83b2d27737941f1a353c601dd5827855df1009016373bf982288487d"
+# sha256 of the eval.json that `conciserl eval --n-samples 256 --k 1,4,16
+# --seed 3` writes for that checkpoint: majority@k's draws at k > 1 too.
+EVAL_REPORT_GOLDEN = "03f234d3f2409078780ae532c92d34ecd7dcd6090adc002c062924877645ae89"
 
 
 def digest_chain(result):
@@ -109,3 +113,11 @@ def test_eval_sample(desk_runs, tmp_path, monkeypatch):
 
 def test_eval_sweep_sample(desk_runs, tmp_path, monkeypatch):
     assert eval_digest(desk_runs[0][1], 256, tmp_path, monkeypatch) == EVAL_SWEEP_GOLDEN
+
+
+def test_eval_report(desk_runs, tmp_path):
+    out = tmp_path / "eval.json"
+    ckpt = desk_runs[0][1] / "checkpoints" / "step_00030"
+    argv = ["eval", "--checkpoint", str(ckpt), "--n-samples", "256", "--k", "1,4,16", "--seed", "3", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EVAL_REPORT_GOLDEN
